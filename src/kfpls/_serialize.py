@@ -5,11 +5,14 @@ saves differ at the byte level. Model files and run artifacts here must be
 byte-reproducible for equal inputs, so members are written with a fixed
 timestamp instead. The result is still a plain zip of ``.npy`` members
 that ``numpy.load`` understands, and float payloads round-trip bit-exact.
+An archive is written to a temporary file beside its target and then
+renamed over it, so readers never see a partly written archive.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import zipfile
 
 import numpy as np
@@ -18,12 +21,19 @@ _FIXED_DATE = (1980, 1, 1, 0, 0, 0)
 
 
 def write_array_archive(path, arrays: dict) -> None:
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
-        for name in sorted(arrays):
-            buf = io.BytesIO()
-            np.lib.format.write_array(buf, np.asarray(arrays[name]))
-            info = zipfile.ZipInfo(name + ".npy", date_time=_FIXED_DATE)
-            zf.writestr(info, buf.getvalue())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    zf = zipfile.ZipFile(tmp, "x", compression=zipfile.ZIP_STORED)
+    try:
+        with zf:
+            for name in sorted(arrays):
+                buf = io.BytesIO()
+                np.lib.format.write_array(buf, np.asarray(arrays[name]))
+                info = zipfile.ZipInfo(name + ".npy", date_time=_FIXED_DATE)
+                zf.writestr(info, buf.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def read_array_archive(path) -> dict:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -23,45 +24,20 @@ import numpy as np
 
 from . import __version__
 from ._serialize import read_array_archive, write_array_archive
-from .datasets import Dataset, load_csv, standardize
+from .datasets import Dataset, load_csv, read_csv, standardize
 from .exceptions import DegenerateProblemError, FlowAbortError
-from .flows import FlowConfig, loss_surface
+from .flows import _OBJECTIVES, _UPDATE_RULES, FlowConfig, loss_surface
 from .kernels import KernelSpec
-from .kpls import KplsModel, load_model, predict_kpls, save_model
+from .kpls import KplsModel, model_from_arrays, model_to_arrays, predict_kpls
 from .pipeline import (
     CASE_DEFAULTS,
     case_dataset,
+    case_flow_config,
     run_pipeline,
     sweep_flow_parameter,
     sweep_n_lv,
     sweep_noise,
 )
-
-_CONFIG_KEYS = {
-    "seed", "out_dir", "kernel", "sigma", "delta", "n_lv", "lv_max",
-    "iterations", "n_subsamples", "batch_fraction", "sub_fraction",
-    "learning_rate", "momentum", "nesterov_gamma", "update_rule",
-    "smoothing_window", "tol", "patience", "stratified", "lr_decay",
-    "objective", "noise", "csv", "response", "task",
-}
-
-_FLOW_KEYS = {
-    "iterations": ("n_iter", int),
-    "n_subsamples": ("n_subsamples", int),
-    "batch_fraction": ("batch_fraction", float),
-    "sub_fraction": ("sub_fraction", float),
-    "n_lv": ("n_lv", int),
-    "learning_rate": ("learning_rate", float),
-    "momentum": ("momentum", float),
-    "nesterov_gamma": ("nesterov_gamma", float),
-    "update_rule": ("update_rule", str),
-    "smoothing_window": ("smoothing_window", int),
-    "tol": ("tol", float),
-    "patience": ("patience", int),
-    "stratified": ("stratified", None),
-    "lr_decay": ("lr_decay", None),
-    "objective": ("objective", str),
-}
 
 
 class CliError(Exception):
@@ -92,13 +68,27 @@ def load_config(path) -> dict:
 
 
 def _bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
     if str(value).lower() in ("1", "true", "yes", "on"):
         return True
     if str(value).lower() in ("0", "false", "no", "off"):
         return False
-    raise CliError("config", f"expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
+
+
+# Config key -> (FlowConfig field, cast), one entry per settable field; each
+# key is also a flag (``n_subsamples`` -> ``--n-subsamples``). ``seed`` is a
+# common setting and ``fd_step`` is recorded in reports but not settable.
+_FLOW_SETTINGS = {
+    "iterations" if f.name == "n_iter" else f.name:
+        (f.name, _bool if isinstance(f.default, bool) else type(f.default))
+    for f in dataclasses.fields(FlowConfig) if f.name not in ("seed", "fd_step")
+}
+_FLOW_CHOICES = {"update_rule": _UPDATE_RULES, "objective": _OBJECTIVES}
+
+_CONFIG_KEYS = {
+    "seed", "out_dir", "kernel", "sigma", "delta", "lv_max", "noise", "csv",
+    "response", "task", *_FLOW_SETTINGS,
+}
 
 
 def _setting(args, config, key, default=None, cast=None):
@@ -118,24 +108,11 @@ def _setting(args, config, key, default=None, cast=None):
 def _flow_overrides(args, config) -> dict:
     """Flow settings the user gave explicitly (flags or config file)."""
     overrides = {}
-    for key, (attr, cast) in _FLOW_KEYS.items():
-        if cast is None:
-            value = _setting(args, config, key)
-            if value is not None:
-                overrides[attr] = _bool(value)
-            continue
+    for key, (name, cast) in _FLOW_SETTINGS.items():
         value = _setting(args, config, key, cast=cast)
         if value is not None:
-            overrides[attr] = cast(value)
+            overrides[name] = value
     return overrides
-
-
-def _flow_config(args, config, seed, case_id=None) -> FlowConfig:
-    base = {}
-    if case_id is not None:
-        base["n_iter"] = CASE_DEFAULTS[case_id]["n_iter"]
-    base.update(_flow_overrides(args, config))
-    return FlowConfig(seed=seed, **base)
 
 
 def _kernel_spec(args, config, default_families="gaussian") -> KernelSpec:
@@ -187,26 +164,6 @@ def _spec_dict(spec: KernelSpec) -> dict:
     }
 
 
-def _config_dict(config: FlowConfig) -> dict:
-    return {
-        "n_iter": config.n_iter,
-        "n_subsamples": config.n_subsamples,
-        "batch_fraction": config.batch_fraction,
-        "sub_fraction": config.sub_fraction,
-        "n_lv": config.n_lv,
-        "learning_rate": config.learning_rate,
-        "momentum": config.momentum,
-        "nesterov_gamma": config.nesterov_gamma,
-        "update_rule": config.update_rule,
-        "smoothing_window": config.smoothing_window,
-        "tol": config.tol,
-        "patience": config.patience,
-        "stratified": config.stratified,
-        "lr_decay": config.lr_decay,
-        "objective": config.objective,
-    }
-
-
 def _write_trace(path, trace) -> None:
     header, rows = trace.to_table()
     write_table(path, header, rows)
@@ -236,9 +193,7 @@ def _write_predictions(path, ds: Dataset, predictions: dict) -> None:
 
 def save_calibrated_model(path, model: KplsModel, ds: Dataset) -> None:
     """Model archive that also carries the dataset standardization."""
-    tmp = Path(path)
-    save_model(model, tmp)
-    arrays = read_array_archive(tmp)
+    arrays = model_to_arrays(model)
     arrays.update(
         {
             "prep_x_means": ds.x_means,
@@ -251,23 +206,38 @@ def save_calibrated_model(path, model: KplsModel, ds: Dataset) -> None:
             "prep_y_names": np.array(ds.y_names),
         }
     )
-    write_array_archive(tmp, arrays)
+    write_array_archive(path, arrays)
 
 
 def load_calibrated_model(path) -> tuple[KplsModel, dict]:
-    model = load_model(path)
+    """Model and standardization from one read of a calibrated archive.
+
+    Raises ``ValueError`` when the archive is malformed: see
+    `model_from_arrays`, plus standardization arrays and names whose
+    lengths disagree with the model.
+    """
     data = read_array_archive(path)
     if "prep_task" not in data:
-        raise CliError("data", "model file lacks preprocessing metadata")
+        raise ValueError("model file lacks preprocessing metadata")
+    model = model_from_arrays(data)
+    has_y_stats = bool(data["prep_has_y_stats"])
     meta = {
         "x_means": data["prep_x_means"],
         "x_stds": data["prep_x_stds"],
-        "y_means": data["prep_y_means"] if bool(data["prep_has_y_stats"]) else None,
-        "y_stds": data["prep_y_stds"] if bool(data["prep_has_y_stats"]) else None,
+        "y_means": data["prep_y_means"] if has_y_stats else None,
+        "y_stds": data["prep_y_stds"] if has_y_stats else None,
         "task": str(data["prep_task"]),
         "x_names": [str(s) for s in data["prep_x_names"]],
         "y_names": [str(s) for s in data["prep_y_names"]],
     }
+    n_x, n_y = model.x_train.shape[1], model.y_means.shape[0]
+    expected = {"prep_x_names": n_x, "prep_x_means": n_x, "prep_x_stds": n_x,
+                "prep_y_names": n_y}
+    if has_y_stats:
+        expected.update(prep_y_means=n_y, prep_y_stds=n_y)
+    for key, n in expected.items():
+        if data[key].shape != (n,):
+            raise ValueError(f"{key} has shape {data[key].shape}, the model needs ({n},)")
     return model, meta
 
 
@@ -277,11 +247,12 @@ def _case_report(result, case_id, seed, command) -> dict:
         "command": command,
         "case": case_id,
         "seed": seed,
-        "flow_config": _config_dict(result.config),
+        "flow_config": dataclasses.asdict(result.config),
         "kernel_initial": _spec_dict(result.spec_init),
         "kernel_optimized": _spec_dict(result.spec_opt),
         "n_lv": result.n_lv,
         "iterations_run": result.trace.iterations_run,
+        "n_skipped": result.trace.n_skipped,
         "converged": result.trace.converged,
         "best_smoothed_loss": result.trace.best_smoothed_loss,
         "runtime_seconds": result.runtime_seconds,
@@ -311,7 +282,7 @@ def cmd_case(args) -> int:
         raise CliError("data", str(exc)) from exc
 
     spec0 = _kernel_spec(args, config, CASE_DEFAULTS[case_id]["families"])
-    flow = _flow_config(args, config, seed, case_id)
+    flow = case_flow_config(case_id, seed, **_flow_overrides(args, config))
     lv_max = int(_setting(args, config, "lv_max",
                           default=CASE_DEFAULTS[case_id]["lv_max"], cast=int))
     try:
@@ -345,7 +316,7 @@ def cmd_optimize(args) -> int:
         raise CliError("data", str(exc)) from exc
 
     spec0 = _kernel_spec(args, config)
-    flow = _flow_config(args, config, seed)
+    flow = FlowConfig(seed=seed, **_flow_overrides(args, config))
     lv_max = int(_setting(args, config, "lv_max", default=20, cast=int))
     try:
         result = run_pipeline(ds, spec0, flow, lv_max, seed)
@@ -375,9 +346,11 @@ def cmd_predict(args) -> int:
         raise CliError("data", f"cannot load model: {exc}") from exc
 
     try:
-        rows, header = _read_feature_csv(args.csv)
+        header, rows = read_csv(args.csv)
     except OSError as exc:
         raise CliError("io", str(exc)) from exc
+    except ValueError as exc:
+        raise CliError("data", str(exc)) from exc
 
     missing = [name for name in meta["x_names"] if name not in header]
     if missing:
@@ -399,32 +372,6 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _read_feature_csv(path) -> tuple[np.ndarray, list]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise CliError("data", f"{path}: file is empty") from None
-        raw_rows = list(reader)
-    if not raw_rows:
-        raise CliError("data", f"{path}: no data rows after the header")
-    data = np.empty((len(raw_rows), len(header)))
-    for i, row in enumerate(raw_rows):
-        if len(row) != len(header):
-            raise CliError("data", f"{path}: row {i + 2} has {len(row)} cells")
-        for j, cell in enumerate(row):
-            try:
-                data[i, j] = float(cell)
-            except ValueError:
-                raise CliError(
-                    "data",
-                    f"{path}: non-numeric value {cell!r} at row {i + 2}, "
-                    f"column {header[j]!r}",
-                ) from None
-    return data, header
-
-
 _SWEEP_AXES = ("n_lv", "noise", "learning_rate", "n_subsamples", "init_theta")
 
 
@@ -444,7 +391,7 @@ def cmd_sweep(args) -> int:
     csv_path = _setting(args, config, "csv")
     response = _setting(args, config, "response")
     overrides = _flow_overrides(args, config)
-    flow = _flow_config(args, config, seed, case_id)
+    flow = case_flow_config(case_id, seed, **overrides)
 
     try:
         if args.axis == "noise":
@@ -520,7 +467,7 @@ def cmd_loss_surface(args) -> int:
             KernelSpec.create(families, sigma=s, delta=d)
             for s in sigmas for d in deltas
         ]
-        flow = _flow_config(args, config, seed, case_id)
+        flow = case_flow_config(case_id, seed, **_flow_overrides(args, config))
         rows = loss_surface(ds.X_cal, ds.Y_cal, specs, flow)
     except (DegenerateProblemError, FlowAbortError, ValueError) as exc:
         raise CliError("compute", str(exc)) from exc
@@ -552,20 +499,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kernel", help="comma-separated kernel families")
         p.add_argument("--sigma", type=float, help="initial length-scale")
         p.add_argument("--delta", type=float, help="initial ridge")
-        p.add_argument("--n-lv", dest="n_lv", type=int,
-                       help="latent variables during optimization")
         p.add_argument("--lv-max", dest="lv_max", type=int,
                        help="upper bound for the factor line search")
-        p.add_argument("--iterations", type=int)
-        p.add_argument("--n-subsamples", dest="n_subsamples", type=int)
-        p.add_argument("--batch-fraction", dest="batch_fraction", type=float)
-        p.add_argument("--sub-fraction", dest="sub_fraction", type=float)
-        p.add_argument("--update-rule", dest="update_rule",
-                       choices=["vanilla", "polyak", "nesterov"])
-        p.add_argument("--learning-rate", dest="learning_rate", type=float)
-        p.add_argument("--momentum", type=float)
-        p.add_argument("--nesterov-gamma", dest="nesterov_gamma", type=float)
-        p.add_argument("--objective", choices=["cv", "norm_ratio"])
+        for key, (name, cast) in _FLOW_SETTINGS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=cast,
+                           choices=_FLOW_CHOICES.get(key),
+                           help=f"flow setting FlowConfig.{name}")
 
     p_case = sub.add_parser("case", help="run a built-in case study")
     p_case.add_argument("case_id", type=int)

@@ -218,42 +218,22 @@ def gen_circles(
     )
 
 
-def load_csv(path, response_columns, task: str, seed) -> Dataset:
-    """Load a numeric CSV with a header row and split/standardize it.
+def read_csv(path) -> tuple[list, np.ndarray]:
+    """Parse a numeric CSV with a header row into ``(header, data)``.
 
-    ``response_columns`` is a list of header names or 0-based column
-    indices (a single name/index is also accepted). All remaining columns
-    become predictors. Cells must be numeric and present; offending cells
-    are reported with their file row and column name.
+    Header names and cells are stripped of surrounding whitespace. Empty
+    files, ragged rows and missing, non-numeric or non-finite cells raise
+    ``ValueError`` naming the file row (the header is row 1) and column.
     """
-    if isinstance(response_columns, (str, int)):
-        response_columns = [response_columns]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: no data rows after the header")
-
-    resp_idx = []
-    for col in response_columns:
-        if isinstance(col, int):
-            if not 0 <= col < len(header):
-                raise ValueError(f"response column index {col} out of range")
-            resp_idx.append(col)
-        else:
-            if col not in header:
-                raise ValueError(f"response column {col!r} not found in header")
-            resp_idx.append(header.index(col))
-    if len(set(resp_idx)) != len(resp_idx):
-        raise ValueError("duplicate response columns")
-    pred_idx = [j for j in range(len(header)) if j not in resp_idx]
-    if not pred_idx:
-        raise ValueError("no predictor columns left after removing responses")
 
     data = np.empty((len(rows), len(header)))
     for i, row in enumerate(rows):
@@ -275,6 +255,42 @@ def load_csv(path, response_columns, task: str, seed) -> Dataset:
                     f"{path}: non-numeric value {cell!r} at row {line_no}, "
                     f"column {header[j]!r}"
                 ) from None
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(
+            f"{path}: non-finite value {rows[i][j].strip()!r} at row {i + 2}, "
+            f"column {header[j]!r}"
+        )
+    return header, data
+
+
+def load_csv(path, response_columns, task: str, seed) -> Dataset:
+    """Load a numeric CSV with a header row and split/standardize it.
+
+    ``response_columns`` is a list of header names or 0-based column
+    indices (a single name/index is also accepted). All remaining columns
+    become predictors. Cells are parsed by `read_csv`.
+    """
+    if isinstance(response_columns, (str, int)):
+        response_columns = [response_columns]
+    header, data = read_csv(path)
+
+    resp_idx = []
+    for col in response_columns:
+        if isinstance(col, int):
+            if not 0 <= col < len(header):
+                raise ValueError(f"response column index {col} out of range")
+            resp_idx.append(col)
+        else:
+            if col not in header:
+                raise ValueError(f"response column {col!r} not found in header")
+            resp_idx.append(header.index(col))
+    if len(set(resp_idx)) != len(resp_idx):
+        raise ValueError("duplicate response columns")
+    pred_idx = [j for j in range(len(header)) if j not in resp_idx]
+    if not pred_idx:
+        raise ValueError("no predictor columns left after removing responses")
 
     return _assemble(
         data[:, pred_idx],

@@ -103,14 +103,10 @@ def classify(model: KplsModel, X_new: np.ndarray) -> np.ndarray:
     return np.argmax(scores, axis=1) + 1
 
 
-def save_model(model: KplsModel, path) -> None:
-    """Write a model to a single self-describing archive.
-
-    Equal models produce byte-identical files, and all float payloads
-    round-trip bit-exact.
-    """
+def model_to_arrays(model: KplsModel) -> dict:
+    """Archive members of a model, keyed by member name (schema v1)."""
     spec = model.spec
-    arrays = {
+    return {
         "schema_version": np.array(_SCHEMA_VERSION),
         "families": np.array(list(spec.families)),
         "log_sigma": spec.log_sigma,
@@ -131,14 +127,30 @@ def save_model(model: KplsModel, path) -> None:
         "n_lv": np.array(model.n_lv),
         "y_means": model.y_means,
     }
-    write_array_archive(path, arrays)
 
 
-def load_model(path) -> KplsModel:
-    data = read_array_archive(path)
+def model_from_arrays(data: dict) -> KplsModel:
+    """Inverse of `model_to_arrays`; other members, such as a calibrated
+    archive's ``prep_*`` arrays, are left for the caller.
+
+    Raises ``ValueError`` for another schema version, a non-finite float
+    member (of any name), or prediction arrays whose shapes disagree with
+    ``x_train``.
+    """
     version = int(data["schema_version"])
     if version != _SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version {version}")
+    for key, value in data.items():
+        if value.dtype.kind == "f" and not np.isfinite(value).all():
+            raise ValueError(f"archive member {key!r} holds non-finite values")
+    n_train = data["x_train"].shape[0]
+    coef_shape = (n_train, data["y_means"].shape[0])
+    if data["pls_coef"].shape != coef_shape:
+        raise ValueError(
+            f"pls_coef has shape {data['pls_coef'].shape}, expected {coef_shape}"
+        )
+    if data["center_col_means"].shape != (n_train,):
+        raise ValueError(f"center_col_means does not have {n_train} entries")
     spec = KernelSpec(
         families=tuple(str(f) for f in data["families"]),
         log_sigma=data["log_sigma"],
@@ -167,3 +179,16 @@ def load_model(path) -> KplsModel:
         n_lv=int(data["n_lv"]),
         y_means=data["y_means"],
     )
+
+
+def save_model(model: KplsModel, path) -> None:
+    """Write a model to a single self-describing archive.
+
+    Equal models produce byte-identical files, and all float payloads
+    round-trip bit-exact.
+    """
+    write_array_archive(path, model_to_arrays(model))
+
+
+def load_model(path) -> KplsModel:
+    return model_from_arrays(read_array_archive(path))

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from kfpls import FlowConfig
+from kfpls._serialize import read_array_archive, write_array_archive
 from kfpls.cli import main
+from kfpls.pipeline import case_flow_config
 
 
 def write_toy_csv(path, n=50, seed=0):
@@ -27,6 +31,22 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+@pytest.fixture()
+def xy_model(tmp_path, capsys):
+    """Training CSV with features x1, x2 and the archive optimized on it."""
+    rng = np.random.default_rng(2)
+    x = rng.uniform(-1, 1, size=(40, 2))
+    y = np.sin(2 * x[:, 0]) + x[:, 1]
+    train = tmp_path / "train.csv"
+    train.write_text("x1,x2,y\n" + "".join(f"{a},{b},{c}\n" for (a, b), c in zip(x, y)),
+                     encoding="utf-8")
+    out = tmp_path / "opt"
+    assert run_cli("optimize", train, "--response", "y", "--seed", "1",
+                   "--iterations", "5", "--out-dir", out) == 0
+    capsys.readouterr()
+    return train, out / "model.kfpls"
+
+
 class TestCaseCommand:
     def test_case1_writes_reports(self, tmp_path):
         out = tmp_path / "out"
@@ -41,11 +61,19 @@ class TestCaseCommand:
         assert report["seed"] == 1
         assert report["artifact_version"]
         assert set(report["results"]) == {"kf_pls", "kpls_default", "pls"}
-        assert report["flow_config"]["n_iter"] == 25
+        assert report["flow_config"] == dataclasses.asdict(case_flow_config(1, 1, n_iter=25))
+        assert set(report["flow_config"]) == {f.name for f in dataclasses.fields(FlowConfig)}
+        assert report["n_skipped"] >= 0
 
     def test_unknown_case_is_usage_error(self, capsys):
         assert run_cli("case", "9") == 2
         assert "error:usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--update-rule", "--objective"])
+    def test_unknown_flow_choice_is_usage_error(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("case", "1", flag, "bogus")
+        assert exc.value.code == 2
 
     def test_case3_without_csv_is_usage_error(self, capsys):
         assert run_cli("case", "3") == 2
@@ -130,6 +158,55 @@ class TestOptimizeAndPredict:
         assert "error:data" in capsys.readouterr().err
 
 
+    def test_predict_rejects_non_finite_cells(self, tmp_path, xy_model, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x1,x2\n0.1,0.2\nnan,0.3\ninf,0.1\n", encoding="utf-8")
+        pred_dir = tmp_path / "pred"
+        assert run_cli("predict", xy_model[1], bad, "--out-dir", pred_dir) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:data:")
+        assert "row 3, column 'x1'" in err
+        assert not (pred_dir / "predictions.csv").exists()
+
+    def test_optimize_rejects_nan_cell(self, tmp_path, toy_csv, capsys):
+        lines = toy_csv.read_text(encoding="utf-8").splitlines()
+        cells = lines[4].split(",")
+        cells[1] = "nan"
+        lines[4] = ",".join(cells)
+        toy_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("optimize", toy_csv, "--response", "target",
+                       "--out-dir", tmp_path / "opt") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:data:")
+        assert "row 5, column 'f2'" in err
+
+
+def _cut_coef(arrays):
+    arrays["pls_coef"] = arrays["pls_coef"][:-3]
+
+
+def _nan_coef(arrays):
+    arrays["pls_coef"] = arrays["pls_coef"].copy()
+    arrays["pls_coef"][0, 0] = np.nan
+
+
+def _one_feature_name(arrays):
+    arrays["prep_x_names"] = arrays["prep_x_names"][:1]
+
+
+class TestCorruptArchive:
+    @pytest.mark.parametrize("corrupt", [_cut_coef, _nan_coef, _one_feature_name])
+    def test_predict_rejects_corrupt_archive(self, tmp_path, xy_model, capsys, corrupt):
+        train, archive = xy_model
+        arrays = read_array_archive(archive)
+        corrupt(arrays)
+        write_array_archive(archive, arrays)
+        pred_dir = tmp_path / "pred"
+        assert run_cli("predict", archive, train, "--out-dir", pred_dir) == 1
+        assert capsys.readouterr().err.startswith("error:data: cannot load model")
+        assert not (pred_dir / "predictions.csv").exists()
+
+
 class TestSweepCommand:
     def test_single_point_grid_single_row(self, tmp_path):
         out = tmp_path / "sweep"
@@ -178,11 +255,13 @@ class TestConfigFile:
         )
         out = tmp_path / "out"
         assert run_cli("case", "1", "--config", cfg, "--iterations", "8",
-                       "--out-dir", out) == 0
+                       "--patience", "4", "--lr-decay", "yes", "--out-dir", out) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["seed"] == 7  # from config
         assert report["flow_config"]["n_iter"] == 8  # flag wins
         assert report["flow_config"]["learning_rate"] == 0.2
+        assert report["flow_config"]["patience"] == 4
+        assert report["flow_config"]["lr_decay"] is True
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

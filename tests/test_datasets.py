@@ -1,8 +1,28 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kfpls import gen_circles, gen_peaks, load_csv, peaks_surface
-from kfpls.datasets import compute_stats, destandardize, standardize
+from kfpls.datasets import compute_stats, destandardize, read_csv, standardize
+
+finite_tables = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def write_table(directory, cells) -> Path:
+    path = Path(directory) / "table.csv"
+    lines = [",".join(f"c{j}" for j in range(len(cells[0])))]
+    lines += [",".join(row) for row in cells]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 class TestPeaksSurface:
@@ -198,3 +218,41 @@ class TestLoadCsv:
         path = self._write(tmp_path, "a,b,y\n1,2,3\n1,2\n")
         with pytest.raises(ValueError, match="row 3 has 2 cells"):
             load_csv(path, ["y"], "regression", seed=0)
+
+
+    def test_non_finite_cell_reported_with_position(self, tmp_path):
+        path = self._write(tmp_path, "a,y\n1,2\n3,inf\n")
+        with pytest.raises(ValueError, match=r"non-finite value 'inf' at row 3, column 'y'"):
+            load_csv(path, ["y"], "regression", seed=0)
+
+
+class TestReadCsv:
+    @given(finite_tables)
+    @settings(max_examples=60, deadline=None)
+    def test_repr_written_floats_read_back_bit_exact(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_table(tmp, [[repr(float(v)) for v in row] for row in table])
+            header, data = read_csv(path)
+        assert header == [f"c{j}" for j in range(table.shape[1])]
+        assert data.dtype == np.float64
+        assert data.shape == table.shape
+        assert data.tobytes() == table.tobytes()
+
+    @given(finite_tables, st.sampled_from(["nan", "inf", "-inf", "NaN"]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_non_finite_cell_rejected_at_its_position(self, table, token, data):
+        i = data.draw(st.integers(0, table.shape[0] - 1))
+        j = data.draw(st.integers(0, table.shape[1] - 1))
+        cells = [[repr(float(v)) for v in row] for row in table]
+        cells[i][j] = token
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_table(tmp, cells)
+            with pytest.raises(ValueError, match=rf"at row {i + 2}, column 'c{j}'"):
+                read_csv(path)
+
+    def test_cells_and_header_are_stripped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(" a , b\n 1.5 ,2 \n", encoding="utf-8")
+        header, data = read_csv(path)
+        assert header == ["a", "b"]
+        np.testing.assert_array_equal(data, [[1.5, 2.0]])

@@ -13,6 +13,7 @@ from kfpls import (
     save_model,
 )
 
+from kfpls._serialize import write_array_archive
 from oracles import kpls_coef_literal
 
 
@@ -242,3 +243,20 @@ class TestSerialization:
         save_model(model, p1)
         save_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_save_leaves_no_temp_file_and_failed_write_keeps_old_archive(self, tmp_path):
+        rng = np.random.default_rng(16)
+        model = fit_kpls(rng.normal(size=(8, 2)), rng.normal(size=8), 2, gauss())
+        path = tmp_path / "model.kfpls"
+        save_model(model, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.kfpls"]
+        before = path.read_bytes()
+
+        class Unwritable:
+            def __array__(self, dtype=None, copy=None):
+                raise RuntimeError("cannot convert")
+
+        with pytest.raises(RuntimeError):
+            write_array_archive(path, {"a": np.zeros(2), "b": Unwritable()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.kfpls"]
