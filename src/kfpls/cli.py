@@ -115,6 +115,16 @@ def _flow_overrides(args, config) -> dict:
     return overrides
 
 
+def _flow_config(overrides, seed, case_id=None) -> FlowConfig:
+    """Flow settings with the user's overrides, on a case's defaults if given."""
+    try:
+        if case_id is None:
+            return FlowConfig(seed=seed, **overrides)
+        return case_flow_config(case_id, seed, **overrides)
+    except ValueError as exc:
+        raise CliError("config", str(exc)) from exc
+
+
 def _kernel_spec(args, config, default_families="gaussian") -> KernelSpec:
     families = _setting(args, config, "kernel", default=default_families)
     sigma = _setting(args, config, "sigma", default=1.0, cast=float)
@@ -282,7 +292,7 @@ def cmd_case(args) -> int:
         raise CliError("data", str(exc)) from exc
 
     spec0 = _kernel_spec(args, config, CASE_DEFAULTS[case_id]["families"])
-    flow = case_flow_config(case_id, seed, **_flow_overrides(args, config))
+    flow = _flow_config(_flow_overrides(args, config), seed, case_id)
     lv_max = int(_setting(args, config, "lv_max",
                           default=CASE_DEFAULTS[case_id]["lv_max"], cast=int))
     try:
@@ -316,7 +326,7 @@ def cmd_optimize(args) -> int:
         raise CliError("data", str(exc)) from exc
 
     spec0 = _kernel_spec(args, config)
-    flow = FlowConfig(seed=seed, **_flow_overrides(args, config))
+    flow = _flow_config(_flow_overrides(args, config), seed)
     lv_max = int(_setting(args, config, "lv_max", default=20, cast=int))
     try:
         result = run_pipeline(ds, spec0, flow, lv_max, seed)
@@ -391,7 +401,7 @@ def cmd_sweep(args) -> int:
     csv_path = _setting(args, config, "csv")
     response = _setting(args, config, "response")
     overrides = _flow_overrides(args, config)
-    flow = case_flow_config(case_id, seed, **overrides)
+    flow = _flow_config(overrides, seed, case_id)
 
     try:
         if args.axis == "noise":
@@ -455,10 +465,13 @@ def cmd_loss_surface(args) -> int:
     if not sigmas or not deltas:
         raise CliError("usage", "sigma and delta grids must be non-empty")
     case_id = args.case if args.case is not None else 2
+    if case_id not in CASE_DEFAULTS:
+        raise CliError("usage", f"unknown case id {case_id}")
     csv_path = _setting(args, config, "csv")
     response = _setting(args, config, "response")
     families = _setting(args, config, "kernel",
                         default=CASE_DEFAULTS[case_id]["families"])
+    flow = _flow_config(_flow_overrides(args, config), seed, case_id)
 
     try:
         ds = case_dataset(case_id, seed, csv_path=csv_path,
@@ -467,7 +480,6 @@ def cmd_loss_surface(args) -> int:
             KernelSpec.create(families, sigma=s, delta=d)
             for s in sigmas for d in deltas
         ]
-        flow = case_flow_config(case_id, seed, **_flow_overrides(args, config))
         rows = loss_surface(ds.X_cal, ds.Y_cal, specs, flow)
     except (DegenerateProblemError, FlowAbortError, ValueError) as exc:
         raise CliError("compute", str(exc)) from exc

@@ -1,25 +1,28 @@
 """Kernel parameter learning by stochastic minibatch cross-validation.
 
-Each iteration draws a random minibatch, fits kernel PLS on it, and fits
-the same model on several random sub-batches of that minibatch. A kernel
-under which the sub-batch refits agree with the minibatch fit generalizes
-across subsets, so the iteration loss measures that agreement and is
-driven toward zero by gradient steps on the log kernel parameters.
-Gradients come from central finite differences; the parameter dimension
-is small enough that this costs only a handful of refits per step.
+Each iteration draws a random minibatch and several random sub-batches of
+it, and refits kernel PLS on every sub-batch. A kernel under which the
+sub-batch refits agree with the minibatch generalizes across subsets, so
+the iteration loss measures that agreement and is driven toward zero by
+gradient steps on the log kernel parameters. Gradients come from central
+finite differences; the parameter dimension is small enough that this
+costs only a handful of refits per step.
 
-Two losses are available. The default, ``cv``, scores each sub-batch
-model's predictions on the whole minibatch against the minibatch
-responses, relative to the variance baseline: nonnegative, near one for a
-kernel that predicts nothing, small when models fitted on any subset
-predict the rest. The ``norm_ratio`` alternative is one minus the ratio
-of the fits' squared model norms (coefficient quadratic forms in the
-centered Gram), which is the classical kernel-flow quantity for full-rank
-kernel regression, where the sub-batch fit is a projection of the full
-fit and the ratio measures exactly the prediction discrepancy. PLS
+One engine, `_batch_losses`, computes both losses from one plain Gram of
+the minibatch: every fit takes its rows' block, adds the ridge and runs
+`kpls.fit_gram`, the fit `fit_kpls` uses. The default, ``cv``, scores each
+sub-batch model's predictions of the whole minibatch (cross kernel
+centered by `kernels.center_test`) against the minibatch responses,
+relative to the variance baseline: nonnegative, near one for a kernel
+that predicts nothing, small when models fitted on any subset predict the
+rest. ``norm_ratio`` also fits the whole minibatch and is one minus the
+ratio of each sub-batch model's squared norm to the minibatch one, each
+norm a coefficient quadratic form in the centered Gram of its own fit.
+That is the classical kernel-flow quantity for full-rank kernel
+regression, where the sub-batch fit is a projection of the full fit. PLS
 truncation breaks that identity, letting the norm ratio go negative and
-reward degenerate kernels whose sub-fits outgrow the minibatch fit, so it
-is not the default.
+reward degenerate kernels, so it is not the default. `kf_loss` applies the
+same fit and norm to two Grams built independently from raw rows.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateProblemError, FlowAbortError
-from .kernels import KernelSpec, center_train, kernel_matrix, train_sq_dists
-from .pls import fit_pls
+from .kernels import KernelSpec, center_test, kernel_matrix, train_sq_dists
+from .kpls import fit_gram
 
 logger = logging.getLogger(__name__)
 
@@ -53,7 +56,9 @@ class FlowConfig:
     triggers after ``patience`` consecutive iterations in which the
     ``smoothing_window``-wide moving average of the loss improves by less
     than ``tol``. ``stratified`` samples batches proportionally per class
-    (one-hot responses) to keep rare classes represented.
+    (one-hot responses) to keep rare classes represented. Building a
+    config checks every setting that does not depend on the data;
+    `validate` checks the rest against the dataset size.
     """
 
     n_iter: int = 300
@@ -74,12 +79,14 @@ class FlowConfig:
     fd_step: float = 1e-4
     objective: str = "cv"
 
-    def validate(self, n_rows: int) -> tuple[int, int]:
-        """Check settings against the dataset size; return batch sizes."""
+    def __post_init__(self):
+        """Reject settings that are invalid for any dataset (``ValueError``)."""
         if self.n_iter < 1:
             raise ValueError("n_iter must be >= 1")
         if self.n_subsamples < 1:
             raise ValueError("n_subsamples must be >= 1")
+        if self.n_lv < 1:
+            raise ValueError("n_lv must be >= 1")
         if not 0.0 < self.batch_fraction <= 1.0:
             raise ValueError("batch_fraction must be in (0, 1]")
         if not 0.0 < self.sub_fraction < 1.0:
@@ -104,6 +111,9 @@ class FlowConfig:
             raise ValueError("patience must be >= 1")
         if self.fd_step <= 0:
             raise ValueError("fd_step must be positive")
+
+    def validate(self, n_rows: int) -> tuple[int, int]:
+        """Check settings against the dataset size; return batch sizes."""
         n_batch = math.ceil(self.batch_fraction * n_rows)
         n_sub = math.ceil(self.sub_fraction * n_batch)
         if n_batch < 2:
@@ -142,101 +152,58 @@ class FlowTrace:
         return header, rows
 
 
-def _fit_gram_model(K_plain: np.ndarray, delta: float, Y: np.ndarray, n_lv: int):
-    """Kernel PLS on a precomputed plain Gram block; ridge added here.
-
-    Returns the coefficient matrix, centering statistics, and response
-    column means, which is everything needed to predict other rows.
-    """
-    K = K_plain.copy()
+def _fit_rows(K_plain, idx, Y, n_lv, delta):
+    """Kernel-PLS fit on the rows ``idx`` of a plain Gram; see `fit_gram`."""
+    K = K_plain[np.ix_(idx, idx)]
     K[np.diag_indices_from(K)] += delta
-    K_centered, stats = center_train(K)
-    y_means = Y.mean(axis=0)
-    pls = fit_pls(K_centered, Y - y_means, n_lv)
-    return pls.coef, stats, y_means
+    return fit_gram(K, Y[idx], n_lv)
 
 
-def _predict_rows(K_cross_plain, stats, B, y_means):
-    """Predict rows given their plain cross-kernel against the training block."""
-    A = K_cross_plain - stats.col_means[None, :]
-    A = A - A.mean(axis=1, keepdims=True)
-    return A @ B + y_means
-
-
-def _norm_ratio_losses(K_plain, Y, subsets, n_lv, spec):
-    """Literal flow losses: one minus the ratio of squared model norms."""
-    B_b, _, _ = _fit_gram_model(K_plain, spec.delta, Y, n_lv)
-    K_ridge = K_plain.copy()
-    K_ridge[np.diag_indices_from(K_ridge)] += spec.delta
-    K_centered, _ = center_train(K_ridge)
-    norm_b = float(np.sum(B_b * (K_centered @ B_b)))
-    if not math.isfinite(norm_b):
-        raise DegenerateProblemError("minibatch norm is not finite")
-    if abs(norm_b) < _NORM_FLOOR:
-        raise DegenerateProblemError("minibatch norm is zero; loss undefined")
-    rhos = []
-    for idx in subsets:
-        box = np.ix_(idx, idx)
-        K_sub = K_plain[box].copy()
-        K_sub[np.diag_indices_from(K_sub)] += spec.delta
-        K_sub_centered, _ = center_train(K_sub)
-        B_s, _, _ = _fit_gram_model(K_plain[box], spec.delta, Y[idx], n_lv)
-        norm_s = float(np.sum(B_s * (K_sub_centered @ B_s)))
-        value = 1.0 - norm_s / norm_b
-        if not math.isfinite(value):
-            raise DegenerateProblemError("loss is not finite")
-        rhos.append(value)
-    return rhos
-
-
-def _cv_losses(K_plain, Y, subsets, n_lv, spec):
-    """Subset-validation losses: sub-batch models scored on the minibatch.
-
-    Each sub-batch model predicts every minibatch row; the loss is the
-    squared residual against the minibatch responses, relative to the
-    variance baseline. Small exactly when models fitted on random subsets
-    keep predicting the rest of the batch.
-    """
-    denom = float(np.sum((Y - Y.mean(axis=0)) ** 2))
-    if denom < _NORM_FLOOR:
-        raise DegenerateProblemError("minibatch responses are constant")
-    rhos = []
-    for idx in subsets:
-        box = np.ix_(idx, idx)
-        B_s, stats_s, ym_s = _fit_gram_model(K_plain[box], spec.delta, Y[idx], n_lv)
-        u_s = _predict_rows(K_plain[:, idx], stats_s, B_s, ym_s)
-        value = float(np.sum((Y - u_s) ** 2)) / denom
-        if not math.isfinite(value):
-            raise DegenerateProblemError("loss is not finite")
-        rhos.append(value)
-    return rhos
+def _model_norm(fit) -> float:
+    """Squared model norm: coefficient quadratic form in the fit's centered Gram."""
+    pls, _, _, K_centered = fit
+    value = float(np.sum(pls.coef * (K_centered @ pls.coef)))
+    if not math.isfinite(value):
+        raise DegenerateProblemError("model norm is not finite")
+    return value
 
 
 def _batch_losses(d2_batch, Y_batch, subsets, n_lv, spec, objective):
-    """Average iteration loss over fixed sub-batch index sets (list order)."""
+    """Average iteration loss over fixed sub-batch index sets, plus the
+    per-subset losses in list order (objectives: see the module docstring).
+    """
     K_plain = kernel_matrix(spec, d2_batch)
     if objective == "norm_ratio":
-        rhos = _norm_ratio_losses(K_plain, Y_batch, subsets, n_lv, spec)
+        rows = np.arange(Y_batch.shape[0])
+        norm_b = _model_norm(_fit_rows(K_plain, rows, Y_batch, n_lv, spec.delta))
+        if abs(norm_b) < _NORM_FLOOR:
+            raise DegenerateProblemError("minibatch norm is zero; loss undefined")
     else:
-        rhos = _cv_losses(K_plain, Y_batch, subsets, n_lv, spec)
+        denom = float(np.sum((Y_batch - Y_batch.mean(axis=0)) ** 2))
+        if denom < _NORM_FLOOR:
+            raise DegenerateProblemError("minibatch responses are constant")
+    rhos = []
+    for idx in subsets:
+        fit = _fit_rows(K_plain, idx, Y_batch, n_lv, spec.delta)
+        if objective == "norm_ratio":
+            value = 1.0 - _model_norm(fit) / norm_b
+        else:
+            pls, stats, y_means, _ = fit
+            u = center_test(K_plain[:, idx], stats) @ pls.coef + y_means
+            value = float(np.sum((Y_batch - u) ** 2)) / denom
+        if not math.isfinite(value):
+            raise DegenerateProblemError("loss is not finite")
+        rhos.append(value)
     return float(np.mean(rhos)), rhos
 
 
 def _kpls_norm(X: np.ndarray, Y: np.ndarray, n_lv: int, spec: KernelSpec) -> float:
-    """Squared model norm of an independent kernel-PLS fit."""
-    X = np.asarray(X, dtype=float)
-    d2 = train_sq_dists(X)
+    """Squared model norm of an independent kernel-PLS fit on raw rows."""
+    d2 = train_sq_dists(np.asarray(X, dtype=float))
     if d2.max() <= 0.0:
         raise DegenerateProblemError("all batch rows are identical")
-    K = kernel_matrix(spec, d2)
-    K[np.diag_indices_from(K)] += spec.delta
-    K_centered, _ = center_train(K)
-    pls = fit_pls(K_centered, Y - Y.mean(axis=0), n_lv)
-    B = pls.coef
-    value = float(np.sum(B * (K_centered @ B)))
-    if not math.isfinite(value):
-        raise DegenerateProblemError("model norm is not finite")
-    return value
+    rows = np.arange(d2.shape[0])
+    return _model_norm(_fit_rows(kernel_matrix(spec, d2), rows, Y, n_lv, spec.delta))
 
 
 def kf_loss(
@@ -384,10 +351,6 @@ def update_theta(
     raise ValueError(f"unknown update rule {rule!r}; choose from {_UPDATE_RULES}")
 
 
-def _class_labels(Y: np.ndarray) -> np.ndarray:
-    return np.argmax(Y, axis=1)
-
-
 def _stratified_choice(
     rng: np.random.Generator, labels: np.ndarray, size: int
 ) -> np.ndarray:
@@ -415,6 +378,30 @@ def _sample_indices(
     return _stratified_choice(rng, labels, size)
 
 
+def _batch_sampler(X, Y, config: FlowConfig):
+    """Check ``config`` against the data; return ``draw(rng)``, which samples
+    one minibatch and ``config.n_subsamples`` sorted index sets into its rows
+    and returns ``(minibatch squared distances, minibatch Y, index sets)``.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.atleast_2d(np.asarray(Y, dtype=float).T).T
+    if X.shape[0] != Y.shape[0]:
+        raise ValueError("X and Y row counts differ")
+    n_batch, n_sub = config.validate(X.shape[0])
+    labels = np.argmax(Y, axis=1) if config.stratified else None
+
+    def draw(rng: np.random.Generator):
+        batch_idx = _sample_indices(rng, X.shape[0], n_batch, labels)
+        batch_labels = labels[batch_idx] if labels is not None else None
+        subsets = [
+            _sample_indices(rng, n_batch, n_sub, batch_labels)
+            for _ in range(config.n_subsamples)
+        ]
+        return train_sq_dists(X[batch_idx]), Y[batch_idx], subsets
+
+    return draw
+
+
 def run_kernel_flows(
     X: np.ndarray,
     Y: np.ndarray,
@@ -429,14 +416,7 @@ def run_kernel_flows(
     resampled once and then skipped; a run with more than half of its
     iterations skipped aborts.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.atleast_2d(np.asarray(Y, dtype=float).T).T
-    if X.shape[0] != Y.shape[0]:
-        raise ValueError("X and Y row counts differ")
-    n = X.shape[0]
-    n_batch, n_sub = config.validate(n)
-    labels = _class_labels(Y) if config.stratified else None
-
+    draw = _batch_sampler(X, Y, config)
     rng = np.random.default_rng(config.seed)
     theta = spec0.theta()
     prev_theta = theta.copy()
@@ -453,15 +433,7 @@ def run_kernel_flows(
         iterations_run = it + 1
         result = None
         for attempt in range(2):
-            batch_idx = _sample_indices(rng, n, n_batch, labels)
-            X_b = X[batch_idx]
-            Y_b = Y[batch_idx]
-            batch_labels = labels[batch_idx] if labels is not None else None
-            subsets = [
-                _sample_indices(rng, n_batch, n_sub, batch_labels)
-                for _ in range(config.n_subsamples)
-            ]
-            d2_b = train_sq_dists(X_b)
+            d2_b, Y_b, subsets = draw(rng)
             spec_now = spec0.replace_theta(theta)
             try:
                 rho_bar, _ = _batch_losses(
@@ -584,22 +556,11 @@ def loss_surface(
     """
     if not specs:
         raise ValueError("empty parameter grid")
-    X = np.asarray(X, dtype=float)
-    Y = np.atleast_2d(np.asarray(Y, dtype=float).T).T
-    n = X.shape[0]
-    n_batch, n_sub = config.validate(n)
-    labels = _class_labels(Y) if config.stratified else None
-
-    draws = []
-    for child in np.random.SeedSequence(config.seed).spawn(n_repeats):
-        rng = np.random.default_rng(child)
-        batch_idx = _sample_indices(rng, n, n_batch, labels)
-        batch_labels = labels[batch_idx] if labels is not None else None
-        subsets = [
-            _sample_indices(rng, n_batch, n_sub, batch_labels)
-            for _ in range(config.n_subsamples)
-        ]
-        draws.append((train_sq_dists(X[batch_idx]), Y[batch_idx], subsets))
+    draw = _batch_sampler(X, Y, config)
+    draws = [
+        draw(np.random.default_rng(child))
+        for child in np.random.SeedSequence(config.seed).spawn(n_repeats)
+    ]
 
     rows = []
     for spec in specs:

@@ -268,6 +268,16 @@ def center_train(K: np.ndarray) -> tuple[np.ndarray, CenteringStats]:
     return centered, CenteringStats(n=K.shape[0], col_means=col_means.copy(), grand_mean=grand)
 
 
+def center_test(K_cross: np.ndarray, stats: CenteringStats) -> np.ndarray:
+    """Center a plain cross kernel (rows × training rows) on training statistics.
+
+    Subtracting the training column means, then each row's mean, reproduces
+    centering against the training kernel centres.
+    """
+    A = K_cross - stats.col_means[None, :]
+    return A - A.mean(axis=1, keepdims=True)
+
+
 def gram_test(
     spec: KernelSpec,
     X_test: np.ndarray,
@@ -277,9 +287,7 @@ def gram_test(
     """Cross Gram between test and training rows, centered on training statistics.
 
     No ridge is added: the rectangular matrix only ever multiplies training
-    coefficients. Subtracting the stored training column means and then
-    removing each row's mean reproduces centering against the training
-    kernel centres.
+    coefficients. Centering is `center_test`.
     """
     X_test = np.asarray(X_test, dtype=float)
     X_train = np.asarray(X_train, dtype=float)
@@ -292,6 +300,4 @@ def gram_test(
         )
     if X_train.shape[0] != stats.n:
         raise ValueError("centering statistics do not match the training set size")
-    K_test = kernel_matrix(spec, pairwise_sq_dists(X_test, X_train))
-    A = K_test - stats.col_means[None, :]
-    return A - A.mean(axis=1, keepdims=True)
+    return center_test(kernel_matrix(spec, pairwise_sq_dists(X_test, X_train)), stats)

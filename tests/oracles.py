@@ -166,6 +166,28 @@ def flow_loss_literal(families, sigmas, gammas, delta, X_b, Y_b, X_s, Y_s, n_lv)
     return 1.0 - norm_s / norm_b
 
 
+def cv_loss_literal(families, sigmas, gammas, delta, X_b, Y_b, idx, n_lv):
+    """Subset-validation loss: a literal fit on minibatch rows ``idx``
+    predicts every minibatch row; squared residual over the variance baseline.
+    """
+    X_b = np.asarray(X_b, dtype=float)
+    Y_b = np.asarray(Y_b, dtype=float)
+    if Y_b.ndim == 1:
+        Y_b = Y_b[:, None]
+    X_s = X_b[idx]
+    B, _, y_means = kpls_coef_literal(
+        families, sigmas, gammas, delta, X_s, Y_b[idx], n_lv
+    )
+    K_train = gram_literal(families, sigmas, gammas, delta, X_s)
+    K_cross = np.empty((X_b.shape[0], X_s.shape[0]))
+    for i in range(X_b.shape[0]):
+        for j in range(X_s.shape[0]):
+            K_cross[i, j] = kernel_value(families, sigmas, gammas, X_b[i], X_s[j])
+    pred = center_test_literal(K_cross, K_train) @ B + y_means
+    baseline = Y_b - Y_b.mean(axis=0)
+    return float(np.sum((Y_b - pred) ** 2) / np.sum(baseline**2))
+
+
 def richardson_gradient(f, theta, h=1e-3):
     """Fourth-order finite-difference gradient by Richardson extrapolation."""
     theta = np.asarray(theta, dtype=float)

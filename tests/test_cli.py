@@ -75,6 +75,12 @@ class TestCaseCommand:
             run_cli("case", "1", flag, "bogus")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--iterations", "--n-lv"])
+    def test_rejected_flow_setting_is_config_error(self, flag, tmp_path, capsys):
+        assert run_cli("case", "1", flag, "0", "--out-dir", tmp_path) == 2
+        assert "error:config" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_case3_without_csv_is_usage_error(self, capsys):
         assert run_cli("case", "3") == 2
         assert "error:usage" in capsys.readouterr().err
@@ -243,6 +249,11 @@ class TestLossSurfaceCommand:
 
     def test_empty_grid_is_usage_error(self, capsys):
         assert run_cli("loss-surface", "--sigma-grid", "", "--delta-grid", "1") == 2
+        assert "error:usage" in capsys.readouterr().err
+
+    def test_unknown_case_is_usage_error(self, capsys):
+        assert run_cli("loss-surface", "--case", "9", "--sigma-grid", "1",
+                       "--delta-grid", "1") == 2
         assert "error:usage" in capsys.readouterr().err
 
 

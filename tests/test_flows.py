@@ -18,7 +18,7 @@ from kfpls import (
 )
 from kfpls.flows import _sample_indices, _stratified_choice
 
-from oracles import flow_loss_literal, richardson_gradient
+from oracles import cv_loss_literal, flow_loss_literal, richardson_gradient
 
 
 def gauss(sigma=1.0, delta=0.01):
@@ -68,6 +68,37 @@ class TestKfLoss:
         Y = np.ones((16, 1))
         with pytest.raises(DegenerateProblemError):
             kf_loss(X, Y, X[:8], Y[:8], 2, gauss())
+
+
+class TestLossEngineOracle:
+    @pytest.mark.parametrize("response", ["single", "one_hot_3"])
+    def test_both_objectives_match_literal_fits(self, response):
+        import kfpls.flows as flows
+        from kfpls.kernels import train_sq_dists
+
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(18, 2))
+        if response == "single":
+            Y = (np.sin(X[:, 0]) + 0.5 * X[:, 1] ** 2)[:, None]
+        else:
+            Y = np.eye(3)[np.arange(18) % 3]
+        families, sigmas, gammas = ["gaussian", "matern32"], [0.8, 1.3], [0.6, 0.4]
+        delta = 0.05
+        spec = KernelSpec.create(families, sigma=sigmas, gamma=gammas, delta=delta)
+        subs = [np.sort(rng.choice(18, 9, replace=False)) for _ in range(3)]
+        d2 = train_sq_dists(X)
+
+        _, rhos = flows._batch_losses(d2, Y, subs, 2, spec, "cv")
+        for idx, got in zip(subs, rhos):
+            ref = cv_loss_literal(families, sigmas, gammas, delta, X, Y, idx, 2)
+            assert got == pytest.approx(ref, abs=1e-10)
+
+        _, rhos = flows._batch_losses(d2, Y, subs, 2, spec, "norm_ratio")
+        for idx, got in zip(subs, rhos):
+            ref = flow_loss_literal(
+                families, sigmas, gammas, delta, X, Y, X[idx], Y[idx], 2
+            )
+            assert got == pytest.approx(ref, abs=1e-10)
 
 
 class TestKfGradient:
