@@ -402,6 +402,12 @@ def cmd_sweep(args) -> int:
     response = _setting(args, config, "response")
     overrides = _flow_overrides(args, config)
     flow = _flow_config(overrides, seed, case_id)
+    if args.axis in ("n_lv", "n_subsamples") and not all(v.is_integer() for v in grid):
+        raise CliError("config", f"the {args.axis} grid takes whole numbers only")
+    if args.axis in ("learning_rate", "n_subsamples"):
+        cast = int if args.axis == "n_subsamples" else float
+        for value in grid:
+            _flow_config({**overrides, args.axis: cast(value)}, seed, case_id)
 
     try:
         if args.axis == "noise":

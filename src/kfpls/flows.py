@@ -9,15 +9,19 @@ finite differences; the parameter dimension is small enough that this
 costs only a handful of refits per step.
 
 One engine, `_batch_losses`, computes both losses from one plain Gram of
-the minibatch: every fit takes its rows' block, adds the ridge and runs
-`kpls.fit_gram`, the fit `fit_kpls` uses. The default, ``cv``, scores each
-sub-batch model's predictions of the whole minibatch (cross kernel
-centered by `kernels.center_test`) against the minibatch responses,
-relative to the variance baseline: nonnegative, near one for a kernel
-that predicts nothing, small when models fitted on any subset predict the
-rest. ``norm_ratio`` also fits the whole minibatch and is one minus the
-ratio of each sub-batch model's squared norm to the minibatch one, each
-norm a coefficient quadratic form in the centered Gram of its own fit.
+the minibatch. The sub-batches of one size are fitted as one stack: their
+ridge blocks are gathered at once, double-centered by
+`kernels.center_train` and fitted by `pls.fit_pls_stack`, which runs the
+SIMPLS loop of `fit_kpls` over the whole stack. The default, ``cv``,
+scores each sub-batch model's predictions of the whole minibatch against
+the minibatch responses, relative to the variance baseline: nonnegative,
+near one for a kernel that predicts nothing, small when models fitted on
+any subset predict the rest. The predictions of all sub-batch models come
+from one product of the plain Gram with their scattered coefficients,
+which is `kernels.center_test` written out. ``norm_ratio`` also fits the
+whole minibatch and is one minus the ratio of each sub-batch model's
+squared norm to the minibatch one, each norm a coefficient quadratic form
+in the centered Gram of its own fit.
 That is the classical kernel-flow quantity for full-rank kernel
 regression, where the sub-batch fit is a projection of the full fit. PLS
 truncation breaks that identity, letting the norm ratio go negative and
@@ -34,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateProblemError, FlowAbortError
-from .kernels import KernelSpec, center_test, kernel_matrix, train_sq_dists
-from .kpls import fit_gram
+from .kernels import KernelSpec, center_train, kernel_matrix, train_sq_dists
+from .pls import fit_pls_stack
 
 logger = logging.getLogger(__name__)
 
@@ -153,48 +157,79 @@ class FlowTrace:
 
 
 def _fit_rows(K_plain, idx, Y, n_lv, delta):
-    """Kernel-PLS fit on the rows ``idx`` of a plain Gram; see `fit_gram`."""
-    K = K_plain[np.ix_(idx, idx)]
-    K[np.diag_indices_from(K)] += delta
-    return fit_gram(K, Y[idx], n_lv)
+    """Kernel-PLS fits on the row sets ``idx`` (S, n) of a plain Gram, as one
+    stack; returns ``(coef, stats, y_means, K_centered)``, stacked."""
+    K = K_plain.take(idx[:, :, None] * K_plain.shape[1] + idx[:, None, :])
+    K.reshape(len(idx), -1)[:, :: idx.shape[1] + 1] += delta  # each diagonal
+    K_centered, stats = center_train(K)
+    Y_sets = Y[idx]
+    y_means = Y_sets.mean(axis=1)
+    coef = fit_pls_stack(K_centered, Y_sets - y_means[:, None, :], n_lv)
+    return coef, stats, y_means, K_centered
 
 
-def _model_norm(fit) -> float:
-    """Squared model norm: coefficient quadratic form in the fit's centered Gram."""
-    pls, _, _, K_centered = fit
-    value = float(np.sum(pls.coef * (K_centered @ pls.coef)))
-    if not math.isfinite(value):
+def _model_norms(coef, K_centered) -> np.ndarray:
+    """Squared model norms: coefficient quadratic forms in each fit's centered Gram."""
+    values = np.sum(coef * (K_centered @ coef), axis=(1, 2))
+    if not np.all(np.isfinite(values)):
         raise DegenerateProblemError("model norm is not finite")
-    return value
+    return values
+
+
+def _cv_sse(K_plain, idx, coef, stats, y_means, Y) -> np.ndarray:
+    """Squared residual sum of each fit's predictions of every minibatch row:
+    `center_test` for all fits in one product of the plain Gram with their
+    coefficients scattered onto their rows, plus a membership column (1/n on
+    its rows) that gives each row's mean over a fit's cross kernel."""
+    n_rows, m = Y.shape
+    n_sets, n = idx.shape
+    spread = np.concatenate([coef, np.full((n_sets, n, 1), 1.0 / n)], axis=2)
+    G = np.zeros((n_rows, n_sets, m + 1))
+    np.add.at(G, (idx, np.arange(n_sets)[:, None]), spread)
+    # A constant shift of each Gram column cancels exactly; the column means
+    # spare the product cancellation when the kernel is flat and B is large.
+    K_mean = K_plain.mean(axis=0)
+    col_means = stats.col_means - K_mean[idx]
+    KG = ((K_plain - K_mean) @ G.reshape(n_rows, -1)).reshape(n_rows, n_sets, m + 1)
+    row_means = KG[:, :, m] - col_means.mean(axis=1)
+    shift = y_means - np.einsum("sn,snm->sm", col_means, coef)
+    pred = KG[:, :, :m] - row_means[:, :, None] * coef.sum(axis=1) + shift
+    return np.sum((Y[:, None, :] - pred) ** 2, axis=(0, 2))
 
 
 def _batch_losses(d2_batch, Y_batch, subsets, n_lv, spec, objective):
     """Average iteration loss over fixed sub-batch index sets, plus the
     per-subset losses in list order (objectives: see the module docstring).
+    Index sets of one size are fitted as one stack.
     """
     K_plain = kernel_matrix(spec, d2_batch)
+    sets = list(subsets)
     if objective == "norm_ratio":
-        rows = np.arange(Y_batch.shape[0])
-        norm_b = _model_norm(_fit_rows(K_plain, rows, Y_batch, n_lv, spec.delta))
-        if abs(norm_b) < _NORM_FLOOR:
-            raise DegenerateProblemError("minibatch norm is zero; loss undefined")
+        sets.append(np.arange(Y_batch.shape[0]))
     else:
         denom = float(np.sum((Y_batch - Y_batch.mean(axis=0)) ** 2))
         if denom < _NORM_FLOOR:
             raise DegenerateProblemError("minibatch responses are constant")
-    rhos = []
-    for idx in subsets:
-        fit = _fit_rows(K_plain, idx, Y_batch, n_lv, spec.delta)
-        if objective == "norm_ratio":
-            value = 1.0 - _model_norm(fit) / norm_b
-        else:
-            pls, stats, y_means, _ = fit
-            u = center_test(K_plain[:, idx], stats) @ pls.coef + y_means
-            value = float(np.sum((Y_batch - u) ** 2)) / denom
-        if not math.isfinite(value):
-            raise DegenerateProblemError("loss is not finite")
-        rhos.append(value)
-    return float(np.mean(rhos)), rhos
+    sizes = [idx.size for idx in sets]
+    values = np.empty(len(sets))
+    for size in sorted(set(sizes)):  # np.unique would import numpy.ma (~1 MB)
+        members = [i for i, s in enumerate(sizes) if s == size]
+        idx = np.stack([sets[i] for i in members])
+        coef, stats, y_means, K_c = _fit_rows(K_plain, idx, Y_batch, n_lv, spec.delta)
+        values[members] = (
+            _model_norms(coef, K_c) if objective == "norm_ratio"
+            else _cv_sse(K_plain, idx, coef, stats, y_means, Y_batch)
+        )
+    if objective == "norm_ratio":
+        norm_b = values[-1]
+        if abs(norm_b) < _NORM_FLOOR:
+            raise DegenerateProblemError("minibatch norm is zero; loss undefined")
+        rhos = 1.0 - values[:-1] / norm_b
+    else:
+        rhos = values / denom
+    if not np.all(np.isfinite(rhos)):
+        raise DegenerateProblemError("loss is not finite")
+    return float(np.mean(rhos)), rhos.tolist()
 
 
 def _kpls_norm(X: np.ndarray, Y: np.ndarray, n_lv: int, spec: KernelSpec) -> float:
@@ -202,8 +237,9 @@ def _kpls_norm(X: np.ndarray, Y: np.ndarray, n_lv: int, spec: KernelSpec) -> flo
     d2 = train_sq_dists(np.asarray(X, dtype=float))
     if d2.max() <= 0.0:
         raise DegenerateProblemError("all batch rows are identical")
-    rows = np.arange(d2.shape[0])
-    return _model_norm(_fit_rows(kernel_matrix(spec, d2), rows, Y, n_lv, spec.delta))
+    rows = np.arange(d2.shape[0])[None]
+    coef, _, _, K_c = _fit_rows(kernel_matrix(spec, d2), rows, Y, n_lv, spec.delta)
+    return float(_model_norms(coef, K_c)[0])
 
 
 def kf_loss(

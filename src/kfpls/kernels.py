@@ -178,7 +178,8 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class CenteringStats:
-    """Column means and grand mean of a training Gram, kept for test centering."""
+    """Column means and grand mean of a training Gram (or of each in a stack),
+    kept for test centering."""
 
     n: int
     col_means: np.ndarray
@@ -257,15 +258,17 @@ def center_train(K: np.ndarray) -> tuple[np.ndarray, CenteringStats]:
 
     Returns the projected matrix H K H with H = I - (1/n) 11', plus the
     column means and grand mean needed to center test kernels consistently.
+    A stack of Grams (..., n, n) is centered member by member.
     """
     K = np.asarray(K, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+    if K.ndim < 2 or K.shape[-1] != K.shape[-2]:
         raise ValueError("K must be square")
-    col_means = K.mean(axis=0)
-    row_means = K.mean(axis=1)
-    grand = float(K.mean())
-    centered = K - col_means[None, :] - row_means[:, None] + grand
-    return centered, CenteringStats(n=K.shape[0], col_means=col_means.copy(), grand_mean=grand)
+    col_means = K.mean(axis=-2)
+    row_means = K.mean(axis=-1)
+    grand = K.mean(axis=(-2, -1))
+    centered = K - col_means[..., None, :] - row_means[..., :, None] + grand[..., None, None]
+    grand = float(grand) if K.ndim == 2 else grand
+    return centered, CenteringStats(n=K.shape[-1], col_means=col_means, grand_mean=grand)
 
 
 def center_test(K_cross: np.ndarray, stats: CenteringStats) -> np.ndarray:

@@ -34,18 +34,6 @@ class KplsModel:
     y_means: np.ndarray
 
 
-def fit_gram(K_ridge: np.ndarray, Y: np.ndarray, n_lv: int):
-    """SIMPLS between a double-centered ridge Gram and column-centered Y (n, m).
-
-    Returns ``(pls, stats, y_means, K_centered)``: what prediction needs,
-    plus the centered Gram the model was fitted on.
-    """
-    K_centered, stats = center_train(K_ridge)
-    y_means = Y.mean(axis=0)
-    pls = fit_pls(K_centered, Y - y_means, n_lv)
-    return pls, stats, y_means, K_centered
-
-
 def fit_kpls(
     X: np.ndarray, Y: np.ndarray, n_lv: int, spec: KernelSpec
 ) -> KplsModel:
@@ -80,7 +68,9 @@ def fit_kpls(
         # Identical rows give a constant kernel block; the centered Gram
         # would carry ridge structure only.
         raise DegenerateProblemError("all training rows are identical")
-    pls, stats, y_means, _ = fit_gram(gram_train(spec, X), Y, n_lv)
+    K_centered, stats = center_train(gram_train(spec, X))
+    y_means = Y.mean(axis=0)
+    pls = fit_pls(K_centered, Y - y_means, n_lv)
     return KplsModel(
         spec=spec,
         x_train=X.copy(),

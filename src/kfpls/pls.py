@@ -5,6 +5,11 @@ between predictors and responses. Each factor takes the dominant principal
 direction of the current covariance, scores and loadings are computed from
 it, and the covariance is deflated by projecting out the span of the
 X-side loadings before the next extraction.
+
+One extraction loop, `_simpls`, runs over a leading stack axis: `fit_pls`
+is that loop at stack size 1, and `fit_pls_stack` fits many same-sized
+problems (the kernel-flow sub-batches) in one pass. The direction is
+closed-form for one response, else from one batched m×m ``eigh``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ _SCORE_NORM_FLOOR = 1e-12
 _COV_EXHAUSTED_REL = 1e-14
 # Condition-number ceiling for the loadings-weights system.
 _MAX_CONDITION = 1e12
+# Floor for the y-loading norm that scales the y-scores; q = 0 gives u = 0.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -52,6 +59,19 @@ class PlsModel:
     n_lv: int
 
 
+def _directions(C: np.ndarray) -> np.ndarray:
+    """`first_pc` of each covariance in a stack (S, m, p): ``C/‖C‖`` for one
+    response, else ``Cᵀv`` normalized, for the top eigenvector ``v`` of ``C Cᵀ``.
+    """
+    w = C[:, 0, :]
+    if C.shape[1] > 1:
+        v = np.linalg.eigh(C @ np.swapaxes(C, 1, 2))[1][:, :, -1]
+        w = np.einsum("smp,sm->sp", C, v)
+    w = w / np.linalg.norm(w, axis=1, keepdims=True)
+    top = np.take_along_axis(w, np.argmax(np.abs(w), axis=1)[:, None], axis=1)
+    return np.where(top < 0, -w, w)
+
+
 def first_pc(C: np.ndarray) -> np.ndarray:
     """Dominant right singular direction of a covariance matrix.
 
@@ -77,11 +97,63 @@ def first_pc(C: np.ndarray) -> np.ndarray:
         raise ValueError("covariance matrix contains non-finite values")
     if not C.any():
         raise DegenerateProblemError("covariance matrix is zero: rank exhausted")
-    _, _, vt = np.linalg.svd(C, full_matrices=False)
-    w = vt[0]
-    if w[np.argmax(np.abs(w))] < 0:
-        w = -w
-    return w
+    return _directions(C[None])[0]
+
+
+def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int):
+    """SIMPLS of each ``X[s]`` (n, p) on ``Y[s]`` (n, m), all members at once.
+
+    A member stops when its covariance is exhausted or its score norm
+    underflows. If all members still running stop at one factor, the loop
+    ends there; a member that stops while others go on is dropped. Returns
+    ``(W, P, Q, T, U, B, kept)``, the factors (one column per latent
+    variable) and coefficients (p, m) of the members ``kept``.
+    """
+    S, n, p = X.shape
+    a_max = min(n_lv, n, p)
+    C = np.swapaxes(Y, 1, 2) @ X  # (S, m, p) cross-covariances
+    c_norm0 = np.linalg.norm(C, axis=(1, 2))
+    W, P, Q, T, U = (np.empty((S, d, a_max)) for d in (p, p, Y.shape[2], n, n))
+    kept = np.arange(S)
+
+    k = 0
+    while k < a_max:
+        live = np.linalg.norm(C, axis=(1, 2)) > _COV_EXHAUSTED_REL * c_norm0
+        if live.all():
+            w = _directions(C)
+            t = (X @ w[:, :, None])[:, :, 0]
+            tt = np.sum(t * t, axis=1)
+            live = tt >= _SCORE_NORM_FLOOR * n
+        if not live.all():
+            if not live.any():
+                break
+            X, Y, C, c_norm0, kept, W, P, Q, T, U = (
+                v[live] for v in (X, Y, C, c_norm0, kept, W, P, Q, T, U)
+            )
+            continue
+        q = (np.swapaxes(Y, 1, 2) @ t[:, :, None])[:, :, 0] / tt[:, None]
+        qq = np.sum(q * q, axis=1, keepdims=True)
+        u = (Y @ q[:, :, None])[:, :, 0] / np.maximum(qq, _TINY)
+        pv = (np.swapaxes(X, 1, 2) @ t[:, :, None])[:, :, 0] / tt[:, None]
+        W[:, :, k], T[:, :, k], Q[:, :, k], U[:, :, k], P[:, :, k] = w, t, q, u, pv
+        k += 1
+        if k < a_max:
+            # Deflate: remove the span of the accumulated X-loadings from the
+            # covariance rows so the next direction is extracted from what is
+            # left, C - C P (PᵀP)⁻¹ Pᵀ, with the solve on the small side.
+            Pk = P[:, :, :k]
+            Pkt = np.swapaxes(Pk, 1, 2)
+            A = np.linalg.solve(Pkt @ Pk, np.swapaxes(C @ Pk, 1, 2))
+            C = C - np.swapaxes(A, 1, 2) @ Pkt
+
+    if k == 0:
+        raise DegenerateProblemError("rank exhausted before extracting any factor")
+    W, P, Q, T, U = (v[:, :, :k] for v in (W, P, Q, T, U))
+    PtW = np.swapaxes(P, 1, 2) @ W
+    if np.any(np.linalg.cond(PtW) > _MAX_CONDITION):
+        raise DegenerateProblemError("loadings-weights system is too ill-conditioned")
+    B = W @ np.linalg.solve(PtW, np.swapaxes(Q, 1, 2))
+    return W, P, Q, T, U, B, kept
 
 
 def fit_pls(X: np.ndarray, Y: np.ndarray, n_lv: int) -> PlsModel:
@@ -108,80 +180,32 @@ def fit_pls(X: np.ndarray, Y: np.ndarray, n_lv: int) -> PlsModel:
     if X.ndim != 2 or Y.ndim != 2:
         raise ValueError("X and Y must be 2-D arrays")
     if X.shape[0] != Y.shape[0]:
-        raise ValueError(
-            f"X has {X.shape[0]} rows but Y has {Y.shape[0]}"
-        )
+        raise ValueError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
         raise ValueError("X and Y must be finite")
     if n_lv < 1:
         raise ValueError(f"n_lv must be >= 1, got {n_lv}")
+    if n_lv > min(X.shape):
+        warnings.warn(f"n_lv={n_lv} exceeds min(n, p)={min(X.shape)}; clamping",
+                      stacklevel=2)
 
-    n, p = X.shape
-    m = Y.shape[1]
-    max_lv = min(n, p)
-    if n_lv > max_lv:
-        warnings.warn(
-            f"n_lv={n_lv} exceeds min(n, p)={max_lv}; clamping", stacklevel=2
-        )
-        n_lv = max_lv
+    W, P, Q, T, U, B, _ = _simpls(X[None], Y[None], n_lv)
+    return PlsModel(W[0], P[0], Q[0], T[0], U[0], B[0], n_lv=W.shape[2])
 
-    C = Y.T @ X  # (m, p) cross-covariance
-    c_norm0 = np.linalg.norm(C)
 
-    ws, ts, qs, us, ps = [], [], [], [], []
-    for _ in range(n_lv):
-        if np.linalg.norm(C) <= _COV_EXHAUSTED_REL * c_norm0:
-            break
-        try:
-            w = first_pc(C)
-        except DegenerateProblemError:
-            break
-        t = X @ w
-        tt = t @ t
-        if tt < _SCORE_NORM_FLOOR * n:
-            break
-        q = Y.T @ t / tt
-        qq = q @ q
-        u = Y @ q / qq if qq > 0 else np.zeros(n)
-        pv = X.T @ t / tt
+def fit_pls_stack(X: np.ndarray, Y: np.ndarray, n_lv: int) -> np.ndarray:
+    """Coefficients (S, p, m) of the SIMPLS fits of ``X[s]`` (n, p) on ``Y[s]``.
 
-        ws.append(w)
-        ts.append(t)
-        qs.append(q)
-        us.append(u)
-        ps.append(pv)
-
-        # Deflate: remove the span of the accumulated X-loadings from the
-        # covariance rows so the next direction is extracted from what is left.
-        P = np.column_stack(ps)
-        CP = C @ P
-        C = C - CP @ np.linalg.solve(P.T @ P, P.T)
-
-    if not ws:
-        raise DegenerateProblemError("rank exhausted before extracting any factor")
-
-    W = np.column_stack(ws)
-    P = np.column_stack(ps)
-    Q = np.column_stack(qs)
-    T = np.column_stack(ts)
-    U = np.column_stack(us)
-
-    PtW = P.T @ W
-    if np.linalg.cond(PtW) > _MAX_CONDITION:
-        raise DegenerateProblemError(
-            "loadings-weights system is too ill-conditioned to solve"
-        )
-    B = W @ np.linalg.solve(PtW, Q.T)
-
-    return PlsModel(
-        weights=W,
-        x_loadings=P,
-        y_loadings=Q,
-        x_scores=T,
-        y_scores=U,
-        coef=B,
-        n_lv=W.shape[1],
-    )
+    A member that stops early while others go on is refit alone, so it keeps
+    the factor count `fit_pls` gives it. Inputs are not checked, and
+    ``n_lv`` is clamped to ``min(n, p)`` silently.
+    """
+    *_, B, kept = _simpls(X, Y, n_lv)
+    out = np.empty(X.shape[:1] + B.shape[1:])
+    out[kept] = B
+    for s in sorted(set(range(len(X))) - set(kept.tolist())):
+        out[s] = _simpls(X[s : s + 1], Y[s : s + 1], n_lv)[5][0]
+    return out
 
 
 def predict_pls(model: PlsModel, X_new: np.ndarray) -> np.ndarray:

@@ -226,6 +226,18 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "error:usage" in err
 
+    def test_invalid_flow_grid_point_is_config_error(self, tmp_path, capsys):
+        assert run_cli("sweep", "--axis", "n_subsamples", "--grid", "2,0",
+                       "--case", "1", "--out-dir", tmp_path) == 2
+        assert "error:config" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("axis", ["n_subsamples", "n_lv"])
+    def test_fractional_count_grid_is_config_error(self, axis, tmp_path, capsys):
+        assert run_cli("sweep", "--axis", axis, "--grid", "1.5", "--case", "1",
+                       "--out-dir", tmp_path) == 2
+        assert "error:config" in capsys.readouterr().err
+
     def test_reruns_are_byte_identical(self, tmp_path):
         outs = []
         for name in ("a", "b"):

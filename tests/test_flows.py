@@ -16,7 +16,9 @@ from kfpls import (
     run_kernel_flows,
     update_theta,
 )
-from kfpls.flows import _sample_indices, _stratified_choice
+from kfpls.flows import _batch_losses, _sample_indices, _stratified_choice
+from kfpls.kernels import center_test, center_train, kernel_matrix, train_sq_dists
+from kfpls.pls import fit_pls
 
 from oracles import cv_loss_literal, flow_loss_literal, richardson_gradient
 
@@ -71,17 +73,17 @@ class TestKfLoss:
 
 
 class TestLossEngineOracle:
-    @pytest.mark.parametrize("response", ["single", "one_hot_3"])
+    @pytest.mark.parametrize("response", ["single", "one_hot_3", "one_hot_4"])
     def test_both_objectives_match_literal_fits(self, response):
         import kfpls.flows as flows
-        from kfpls.kernels import train_sq_dists
 
         rng = np.random.default_rng(13)
         X = rng.normal(size=(18, 2))
         if response == "single":
             Y = (np.sin(X[:, 0]) + 0.5 * X[:, 1] ** 2)[:, None]
         else:
-            Y = np.eye(3)[np.arange(18) % 3]
+            k = int(response[-1])
+            Y = np.eye(k)[np.arange(18) % k]
         families, sigmas, gammas = ["gaussian", "matern32"], [0.8, 1.3], [0.6, 0.4]
         delta = 0.05
         spec = KernelSpec.create(families, sigma=sigmas, gamma=gammas, delta=delta)
@@ -99,6 +101,99 @@ class TestLossEngineOracle:
                 families, sigmas, gammas, delta, X, Y, X[idx], Y[idx], 2
             )
             assert got == pytest.approx(ref, abs=1e-10)
+
+
+def per_fit_losses(d2, Y, subsets, n_lv, spec, objective):
+    """Per-subset losses with one `fit_pls` per index set: the loss engine
+    written out fit by fit, cross kernels centered by `center_test`."""
+    K = kernel_matrix(spec, d2)
+
+    def fit(idx):
+        K_c, stats = center_train(K[np.ix_(idx, idx)] + spec.delta * np.eye(idx.size))
+        y_means = Y[idx].mean(axis=0)
+        return fit_pls(K_c, Y[idx] - y_means, n_lv).coef, stats, y_means, K_c
+
+    if objective == "norm_ratio":
+        B, _, _, K_c = fit(np.arange(Y.shape[0]))
+        norm_b = np.sum(B * (K_c @ B))
+    out = []
+    for idx in subsets:
+        B, stats, y_means, K_c = fit(idx)
+        if objective == "norm_ratio":
+            out.append(1.0 - np.sum(B * (K_c @ B)) / norm_b)
+        else:
+            pred = center_test(K[:, idx], stats) @ B + y_means
+            out.append(np.sum((Y - pred) ** 2) / np.sum((Y - Y.mean(axis=0)) ** 2))
+    return np.array(out)
+
+
+class TestStackedLossEngine:
+    """`_batch_losses` fits each size group of index sets as one stack."""
+
+    @pytest.mark.parametrize("objective", ["cv", "norm_ratio"])
+    @pytest.mark.parametrize("case", ["peaks", "circles"])
+    def test_matches_per_fit_engine(self, case, objective):
+        ds = gen_peaks(120, 0.05, seed=8) if case == "peaks" else gen_circles(40, 4, 0.1, 8)
+        rng = np.random.default_rng(31)
+        for sigma in (0.1, 1.0, 12.0):
+            batch = np.sort(rng.choice(ds.X_cal.shape[0], 48, replace=False))
+            subs = [np.sort(rng.choice(48, 24, replace=False)) for _ in range(5)]
+            d2, Y = train_sq_dists(ds.X_cal[batch]), ds.Y_cal[batch]
+            spec = gauss(sigma=sigma, delta=0.003)
+            _, rhos = _batch_losses(d2, Y, subs, 3, spec, objective)
+            ref = per_fit_losses(d2, Y, subs, 3, spec, objective)
+            np.testing.assert_allclose(rhos, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("objective", ["cv", "norm_ratio"])
+    @pytest.mark.parametrize("response", ["single", "one_hot_4"])
+    def test_member_exhausting_its_rank_keeps_its_factor_count(self, response, objective):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(20, 2))
+        X[1:4] = X[0]
+        X[5:8] = X[4]  # rows 0-7 hold two distinct points
+        if response == "single":
+            Y = (np.sin(X[:, 0]) + X[:, 1] ** 2)[:, None]
+        else:
+            Y = np.eye(4)[np.r_[[0] * 4, [1] * 4, np.arange(12) % 4]]
+        subs = [np.arange(8), np.arange(8, 16), np.arange(10, 18)]
+        spec = gauss(sigma=0.9, delta=0.05)
+        d2 = train_sq_dists(X)
+
+        K = kernel_matrix(spec, d2)
+        counts = []
+        for idx in subs:
+            K_c, _ = center_train(K[np.ix_(idx, idx)] + spec.delta * np.eye(8))
+            counts.append(fit_pls(K_c, Y[idx] - Y[idx].mean(axis=0), 3).n_lv)
+        assert counts == [1, 3, 3]
+
+        _, rhos = _batch_losses(d2, Y, subs, 3, spec, objective)
+        ref = per_fit_losses(d2, Y, subs, 3, spec, objective)
+        np.testing.assert_allclose(rhos, ref, rtol=0, atol=1e-12)
+
+    def test_ragged_index_sets(self):
+        X, Y = make_batch(12, n=20)
+        spec = gauss(sigma=0.8, delta=0.02)
+        subs = [np.arange(8), np.arange(6, 12), np.arange(10, 18), np.arange(2, 12)]
+        d2 = train_sq_dists(X)
+        _, rhos = _batch_losses(d2, Y, subs, 2, spec, "norm_ratio")
+        np.testing.assert_allclose(
+            rhos, per_fit_losses(d2, Y, subs, 2, spec, "norm_ratio"), rtol=0, atol=1e-12
+        )
+
+        step = 1e-4
+        theta = spec.theta()
+        ref = np.empty_like(theta)
+        for i in range(theta.size):
+            f = []
+            for sign in (1.0, -1.0):
+                probe = theta.copy()
+                probe[i] += sign * step
+                f.append(np.mean(per_fit_losses(
+                    d2, Y, subs, 2, spec.replace_theta(probe), "norm_ratio"
+                )))
+            ref[i] = (f[0] - f[1]) / (2.0 * step)
+        grad = kf_gradient(X, Y, subs, 2, spec, step=step)
+        np.testing.assert_allclose(grad, ref, rtol=0, atol=1e-8)
 
 
 class TestKfGradient:
@@ -142,9 +237,6 @@ class TestKfGradient:
         spec = gauss(sigma=0.8, delta=0.05)
         subs = [np.sort(rng.choice(18, 9, replace=False)) for _ in range(4)]
         grad = kf_gradient(X, Y, subs, 2, spec)
-
-        from kfpls.flows import _batch_losses
-        from kfpls.kernels import train_sq_dists
 
         d2 = train_sq_dists(X)
 
@@ -248,6 +340,17 @@ class TestRunKernelFlows:
         assert np.array_equal(t1.loss, t2.loss)
         assert np.array_equal(t1.gradients, t2.gradients)
         assert t1.best_smoothed_loss == t2.best_smoothed_loss
+
+    def test_multi_response_runs_bitwise(self):
+        ds = gen_circles(100, 4, 0.1, 2)
+        cfg = self._config(n_iter=60, n_subsamples=8, batch_fraction=0.5, n_lv=3,
+                           learning_rate=0.25, seed=2)
+        _, t1 = run_kernel_flows(ds.X_cal, ds.Y_cal, cfg, gauss(delta=1.0))
+        _, t2 = run_kernel_flows(ds.X_cal, ds.Y_cal, cfg, gauss(delta=1.0))
+        assert t1.iterations_run == 60
+        assert t1.theta.tobytes() == t2.theta.tobytes()
+        assert t1.loss.tobytes() == t2.loss.tobytes()
+        assert t1.gradients.tobytes() == t2.gradients.tobytes()
 
     def test_trace_shapes_consistent(self, small_regression):
         ds = small_regression

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kfpls import DegenerateProblemError, first_pc, fit_pls, predict_pls
+from kfpls.pls import fit_pls_stack
 
 from oracles import jacobi_dominant_right_singular_vector, least_squares_prediction
 
@@ -133,6 +134,39 @@ class TestFitPls:
         y = rng.normal(size=10)
         model = fit_pls(X, y, 2)
         assert model.coef.shape == (3, 1)
+
+
+class TestFitPlsStack:
+    def test_one_member_stack_is_fit_pls(self):
+        rng = np.random.default_rng(29)
+        X = rng.normal(size=(20, 5))
+        Y = rng.normal(size=(20, 2))
+        coef = fit_pls_stack(X[None], Y[None], 3)
+        np.testing.assert_array_equal(coef[0], fit_pls(X, Y, 3).coef)
+
+    def test_members_match_separate_fits(self):
+        rng = np.random.default_rng(30)
+        X = rng.normal(size=(4, 15, 6))
+        Y = rng.normal(size=(4, 15, 3))
+        coef = fit_pls_stack(X, Y, 4)
+        for s in range(4):
+            np.testing.assert_allclose(coef[s], fit_pls(X[s], Y[s], 4).coef,
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_member_that_stops_early_is_refit_alone(self):
+        rng = np.random.default_rng(2)
+        base = rng.normal(size=(12, 2))
+        X = np.stack([
+            rng.normal(size=(12, 5)),
+            np.hstack([base, base @ rng.normal(size=(2, 3))]),  # rank 2
+            rng.normal(size=(12, 5)),
+        ])
+        Y = rng.normal(size=(3, 12, 1))
+        models = [fit_pls(X[s], Y[s], 4) for s in range(3)]
+        assert models[0].n_lv == 4 and models[1].n_lv <= 2
+        coef = fit_pls_stack(X, Y, 4)
+        for s in range(3):
+            np.testing.assert_allclose(coef[s], models[s].coef, rtol=1e-12, atol=1e-12)
 
 
 class TestPredictPls:
