@@ -33,6 +33,7 @@ from .pipeline import (
     CASE_DEFAULTS,
     case_dataset,
     case_flow_config,
+    case_spec,
     run_pipeline,
     sweep_flow_parameter,
     sweep_n_lv,
@@ -404,10 +405,18 @@ def cmd_sweep(args) -> int:
     flow = _flow_config(overrides, seed, case_id)
     if args.axis in ("n_lv", "n_subsamples") and not all(v.is_integer() for v in grid):
         raise CliError("config", f"the {args.axis} grid takes whole numbers only")
+    if args.axis == "n_lv" and min(grid) < 1:
+        raise CliError("config", f"the n_lv grid takes counts >= 1, got {min(grid):g}")
     if args.axis in ("learning_rate", "n_subsamples"):
         cast = int if args.axis == "n_subsamples" else float
         for value in grid:
             _flow_config({**overrides, args.axis: cast(value)}, seed, case_id)
+    if args.axis == "init_theta":
+        for value in grid:
+            try:
+                case_spec(case_id, sigma=value, delta=value)
+            except ValueError as exc:
+                raise CliError("config", str(exc)) from exc
 
     try:
         if args.axis == "noise":

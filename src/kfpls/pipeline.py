@@ -7,6 +7,11 @@ calibration partition, and score the untouched test partition. Two
 reference models are evaluated alongside: plain linear PLS, and kernel
 PLS with untuned unit parameters. Sweep helpers rerun pieces of that
 recipe over one axis at a time.
+
+Each factor search (`line_search_n_lv`, `plain_pls_lv`, `sweep_n_lv`)
+makes one SIMPLS fit at its largest count and takes every smaller count
+from the prefix coefficients of that fit (`pls.coef_path`). Both line
+searches score the counts with `_score_counts`.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ import numpy as np
 from .datasets import Dataset, gen_circles, gen_peaks, load_csv
 from .exceptions import DegenerateProblemError
 from .flows import FlowConfig, FlowTrace, run_kernel_flows
-from .kernels import KernelSpec
+from .kernels import KernelSpec, gram_test
 from .kpls import KplsModel, fit_kpls, predict_kpls
 from .metrics import EvalReport, accuracy, nrmse, q2, rmse
-from .pls import fit_pls, predict_pls
+from .pls import PlsModel, coef_path, fit_pls, predict_pls
 
 # Factor count for the untuned reference model (and the flow default).
 DEFAULT_BASELINE_LV = 3
@@ -92,6 +97,34 @@ def _holdout_split(n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
+def _score_counts(preds: np.ndarray, Y_val: np.ndarray, task: str) -> tuple:
+    """Held-out score of each factor count ``a``, predicting ``preds[a-1]``.
+
+    The highest accuracy or the lowest RMSE wins, ties going to the smaller
+    count. Returns the winning count and the (n_lv, score) table.
+    """
+    if task == "classification":
+        truth = np.argmax(Y_val, axis=1) + 1
+        scores = [float(accuracy(truth, np.argmax(p, axis=1) + 1)) for p in preds]
+        loss = [-s for s in scores]
+    else:
+        scores = loss = [float(rmse(Y_val, p)) for p in preds]
+    return int(np.argmin(loss)) + 1, list(enumerate(scores, start=1))
+
+
+def _count_path(pls: PlsModel, lv_max: int) -> np.ndarray:
+    """Coefficients of the fits at counts 1..lv_max, from one fit at ``lv_max``.
+
+    A fit that ran out of rank at ``pls.n_lv`` factors is the fit at every
+    larger count too, so its last entry repeats. A path that `coef_path`
+    ended early stays short: a refit at the next count would raise.
+    """
+    path = coef_path(pls)
+    if len(path) < pls.n_lv:
+        return path
+    return path[np.minimum(np.arange(lv_max), pls.n_lv - 1)]
+
+
 def line_search_n_lv(
     X: np.ndarray,
     Y: np.ndarray,
@@ -100,33 +133,18 @@ def line_search_n_lv(
     lv_max: int,
     seed,
 ) -> tuple[int, list]:
-    """Pick the factor count by refitting on 4/5 and scoring the held-out 1/5.
+    """Pick the factor count by fitting on 4/5 and scoring the held-out 1/5.
 
-    Classification picks the highest held-out accuracy, regression the
-    lowest held-out RMSE; ties go to the smaller count. Returns the chosen
-    count and the full (n_lv, score) table.
+    One fit at ``lv_max`` gives every count's coefficients. Classification
+    picks the highest held-out accuracy, regression the lowest held-out
+    RMSE; ties go to the smaller count. Returns the chosen count and the
+    (n_lv, score) table.
     """
     fit_idx, val_idx = _holdout_split(X.shape[0], seed)
-    table = []
-    best_lv, best_score = None, None
-    for lv in range(1, lv_max + 1):
-        try:
-            model = fit_kpls(X[fit_idx], Y[fit_idx], lv, spec)
-        except DegenerateProblemError:
-            break
-        pred = predict_kpls(model, X[val_idx])
-        if task == "classification":
-            score = accuracy(np.argmax(Y[val_idx], axis=1) + 1, np.argmax(pred, axis=1) + 1)
-            better = best_score is None or score > best_score
-        else:
-            score = rmse(Y[val_idx], pred)
-            better = best_score is None or score < best_score
-        table.append((lv, float(score)))
-        if better:
-            best_lv, best_score = lv, score
-    if best_lv is None:
-        raise DegenerateProblemError("no factor count could be fitted")
-    return best_lv, table
+    model = fit_kpls(X[fit_idx], Y[fit_idx], lv_max, spec)
+    K_val = gram_test(spec, X[val_idx], model.x_train, model.stats)
+    preds = K_val @ _count_path(model.pls, lv_max) + model.y_means
+    return _score_counts(preds, Y[val_idx], task)
 
 
 def plain_pls_predictions(ds: Dataset, n_lv: int) -> np.ndarray:
@@ -143,28 +161,15 @@ def plain_pls_predictions(ds: Dataset, n_lv: int) -> np.ndarray:
 
 def plain_pls_lv(ds: Dataset, lv_max: int, seed) -> int:
     """Factor count for the linear reference, line-searched the same way."""
-    p = ds.X_cal.shape[1]
-    cap = min(p, lv_max)
     fit_idx, val_idx = _holdout_split(ds.X_cal.shape[0], seed)
     y_means = ds.Y_cal[fit_idx].mean(axis=0)
-    best_lv, best_score = 1, None
-    for lv in range(1, cap + 1):
-        try:
-            model = fit_pls(ds.X_cal[fit_idx], ds.Y_cal[fit_idx] - y_means, lv)
-        except DegenerateProblemError:
-            break
-        pred = predict_pls(model, ds.X_cal[val_idx]) + y_means
-        if ds.task == "classification":
-            score = accuracy(
-                np.argmax(ds.Y_cal[val_idx], axis=1) + 1, np.argmax(pred, axis=1) + 1
-            )
-            better = best_score is None or score > best_score
-        else:
-            score = rmse(ds.Y_cal[val_idx], pred)
-            better = best_score is None or score < best_score
-        if better:
-            best_lv, best_score = lv, score
-    return best_lv
+    try:
+        model = fit_pls(ds.X_cal[fit_idx], ds.Y_cal[fit_idx] - y_means,
+                        min(ds.X_cal.shape[1], lv_max))
+    except DegenerateProblemError:
+        return 1
+    preds = ds.X_cal[val_idx] @ coef_path(model) + y_means
+    return _score_counts(preds, ds.Y_cal[val_idx], ds.task)[0]
 
 
 def run_pipeline(
@@ -276,13 +281,19 @@ def run_case(case_id: int, seed, noise=None, csv_path=None, response=None,
 
 
 def sweep_n_lv(ds: Dataset, spec: KernelSpec, grid) -> list:
-    """Test-partition metrics as a function of the factor count."""
-    rows = []
-    for lv in grid:
-        model = fit_kpls(ds.X_cal, ds.Y_cal, int(lv), spec)
-        report = evaluate_predictions(ds, predict_kpls(model, ds.X_test))
-        rows.append((int(lv), report))
-    return rows
+    """Test-partition metrics by factor count, all from one fit at the largest."""
+    grid = [int(lv) for lv in grid]
+    if min(grid) < 1:
+        raise ValueError(f"n_lv must be >= 1, got {min(grid)}")
+    model = fit_kpls(ds.X_cal, ds.Y_cal, max(grid), spec)
+    path = _count_path(model.pls, max(grid))
+    if len(path) < max(grid):
+        raise DegenerateProblemError("loadings-weights system is too ill-conditioned")
+    K_test = gram_test(spec, ds.X_test, model.x_train, model.stats)
+    return [
+        (lv, evaluate_predictions(ds, K_test @ path[lv - 1] + model.y_means))
+        for lv in grid
+    ]
 
 
 def sweep_noise(grid, seed, case_id: int = 1, flow_overrides=None) -> list:

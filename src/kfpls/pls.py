@@ -10,6 +10,8 @@ One extraction loop, `_simpls`, runs over a leading stack axis: `fit_pls`
 is that loop at stack size 1, and `fit_pls_stack` fits many same-sized
 problems (the kernel-flow sub-batches) in one pass. The direction is
 closed-form for one response, else from one batched m×m ``eigh``.
+`coef_path` gives the coefficients at every factor count of one fit;
+`_coef` is the one coefficient formula for both.
 """
 
 from __future__ import annotations
@@ -149,11 +151,18 @@ def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int):
     if k == 0:
         raise DegenerateProblemError("rank exhausted before extracting any factor")
     W, P, Q, T, U = (v[:, :, :k] for v in (W, P, Q, T, U))
-    PtW = np.swapaxes(P, 1, 2) @ W
+    return W, P, Q, T, U, _coef(W, P, Q), kept
+
+
+def _coef(W: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Coefficients ``W (PᵀW)⁻¹ Qᵀ`` (..., p, m) of factor blocks W, P (..., p, a)
+    and Q (..., m, a); raises `DegenerateProblemError` if a ``PᵀW`` is too
+    ill-conditioned.
+    """
+    PtW = np.swapaxes(P, -1, -2) @ W
     if np.any(np.linalg.cond(PtW) > _MAX_CONDITION):
         raise DegenerateProblemError("loadings-weights system is too ill-conditioned")
-    B = W @ np.linalg.solve(PtW, np.swapaxes(Q, 1, 2))
-    return W, P, Q, T, U, B, kept
+    return W @ np.linalg.solve(PtW, np.swapaxes(Q, -1, -2))
 
 
 def fit_pls(X: np.ndarray, Y: np.ndarray, n_lv: int) -> PlsModel:
@@ -206,6 +215,24 @@ def fit_pls_stack(X: np.ndarray, Y: np.ndarray, n_lv: int) -> np.ndarray:
     for s in sorted(set(range(len(X))) - set(kept.tolist())):
         out[s] = _simpls(X[s : s + 1], Y[s : s + 1], n_lv)[5][0]
     return out
+
+
+def coef_path(model: PlsModel) -> np.ndarray:
+    """Coefficients (a, p, m) of the fits with 1, 2, ..., ``model.n_lv`` factors.
+
+    SIMPLS extracts one factor at a time, so the first ``a`` factors of a
+    fit are the ``a``-factor fit: entry ``a-1`` is `_coef` of them, the
+    formula `fit_pls` uses. The path ends before the first prefix whose
+    ``PᵀW`` block is too ill-conditioned, where a fit at that count raises.
+    """
+    W, P, Q = model.weights, model.x_loadings, model.y_loadings
+    path = []
+    for a in range(1, model.n_lv + 1):
+        try:
+            path.append(_coef(W[:, :a], P[:, :a], Q[:, :a]))
+        except DegenerateProblemError:
+            break
+    return np.array(path).reshape(len(path), *model.coef.shape)
 
 
 def predict_pls(model: PlsModel, X_new: np.ndarray) -> np.ndarray:

@@ -1,12 +1,20 @@
+import contextlib
 import dataclasses
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from kfpls import FlowConfig
+from kfpls import FlowConfig, predict_kpls
 from kfpls._serialize import read_array_archive, write_array_archive
-from kfpls.cli import main
+from kfpls.cli import load_calibrated_model, main
+from kfpls.datasets import read_csv, standardize
 from kfpls.pipeline import case_flow_config
 
 
@@ -187,6 +195,37 @@ class TestOptimizeAndPredict:
         assert "row 5, column 'f2'" in err
 
 
+# Small regression tables: 20-40 rows of two features and a response, every
+# cell distinct, so no column is constant and no two rows coincide.
+regression_tables = st.integers(20, 40).flatmap(lambda n: hnp.arrays(
+    np.float64, (n, 3), unique=True,
+    elements=st.integers(-10**4, 10**4).map(lambda v: v / 997)))
+
+
+class TestCsvModelPredictProperty:
+    @given(regression_tables)
+    @settings(max_examples=5, deadline=None)
+    def test_predict_output_is_archived_model_prediction(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            train = tmp / "train.csv"
+            train.write_text("a,b,y\n" + "".join(",".join(map(repr, row)) + "\n"
+                                                  for row in table.tolist()),
+                             encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run_cli("optimize", train, "--response", "y", "--seed", "1",
+                               "--iterations", "3", "--lv-max", "4",
+                               "--out-dir", tmp / "opt") == 0
+                assert run_cli("predict", tmp / "opt" / "model.kfpls", train,
+                               "--out-dir", tmp / "pred") == 0
+            header, got = read_csv(tmp / "pred" / "predictions.csv")
+            model, meta = load_calibrated_model(tmp / "opt" / "model.kfpls")
+            X = standardize(table[:, :2], meta["x_means"], meta["x_stds"])
+            expected = predict_kpls(model, X) * meta["y_stds"] + meta["y_means"]
+            assert header == ["pred_y"]
+            np.testing.assert_array_equal(got, expected)
+
+
 def _cut_coef(arrays):
     arrays["pls_coef"] = arrays["pls_coef"][:-3]
 
@@ -229,6 +268,13 @@ class TestSweepCommand:
     def test_invalid_flow_grid_point_is_config_error(self, tmp_path, capsys):
         assert run_cli("sweep", "--axis", "n_subsamples", "--grid", "2,0",
                        "--case", "1", "--out-dir", tmp_path) == 2
+        assert "error:config" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("axis", ["n_lv", "init_theta"])
+    def test_invalid_grid_point_is_config_error(self, axis, tmp_path, capsys):
+        assert run_cli("sweep", "--axis", axis, "--grid", "2,0", "--case", "1",
+                       "--out-dir", tmp_path) == 2
         assert "error:config" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 

@@ -1,15 +1,93 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
-from kfpls import KernelSpec, gen_circles, gen_peaks
+from kfpls import (
+    DegenerateProblemError,
+    KernelSpec,
+    fit_kpls,
+    fit_pls,
+    gen_circles,
+    gen_peaks,
+    pipeline,
+    predict_kpls,
+    predict_pls,
+)
+from kfpls.metrics import accuracy, rmse
 from kfpls.pipeline import (
+    _holdout_split,
     case_dataset,
     case_flow_config,
     evaluate_predictions,
     line_search_n_lv,
+    plain_pls_lv,
     plain_pls_predictions,
     run_pipeline,
+    sweep_n_lv,
 )
+from kfpls.pls import coef_path
+
+
+def refit_search(fit, X_val, Y_val, task, lv_max):
+    """Reference factor search: a separate fit at every count. ``fit(lv)``
+    returns the predictor of the ``lv``-factor model."""
+    table, best_lv, best = [], None, None
+    for lv in range(1, lv_max + 1):
+        try:
+            pred = fit(lv)(X_val)
+        except DegenerateProblemError:
+            break
+        if task == "classification":
+            score = accuracy(np.argmax(Y_val, axis=1) + 1, np.argmax(pred, axis=1) + 1)
+            better = best is None or score > best
+        else:
+            score = rmse(Y_val, pred)
+            better = best is None or score < best
+        table.append((lv, float(score)))
+        if better:
+            best_lv, best = lv, score
+    return best_lv, table
+
+
+def refit_line_search(X, Y, spec, task, lv_max, seed):
+    fit_idx, val_idx = _holdout_split(X.shape[0], seed)
+
+    def fit(lv):
+        model = fit_kpls(X[fit_idx], Y[fit_idx], lv, spec)
+        return lambda X_new: predict_kpls(model, X_new)
+
+    return refit_search(fit, X[val_idx], Y[val_idx], task, lv_max)
+
+
+def refit_plain_pls_lv(ds, lv_max, seed):
+    fit_idx, val_idx = _holdout_split(ds.X_cal.shape[0], seed)
+    y_means = ds.Y_cal[fit_idx].mean(axis=0)
+
+    def fit(lv):
+        model = fit_pls(ds.X_cal[fit_idx], ds.Y_cal[fit_idx] - y_means, lv)
+        return lambda X_new: predict_pls(model, X_new) + y_means
+
+    lv, _ = refit_search(fit, ds.X_cal[val_idx], ds.Y_cal[val_idx], ds.task,
+                         min(ds.X_cal.shape[1], lv_max))
+    return lv or 1
+
+
+def few_points(ds, k=4):
+    """The dataset with its calibration rows cycling through ``k`` points,
+    which exhausts the kernel fit's rank within ``k - 1`` factors."""
+    n = ds.X_cal.shape[0]
+    rows = np.linspace(0, n - 1, k).astype(int)[np.arange(n) % k]
+    return dataclasses.replace(ds, X_cal=ds.X_cal[rows], Y_cal=ds.Y_cal[rows])
+
+
+FACTOR_SEARCH_CASES = {
+    "peaks": (gen_peaks(120, 0.05, seed=4), 0.5, 14),
+    "circles": (gen_circles(30, 4, 0.1, seed=3), 0.3, 20),
+    "peaks_few_points": (few_points(gen_peaks(120, 0.05, seed=4)), 0.5, 8),
+    "circles_few_points": (few_points(gen_circles(30, 4, 0.1, seed=5), k=6), 0.3, 8),
+}
 
 
 class TestEvaluatePredictions:
@@ -50,6 +128,86 @@ class TestLineSearch:
         scores = dict(table)
         assert scores[lv] == min(scores.values())
         assert len(table) == 8
+
+
+class TestOneFitFactorSearch:
+    """The factor searches against separate fits at every count."""
+
+    @pytest.mark.parametrize("case", FACTOR_SEARCH_CASES)
+    def test_line_search_matches_refits(self, case):
+        ds, sigma, lv_max = FACTOR_SEARCH_CASES[case]
+        spec = KernelSpec.create("gaussian", sigma=sigma, delta=0.01)
+        lv, table = line_search_n_lv(ds.X_cal, ds.Y_cal, spec, ds.task, lv_max, 1)
+        ref_lv, ref_table = refit_line_search(ds.X_cal, ds.Y_cal, spec, ds.task, lv_max, 1)
+        assert lv == ref_lv
+        assert [n for n, _ in table] == [n for n, _ in ref_table] == list(range(1, lv_max + 1))
+        np.testing.assert_allclose([s for _, s in table], [s for _, s in ref_table],
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case", ["peaks_few_points", "circles_few_points"])
+    def test_rank_exhausted_rows_repeat_the_last_score(self, case):
+        ds, sigma, lv_max = FACTOR_SEARCH_CASES[case]
+        spec = KernelSpec.create("gaussian", sigma=sigma, delta=0.01)
+        fit_idx, _ = _holdout_split(ds.X_cal.shape[0], 1)
+        k = fit_kpls(ds.X_cal[fit_idx], ds.Y_cal[fit_idx], lv_max, spec).n_lv
+        assert k < lv_max
+        _, table = line_search_n_lv(ds.X_cal, ds.Y_cal, spec, ds.task, lv_max, 1)
+        assert [s for _, s in table[k:]] == [table[k - 1][1]] * (lv_max - k)
+
+    def test_path_ended_early_stops_the_search(self, monkeypatch):
+        # As a refit loop stops at the first count whose fit raises.
+        ds, sigma, _ = FACTOR_SEARCH_CASES["peaks"]
+        spec = KernelSpec.create("gaussian", sigma=sigma, delta=0.01)
+        monkeypatch.setattr(pipeline, "coef_path", lambda model: coef_path(model)[:2])
+        _, table = line_search_n_lv(ds.X_cal, ds.Y_cal, spec, ds.task, 6, 1)
+        assert [lv for lv, _ in table] == [1, 2]
+        assert len(sweep_n_lv(ds, spec, [1, 2])) == 2
+        with pytest.raises(DegenerateProblemError, match="ill-conditioned"):
+            sweep_n_lv(ds, spec, [1, 3])
+
+    def test_lv_max_above_fit_rows_rejected(self):
+        ds = gen_peaks(20, 0.05, seed=4)
+        spec = KernelSpec.create("gaussian", sigma=0.5, delta=0.01)
+        with pytest.raises(ValueError, match="exceeds the number of training rows"):
+            line_search_n_lv(ds.X_cal, ds.Y_cal, spec, ds.task, 14, 1)
+
+    @pytest.mark.parametrize("case", ["eight_columns", "rank_deficient", "circles"])
+    def test_plain_pls_lv_matches_refits(self, case):
+        rng = np.random.default_rng(12)
+        ds = gen_peaks(100, 0.05, seed=12)
+        if case == "circles":
+            ds = gen_circles(30, 4, 0.1, seed=12)
+        else:
+            X = rng.normal(size=(ds.X_cal.shape[0], 8))
+            if case == "rank_deficient":
+                X[:, 3:] = X[:, :3] @ rng.normal(size=(3, 5))
+            ds = dataclasses.replace(ds, X_cal=X,
+                                     Y_cal=X[:, :2] @ [[1.0], [-0.5]] + 0.3 * ds.Y_cal)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert plain_pls_lv(ds, 6, 3) == refit_plain_pls_lv(ds, 6, 3)
+
+    @pytest.mark.parametrize("case", ["peaks", "circles", "peaks_few_points"])
+    def test_sweep_matches_refits(self, case):
+        ds, sigma, _ = FACTOR_SEARCH_CASES[case]
+        spec = KernelSpec.create("gaussian", sigma=sigma, delta=0.01)
+        grid = [1, 2, 5, 9, 12]
+        rows = sweep_n_lv(ds, spec, grid)
+        assert [lv for lv, _ in rows] == grid
+        for lv, report in rows:
+            expected = evaluate_predictions(
+                ds, predict_kpls(fit_kpls(ds.X_cal, ds.Y_cal, lv, spec), ds.X_test))
+            for name in ("rmse", "nrmse_percent", "q2", "accuracy"):
+                got, want = getattr(report, name), getattr(expected, name)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_sweep_rejects_count_below_one(self):
+        ds = gen_peaks(40, 0.05, seed=4)
+        spec = KernelSpec.create("gaussian", sigma=0.5, delta=0.01)
+        with pytest.raises(ValueError, match="n_lv must be >= 1"):
+            sweep_n_lv(ds, spec, [0, 3])
 
 
 class TestRunPipeline:

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from kfpls import DegenerateProblemError, first_pc, fit_pls, predict_pls
-from kfpls.pls import fit_pls_stack
+from kfpls import (
+    DegenerateProblemError,
+    KernelSpec,
+    first_pc,
+    fit_pls,
+    gen_circles,
+    predict_pls,
+)
+from kfpls.kernels import center_train, gram_train
+from kfpls.pls import PlsModel, coef_path, fit_pls_stack
 
 from oracles import jacobi_dominant_right_singular_vector, least_squares_prediction
 
@@ -167,6 +175,46 @@ class TestFitPlsStack:
         coef = fit_pls_stack(X, Y, 4)
         for s in range(3):
             np.testing.assert_allclose(coef[s], models[s].coef, rtol=1e-12, atol=1e-12)
+
+
+class TestCoefPath:
+    @pytest.mark.parametrize("gram", [False, True], ids=["plain", "gram"])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_prefixes_equal_separate_fits(self, gram, m):
+        ds = gen_circles(15, 4, 0.1, seed=8)
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(48, 9))
+        if gram:
+            spec = KernelSpec.create("gaussian", sigma=0.7, delta=0.01)
+            X = center_train(gram_train(spec, ds.X_cal))[0]
+        Y = ds.Y_cal if m == 4 else rng.normal(size=(48, 1))
+        Y = Y - Y.mean(axis=0)
+        a_max = 12 if gram else 9
+        path = coef_path(fit_pls(X, Y, a_max))
+        assert path.shape == (a_max, X.shape[1], m)
+        for a in range(1, a_max + 1):
+            coef = fit_pls(X, Y, a).coef
+            np.testing.assert_allclose(path[a - 1], coef, rtol=1e-12,
+                                       atol=1e-12 * np.abs(coef).max())
+
+    def test_rank_exhausted_fit_gives_its_factor_count(self):
+        rng = np.random.default_rng(2)
+        base = rng.normal(size=(12, 2))
+        X = np.hstack([base, base @ rng.normal(size=(2, 3))])  # rank 2
+        model = fit_pls(X, rng.normal(size=(12, 1)), 5)
+        path = coef_path(model)
+        assert len(path) == model.n_lv <= 2
+        np.testing.assert_allclose(path[-1], model.coef, rtol=1e-12, atol=1e-12)
+
+    def test_ends_before_ill_conditioned_prefix(self):
+        # PᵀW = Pᵀ: its leading 2x2 block is singular, the 1x1 and 3x3 are not.
+        P = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]).T
+        model = PlsModel(weights=np.eye(3), x_loadings=P, y_loadings=np.ones((2, 3)),
+                         x_scores=np.zeros((4, 3)), y_scores=np.zeros((4, 3)),
+                         coef=np.zeros((3, 2)), n_lv=3)
+        path = coef_path(model)
+        assert path.shape == (1, 3, 2)
+        np.testing.assert_array_equal(path[0], [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
 
 
 class TestPredictPls:
