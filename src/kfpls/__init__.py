@@ -20,7 +20,6 @@ from .flows import (
     update_theta,
 )
 from .kernels import (
-    CenteringStats,
     KernelSpec,
     center_train,
     gram_test,
@@ -34,7 +33,6 @@ from .pls import PlsModel, first_pc, fit_pls, predict_pls
 __version__ = "0.1.0"
 
 __all__ = [
-    "CenteringStats",
     "Dataset",
     "DegenerateProblemError",
     "EvalReport",

@@ -34,6 +34,7 @@ from .pipeline import (
     case_dataset,
     case_flow_config,
     case_spec,
+    check_lv_max,
     run_pipeline,
     sweep_flow_parameter,
     sweep_n_lv,
@@ -124,6 +125,16 @@ def _flow_config(overrides, seed, case_id=None) -> FlowConfig:
         return case_flow_config(case_id, seed, **overrides)
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
+
+
+def _lv_max(args, config, ds: Dataset, default: int) -> int:
+    """The factor-search bound, checked against the dataset before any flow."""
+    lv_max = int(_setting(args, config, "lv_max", default=default, cast=int))
+    try:
+        check_lv_max(ds, lv_max)
+    except ValueError as exc:
+        raise CliError("config", str(exc)) from exc
+    return lv_max
 
 
 def _kernel_spec(args, config, default_families="gaussian") -> KernelSpec:
@@ -292,10 +303,9 @@ def cmd_case(args) -> int:
     except (ValueError, OSError) as exc:
         raise CliError("data", str(exc)) from exc
 
+    lv_max = _lv_max(args, config, ds, CASE_DEFAULTS[case_id]["lv_max"])
     spec0 = _kernel_spec(args, config, CASE_DEFAULTS[case_id]["families"])
     flow = _flow_config(_flow_overrides(args, config), seed, case_id)
-    lv_max = int(_setting(args, config, "lv_max",
-                          default=CASE_DEFAULTS[case_id]["lv_max"], cast=int))
     try:
         result = run_pipeline(ds, spec0, flow, lv_max, seed)
     except (DegenerateProblemError, FlowAbortError, ValueError) as exc:
@@ -326,9 +336,9 @@ def cmd_optimize(args) -> int:
     except (ValueError, OSError) as exc:
         raise CliError("data", str(exc)) from exc
 
+    lv_max = _lv_max(args, config, ds, 20)
     spec0 = _kernel_spec(args, config)
     flow = _flow_config(_flow_overrides(args, config), seed)
-    lv_max = int(_setting(args, config, "lv_max", default=20, cast=int))
     try:
         result = run_pipeline(ds, spec0, flow, lv_max, seed)
     except (DegenerateProblemError, FlowAbortError, ValueError) as exc:
@@ -431,6 +441,9 @@ def cmd_sweep(args) -> int:
         elif args.axis == "n_lv":
             ds = case_dataset(case_id, seed, csv_path=csv_path,
                               response=_parse_response(response) if response else None)
+            if max(grid) > ds.X_cal.shape[0]:
+                raise CliError("config", f"the n_lv grid exceeds the "
+                               f"{ds.X_cal.shape[0]} calibration rows")
             spec0 = _kernel_spec(args, config, CASE_DEFAULTS[case_id]["families"])
             result = run_pipeline(ds, spec0, flow, CASE_DEFAULTS[case_id]["lv_max"], seed)
             rows = sweep_n_lv(ds, result.spec_opt, [int(v) for v in grid])

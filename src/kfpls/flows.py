@@ -17,16 +17,17 @@ scores each sub-batch model's predictions of the whole minibatch against
 the minibatch responses, relative to the variance baseline: nonnegative,
 near one for a kernel that predicts nothing, small when models fitted on
 any subset predict the rest. The predictions of all sub-batch models come
-from one product of the plain Gram with their scattered coefficients,
-which is `kernels.center_test` written out. ``norm_ratio`` also fits the
-whole minibatch and is one minus the ratio of each sub-batch model's
-squared norm to the minibatch one, each norm a coefficient quadratic form
-in the centered Gram of its own fit.
-That is the classical kernel-flow quantity for full-rank kernel
-regression, where the sub-batch fit is a projection of the full fit. PLS
-truncation breaks that identity, letting the norm ratio go negative and
-reward degenerate kernels, so it is not the default. `kf_loss` applies the
-same fit and norm to two Grams built independently from raw rows.
+from one product of the plain Gram with their `kpls.affine_coef`
+coefficients scattered onto their rows, plus each fit's bias, so no
+cross kernel is centered. ``norm_ratio`` also fits the whole minibatch
+and is one minus the ratio of each sub-batch model's squared norm to the
+minibatch one, each norm a coefficient quadratic form in the centered
+Gram of its own fit. That is the classical kernel-flow quantity for
+full-rank kernel regression, where the sub-batch fit is a projection of
+the full fit. PLS truncation breaks that identity, letting the norm ratio
+go negative and reward degenerate kernels, so it is not the default.
+`kf_loss` applies the same fit and norm to two Grams built independently
+from raw rows.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import numpy as np
 
 from .exceptions import DegenerateProblemError, FlowAbortError
 from .kernels import KernelSpec, center_train, kernel_matrix, train_sq_dists
+from .kpls import affine_coef
 from .pls import fit_pls_stack
 
 logger = logging.getLogger(__name__)
@@ -158,14 +160,14 @@ class FlowTrace:
 
 def _fit_rows(K_plain, idx, Y, n_lv, delta):
     """Kernel-PLS fits on the row sets ``idx`` (S, n) of a plain Gram, as one
-    stack; returns ``(coef, stats, y_means, K_centered)``, stacked."""
+    stack; returns ``(coef, col_means, y_means, K_centered)``, stacked."""
     K = K_plain.take(idx[:, :, None] * K_plain.shape[1] + idx[:, None, :])
     K.reshape(len(idx), -1)[:, :: idx.shape[1] + 1] += delta  # each diagonal
-    K_centered, stats = center_train(K)
+    K_centered, col_means = center_train(K)
     Y_sets = Y[idx]
     y_means = Y_sets.mean(axis=1)
     coef = fit_pls_stack(K_centered, Y_sets - y_means[:, None, :], n_lv)
-    return coef, stats, y_means, K_centered
+    return coef, col_means, y_means, K_centered
 
 
 def _model_norms(coef, K_centered) -> np.ndarray:
@@ -176,25 +178,20 @@ def _model_norms(coef, K_centered) -> np.ndarray:
     return values
 
 
-def _cv_sse(K_plain, idx, coef, stats, y_means, Y) -> np.ndarray:
+def _cv_sse(K_plain, idx, coef, col_means, y_means, Y) -> np.ndarray:
     """Squared residual sum of each fit's predictions of every minibatch row:
-    `center_test` for all fits in one product of the plain Gram with their
-    coefficients scattered onto their rows, plus a membership column (1/n on
-    its rows) that gives each row's mean over a fit's cross kernel."""
+    `affine_coef` for all fits in one product of the plain Gram with their
+    affine coefficients scattered onto their rows, plus each fit's bias."""
     n_rows, m = Y.shape
-    n_sets, n = idx.shape
-    spread = np.concatenate([coef, np.full((n_sets, n, 1), 1.0 / n)], axis=2)
-    G = np.zeros((n_rows, n_sets, m + 1))
-    np.add.at(G, (idx, np.arange(n_sets)[:, None]), spread)
+    n_sets = idx.shape[0]
     # A constant shift of each Gram column cancels exactly; the column means
     # spare the product cancellation when the kernel is flat and B is large.
     K_mean = K_plain.mean(axis=0)
-    col_means = stats.col_means - K_mean[idx]
-    KG = ((K_plain - K_mean) @ G.reshape(n_rows, -1)).reshape(n_rows, n_sets, m + 1)
-    row_means = KG[:, :, m] - col_means.mean(axis=1)
-    shift = y_means - np.einsum("sn,snm->sm", col_means, coef)
-    pred = KG[:, :, :m] - row_means[:, :, None] * coef.sum(axis=1) + shift
-    return np.sum((Y[:, None, :] - pred) ** 2, axis=(0, 2))
+    C, b = affine_coef(coef, col_means - K_mean[idx], y_means)
+    G = np.zeros((n_rows, n_sets, m))
+    np.add.at(G, (idx, np.arange(n_sets)[:, None]), C)
+    KG = ((K_plain - K_mean) @ G.reshape(n_rows, -1)).reshape(n_rows, n_sets, m)
+    return np.sum((Y[:, None, :] - KG - b[:, 0, :]) ** 2, axis=(0, 2))
 
 
 def _batch_losses(d2_batch, Y_batch, subsets, n_lv, spec, objective):
@@ -215,10 +212,10 @@ def _batch_losses(d2_batch, Y_batch, subsets, n_lv, spec, objective):
     for size in sorted(set(sizes)):  # np.unique would import numpy.ma (~1 MB)
         members = [i for i, s in enumerate(sizes) if s == size]
         idx = np.stack([sets[i] for i in members])
-        coef, stats, y_means, K_c = _fit_rows(K_plain, idx, Y_batch, n_lv, spec.delta)
+        coef, means, y_means, K_c = _fit_rows(K_plain, idx, Y_batch, n_lv, spec.delta)
         values[members] = (
             _model_norms(coef, K_c) if objective == "norm_ratio"
-            else _cv_sse(K_plain, idx, coef, stats, y_means, Y_batch)
+            else _cv_sse(K_plain, idx, coef, means, y_means, Y_batch)
         )
     if objective == "norm_ratio":
         norm_b = values[-1]

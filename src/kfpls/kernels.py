@@ -1,4 +1,4 @@
-"""Stationary kernel families, Gram matrices, and train/test centering.
+"""Stationary kernel families, Gram matrices, and training-Gram centering.
 
 Five isotropic families are supported (all functions of the pairwise
 Euclidean distance only): squared-exponential, the three half-integer
@@ -6,6 +6,11 @@ Matern kernels, and the rational Cauchy kernel. A spec may combine
 several families as a weighted sum, plus a ridge term added to square
 training Grams. All positive parameters are stored as logarithms so
 unconstrained gradient steps always map back to a valid kernel.
+
+`center_train` double-centers a training Gram and returns its column
+means. Cross kernels (`gram_test`) stay plain: centering them on those
+means is folded into the coefficients of the fitted model
+(`kpls.affine_coef`), so no centered cross kernel is ever formed.
 """
 
 from __future__ import annotations
@@ -176,16 +181,6 @@ class KernelSpec:
         return names
 
 
-@dataclass(frozen=True)
-class CenteringStats:
-    """Column means and grand mean of a training Gram (or of each in a stack),
-    kept for test centering."""
-
-    n: int
-    col_means: np.ndarray
-    grand_mean: float
-
-
 def pairwise_sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Matrix of squared Euclidean distances, clipped at zero.
 
@@ -208,10 +203,9 @@ def kernel_matrix(spec: KernelSpec, d2: np.ndarray) -> np.ndarray:
     d = np.sqrt(d2)
     sigma = spec.sigma
     gamma = spec.gamma
-    out = None
-    for i, name in enumerate(spec.families):
-        term = gamma[i] * _FAMILY_FUNCS[name](d2, d, sigma[i])
-        out = term if out is None else out + term
+    out = gamma[0] * _FAMILY_FUNCS[spec.families[0]](d2, d, sigma[0])
+    for i in range(1, len(spec.families)):
+        out += gamma[i] * _FAMILY_FUNCS[spec.families[i]](d2, d, sigma[i])
     return out
 
 
@@ -253,12 +247,12 @@ def gram_train(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
     return K
 
 
-def center_train(K: np.ndarray) -> tuple[np.ndarray, CenteringStats]:
-    """Double-center a square Gram and capture its centering statistics.
+def center_train(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Double-center a square Gram; return ``(H K H, column means of K)``.
 
-    Returns the projected matrix H K H with H = I - (1/n) 11', plus the
-    column means and grand mean needed to center test kernels consistently.
-    A stack of Grams (..., n, n) is centered member by member.
+    H = I - (1/n) 11'. The column means are what a cross kernel needs to
+    be centered consistently (see `kpls.affine_coef`). A stack of Grams
+    (..., n, n) is centered member by member.
     """
     K = np.asarray(K, dtype=float)
     if K.ndim < 2 or K.shape[-1] != K.shape[-2]:
@@ -266,31 +260,17 @@ def center_train(K: np.ndarray) -> tuple[np.ndarray, CenteringStats]:
     col_means = K.mean(axis=-2)
     row_means = K.mean(axis=-1)
     grand = K.mean(axis=(-2, -1))
-    centered = K - col_means[..., None, :] - row_means[..., :, None] + grand[..., None, None]
-    grand = float(grand) if K.ndim == 2 else grand
-    return centered, CenteringStats(n=K.shape[-1], col_means=col_means, grand_mean=grand)
+    centered = K - col_means[..., None, :]  # then in place: fewer full-size temporaries
+    centered -= row_means[..., :, None]
+    centered += grand[..., None, None]
+    return centered, col_means
 
 
-def center_test(K_cross: np.ndarray, stats: CenteringStats) -> np.ndarray:
-    """Center a plain cross kernel (rows × training rows) on training statistics.
+def gram_test(spec: KernelSpec, X_test: np.ndarray, X_train: np.ndarray) -> np.ndarray:
+    """Plain cross Gram between test and training rows.
 
-    Subtracting the training column means, then each row's mean, reproduces
-    centering against the training kernel centres.
-    """
-    A = K_cross - stats.col_means[None, :]
-    return A - A.mean(axis=1, keepdims=True)
-
-
-def gram_test(
-    spec: KernelSpec,
-    X_test: np.ndarray,
-    X_train: np.ndarray,
-    stats: CenteringStats,
-) -> np.ndarray:
-    """Cross Gram between test and training rows, centered on training statistics.
-
-    No ridge is added: the rectangular matrix only ever multiplies training
-    coefficients. Centering is `center_test`.
+    No ridge is added and nothing is centered: the rectangular matrix only
+    ever multiplies coefficients that carry the centering themselves.
     """
     X_test = np.asarray(X_test, dtype=float)
     X_train = np.asarray(X_train, dtype=float)
@@ -301,6 +281,4 @@ def gram_test(
             f"feature mismatch: test has {X_test.shape[1]} columns, "
             f"train has {X_train.shape[1]}"
         )
-    if X_train.shape[0] != stats.n:
-        raise ValueError("centering statistics do not match the training set size")
-    return center_test(kernel_matrix(spec, pairwise_sq_dists(X_test, X_train)), stats)
+    return kernel_matrix(spec, pairwise_sq_dists(X_test, X_train))

@@ -1,11 +1,12 @@
 """Kernel PLS: SIMPLS regression between a centered Gram matrix and Y.
 
 Fitting maps the training rows through the kernel, double-centers the
-ridge Gram, and runs SIMPLS against column-centered responses. The model
-keeps the training rows and the Gram centering statistics so new data can
-be mapped and centered consistently at prediction time. Response column
-means are stored separately and added back to predictions, which restores
-the intercept that centering removes.
+ridge Gram, and runs SIMPLS against column-centered responses. A new
+row's cross kernel must be centered on the Gram's column means before it
+meets the coefficients, and the response means added back; `affine_coef`
+folds both into one affine map on the plain cross kernel, which is how
+every prediction in the package is made. Archives are written at schema
+version 2; version 1, which also held scores, is still read.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import numpy as np
 
 from ._serialize import read_array_archive, write_array_archive
 from .exceptions import DegenerateProblemError
-from .kernels import CenteringStats, KernelSpec, center_train, gram_test, gram_train
-from .pls import PlsModel, fit_pls, predict_pls
+from .kernels import KernelSpec, center_train, gram_test, gram_train
+from .pls import PlsModel, fit_pls
 
-_SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -28,10 +29,23 @@ class KplsModel:
 
     spec: KernelSpec
     x_train: np.ndarray
-    stats: CenteringStats
+    col_means: np.ndarray
     pls: PlsModel
-    n_lv: int
     y_means: np.ndarray
+
+
+def affine_coef(coef: np.ndarray, col_means: np.ndarray, y_means: np.ndarray):
+    """``(C, b)`` such that a plain cross kernel ``K_cross`` (q, n) predicts
+    ``K_cross @ C + b == (K_cross - 1 col_meansᵀ) H coef + y_means``.
+
+    ``coef`` (..., n, m) was fitted on a Gram with column means ``col_means``
+    (..., n) and responses with means ``y_means`` (..., m); H = I - (1/n) 11'.
+    ``C = H coef`` is ``coef`` less its column means and ``b`` (..., 1, m) is
+    ``y_means - col_meansᵀ C``. A stack of coefficients gives a stack of maps.
+    """
+    C = coef - coef.mean(axis=-2, keepdims=True)
+    b = y_means[..., None, :] - col_means[..., None, :] @ C
+    return C, b
 
 
 def fit_kpls(
@@ -68,26 +82,22 @@ def fit_kpls(
         # Identical rows give a constant kernel block; the centered Gram
         # would carry ridge structure only.
         raise DegenerateProblemError("all training rows are identical")
-    K_centered, stats = center_train(gram_train(spec, X))
+    K_centered, col_means = center_train(gram_train(spec, X))
     y_means = Y.mean(axis=0)
     pls = fit_pls(K_centered, Y - y_means, n_lv)
     return KplsModel(
-        spec=spec,
-        x_train=X.copy(),
-        stats=stats,
-        pls=pls,
-        n_lv=pls.n_lv,
-        y_means=y_means,
+        spec=spec, x_train=X.copy(), col_means=col_means, pls=pls, y_means=y_means
     )
 
 
 def predict_kpls(model: KplsModel, X_new: np.ndarray) -> np.ndarray:
-    """Predict responses for new rows via the centered test kernel."""
+    """Predict responses for new rows: the plain cross kernel through
+    `affine_coef` of the model."""
     X_new = np.asarray(X_new, dtype=float)
     if X_new.ndim != 2:
         raise ValueError("X_new must be 2-D")
-    K_test = gram_test(model.spec, X_new, model.x_train, model.stats)
-    return predict_pls(model.pls, K_test) + model.y_means
+    C, b = affine_coef(model.pls.coef, model.col_means, model.y_means)
+    return gram_test(model.spec, X_new, model.x_train) @ C + b
 
 
 def classify(model: KplsModel, X_new: np.ndarray) -> np.ndarray:
@@ -103,7 +113,7 @@ def classify(model: KplsModel, X_new: np.ndarray) -> np.ndarray:
 
 
 def model_to_arrays(model: KplsModel) -> dict:
-    """Archive members of a model, keyed by member name (schema v1)."""
+    """Archive members of a model, keyed by member name (schema v2)."""
     spec = model.spec
     return {
         "schema_version": np.array(_SCHEMA_VERSION),
@@ -113,31 +123,27 @@ def model_to_arrays(model: KplsModel) -> dict:
         "has_log_gamma": np.array(spec.log_gamma is not None),
         "log_delta": np.array(spec.log_delta),
         "x_train": model.x_train,
-        "center_n": np.array(model.stats.n),
-        "center_col_means": model.stats.col_means,
-        "center_grand_mean": np.array(model.stats.grand_mean),
+        "center_col_means": model.col_means,
         "pls_weights": model.pls.weights,
         "pls_x_loadings": model.pls.x_loadings,
         "pls_y_loadings": model.pls.y_loadings,
-        "pls_x_scores": model.pls.x_scores,
-        "pls_y_scores": model.pls.y_scores,
         "pls_coef": model.pls.coef,
         "pls_n_lv": np.array(model.pls.n_lv),
-        "n_lv": np.array(model.n_lv),
         "y_means": model.y_means,
     }
 
 
 def model_from_arrays(data: dict) -> KplsModel:
-    """Inverse of `model_to_arrays`; other members, such as a calibrated
-    archive's ``prep_*`` arrays, are left for the caller.
+    """Inverse of `model_to_arrays`, which also reads version-1 archives;
+    other members, such as a calibrated archive's ``prep_*`` arrays or the
+    ones only version 1 wrote, are left for the caller.
 
     Raises ``ValueError`` for another schema version, a non-finite float
     member (of any name), or prediction arrays whose shapes disagree with
     ``x_train``.
     """
     version = int(data["schema_version"])
-    if version != _SCHEMA_VERSION:
+    if version not in (1, _SCHEMA_VERSION):
         raise ValueError(f"unsupported model schema version {version}")
     for key, value in data.items():
         if value.dtype.kind == "f" and not np.isfinite(value).all():
@@ -156,26 +162,18 @@ def model_from_arrays(data: dict) -> KplsModel:
         log_gamma=data["log_gamma"] if bool(data["has_log_gamma"]) else None,
         log_delta=float(data["log_delta"]),
     )
-    stats = CenteringStats(
-        n=int(data["center_n"]),
-        col_means=data["center_col_means"],
-        grand_mean=float(data["center_grand_mean"]),
-    )
     pls = PlsModel(
         weights=data["pls_weights"],
         x_loadings=data["pls_x_loadings"],
         y_loadings=data["pls_y_loadings"],
-        x_scores=data["pls_x_scores"],
-        y_scores=data["pls_y_scores"],
         coef=data["pls_coef"],
         n_lv=int(data["pls_n_lv"]),
     )
     return KplsModel(
         spec=spec,
         x_train=data["x_train"],
-        stats=stats,
+        col_means=data["center_col_means"],
         pls=pls,
-        n_lv=int(data["n_lv"]),
         y_means=data["y_means"],
     )
 

@@ -10,8 +10,10 @@ recipe over one axis at a time.
 
 Each factor search (`line_search_n_lv`, `plain_pls_lv`, `sweep_n_lv`)
 makes one SIMPLS fit at its largest count and takes every smaller count
-from the prefix coefficients of that fit (`pls.coef_path`). Both line
-searches score the counts with `_score_counts`.
+from the prefix coefficients of that fit (`pls.coef_path`). The kernel
+searches predict every count at once, through `kpls.affine_coef` of the
+whole stack of coefficients. Both line searches score the counts with
+`_score_counts`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .datasets import Dataset, gen_circles, gen_peaks, load_csv
 from .exceptions import DegenerateProblemError
 from .flows import FlowConfig, FlowTrace, run_kernel_flows
 from .kernels import KernelSpec, gram_test
-from .kpls import KplsModel, fit_kpls, predict_kpls
+from .kpls import KplsModel, affine_coef, fit_kpls, predict_kpls
 from .metrics import EvalReport, accuracy, nrmse, q2, rmse
 from .pls import PlsModel, coef_path, fit_pls, predict_pls
 
@@ -97,6 +99,15 @@ def _holdout_split(n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
+def check_lv_max(ds: Dataset, lv_max: int) -> None:
+    """Reject (``ValueError``) a factor-search bound outside 1 and the number
+    of calibration rows the line search fits on."""
+    n_fit = _holdout_split(ds.X_cal.shape[0], 0)[0].size
+    if not 1 <= lv_max <= n_fit:
+        raise ValueError(f"lv_max must be between 1 and {n_fit}, the rows the "
+                         f"factor line search fits on; got {lv_max}")
+
+
 def _score_counts(preds: np.ndarray, Y_val: np.ndarray, task: str) -> tuple:
     """Held-out score of each factor count ``a``, predicting ``preds[a-1]``.
 
@@ -142,8 +153,8 @@ def line_search_n_lv(
     """
     fit_idx, val_idx = _holdout_split(X.shape[0], seed)
     model = fit_kpls(X[fit_idx], Y[fit_idx], lv_max, spec)
-    K_val = gram_test(spec, X[val_idx], model.x_train, model.stats)
-    preds = K_val @ _count_path(model.pls, lv_max) + model.y_means
+    C, b = affine_coef(_count_path(model.pls, lv_max), model.col_means, model.y_means)
+    preds = gram_test(spec, X[val_idx], model.x_train) @ C + b
     return _score_counts(preds, Y[val_idx], task)
 
 
@@ -181,6 +192,7 @@ def run_pipeline(
 ) -> PipelineResult:
     """Optimize the kernel, select factors, fit, and evaluate baselines."""
     t0 = time.perf_counter()
+    check_lv_max(ds, lv_max)
     spec_opt, trace = run_kernel_flows(ds.X_cal, ds.Y_cal, config, spec0)
     n_lv, lv_table = line_search_n_lv(
         ds.X_cal, ds.Y_cal, spec_opt, ds.task, lv_max, seed
@@ -289,11 +301,9 @@ def sweep_n_lv(ds: Dataset, spec: KernelSpec, grid) -> list:
     path = _count_path(model.pls, max(grid))
     if len(path) < max(grid):
         raise DegenerateProblemError("loadings-weights system is too ill-conditioned")
-    K_test = gram_test(spec, ds.X_test, model.x_train, model.stats)
-    return [
-        (lv, evaluate_predictions(ds, K_test @ path[lv - 1] + model.y_means))
-        for lv in grid
-    ]
+    C, b = affine_coef(path, model.col_means, model.y_means)
+    preds = gram_test(spec, ds.X_test, model.x_train) @ C + b
+    return [(lv, evaluate_predictions(ds, preds[lv - 1])) for lv in grid]
 
 
 def sweep_noise(grid, seed, case_id: int = 1, flow_overrides=None) -> list:

@@ -2,16 +2,19 @@
 
 Latent variables are extracted one at a time from the cross-covariance
 between predictors and responses. Each factor takes the dominant principal
-direction of the current covariance, scores and loadings are computed from
-it, and the covariance is deflated by projecting out the span of the
-X-side loadings before the next extraction.
+direction of the current covariance, its X-scores give the loadings, and
+the covariance is deflated by projecting out the span of the X-side
+loadings before the next extraction. Scores are not kept: the X-scores of
+a fit are ``X @ weights``.
 
 One extraction loop, `_simpls`, runs over a leading stack axis: `fit_pls`
 is that loop at stack size 1, and `fit_pls_stack` fits many same-sized
 problems (the kernel-flow sub-batches) in one pass. The direction is
 closed-form for one response, else from one batched m×m ``eigh``.
-`coef_path` gives the coefficients at every factor count of one fit;
-`_coef` is the one coefficient formula for both.
+SIMPLS extracts one factor at a time, so the first ``a`` factors of a fit
+are the ``a``-factor fit. `_coef` is the one coefficient formula: it gives
+a stack member that stops early its coefficients from the factors it had
+then, and `coef_path` the coefficients at every factor count of one fit.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ _SCORE_NORM_FLOOR = 1e-12
 _COV_EXHAUSTED_REL = 1e-14
 # Condition-number ceiling for the loadings-weights system.
 _MAX_CONDITION = 1e12
-# Floor for the y-loading norm that scales the y-scores; q = 0 gives u = 0.
-_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,6 @@ class PlsModel:
         Rotated X-side loadings, one column per latent variable.
     x_loadings : ndarray, shape (p, a)
     y_loadings : ndarray, shape (m, a)
-    x_scores : ndarray, shape (n, a)
-    y_scores : ndarray, shape (n, a)
     coef : ndarray, shape (p, m)
         Regression coefficients mapping predictors to responses.
     n_lv : int
@@ -55,8 +54,6 @@ class PlsModel:
     weights: np.ndarray
     x_loadings: np.ndarray
     y_loadings: np.ndarray
-    x_scores: np.ndarray
-    y_scores: np.ndarray
     coef: np.ndarray
     n_lv: int
 
@@ -107,16 +104,19 @@ def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int):
 
     A member stops when its covariance is exhausted or its score norm
     underflows. If all members still running stop at one factor, the loop
-    ends there; a member that stops while others go on is dropped. Returns
-    ``(W, P, Q, T, U, B, kept)``, the factors (one column per latent
-    variable) and coefficients (p, m) of the members ``kept``.
+    ends there; a member that stops while others go on is dropped and takes
+    its coefficients from the factors it has, which is what a separate fit
+    of it gives. Returns ``(W, P, Q, B)``: the factors (one column per
+    latent variable) of the members that ran to the end, and the
+    coefficients (S, p, m) of every member.
     """
     S, n, p = X.shape
     a_max = min(n_lv, n, p)
     C = np.swapaxes(Y, 1, 2) @ X  # (S, m, p) cross-covariances
     c_norm0 = np.linalg.norm(C, axis=(1, 2))
-    W, P, Q, T, U = (np.empty((S, d, a_max)) for d in (p, p, Y.shape[2], n, n))
-    kept = np.arange(S)
+    W, P, Q = (np.empty((S, d, a_max)) for d in (p, p, Y.shape[2]))
+    B = np.empty((S, p, Y.shape[2]))
+    running = np.arange(S)
 
     k = 0
     while k < a_max:
@@ -127,17 +127,21 @@ def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int):
             tt = np.sum(t * t, axis=1)
             live = tt >= _SCORE_NORM_FLOOR * n
         if not live.all():
+            if k == 0:
+                raise DegenerateProblemError(
+                    "rank exhausted before extracting any factor"
+                )
             if not live.any():
                 break
-            X, Y, C, c_norm0, kept, W, P, Q, T, U = (
-                v[live] for v in (X, Y, C, c_norm0, kept, W, P, Q, T, U)
+            done = ~live
+            B[running[done]] = _coef(W[done, :, :k], P[done, :, :k], Q[done, :, :k])
+            X, Y, C, c_norm0, running, W, P, Q = (
+                v[live] for v in (X, Y, C, c_norm0, running, W, P, Q)
             )
             continue
         q = (np.swapaxes(Y, 1, 2) @ t[:, :, None])[:, :, 0] / tt[:, None]
-        qq = np.sum(q * q, axis=1, keepdims=True)
-        u = (Y @ q[:, :, None])[:, :, 0] / np.maximum(qq, _TINY)
         pv = (np.swapaxes(X, 1, 2) @ t[:, :, None])[:, :, 0] / tt[:, None]
-        W[:, :, k], T[:, :, k], Q[:, :, k], U[:, :, k], P[:, :, k] = w, t, q, u, pv
+        W[:, :, k], Q[:, :, k], P[:, :, k] = w, q, pv
         k += 1
         if k < a_max:
             # Deflate: remove the span of the accumulated X-loadings from the
@@ -148,10 +152,9 @@ def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int):
             A = np.linalg.solve(Pkt @ Pk, np.swapaxes(C @ Pk, 1, 2))
             C = C - np.swapaxes(A, 1, 2) @ Pkt
 
-    if k == 0:
-        raise DegenerateProblemError("rank exhausted before extracting any factor")
-    W, P, Q, T, U = (v[:, :, :k] for v in (W, P, Q, T, U))
-    return W, P, Q, T, U, _coef(W, P, Q), kept
+    W, P, Q = (v[:, :, :k] for v in (W, P, Q))
+    B[running] = _coef(W, P, Q)
+    return W, P, Q, B
 
 
 def _coef(W: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -198,23 +201,18 @@ def fit_pls(X: np.ndarray, Y: np.ndarray, n_lv: int) -> PlsModel:
         warnings.warn(f"n_lv={n_lv} exceeds min(n, p)={min(X.shape)}; clamping",
                       stacklevel=2)
 
-    W, P, Q, T, U, B, _ = _simpls(X[None], Y[None], n_lv)
-    return PlsModel(W[0], P[0], Q[0], T[0], U[0], B[0], n_lv=W.shape[2])
+    W, P, Q, B = _simpls(X[None], Y[None], n_lv)
+    return PlsModel(W[0], P[0], Q[0], B[0], n_lv=W.shape[2])
 
 
 def fit_pls_stack(X: np.ndarray, Y: np.ndarray, n_lv: int) -> np.ndarray:
     """Coefficients (S, p, m) of the SIMPLS fits of ``X[s]`` (n, p) on ``Y[s]``.
 
-    A member that stops early while others go on is refit alone, so it keeps
-    the factor count `fit_pls` gives it. Inputs are not checked, and
-    ``n_lv`` is clamped to ``min(n, p)`` silently.
+    A member that stops early while others go on keeps the coefficients of
+    the factors it had, the fit `fit_pls` gives it. Inputs are not checked,
+    and ``n_lv`` is clamped to ``min(n, p)`` silently.
     """
-    *_, B, kept = _simpls(X, Y, n_lv)
-    out = np.empty(X.shape[:1] + B.shape[1:])
-    out[kept] = B
-    for s in sorted(set(range(len(X))) - set(kept.tolist())):
-        out[s] = _simpls(X[s : s + 1], Y[s : s + 1], n_lv)[5][0]
-    return out
+    return _simpls(X, Y, n_lv)[3]
 
 
 def coef_path(model: PlsModel) -> np.ndarray:

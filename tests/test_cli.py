@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kfpls import FlowConfig, predict_kpls
+from kfpls import FlowConfig, pipeline, predict_kpls
 from kfpls._serialize import read_array_archive, write_array_archive
 from kfpls.cli import load_calibrated_model, main
 from kfpls.datasets import read_csv, standardize
@@ -250,6 +250,39 @@ class TestCorruptArchive:
         assert run_cli("predict", archive, train, "--out-dir", pred_dir) == 1
         assert capsys.readouterr().err.startswith("error:data: cannot load model")
         assert not (pred_dir / "predictions.csv").exists()
+
+
+def _no_flow(*args, **kwargs):
+    raise AssertionError("the kernel flow ran")
+
+
+class TestLvMaxBeforeFlow:
+    """A factor-search bound that cannot be fitted is a configuration error,
+    found before any kernel flow runs."""
+
+    @pytest.mark.parametrize("lv_max", ["0", "100"])
+    def test_optimize(self, lv_max, tmp_path, toy_csv, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "run_kernel_flows", _no_flow)
+        out = tmp_path / "out"
+        assert run_cli("optimize", toy_csv, "--response", "target",
+                       "--lv-max", lv_max, "--out-dir", out) == 2
+        assert capsys.readouterr().err.startswith("error:config: lv_max")
+        assert not (out / "model.kfpls").exists()
+
+    @pytest.mark.parametrize("lv_max", ["0", "500"])
+    def test_case(self, lv_max, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "run_kernel_flows", _no_flow)
+        out = tmp_path / "out"
+        assert run_cli("case", "1", "--lv-max", lv_max, "--out-dir", out) == 2
+        assert capsys.readouterr().err.startswith("error:config: lv_max")
+        assert not (out / "report.json").exists()
+
+    def test_sweep_n_lv_grid_above_calibration_rows(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "run_kernel_flows", _no_flow)
+        assert run_cli("sweep", "--axis", "n_lv", "--grid", "1,500", "--case", "1",
+                       "--out-dir", tmp_path) == 2
+        assert "error:config" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestSweepCommand:

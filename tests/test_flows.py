@@ -17,10 +17,15 @@ from kfpls import (
     update_theta,
 )
 from kfpls.flows import _batch_losses, _sample_indices, _stratified_choice
-from kfpls.kernels import center_test, center_train, kernel_matrix, train_sq_dists
+from kfpls.kernels import center_train, kernel_matrix, train_sq_dists
 from kfpls.pls import fit_pls
 
-from oracles import cv_loss_literal, flow_loss_literal, richardson_gradient
+from oracles import (
+    center_test_literal,
+    cv_loss_literal,
+    flow_loss_literal,
+    richardson_gradient,
+)
 
 
 def gauss(sigma=1.0, delta=0.01):
@@ -102,27 +107,46 @@ class TestLossEngineOracle:
             )
             assert got == pytest.approx(ref, abs=1e-10)
 
+    @pytest.mark.parametrize("case", ["peaks", "circles"])
+    def test_cv_matches_literal_fits_on_flat_kernel(self, case):
+        # A wide kernel with a small ridge: the Gram is nearly constant and the
+        # coefficients are large, so the cross-kernel centering must not be
+        # dropped or reordered into a cancellation.
+        import kfpls.flows as flows
+
+        ds = gen_peaks(60, 0.05, seed=5) if case == "peaks" else gen_circles(6, 4, 0.1, 5)
+        X, Y = ds.X_cal[:18], ds.Y_cal[:18]
+        spec = gauss(sigma=12.0, delta=1e-3)
+        rng = np.random.default_rng(14)
+        subs = [np.sort(rng.choice(18, 9, replace=False)) for _ in range(3)]
+
+        _, rhos = flows._batch_losses(train_sq_dists(X), Y, subs, 2, spec, "cv")
+        for idx, got in zip(subs, rhos):
+            ref = cv_loss_literal(["gaussian"], [12.0], [1.0], 1e-3, X, Y, idx, 2)
+            assert got == pytest.approx(ref, abs=1e-10)
+
 
 def per_fit_losses(d2, Y, subsets, n_lv, spec, objective):
     """Per-subset losses with one `fit_pls` per index set: the loss engine
-    written out fit by fit, cross kernels centered by `center_test`."""
+    written out fit by fit, cross kernels centered by `center_test_literal`."""
     K = kernel_matrix(spec, d2)
 
     def fit(idx):
-        K_c, stats = center_train(K[np.ix_(idx, idx)] + spec.delta * np.eye(idx.size))
+        K_train = K[np.ix_(idx, idx)] + spec.delta * np.eye(idx.size)
+        K_c, _ = center_train(K_train)
         y_means = Y[idx].mean(axis=0)
-        return fit_pls(K_c, Y[idx] - y_means, n_lv).coef, stats, y_means, K_c
+        return fit_pls(K_c, Y[idx] - y_means, n_lv).coef, K_train, y_means, K_c
 
     if objective == "norm_ratio":
         B, _, _, K_c = fit(np.arange(Y.shape[0]))
         norm_b = np.sum(B * (K_c @ B))
     out = []
     for idx in subsets:
-        B, stats, y_means, K_c = fit(idx)
+        B, K_train, y_means, K_c = fit(idx)
         if objective == "norm_ratio":
             out.append(1.0 - np.sum(B * (K_c @ B)) / norm_b)
         else:
-            pred = center_test(K[:, idx], stats) @ B + y_means
+            pred = center_test_literal(K[:, idx], K_train) @ B + y_means
             out.append(np.sum((Y - pred) ** 2) / np.sum((Y - Y.mean(axis=0)) ** 2))
     return np.array(out)
 

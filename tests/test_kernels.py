@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfpls import KernelSpec, center_train, gram_test, gram_train, kernel_eval
-from kfpls.kernels import FAMILY_NAMES, kernel_matrix, pairwise_sq_dists, train_sq_dists
+from kfpls.kernels import FAMILY_NAMES, kernel_matrix, train_sq_dists
+from kfpls.kpls import affine_coef
 
 from oracles import center_test_literal, gram_literal, kernel_value
 
@@ -225,8 +226,10 @@ class TestCentering:
         np.testing.assert_allclose(twice, once, atol=1e-12)
 
     def test_stats_reproduce_training_centering(self):
-        # Applying the stored statistics to the training rows themselves must
-        # reproduce the centered training Gram when no ridge is present.
+        # The stored column means, folded into coefficients by `affine_coef`,
+        # must map the training rows' plain cross kernel exactly as the
+        # centered training Gram maps them when no ridge is present, for any
+        # coefficients.
         rng = np.random.default_rng(8)
         X = rng.normal(size=(9, 3))
         spec = KernelSpec(
@@ -237,9 +240,11 @@ class TestCentering:
         )
         # log_delta of -inf gives delta == 0 for this consistency check
         K = kernel_matrix(spec, train_sq_dists(X))
-        centered, stats = center_train(K)
-        reproduced = gram_test(spec, X, X, stats)
-        np.testing.assert_allclose(reproduced, centered, atol=1e-12)
+        centered, col_means = center_train(K)
+        B = rng.normal(size=(9, 2))
+        C, b = affine_coef(B, col_means, np.zeros(2))
+        reproduced = gram_test(spec, X, X) @ C + b
+        np.testing.assert_allclose(reproduced, centered @ B, atol=1e-12)
 
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError, match="square"):
@@ -257,20 +262,25 @@ class TestGramTest:
             log_delta=-np.inf,
         )
         K = kernel_matrix(spec, train_sq_dists(X))
-        centered, stats = center_train(K)
-        row = gram_test(spec, X[4:5], X, stats)
-        np.testing.assert_allclose(row[0], centered[4], atol=1e-12)
+        row = gram_test(spec, X[4:5], X)
+        np.testing.assert_allclose(row[0], K[4], atol=1e-12)
 
     def test_matches_explicit_ones_vector_formula(self):
+        # The plain cross kernel through `affine_coef` is the centered cross
+        # kernel of the explicit ones-vector formula times the coefficients.
         rng = np.random.default_rng(10)
         X_train = rng.normal(size=(8, 3))
         X_test = rng.normal(size=(3, 3))
         spec = KernelSpec.create(["gaussian"], sigma=0.9, delta=0.03)
         K_train = gram_train(spec, X_train)
-        _, stats = center_train(K_train)
-        got = gram_test(spec, X_test, X_train, stats)
-        K_cross = kernel_matrix(spec, pairwise_sq_dists(X_test, X_train))
-        expected = center_test_literal(K_cross, K_train)
+        _, col_means = center_train(K_train)
+        B = rng.normal(size=(8, 2))
+        y_means = np.array([0.4, -1.2])
+        C, b = affine_coef(B, col_means, y_means)
+        got = gram_test(spec, X_test, X_train) @ C + b
+        K_cross = np.array([[kernel_value(["gaussian"], [0.9], [1.0], x, z)
+                             for z in X_train] for x in X_test])
+        expected = center_test_literal(K_cross, K_train) @ B + y_means
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_ridge_enters_through_training_means_only(self):
@@ -280,26 +290,14 @@ class TestGramTest:
         X = rng.normal(size=(6, 2))
         spec_r = KernelSpec.create(["gaussian"], delta=0.5)
         K = gram_train(spec_r, X)
-        centered, stats = center_train(K)
-        test_rows = gram_test(spec_r, X, X, stats)
-        diff = centered - test_rows
-        # The difference is exactly the centered image of the ridge diagonal.
-        n = X.shape[0]
-        H = np.eye(n) - np.ones((n, n)) / n
-        np.testing.assert_allclose(diff, H @ (0.5 * np.eye(n)) @ H, atol=1e-12)
+        np.testing.assert_allclose(gram_test(spec_r, X, X), K - 0.5 * np.eye(6),
+                                   atol=1e-12)
+        _, col_means = center_train(K)
+        _, plain_means = center_train(K - 0.5 * np.eye(6))
+        np.testing.assert_allclose(col_means - plain_means, 0.5 / 6, atol=1e-12)
 
     def test_feature_mismatch_rejected(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(5, 2))
-        spec = single("gaussian")
-        _, stats = center_train(gram_train(spec, X))
         with pytest.raises(ValueError, match="feature mismatch"):
-            gram_test(spec, np.zeros((2, 3)), X, stats)
-
-    def test_stale_stats_rejected(self):
-        rng = np.random.default_rng(13)
-        X = rng.normal(size=(5, 2))
-        spec = single("gaussian")
-        _, stats = center_train(gram_train(spec, X))
-        with pytest.raises(ValueError, match="training set size"):
-            gram_test(spec, np.zeros((2, 2)), np.zeros((4, 2)), stats)
+            gram_test(single("gaussian"), np.zeros((2, 3)), X)

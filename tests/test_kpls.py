@@ -1,3 +1,6 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,13 +11,19 @@ from kfpls import (
     classify,
     fit_kpls,
     gen_circles,
+    gen_peaks,
+    gram_train,
     load_model,
     predict_kpls,
     save_model,
 )
 
-from kfpls._serialize import write_array_archive
-from oracles import kpls_coef_literal
+from kfpls._serialize import read_array_archive, write_array_archive
+from kfpls.kernels import kernel_matrix, pairwise_sq_dists
+from oracles import center_test_literal, gram_literal, kernel_value, kpls_coef_literal
+
+V1_ARCHIVE = Path(__file__).parent / "data" / "model_v1.kfpls"
+V1_ONLY_MEMBERS = ("pls_x_scores", "pls_y_scores", "center_grand_mean", "center_n", "n_lv")
 
 
 def gauss(sigma=1.0, delta=1e-3):
@@ -138,6 +147,22 @@ class TestPredictKpls:
         with pytest.raises(ValueError):
             predict_kpls(model, np.zeros((3, 5)))
 
+    @pytest.mark.parametrize("case, sigma", [("peaks", 1.0), ("peaks", 5.0),
+                                             ("peaks", 12.0), ("circles", 12.0)])
+    def test_flat_kernel_matches_literal_test_centering(self, case, sigma):
+        # A wide kernel with a small ridge: the cross kernel is nearly flat and
+        # the coefficients are large, so the column sums of B, though tiny
+        # relative to B, must still be projected out before the plain cross
+        # kernel meets the coefficients.
+        ds = gen_peaks(500, 0.05, seed=3) if case == "peaks" else gen_circles(120, 4, 0.1, 3)
+        spec = gauss(sigma=sigma, delta=1e-3)
+        model = fit_kpls(ds.X_cal, ds.Y_cal, 12, spec)
+        K_cross = kernel_matrix(spec, pairwise_sq_dists(ds.X_test, ds.X_cal))
+        expected = (center_test_literal(K_cross, gram_train(spec, ds.X_cal))
+                    @ model.pls.coef + model.y_means)
+        np.testing.assert_allclose(predict_kpls(model, ds.X_test), expected,
+                                   rtol=0, atol=1e-9)
+
 
 @pytest.fixture(scope="module")
 def circles_model():
@@ -214,11 +239,10 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.spec.log_gamma, model.spec.log_gamma)
         assert loaded.spec.log_delta == model.spec.log_delta
         np.testing.assert_array_equal(loaded.x_train, model.x_train)
-        np.testing.assert_array_equal(loaded.stats.col_means, model.stats.col_means)
-        assert loaded.stats.grand_mean == model.stats.grand_mean
+        np.testing.assert_array_equal(loaded.col_means, model.col_means)
         np.testing.assert_array_equal(loaded.pls.coef, model.pls.coef)
         np.testing.assert_array_equal(loaded.y_means, model.y_means)
-        assert loaded.n_lv == model.n_lv
+        assert loaded.pls.n_lv == model.pls.n_lv
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -260,3 +284,54 @@ class TestSerialization:
             write_array_archive(path, {"a": np.zeros(2), "b": Unwritable()})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.kfpls"]
+
+    def test_writes_schema_2_without_scores(self, tmp_path):
+        rng = np.random.default_rng(17)
+        model = fit_kpls(rng.normal(size=(8, 2)), rng.normal(size=8), 2, gauss())
+        path = tmp_path / "model.kfpls"
+        save_model(model, path)
+        data = read_array_archive(path)
+        assert int(data["schema_version"]) == 2
+        assert not set(V1_ONLY_MEMBERS) & set(data)
+        for key in ("pls_coef", "y_means", "x_train", "center_col_means"):
+            assert key in data
+
+    def test_column_means_of_another_training_set_rejected(self, tmp_path):
+        rng = np.random.default_rng(18)
+        model = fit_kpls(rng.normal(size=(8, 2)), rng.normal(size=8), 2, gauss())
+        path = tmp_path / "model.kfpls"
+        save_model(model, path)
+        data = read_array_archive(path)
+        data["center_col_means"] = data["center_col_means"][:-1]
+        write_array_archive(path, data)
+        with pytest.raises(ValueError, match="center_col_means"):
+            load_model(path)
+
+
+class TestVersion1Archive:
+    """``tests/data/model_v1.kfpls`` was written by the schema-1 `save_model`
+    from ``fit_kpls`` on 12 rows (two features, two responses, three factors,
+    a gaussian + matern32 kernel)."""
+
+    def test_is_a_version_1_archive(self):
+        data = read_array_archive(V1_ARCHIVE)
+        assert int(data["schema_version"]) == 1
+        assert set(V1_ONLY_MEMBERS) <= set(data)
+
+    def test_predictions_match_oracle_from_raw_members(self):
+        data = read_array_archive(V1_ARCHIVE)
+        families = [str(f) for f in data["families"]]
+        sigmas = np.exp(data["log_sigma"])
+        gammas = np.exp(data["log_gamma"])
+        delta = math.exp(float(data["log_delta"]))
+        x_train = data["x_train"]
+        X_new = np.random.default_rng(19).normal(size=(5, 2))
+        K_train = gram_literal(families, sigmas, gammas, delta, x_train)
+        K_cross = np.array([[kernel_value(families, sigmas, gammas, x, z)
+                             for z in x_train] for x in X_new])
+        expected = center_test_literal(K_cross, K_train) @ data["pls_coef"] + data["y_means"]
+
+        model = load_model(V1_ARCHIVE)
+        assert model.pls.n_lv == 3
+        np.testing.assert_allclose(predict_kpls(model, X_new), expected,
+                                   rtol=0, atol=1e-12)

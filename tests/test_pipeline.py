@@ -20,6 +20,7 @@ from kfpls.pipeline import (
     _holdout_split,
     case_dataset,
     case_flow_config,
+    check_lv_max,
     evaluate_predictions,
     line_search_n_lv,
     plain_pls_lv,
@@ -149,7 +150,7 @@ class TestOneFitFactorSearch:
         ds, sigma, lv_max = FACTOR_SEARCH_CASES[case]
         spec = KernelSpec.create("gaussian", sigma=sigma, delta=0.01)
         fit_idx, _ = _holdout_split(ds.X_cal.shape[0], 1)
-        k = fit_kpls(ds.X_cal[fit_idx], ds.Y_cal[fit_idx], lv_max, spec).n_lv
+        k = fit_kpls(ds.X_cal[fit_idx], ds.Y_cal[fit_idx], lv_max, spec).pls.n_lv
         assert k < lv_max
         _, table = line_search_n_lv(ds.X_cal, ds.Y_cal, spec, ds.task, lv_max, 1)
         assert [s for _, s in table[k:]] == [table[k - 1][1]] * (lv_max - k)
@@ -221,6 +222,19 @@ class TestRunPipeline:
         assert "y_true" in result.predictions
         assert 1 <= result.n_lv <= 6
         assert result.trace.iterations_run <= 20
+
+    def test_lv_max_checked_before_the_flow(self, monkeypatch):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the kernel flow ran")
+
+        ds = gen_peaks(50, 0.05, seed=5)  # 40 calibration rows, 32 fitted
+        check_lv_max(ds, 32)
+        monkeypatch.setattr(pipeline, "run_kernel_flows", no_flow)
+        config = case_flow_config(1, seed=5, n_iter=5)
+        spec0 = KernelSpec.create(["gaussian"], sigma=1.0, delta=1.0)
+        for lv_max in (0, 33):
+            with pytest.raises(ValueError, match="lv_max must be between 1 and 32"):
+                run_pipeline(ds, spec0, config, lv_max, seed=5)
 
     def test_plain_pls_keeps_one_hot_intercept(self):
         ds = gen_circles(30, 4, 0.1, seed=6)

@@ -124,7 +124,7 @@ class TestFitPls:
         Y = rng.normal(size=(12, 1))
         model = fit_pls(X, Y, 5)
         assert model.n_lv <= 2
-        assert model.x_scores.shape[1] == model.n_lv
+        assert model.weights.shape[1] == model.n_lv
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rows"):
@@ -162,6 +162,8 @@ class TestFitPlsStack:
                                        rtol=1e-12, atol=1e-12)
 
     def test_member_that_stops_early_is_refit_alone(self):
+        # The rank-2 member stops while the others go on; its coefficients
+        # come from its own factors at that point, with no separate refit.
         rng = np.random.default_rng(2)
         base = rng.normal(size=(12, 2))
         X = np.stack([
@@ -175,6 +177,13 @@ class TestFitPlsStack:
         coef = fit_pls_stack(X, Y, 4)
         for s in range(3):
             np.testing.assert_allclose(coef[s], models[s].coef, rtol=1e-12, atol=1e-12)
+
+    def test_member_without_any_factor_raises(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(2, 10, 4))
+        Y = np.stack([rng.normal(size=(10, 1)), np.zeros((10, 1))])
+        with pytest.raises(DegenerateProblemError, match="rank exhausted"):
+            fit_pls_stack(X, Y, 3)
 
 
 class TestCoefPath:
@@ -210,7 +219,6 @@ class TestCoefPath:
         # PᵀW = Pᵀ: its leading 2x2 block is singular, the 1x1 and 3x3 are not.
         P = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]).T
         model = PlsModel(weights=np.eye(3), x_loadings=P, y_loadings=np.ones((2, 3)),
-                         x_scores=np.zeros((4, 3)), y_scores=np.zeros((4, 3)),
                          coef=np.zeros((3, 2)), n_lv=3)
         path = coef_path(model)
         assert path.shape == (1, 3, 2)
