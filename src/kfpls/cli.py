@@ -6,15 +6,17 @@ on a CSV), ``predict`` (apply a saved model to a CSV), ``sweep``
 kernel-parameter grid). Every command is reproducible: the same config
 and seed produce byte-identical output files.
 
-Options may come from a flat key-value config file (``key = value``, ``#``
-comments); command-line flags take precedence. Errors exit nonzero with a
-single ``error:<category>: <message>`` line on stderr.
+Each subcommand takes only the flags it reads. Options may also come from
+a flat key-value config file (``key = value``, ``#`` comments; keys only
+other subcommands read are ignored); flags take precedence. Errors exit
+nonzero with a single ``error:<category>: <message>`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import dataclasses
 import json
 import sys
@@ -33,7 +35,6 @@ from .pipeline import (
     CASE_DEFAULTS,
     case_dataset,
     case_flow_config,
-    case_spec,
     check_lv_max,
     run_pipeline,
     sweep_flow_parameter,
@@ -87,15 +88,33 @@ _FLOW_SETTINGS = {
 }
 _FLOW_CHOICES = {"update_rule": _UPDATE_RULES, "objective": _OBJECTIVES}
 
-_CONFIG_KEYS = {
-    "seed", "out_dir", "kernel", "sigma", "delta", "lv_max", "noise", "csv",
-    "response", "task", *_FLOW_SETTINGS,
+# Options of several subcommands: key -> `add_argument` keywords. The flag
+# is the key with dashes (``lv_max`` -> ``--lv-max``).
+_OPTIONS = {
+    "config": dict(help="flat key = value config file"),
+    "out_dir": dict(help="directory for the output files"),
+    "seed": dict(type=int),
+    "kernel": dict(help="comma-separated kernel families"),
+    "sigma": dict(type=float, help="initial length-scale"),
+    "delta": dict(type=float, help="initial ridge"),
+    "lv_max": dict(type=int, help="upper bound for the factor line search"),
+    **{key: dict(type=cast, choices=_FLOW_CHOICES.get(key),
+                 help=f"flow setting FlowConfig.{name}")
+       for key, (name, cast) in _FLOW_SETTINGS.items()},
 }
+# The flow settings `loss_surface` reads; it takes no descent step.
+_SAMPLING_SETTINGS = ("n_subsamples", "batch_fraction", "sub_fraction", "n_lv",
+                      "stratified", "objective")
+
+_CONFIG_KEYS = {*_OPTIONS, "noise", "csv", "response", "task"} - {"config"}
 
 
 def _setting(args, config, key, default=None, cast=None):
-    """Flag value if given, else config-file value, else the default."""
-    flag = getattr(args, key, None)
+    """Flag value if given, else config-file value, else the default. A
+    command without the flag ignores the config key and takes the default."""
+    if not hasattr(args, key):
+        return default
+    flag = getattr(args, key)
     if flag is not None:
         return flag
     if key in config:
@@ -145,6 +164,44 @@ def _kernel_spec(args, config, default_families="gaussian") -> KernelSpec:
         return KernelSpec.create(families, sigma=float(sigma), delta=float(delta))
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
+
+
+def _read(load, *args):
+    """``load(*args)``, mapping ``OSError`` to ``io`` and ``ValueError`` to ``data``."""
+    try:
+        return load(*args)
+    except OSError as exc:
+        raise CliError("io", str(exc)) from exc
+    except ValueError as exc:
+        raise CliError("data", str(exc)) from exc
+
+
+def _dataset(args, config, seed) -> Dataset:
+    """The dataset of case ``args.case``, read from ``--csv`` for cases 3 and 4."""
+    case_id = args.case
+    if case_id not in CASE_DEFAULTS:
+        raise CliError("usage", f"unknown case id {case_id}")
+    noise = _setting(args, config, "noise", cast=float)
+    csv_path = _setting(args, config, "csv")
+    response = _setting(args, config, "response")
+    if case_id in (3, 4):
+        if csv_path is None:
+            raise CliError("usage", f"case {case_id} requires --csv with the dataset")
+        if response is None:
+            raise CliError("usage", f"case {case_id} requires --response")
+        response = _parse_response(response)
+    return _read(case_dataset, case_id, seed, noise, csv_path, response)
+
+
+def _grid(raw, flag) -> list:
+    """A non-empty comma-separated list of numbers."""
+    try:
+        grid = [float(v) for v in str(raw).split(",") if v.strip()]
+    except ValueError as exc:
+        raise CliError("usage", f"{flag} takes comma-separated numbers: {exc}") from exc
+    if not grid:
+        raise CliError("usage", f"empty {flag}")
+    return grid
 
 
 def _out_dir(args, config) -> Path:
@@ -282,27 +339,11 @@ def _case_report(result, case_id, seed, command) -> dict:
     }
 
 
-def cmd_case(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    case_id = args.case_id
-    if case_id not in (1, 2, 3, 4):
-        raise CliError("usage", f"unknown case id {case_id}")
+def cmd_case(args, config) -> int:
+    case_id = args.case
     seed = int(_setting(args, config, "seed", default=0, cast=int))
     out = _out_dir(args, config)
-    csv_path = _setting(args, config, "csv")
-    response = _setting(args, config, "response")
-    noise = _setting(args, config, "noise", cast=float)
-    if case_id in (3, 4) and csv_path is None:
-        raise CliError("usage", f"case {case_id} requires --csv with the dataset")
-    if case_id in (3, 4) and response is None:
-        raise CliError("usage", f"case {case_id} requires --response")
-
-    try:
-        ds = case_dataset(case_id, seed, noise=noise, csv_path=csv_path,
-                          response=response)
-    except (ValueError, OSError) as exc:
-        raise CliError("data", str(exc)) from exc
-
+    ds = _dataset(args, config, seed)
     lv_max = _lv_max(args, config, ds, CASE_DEFAULTS[case_id]["lv_max"])
     spec0 = _kernel_spec(args, config, CASE_DEFAULTS[case_id]["families"])
     flow = _flow_config(_flow_overrides(args, config), seed, case_id)
@@ -320,8 +361,7 @@ def cmd_case(args) -> int:
     return 0
 
 
-def cmd_optimize(args) -> int:
-    config = load_config(args.config) if args.config else {}
+def cmd_optimize(args, config) -> int:
     seed = int(_setting(args, config, "seed", default=0, cast=int))
     out = _out_dir(args, config)
     response = _setting(args, config, "response")
@@ -331,11 +371,7 @@ def cmd_optimize(args) -> int:
     if task not in ("regression", "classification"):
         raise CliError("config", f"unknown task {task!r}")
 
-    try:
-        ds = load_csv(args.csv, _parse_response(response), task, seed)
-    except (ValueError, OSError) as exc:
-        raise CliError("data", str(exc)) from exc
-
+    ds = _read(load_csv, args.csv, _parse_response(response), task, seed)
     lv_max = _lv_max(args, config, ds, 20)
     spec0 = _kernel_spec(args, config)
     flow = _flow_config(_flow_overrides(args, config), seed)
@@ -352,26 +388,19 @@ def cmd_optimize(args) -> int:
 
 
 def _parse_response(raw) -> list:
-    if isinstance(raw, list):
-        return raw
+    """Response columns from ``name,name`` or 0-based ``index,index``."""
     parts = [p.strip() for p in str(raw).split(",") if p.strip()]
     return [int(p) if p.lstrip("-").isdigit() else p for p in parts]
 
 
-def cmd_predict(args) -> int:
-    config = load_config(args.config) if args.config else {}
+def cmd_predict(args, config) -> int:
     out = _out_dir(args, config)
     try:
         model, meta = load_calibrated_model(args.model)
     except (OSError, ValueError, KeyError) as exc:
         raise CliError("data", f"cannot load model: {exc}") from exc
 
-    try:
-        header, rows = read_csv(args.csv)
-    except OSError as exc:
-        raise CliError("io", str(exc)) from exc
-    except ValueError as exc:
-        raise CliError("data", str(exc)) from exc
+    header, rows = _read(read_csv, args.csv)
 
     missing = [name for name in meta["x_names"] if name not in header]
     if missing:
@@ -396,27 +425,28 @@ def cmd_predict(args) -> int:
 _SWEEP_AXES = ("n_lv", "noise", "learning_rate", "n_subsamples", "init_theta")
 
 
-def cmd_sweep(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    if args.axis not in _SWEEP_AXES:
-        raise CliError("usage", f"unknown sweep axis {args.axis!r}")
-    grid = [float(v) for v in str(args.grid).split(",") if v.strip()]
-    if not grid:
-        raise CliError("usage", "empty sweep grid")
+def cmd_sweep(args, config) -> int:
+    grid = _grid(args.grid, "sweep grid")
     seed = int(_setting(args, config, "seed", default=0, cast=int))
     out = _out_dir(args, config)
-    case_id = args.case if args.case is not None else 1
-    if case_id not in CASE_DEFAULTS:
-        raise CliError("usage", f"unknown case id {case_id}")
+    case_id = args.case
+    if args.axis == "noise":
+        if case_id != 1:
+            raise CliError("usage", "the noise axis applies to case 1 only")
+    else:
+        ds = _dataset(args, config, seed)
 
-    csv_path = _setting(args, config, "csv")
-    response = _setting(args, config, "response")
+    spec0 = _kernel_spec(args, config, CASE_DEFAULTS[case_id]["families"])
     overrides = _flow_overrides(args, config)
     flow = _flow_config(overrides, seed, case_id)
     if args.axis in ("n_lv", "n_subsamples") and not all(v.is_integer() for v in grid):
         raise CliError("config", f"the {args.axis} grid takes whole numbers only")
-    if args.axis == "n_lv" and min(grid) < 1:
-        raise CliError("config", f"the n_lv grid takes counts >= 1, got {min(grid):g}")
+    if args.axis == "n_lv":
+        if min(grid) < 1:
+            raise CliError("config", f"the n_lv grid takes counts >= 1, got {min(grid):g}")
+        if max(grid) > ds.X_cal.shape[0]:
+            raise CliError("config", f"the n_lv grid exceeds the "
+                           f"{ds.X_cal.shape[0]} calibration rows")
     if args.axis in ("learning_rate", "n_subsamples"):
         cast = int if args.axis == "n_subsamples" else float
         for value in grid:
@@ -424,27 +454,19 @@ def cmd_sweep(args) -> int:
     if args.axis == "init_theta":
         for value in grid:
             try:
-                case_spec(case_id, sigma=value, delta=value)
+                KernelSpec.create(spec0.families, sigma=value, delta=value)
             except ValueError as exc:
                 raise CliError("config", str(exc)) from exc
 
     try:
         if args.axis == "noise":
-            if case_id != 1:
-                raise CliError("usage", "the noise axis applies to case 1 only")
-            rows = sweep_noise(grid, seed, case_id, overrides)
+            rows = sweep_noise(grid, seed, spec0, case_id, overrides)
             header = ["noise", "rmse", "nrmse_percent", "q2", "rmse_true", "rmse_noisy"]
             table = [
                 (level, rep.rmse, rep.nrmse_percent, rep.q2, r_true, r_noisy)
                 for level, rep, r_true, r_noisy in rows
             ]
         elif args.axis == "n_lv":
-            ds = case_dataset(case_id, seed, csv_path=csv_path,
-                              response=_parse_response(response) if response else None)
-            if max(grid) > ds.X_cal.shape[0]:
-                raise CliError("config", f"the n_lv grid exceeds the "
-                               f"{ds.X_cal.shape[0]} calibration rows")
-            spec0 = _kernel_spec(args, config, CASE_DEFAULTS[case_id]["families"])
             result = run_pipeline(ds, spec0, flow, CASE_DEFAULTS[case_id]["lv_max"], seed)
             rows = sweep_n_lv(ds, result.spec_opt, [int(v) for v in grid])
             header = ["n_lv", "rmse", "nrmse_percent", "q2", "accuracy"]
@@ -454,9 +476,8 @@ def cmd_sweep(args) -> int:
                 for lv, rep in rows
             ]
         else:
-            ds = case_dataset(case_id, seed, csv_path=csv_path,
-                              response=_parse_response(response) if response else None)
-            rows = sweep_flow_parameter(ds, args.axis, grid, seed, case_id, overrides)
+            rows = sweep_flow_parameter(ds, spec0, args.axis, grid, seed, case_id,
+                                        overrides)
             header = [
                 args.axis, "rmse", "q2", "accuracy", "sigma_opt", "delta_opt",
                 "iterations_run", "converged", "loss_std_last100",
@@ -484,41 +505,24 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_loss_surface(args) -> int:
-    config = load_config(args.config) if args.config else {}
+def cmd_loss_surface(args, config) -> int:
+    sigmas = _grid(args.sigma_grid, "sigma grid")
+    deltas = _grid(args.delta_grid, "delta grid")
     seed = int(_setting(args, config, "seed", default=0, cast=int))
     out = _out_dir(args, config)
-    sigmas = [float(v) for v in str(args.sigma_grid).split(",") if v.strip()]
-    deltas = [float(v) for v in str(args.delta_grid).split(",") if v.strip()]
-    if not sigmas or not deltas:
-        raise CliError("usage", "sigma and delta grids must be non-empty")
-    case_id = args.case if args.case is not None else 2
-    if case_id not in CASE_DEFAULTS:
-        raise CliError("usage", f"unknown case id {case_id}")
-    csv_path = _setting(args, config, "csv")
-    response = _setting(args, config, "response")
+    ds = _dataset(args, config, seed)
     families = _setting(args, config, "kernel",
-                        default=CASE_DEFAULTS[case_id]["families"])
-    flow = _flow_config(_flow_overrides(args, config), seed, case_id)
+                        default=CASE_DEFAULTS[args.case]["families"])
+    flow = _flow_config(_flow_overrides(args, config), seed, args.case)
 
+    grid = list(itertools.product(sigmas, deltas))
     try:
-        ds = case_dataset(case_id, seed, csv_path=csv_path,
-                          response=_parse_response(response) if response else None)
-        specs = [
-            KernelSpec.create(families, sigma=s, delta=d)
-            for s in sigmas for d in deltas
-        ]
+        specs = [KernelSpec.create(families, sigma=s, delta=d) for s, d in grid]
         rows = loss_surface(ds.X_cal, ds.Y_cal, specs, flow)
     except (DegenerateProblemError, FlowAbortError, ValueError) as exc:
         raise CliError("compute", str(exc)) from exc
 
-    table = []
-    k = 0
-    for s in sigmas:
-        for d in deltas:
-            _, mean, std = rows[k]
-            table.append((s, d, mean, std))
-            k += 1
+    table = [(s, d, mean, std) for (s, d), (_, mean, std) in zip(grid, rows)]
     write_table(out / "loss_surface.csv", ["sigma", "delta", "mean_loss", "std_loss"], table)
     print(f"loss surface written to {out / 'loss_surface.csv'}")
     return 0
@@ -532,58 +536,51 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--kernel", help="comma-separated kernel families")
-        p.add_argument("--sigma", type=float, help="initial length-scale")
-        p.add_argument("--delta", type=float, help="initial ridge")
-        p.add_argument("--lv-max", dest="lv_max", type=int,
-                       help="upper bound for the factor line search")
-        for key, (name, cast) in _FLOW_SETTINGS.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=cast,
-                           choices=_FLOW_CHOICES.get(key),
-                           help=f"flow setting FlowConfig.{name}")
+    def options(p, *keys):
+        """``--config``, ``--out-dir`` and the given `_OPTIONS` keys."""
+        for key in ("config", "out_dir", *keys):
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **_OPTIONS[key])
+
+    run = ("seed", "kernel", "sigma", "delta", *_FLOW_SETTINGS)
 
     p_case = sub.add_parser("case", help="run a built-in case study")
-    p_case.add_argument("case_id", type=int)
+    p_case.add_argument("case", type=int)
     p_case.add_argument("--csv", help="external dataset for cases 3 and 4")
-    p_case.add_argument("--response", help="response column name(s)")
+    p_case.add_argument("--response", help="response column name(s) or indices")
     p_case.add_argument("--noise", type=float, help="synthetic noise level")
-    common(p_case)
+    options(p_case, *run, "lv_max")
     p_case.set_defaults(func=cmd_case)
 
     p_opt = sub.add_parser("optimize", help="optimize a model on a CSV dataset")
     p_opt.add_argument("csv")
     p_opt.add_argument("--response", help="response column name(s) or indices")
     p_opt.add_argument("--task", choices=["regression", "classification"])
-    common(p_opt)
+    options(p_opt, *run, "lv_max")
     p_opt.set_defaults(func=cmd_optimize)
 
     p_pred = sub.add_parser("predict", help="apply a saved model to a CSV")
     p_pred.add_argument("model")
     p_pred.add_argument("csv")
-    common(p_pred)
+    options(p_pred)
     p_pred.set_defaults(func=cmd_predict)
 
     p_sweep = sub.add_parser("sweep", help="sensitivity study over one axis")
     p_sweep.add_argument("--axis", required=True, choices=_SWEEP_AXES)
     p_sweep.add_argument("--grid", required=True,
                          help="comma-separated grid values")
-    p_sweep.add_argument("--case", type=int, help="built-in case id")
+    p_sweep.add_argument("--case", type=int, default=1, help="built-in case id")
     p_sweep.add_argument("--csv")
     p_sweep.add_argument("--response")
-    common(p_sweep)
+    options(p_sweep, *run)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_surface = sub.add_parser("loss-surface", help="loss on a sigma/delta grid")
     p_surface.add_argument("--sigma-grid", dest="sigma_grid", required=True)
     p_surface.add_argument("--delta-grid", dest="delta_grid", required=True)
-    p_surface.add_argument("--case", type=int)
+    p_surface.add_argument("--case", type=int, default=2, help="built-in case id")
     p_surface.add_argument("--csv")
     p_surface.add_argument("--response")
-    common(p_surface)
+    options(p_surface, "seed", "kernel", *_SAMPLING_SETTINGS)
     p_surface.set_defaults(func=cmd_loss_surface)
 
     return parser
@@ -593,7 +590,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config) if args.config else {})
     except CliError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)
         return 2 if exc.category in ("usage", "config") else 1

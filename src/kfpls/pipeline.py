@@ -306,18 +306,18 @@ def sweep_n_lv(ds: Dataset, spec: KernelSpec, grid) -> list:
     return [(lv, evaluate_predictions(ds, preds[lv - 1])) for lv in grid]
 
 
-def sweep_noise(grid, seed, case_id: int = 1, flow_overrides=None) -> list:
+def sweep_noise(grid, seed, spec0, case_id: int = 1, flow_overrides=None) -> list:
     """Full reruns of the synthetic regression case at several noise levels.
 
     The dataset seed is shared across grid points so every level sees the
     same inputs and the same noise pattern scaled up, which isolates the
-    noise effect; the optimizer stream is spawned per point.
+    noise effect; every flow starts from ``spec0`` and the optimizer stream
+    is spawned per point.
     """
     rows = []
     children = np.random.SeedSequence(seed).spawn(len(grid))
     for level, child in zip(grid, children):
         ds = case_dataset(case_id, seed, noise=float(level))
-        spec0 = case_spec(case_id)
         config = case_flow_config(case_id, child, **(flow_overrides or {}))
         result = run_pipeline(ds, spec0, config, CASE_DEFAULTS[case_id]["lv_max"], seed)
         pred = result.predictions["kf_pls"]
@@ -334,9 +334,11 @@ def sweep_noise(grid, seed, case_id: int = 1, flow_overrides=None) -> list:
     return rows
 
 
-def sweep_flow_parameter(ds: Dataset, axis: str, grid, seed, case_id: int,
-                         flow_overrides=None) -> list:
-    """Rerun the pipeline varying one optimizer setting per grid point."""
+def sweep_flow_parameter(ds: Dataset, spec0: KernelSpec, axis: str, grid, seed,
+                         case_id: int, flow_overrides=None) -> list:
+    """Rerun the pipeline from ``spec0`` varying one optimizer setting per
+    grid point; ``init_theta`` starts from ``spec0``'s families at
+    length-scale and ridge equal to the grid value."""
     if axis not in ("learning_rate", "n_subsamples", "init_theta"):
         raise ValueError(f"unknown sweep axis {axis!r}")
     rows = []
@@ -344,15 +346,14 @@ def sweep_flow_parameter(ds: Dataset, axis: str, grid, seed, case_id: int,
     lv_max = CASE_DEFAULTS[case_id]["lv_max"]
     for value, child in zip(grid, children):
         overrides = dict(flow_overrides or {})
-        sigma0 = delta0 = 1.0
+        spec = spec0
         if axis == "learning_rate":
             overrides["learning_rate"] = float(value)
         elif axis == "n_subsamples":
             overrides["n_subsamples"] = int(value)
         else:
-            sigma0 = delta0 = float(value)
-        spec0 = case_spec(case_id, sigma=sigma0, delta=delta0)
+            spec = KernelSpec.create(spec0.families, sigma=float(value), delta=float(value))
         config = case_flow_config(case_id, child, **overrides)
-        result = run_pipeline(ds, spec0, config, lv_max, seed)
+        result = run_pipeline(ds, spec, config, lv_max, seed)
         rows.append((float(value), result))
     return rows

@@ -32,6 +32,7 @@ from kfpls.kernels import FAMILY_NAMES, center_train, gram_train, kernel_matrix,
 from kfpls.pipeline import (
     case_dataset,
     case_flow_config,
+    case_spec,
     evaluate_predictions,
     plain_pls_predictions,
     run_case,
@@ -97,7 +98,7 @@ class TestCriterion1Case1Regression:
 
 class TestCriterion2DenoisingProperty:
     def test_noise_sweep_shapes(self):
-        rows = sweep_noise([0.05, 0.1, 0.15, 0.2], seed=1)
+        rows = sweep_noise([0.05, 0.1, 0.15, 0.2], seed=1, spec0=case_spec(1))
         rmse_true = [r[2] for r in rows]
         rmse_noisy = [r[3] for r in rows]
         band = max(rmse_true) - min(rmse_true)

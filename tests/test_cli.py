@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kfpls import FlowConfig, pipeline, predict_kpls
+from kfpls import FlowConfig, KernelSpec, cli, pipeline, predict_kpls
 from kfpls._serialize import read_array_archive, write_array_archive
-from kfpls.cli import load_calibrated_model, main
+from kfpls.cli import build_parser, load_calibrated_model, main
 from kfpls.datasets import read_csv, standardize
 from kfpls.pipeline import case_flow_config
 
@@ -326,6 +326,141 @@ class TestSweepCommand:
                            "--out-dir", out) == 0
             outs.append(out)
         assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
+
+
+class TestGridValues:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--axis", "learning_rate", "--grid", "1,a"],
+        ["loss-surface", "--sigma-grid", "x", "--delta-grid", "1"],
+        ["loss-surface", "--sigma-grid", "1", "--delta-grid", "x"],
+    ], ids=["sweep", "sigma-grid", "delta-grid"])
+    def test_non_numeric_grid_value_is_usage_error(self, argv, tmp_path, capsys):
+        assert run_cli(*argv, "--out-dir", tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error:usage:")
+
+
+class TestErrorContract:
+    """A bad input gives the same ``error:<category>`` line on every command
+    that reads it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["case", "3", "--csv", "{missing}", "--response", "y"],
+        ["optimize", "{missing}", "--response", "y"],
+        ["predict", "{model}", "{missing}"],
+        ["sweep", "--axis", "n_lv", "--grid", "2", "--case", "3",
+         "--csv", "{missing}", "--response", "y"],
+        ["loss-surface", "--sigma-grid", "1", "--delta-grid", "1", "--case", "3",
+         "--csv", "{missing}", "--response", "y"],
+    ], ids=["case", "optimize", "predict", "sweep", "loss-surface"])
+    def test_missing_csv_is_io_error(self, argv, tmp_path, xy_model, capsys):
+        fill = dict(missing=tmp_path / "missing.csv", model=xy_model[1])
+        out = tmp_path / "out"
+        assert run_cli(*[a.format(**fill) for a in argv], "--out-dir", out) == 1
+        assert capsys.readouterr().err.startswith("error:io:")
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["case", "3"],
+        ["sweep", "--axis", "learning_rate", "--grid", "0.1", "--case", "3"],
+        ["loss-surface", "--sigma-grid", "1", "--delta-grid", "1", "--case", "3"],
+    ], ids=["case", "sweep", "loss-surface"])
+    def test_case3_without_csv_is_usage_error(self, argv, tmp_path, capsys):
+        assert run_cli(*argv, "--response", "target", "--out-dir", tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error:usage: case 3 requires --csv")
+
+    @pytest.mark.parametrize("response", ["3", "f3,target", "0,target"])
+    def test_case3_response_selects_the_columns_optimize_does(self, response, tmp_path,
+                                                              toy_csv):
+        names = []
+        for argv in (["case", "3", "--csv", toy_csv], ["optimize", toy_csv]):
+            out = tmp_path / argv[0]
+            assert run_cli(*argv, "--response", response, "--iterations", "2",
+                           "--lv-max", "4", "--out-dir", out) == 0
+            meta = load_calibrated_model(out / "model.kfpls")[1]
+            names.append((meta["x_names"], meta["y_names"]))
+        assert names[0] == names[1]
+        assert names[0][1] == {"3": ["target"], "f3,target": ["f3", "target"],
+                               "0,target": ["f1", "target"]}[response]
+
+
+_FLOW_FLAGS = {
+    "iterations", "n_subsamples", "batch_fraction", "sub_fraction", "n_lv",
+    "learning_rate", "momentum", "nesterov_gamma", "update_rule",
+    "smoothing_window", "tol", "patience", "stratified", "lr_decay", "objective",
+}
+_RUN_FLAGS = {"config", "out_dir", "seed", "kernel", "sigma", "delta", *_FLOW_FLAGS}
+
+
+class TestFlagSets:
+    """Each subcommand takes exactly the options it reads."""
+
+    EXPECTED = {
+        "case": {*_RUN_FLAGS, "lv_max", "csv", "response", "noise"},
+        "optimize": {*_RUN_FLAGS, "lv_max", "response", "task"},
+        "predict": {"config", "out_dir"},
+        "sweep": {*_RUN_FLAGS, "axis", "grid", "case", "csv", "response"},
+        "loss-surface": {
+            "config", "out_dir", "seed", "kernel", "n_subsamples", "batch_fraction",
+            "sub_fraction", "n_lv", "stratified", "objective",
+            "sigma_grid", "delta_grid", "case", "csv", "response",
+        },
+    }
+
+    def test_option_dests_per_subcommand(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        got = {
+            name: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
+            for name, p in sub.choices.items()
+        }
+        assert got == self.EXPECTED
+        assert [len(got[n]) for n in got] == [25, 24, 2, 26, 15]
+
+    def test_predict_rejects_flags_it_does_not_read(self, xy_model):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("predict", xy_model[1], xy_model[0], "--iterations", "5")
+        assert exc.value.code == 2
+
+    def test_config_keys_of_other_commands_are_ignored(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("iterations = 0\nsigma = -1\nlv_max = 9999\nnoise = 9\n",
+                       encoding="utf-8")
+        out = tmp_path / "surface"
+        assert run_cli("loss-surface", "--sigma-grid", "1", "--delta-grid", "1",
+                       "--case", "1", "--config", cfg, "--out-dir", out) == 0
+        ref = tmp_path / "ref"
+        assert run_cli("loss-surface", "--sigma-grid", "1", "--delta-grid", "1",
+                       "--case", "1", "--out-dir", ref) == 0
+        assert ((out / "loss_surface.csv").read_bytes()
+                == (ref / "loss_surface.csv").read_bytes())
+
+
+class _Reached(Exception):
+    pass
+
+
+class TestSweepInitialKernel:
+    @pytest.mark.parametrize("axis, value", [
+        ("n_lv", "2"), ("noise", "0.1"), ("learning_rate", "0.1"),
+        ("n_subsamples", "2"), ("init_theta", "0.5"),
+    ])
+    def test_kernel_flags_reach_every_axis(self, axis, value, tmp_path, monkeypatch):
+        seen = []
+
+        def record(ds, spec0, *args):
+            seen.append(spec0)
+            raise _Reached
+
+        monkeypatch.setattr(pipeline, "run_pipeline", record)
+        monkeypatch.setattr(cli, "run_pipeline", record)
+        assert run_cli("sweep", "--axis", axis, "--grid", value, "--case", "1",
+                       "--kernel", "matern32", "--sigma", "2", "--delta", "0.3",
+                       "--out-dir", tmp_path) == 1
+        theta = 0.5 if axis == "init_theta" else None
+        expected = KernelSpec.create("matern32", sigma=theta or 2.0, delta=theta or 0.3)
+        assert len(seen) == 1
+        assert seen[0].families == expected.families == ("matern32",)
+        np.testing.assert_array_equal(seen[0].theta(), expected.theta())
 
 
 class TestLossSurfaceCommand:

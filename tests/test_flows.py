@@ -154,19 +154,35 @@ def per_fit_losses(d2, Y, subsets, n_lv, spec, objective):
 class TestStackedLossEngine:
     """`_batch_losses` fits each size group of index sets as one stack."""
 
+    BATCH48 = dict(rows=(120, 40), batch=48, n_lv=3, sigmas=(0.1, 1.0, 12.0),
+                   delta=0.003, atol=1e-12)
+    # A flat kernel with a small ridge: without the `K_mean` column shift in
+    # `_cv_sse` the cv losses move by 2e-13 (peaks) to 1.4e-12 (circles).
+    FLAT300 = dict(rows=(400, 100), batch=300, n_lv=12, sigmas=(12.0,), delta=1e-3,
+                   atol=5e-14)
+
     @pytest.mark.parametrize("objective", ["cv", "norm_ratio"])
-    @pytest.mark.parametrize("case", ["peaks", "circles"])
-    def test_matches_per_fit_engine(self, case, objective):
-        ds = gen_peaks(120, 0.05, seed=8) if case == "peaks" else gen_circles(40, 4, 0.1, 8)
+    @pytest.mark.parametrize("case, size", [
+        pytest.param("peaks", BATCH48, id="peaks"),
+        pytest.param("circles", BATCH48, id="circles"),
+        pytest.param("peaks", FLAT300, id="peaks-flat300"),
+        pytest.param("circles", FLAT300, id="circles-flat300"),
+    ])
+    def test_matches_per_fit_engine(self, case, objective, size):
+        n_peaks, n_per_class = size["rows"]
+        ds = (gen_peaks(n_peaks, 0.05, seed=8) if case == "peaks"
+              else gen_circles(n_per_class, 4, 0.1, 8))
+        n_batch, n_lv = size["batch"], size["n_lv"]
         rng = np.random.default_rng(31)
-        for sigma in (0.1, 1.0, 12.0):
-            batch = np.sort(rng.choice(ds.X_cal.shape[0], 48, replace=False))
-            subs = [np.sort(rng.choice(48, 24, replace=False)) for _ in range(5)]
+        for sigma in size["sigmas"]:
+            batch = np.sort(rng.choice(ds.X_cal.shape[0], n_batch, replace=False))
+            subs = [np.sort(rng.choice(n_batch, n_batch // 2, replace=False))
+                    for _ in range(5)]
             d2, Y = train_sq_dists(ds.X_cal[batch]), ds.Y_cal[batch]
-            spec = gauss(sigma=sigma, delta=0.003)
-            _, rhos = _batch_losses(d2, Y, subs, 3, spec, objective)
-            ref = per_fit_losses(d2, Y, subs, 3, spec, objective)
-            np.testing.assert_allclose(rhos, ref, rtol=0, atol=1e-12)
+            spec = gauss(sigma=sigma, delta=size["delta"])
+            _, rhos = _batch_losses(d2, Y, subs, n_lv, spec, objective)
+            ref = per_fit_losses(d2, Y, subs, n_lv, spec, objective)
+            np.testing.assert_allclose(rhos, ref, rtol=0, atol=size["atol"])
 
     @pytest.mark.parametrize("objective", ["cv", "norm_ratio"])
     @pytest.mark.parametrize("response", ["single", "one_hot_4"])
