@@ -36,9 +36,22 @@ def write_array_archive(path, arrays: dict) -> None:
         raise
 
 
+class _Members(dict):
+    """Archive members by name; a member the archive lacks is a ``ValueError``."""
+
+    def __missing__(self, key):
+        raise ValueError(f"archive has no member {key!r}")
+
+
 def read_array_archive(path) -> dict:
-    out = {}
-    with np.load(path, allow_pickle=False) as data:
-        for key in data.files:
-            out[key] = data[key]
-    return out
+    """All members of an archive. ``OSError`` if the file cannot be read,
+    ``ValueError`` if it is not an archive of arrays, and ``ValueError``
+    when a member it lacks is looked up."""
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an archive of arrays")
+        with data:
+            return _Members((key, data[key]) for key in data.files)
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise ValueError(f"not an archive of arrays: {exc}") from exc

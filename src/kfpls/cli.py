@@ -166,14 +166,16 @@ def _kernel_spec(args, config, default_families="gaussian") -> KernelSpec:
         raise CliError("config", str(exc)) from exc
 
 
-def _read(load, *args):
-    """``load(*args)``, mapping ``OSError`` to ``io`` and ``ValueError`` to ``data``."""
+def _read(load, *args, what=None):
+    """``load(*args)``, mapping ``OSError`` to ``io`` and ``ValueError`` to
+    ``data``; the message starts ``cannot load <what>:`` if ``what`` is given."""
+    prefix = f"cannot load {what}: " if what else ""
     try:
         return load(*args)
     except OSError as exc:
-        raise CliError("io", str(exc)) from exc
+        raise CliError("io", f"{prefix}{exc}") from exc
     except ValueError as exc:
-        raise CliError("data", str(exc)) from exc
+        raise CliError("data", f"{prefix}{exc}") from exc
 
 
 def _dataset(args, config, seed) -> Dataset:
@@ -395,10 +397,7 @@ def _parse_response(raw) -> list:
 
 def cmd_predict(args, config) -> int:
     out = _out_dir(args, config)
-    try:
-        model, meta = load_calibrated_model(args.model)
-    except (OSError, ValueError, KeyError) as exc:
-        raise CliError("data", f"cannot load model: {exc}") from exc
+    model, meta = _read(load_calibrated_model, args.model, what="model")
 
     header, rows = _read(read_csv, args.csv)
 
@@ -518,6 +517,9 @@ def cmd_loss_surface(args, config) -> int:
     grid = list(itertools.product(sigmas, deltas))
     try:
         specs = [KernelSpec.create(families, sigma=s, delta=d) for s, d in grid]
+    except ValueError as exc:
+        raise CliError("config", str(exc)) from exc
+    try:
         rows = loss_surface(ds.X_cal, ds.Y_cal, specs, flow)
     except (DegenerateProblemError, FlowAbortError, ValueError) as exc:
         raise CliError("compute", str(exc)) from exc

@@ -28,6 +28,19 @@ the full fit. PLS truncation breaks that identity, letting the norm ratio
 go negative and reward degenerate kernels, so it is not the default.
 `kf_loss` applies the same fit and norm to two Grams built independently
 from raw rows.
+
+Every loss evaluation on one minibatch draw (the iteration loss and each
+finite-difference probe) reads one `_Workspace`, started when the draw is
+made. It takes ``d = sqrt(d2)`` once and holds each family's matrix at the
+probe centre, keyed by family and log length-scale: a probe of a weight or
+of the ridge computes no kernel, a probe of length-scale ``i`` computes
+family ``i`` only and uses that term once. The terms are weighted and
+summed with `kernel_matrix`'s products in its order, so every Gram is the
+one a fresh evaluation gives, bit for bit. The plain Gram and each size
+group's gathered sub-batch stack (and its gather index) live in buffers
+that every evaluation reuses; the stack takes the ridge and is centered
+in place. A run keeps one workspace, so the buffers pass from draw to
+draw, and nothing outlives the run.
 """
 
 from __future__ import annotations
@@ -63,8 +76,9 @@ class FlowConfig:
     ``smoothing_window``-wide moving average of the loss improves by less
     than ``tol``. ``stratified`` samples batches proportionally per class
     (one-hot responses) to keep rare classes represented. Building a
-    config checks every setting that does not depend on the data;
-    `validate` checks the rest against the dataset size.
+    config checks every setting that does not depend on the data (a
+    comparison that NaN fails rejects it); `validate` checks the rest
+    against the dataset size.
     """
 
     n_iter: int = 300
@@ -97,12 +111,12 @@ class FlowConfig:
             raise ValueError("batch_fraction must be in (0, 1]")
         if not 0.0 < self.sub_fraction < 1.0:
             raise ValueError("sub_fraction must be in (0, 1)")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not 0.0 <= self.momentum <= 1.0:
             raise ValueError("momentum must be in [0, 1]")
-        if self.nesterov_gamma <= 0:
-            raise ValueError("nesterov_gamma must be positive")
+        if not 0.0 < self.nesterov_gamma < math.inf:
+            raise ValueError("nesterov_gamma must be positive and finite")
         if self.update_rule not in _UPDATE_RULES:
             raise ValueError(
                 f"unknown update rule {self.update_rule!r}; choose from {_UPDATE_RULES}"
@@ -115,8 +129,10 @@ class FlowConfig:
             raise ValueError("smoothing_window must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError("tol must be nonnegative and finite")
+        if not 0.0 < self.fd_step < math.inf:
+            raise ValueError("fd_step must be positive and finite")
 
     def validate(self, n_rows: int) -> tuple[int, int]:
         """Check settings against the dataset size; return batch sizes."""
@@ -158,13 +174,79 @@ class FlowTrace:
         return header, rows
 
 
-def _fit_rows(K_plain, idx, Y, n_lv, delta):
-    """Kernel-PLS fits on the row sets ``idx`` (S, n) of a plain Gram, as one
-    stack; returns ``(coef, col_means, y_means, K_centered)``, stacked."""
-    K = K_plain.take(idx[:, :, None] * K_plain.shape[1] + idx[:, None, :])
-    K.reshape(len(idx), -1)[:, :: idx.shape[1] + 1] += delta  # each diagonal
-    K_centered, col_means = center_train(K)
-    Y_sets = Y[idx]
+class _Workspace:
+    """What the loss evaluations on one minibatch draw share (see the module
+    docstring). `start` begins a draw and `hold` sets the probe centre; the
+    buffers pass from draw to draw, so they are not allocated and paged in
+    again for each one.
+    """
+
+    def __init__(self):
+        self._full = {}  # name -> reused buffer of the minibatch's shape
+        self._stacks = {}  # (n, S, size) -> (index sets, flat index, stack buffer)
+        self.clear()
+
+    def clear(self):
+        """Drop the draw's distances and family matrices; keep the buffers."""
+        self.d2 = self.d = None
+        self._terms = {}  # (family, log sigma) -> its matrix at the held point
+
+    def start(self, d2):
+        """Begin a draw on the minibatch's squared distances ``d2``."""
+        self.clear()
+        self.d2 = d2
+        self.d = np.sqrt(d2, out=self._buffer("d"))
+        return self
+
+    def _buffer(self, name):
+        buf = self._full.get(name)
+        if buf is None or buf.shape != self.d2.shape:
+            buf = self._full[name] = np.empty_like(self.d2)
+        return buf
+
+    def _term(self, spec, i):
+        term = self._terms.get((spec.families[i], float(spec.log_sigma[i])))
+        return kernel_matrix(spec.member(i), self.d2, self.d) if term is None else term
+
+    def hold(self, spec):
+        """Keep the family matrices at ``spec``'s length-scales, and only those."""
+        self._terms = {
+            (name, float(spec.log_sigma[i])): self._term(spec, i)
+            for i, name in enumerate(spec.families)
+        }
+
+    def gram(self, spec):
+        """Plain Gram of ``spec`` in its buffer: the family terms weighted and
+        summed with `kernel_matrix`'s products in its order, so bit for bit
+        its result."""
+        gamma = spec.gamma
+        out = np.multiply(gamma[0], self._term(spec, 0), out=self._buffer("gram"))
+        scratch = self._buffer("scratch")
+        for i in range(1, len(spec.families)):
+            out += np.multiply(gamma[i], self._term(spec, i), out=scratch)
+        return out
+
+    def stack(self, K_plain, idx):
+        """The Grams (S, n, n) of the row sets ``idx`` (S, n) of ``K_plain``, in
+        the buffer of that shape."""
+        key = (K_plain.shape[1], *idx.shape)
+        sets, flat, buf = self._stacks.get(key, (None, None, None))
+        if sets is None:
+            flat = np.empty((*idx.shape, idx.shape[1]), dtype=np.intp)
+            buf = np.empty(flat.shape)
+        if sets is None or not np.array_equal(sets, idx):
+            np.add(idx[:, :, None] * K_plain.shape[1], idx[:, None, :], out=flat)
+            self._stacks[key] = (idx, flat, buf)
+        # The indices are in range; "clip" lets take write straight into `buf`.
+        return np.take(K_plain, flat, out=buf, mode="clip")
+
+
+def _fit_stack(K, Y_sets, n_lv, delta):
+    """Kernel-PLS fits of a stack of plain Grams ``K`` (S, n, n) on ``Y_sets``
+    (S, n, m). ``K`` takes the ridge and is centered in place. Returns
+    ``(coef, col_means, y_means, K_centered)``, stacked."""
+    K.reshape(len(K), -1)[:, :: K.shape[1] + 1] += delta  # each diagonal
+    K_centered, col_means = center_train(K, out=K)
     y_means = Y_sets.mean(axis=1)
     coef = fit_pls_stack(K_centered, Y_sets - y_means[:, None, :], n_lv)
     return coef, col_means, y_means, K_centered
@@ -194,12 +276,14 @@ def _cv_sse(K_plain, idx, coef, col_means, y_means, Y) -> np.ndarray:
     return np.sum((Y[:, None, :] - KG - b[:, 0, :]) ** 2, axis=(0, 2))
 
 
-def _batch_losses(d2_batch, Y_batch, subsets, n_lv, spec, objective):
+def _batch_losses(batch, Y_batch, subsets, n_lv, spec, objective):
     """Average iteration loss over fixed sub-batch index sets, plus the
     per-subset losses in list order (objectives: see the module docstring).
-    Index sets of one size are fitted as one stack.
+    ``batch`` is the minibatch's squared distances or the `_Workspace` of
+    its draw. Index sets of one size are fitted as one stack.
     """
-    K_plain = kernel_matrix(spec, d2_batch)
+    ws = batch if isinstance(batch, _Workspace) else _Workspace().start(batch)
+    K_plain = ws.gram(spec)
     sets = list(subsets)
     if objective == "norm_ratio":
         sets.append(np.arange(Y_batch.shape[0]))
@@ -212,7 +296,9 @@ def _batch_losses(d2_batch, Y_batch, subsets, n_lv, spec, objective):
     for size in sorted(set(sizes)):  # np.unique would import numpy.ma (~1 MB)
         members = [i for i, s in enumerate(sizes) if s == size]
         idx = np.stack([sets[i] for i in members])
-        coef, means, y_means, K_c = _fit_rows(K_plain, idx, Y_batch, n_lv, spec.delta)
+        coef, means, y_means, K_c = _fit_stack(
+            ws.stack(K_plain, idx), Y_batch[idx], n_lv, spec.delta
+        )
         values[members] = (
             _model_norms(coef, K_c) if objective == "norm_ratio"
             else _cv_sse(K_plain, idx, coef, means, y_means, Y_batch)
@@ -234,8 +320,7 @@ def _kpls_norm(X: np.ndarray, Y: np.ndarray, n_lv: int, spec: KernelSpec) -> flo
     d2 = train_sq_dists(np.asarray(X, dtype=float))
     if d2.max() <= 0.0:
         raise DegenerateProblemError("all batch rows are identical")
-    rows = np.arange(d2.shape[0])[None]
-    coef, _, _, K_c = _fit_rows(kernel_matrix(spec, d2), rows, Y, n_lv, spec.delta)
+    coef, _, _, K_c = _fit_stack(kernel_matrix(spec, d2)[None], Y[None], n_lv, spec.delta)
     return float(_model_norms(coef, K_c)[0])
 
 
@@ -266,7 +351,7 @@ def kf_loss(
 
 
 def _fd_gradient(
-    d2_batch,
+    ws: _Workspace,
     Y_batch,
     subsets,
     n_lv: int,
@@ -279,15 +364,18 @@ def _fd_gradient(
     """Central-difference gradient of the averaged loss in log-parameter space.
 
     The sub-batch index sets are held fixed across every probe evaluation,
-    so the differences see one realization of the stochastic loss. A probe
-    that fails or goes non-finite is retried once with half the step.
+    so the differences see one realization of the stochastic loss. The
+    draw's workspace ``ws`` holds the family matrices at ``theta`` for every
+    probe. A probe that fails or goes non-finite is retried once with half
+    the step.
     """
+    ws.hold(spec.replace_theta(theta))
 
     def avg_at(vec: np.ndarray) -> float:
         if probe_hook is not None:
             probe_hook(vec.copy(), subsets)
         value, _ = _batch_losses(
-            d2_batch, Y_batch, subsets, n_lv, spec.replace_theta(vec), objective
+            ws, Y_batch, subsets, n_lv, spec.replace_theta(vec), objective
         )
         return value
 
@@ -335,9 +423,9 @@ def kf_gradient(
     for idx in subsets:
         if idx.size and (idx.min() < 0 or idx.max() >= X_b.shape[0]):
             raise ValueError("subsample indices out of range")
-    d2 = train_sq_dists(X_b)
+    ws = _Workspace().start(train_sq_dists(X_b))
     return _fd_gradient(
-        d2, Y_b, subsets, n_lv, spec, spec.theta(), step, "norm_ratio",
+        ws, Y_b, subsets, n_lv, spec, spec.theta(), step, "norm_ratio",
         probe_hook=probe_hook,
     )
 
@@ -414,7 +502,8 @@ def _sample_indices(
 def _batch_sampler(X, Y, config: FlowConfig):
     """Check ``config`` against the data; return ``draw(rng)``, which samples
     one minibatch and ``config.n_subsamples`` sorted index sets into its rows
-    and returns ``(minibatch squared distances, minibatch Y, index sets)``.
+    and returns ``(the run's _Workspace started on the minibatch, minibatch
+    Y, index sets)``.
     """
     X = np.asarray(X, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float).T).T
@@ -422,6 +511,7 @@ def _batch_sampler(X, Y, config: FlowConfig):
         raise ValueError("X and Y row counts differ")
     n_batch, n_sub = config.validate(X.shape[0])
     labels = np.argmax(Y, axis=1) if config.stratified else None
+    ws = _Workspace()
 
     def draw(rng: np.random.Generator):
         batch_idx = _sample_indices(rng, X.shape[0], n_batch, labels)
@@ -430,7 +520,8 @@ def _batch_sampler(X, Y, config: FlowConfig):
             _sample_indices(rng, n_batch, n_sub, batch_labels)
             for _ in range(config.n_subsamples)
         ]
-        return train_sq_dists(X[batch_idx]), Y[batch_idx], subsets
+        ws.clear()  # the last draw's matrices go before the next distances come
+        return ws.start(train_sq_dists(X[batch_idx])), Y[batch_idx], subsets
 
     return draw
 
@@ -466,11 +557,12 @@ def run_kernel_flows(
         iterations_run = it + 1
         result = None
         for attempt in range(2):
-            d2_b, Y_b, subsets = draw(rng)
+            ws, Y_b, subsets = draw(rng)
             spec_now = spec0.replace_theta(theta)
             try:
+                ws.hold(spec_now)
                 rho_bar, _ = _batch_losses(
-                    d2_b, Y_b, subsets, config.n_lv, spec_now, config.objective
+                    ws, Y_b, subsets, config.n_lv, spec_now, config.objective
                 )
                 rate = config.learning_rate
                 gamma = config.nesterov_gamma
@@ -483,7 +575,7 @@ def run_kernel_flows(
 
                     def grad_fn(vec, _seen=seen):
                         g = _fd_gradient(
-                            d2_b, Y_b, subsets, config.n_lv, spec0, vec,
+                            ws, Y_b, subsets, config.n_lv, spec0, vec,
                             config.fd_step, config.objective,
                         )
                         _seen["grad"] = g
@@ -502,7 +594,7 @@ def run_kernel_flows(
                     grad = seen["grad"]
                 else:
                     grad = _fd_gradient(
-                        d2_b, Y_b, subsets, config.n_lv, spec0, theta,
+                        ws, Y_b, subsets, config.n_lv, spec0, theta,
                         config.fd_step, config.objective,
                     )
                     new_theta = update_theta(
@@ -590,24 +682,21 @@ def loss_surface(
     if not specs:
         raise ValueError("empty parameter grid")
     draw = _batch_sampler(X, Y, config)
-    draws = [
-        draw(np.random.default_rng(child))
-        for child in np.random.SeedSequence(config.seed).spawn(n_repeats)
-    ]
-
-    rows = []
-    for spec in specs:
-        values = []
-        for d2_b, Y_b, subsets in draws:
+    values = np.full((len(specs), n_repeats), math.nan)
+    for j, child in enumerate(np.random.SeedSequence(config.seed).spawn(n_repeats)):
+        ws, Y_b, subsets = draw(np.random.default_rng(child))
+        for s, spec in enumerate(specs):
             try:
-                rho_bar, _ = _batch_losses(
-                    d2_b, Y_b, subsets, config.n_lv, spec, config.objective
+                ws.hold(spec)
+                values[s, j], _ = _batch_losses(
+                    ws, Y_b, subsets, config.n_lv, spec, config.objective
                 )
             except DegenerateProblemError:
-                rho_bar = math.nan
-            values.append(rho_bar)
-        values = np.asarray(values)
-        good = values[np.isfinite(values)]
+                pass
+
+    rows = []
+    for spec, row in zip(specs, values):
+        good = row[np.isfinite(row)]
         if good.size:
             rows.append((spec, float(good.mean()), float(good.std())))
         else:

@@ -24,26 +24,55 @@ _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
 
 
+# Each family builds its matrix in place on as few fresh arrays as it can
+# (full-size temporaries set the peak memory of a flow), with its formula's
+# operations in the formula's order, so the bits are the formula's.
+
+
 def _gaussian(d2, d, sigma):
-    return np.exp(-d2 / (2.0 * sigma * sigma))
+    # exp(-d2 / (2 sigma^2))
+    out = np.negative(d2)
+    out /= 2.0 * sigma * sigma
+    return np.exp(out, out=out)
 
 
 def _matern12(d2, d, sigma):
-    return np.exp(-d / sigma)
+    # exp(-d / sigma)
+    out = np.negative(d)
+    out /= sigma
+    return np.exp(out, out=out)
 
 
 def _matern32(d2, d, sigma):
-    a = _SQRT3 * d / sigma
-    return (1.0 + a) * np.exp(-a)
+    # (1 + a) exp(-a), a = sqrt(3) d / sigma
+    a = np.multiply(_SQRT3, d)
+    a /= sigma
+    decay = np.negative(a)
+    np.exp(decay, out=decay)
+    a += 1.0
+    a *= decay
+    return a
 
 
 def _matern52(d2, d, sigma):
-    a = _SQRT5 * d / sigma
-    return (1.0 + a + 5.0 * d2 / (3.0 * sigma * sigma)) * np.exp(-a)
+    # (1 + a + 5 d2 / (3 sigma^2)) exp(-a), a = sqrt(5) d / sigma
+    a = np.multiply(_SQRT5, d)
+    a /= sigma
+    decay = np.negative(a)
+    np.exp(decay, out=decay)
+    a += 1.0
+    quad = np.multiply(5.0, d2)
+    quad /= 3.0 * sigma * sigma
+    a += quad
+    a *= decay
+    return a
 
 
 def _cauchy(d2, d, sigma):
-    return 1.0 / (1.0 + d2 / (sigma * sigma))
+    # 1 / (1 + d2 / sigma^2)
+    out = np.divide(d2, sigma * sigma)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 FAMILY_NAMES = ("gaussian", "matern12", "matern32", "matern52", "cauchy")
@@ -173,6 +202,15 @@ class KernelSpec:
             log_delta=float(theta[-1]),
         )
 
+    def member(self, i: int) -> "KernelSpec":
+        """Family ``i`` alone: its length-scale, weight 1 and the same ridge."""
+        return KernelSpec(
+            families=(self.families[i],),
+            log_sigma=self.log_sigma[i : i + 1].copy(),
+            log_gamma=None,
+            log_delta=self.log_delta,
+        )
+
     def param_names(self) -> list[str]:
         names = [f"log_sigma_{f}" for f in self.families]
         if self.log_gamma is not None:
@@ -198,14 +236,24 @@ def pairwise_sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return d2
 
 
-def kernel_matrix(spec: KernelSpec, d2: np.ndarray) -> np.ndarray:
-    """Weighted sum of family kernels evaluated on squared distances (no ridge)."""
-    d = np.sqrt(d2)
+def kernel_matrix(
+    spec: KernelSpec, d2: np.ndarray, d: np.ndarray | None = None
+) -> np.ndarray:
+    """Weighted sum of family kernels evaluated on squared distances (no ridge).
+
+    ``d`` is ``sqrt(d2)``, computed here unless the caller has it.
+    """
+    d2 = np.asarray(d2, dtype=float)
+    if d is None:
+        d = np.sqrt(d2)
     sigma = spec.sigma
     gamma = spec.gamma
-    out = gamma[0] * _FAMILY_FUNCS[spec.families[0]](d2, d, sigma[0])
+    out = _FAMILY_FUNCS[spec.families[0]](d2, d, sigma[0])
+    out *= gamma[0]
     for i in range(1, len(spec.families)):
-        out += gamma[i] * _FAMILY_FUNCS[spec.families[i]](d2, d, sigma[i])
+        term = _FAMILY_FUNCS[spec.families[i]](d2, d, sigma[i])
+        term *= gamma[i]
+        out += term
     return out
 
 
@@ -219,7 +267,7 @@ def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError("inputs must be finite")
     diff = x - y
     d2 = max(float(diff @ diff), 0.0)
-    return float(kernel_matrix(spec, np.asarray(d2)))
+    return float(kernel_matrix(spec, np.array([d2]))[0])
 
 
 def train_sq_dists(X: np.ndarray) -> np.ndarray:
@@ -247,12 +295,15 @@ def gram_train(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
     return K
 
 
-def center_train(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def center_train(
+    K: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Double-center a square Gram; return ``(H K H, column means of K)``.
 
     H = I - (1/n) 11'. The column means are what a cross kernel needs to
     be centered consistently (see `kpls.affine_coef`). A stack of Grams
-    (..., n, n) is centered member by member.
+    (..., n, n) is centered member by member. ``out`` receives ``H K H``;
+    it may be ``K`` itself, which is then centered in place.
     """
     K = np.asarray(K, dtype=float)
     if K.ndim < 2 or K.shape[-1] != K.shape[-2]:
@@ -260,7 +311,7 @@ def center_train(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     col_means = K.mean(axis=-2)
     row_means = K.mean(axis=-1)
     grand = K.mean(axis=(-2, -1))
-    centered = K - col_means[..., None, :]  # then in place: fewer full-size temporaries
+    centered = np.subtract(K, col_means[..., None, :], out=out)  # then in place
     centered -= row_means[..., :, None]
     centered += grand[..., None, None]
     return centered, col_means

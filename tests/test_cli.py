@@ -239,8 +239,13 @@ def _one_feature_name(arrays):
     arrays["prep_x_names"] = arrays["prep_x_names"][:1]
 
 
+def _no_schema_version(arrays):
+    del arrays["schema_version"]
+
+
 class TestCorruptArchive:
-    @pytest.mark.parametrize("corrupt", [_cut_coef, _nan_coef, _one_feature_name])
+    @pytest.mark.parametrize("corrupt", [_cut_coef, _nan_coef, _one_feature_name,
+                                         _no_schema_version])
     def test_predict_rejects_corrupt_archive(self, tmp_path, xy_model, capsys, corrupt):
         train, archive = xy_model
         arrays = read_array_archive(archive)
@@ -249,6 +254,30 @@ class TestCorruptArchive:
         pred_dir = tmp_path / "pred"
         assert run_cli("predict", archive, train, "--out-dir", pred_dir) == 1
         assert capsys.readouterr().err.startswith("error:data: cannot load model")
+        assert not (pred_dir / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("damage", [
+        lambda data: data[: len(data) // 2],
+        lambda data: b"",
+        lambda data: b"x1,x2\n0.1,0.2\n",
+    ], ids=["truncated", "empty", "not-an-archive"])
+    def test_predict_rejects_damaged_file(self, tmp_path, xy_model, capsys, damage):
+        train, archive = xy_model
+        archive.write_bytes(damage(archive.read_bytes()))
+        pred_dir = tmp_path / "pred"
+        assert run_cli("predict", archive, train, "--out-dir", pred_dir) == 1
+        assert capsys.readouterr().err.startswith("error:data: cannot load model")
+        assert not (pred_dir / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_archive_is_io_error(self, tmp_path, xy_model, capsys, where):
+        train = xy_model[0]
+        archive = tmp_path / "model.kfpls"
+        if where == "directory":
+            archive.mkdir()
+        pred_dir = tmp_path / "pred"
+        assert run_cli("predict", archive, train, "--out-dir", pred_dir) == 1
+        assert capsys.readouterr().err.startswith("error:io: cannot load model")
         assert not (pred_dir / "predictions.csv").exists()
 
 
@@ -283,6 +312,37 @@ class TestLvMaxBeforeFlow:
                        "--out-dir", tmp_path) == 2
         assert "error:config" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+
+class TestConfigErrorsBeforeCompute:
+    """Settings no run can use are configuration errors (exit 2), found before
+    any flow or loss is computed."""
+
+    @pytest.mark.parametrize("argv", [
+        ["case", "1", "--learning-rate", "nan", "--iterations", "3"],
+        ["sweep", "--axis", "learning_rate", "--grid", "nan"],
+    ], ids=["case", "sweep"])
+    def test_nan_flow_setting(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "run_kernel_flows", _no_flow)
+        assert run_cli(*argv, "--out-dir", tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error:config: learning_rate")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--kernel", "bogus"], "unknown kernel family"),
+        (["--sigma-grid", "0"], "length-scales"),
+        (["--sigma-grid", "nan"], "length-scales"),
+        (["--delta-grid", "nan"], "ridge"),
+    ], ids=["kernel", "sigma-zero", "sigma-nan", "delta-nan"])
+    def test_loss_surface_kernel_parameters(self, flags, message, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.setattr(cli, "loss_surface", _no_flow)
+        grids = {"--sigma-grid": "1", "--delta-grid": "1"}
+        grids.update(zip(flags[::2], flags[1::2]))
+        argv = [a for pair in grids.items() for a in pair]
+        assert run_cli("loss-surface", *argv, "--out-dir", tmp_path) == 2
+        assert capsys.readouterr().err.startswith(f"error:config: {message}")
+        assert not any(tmp_path.iterdir())
 
 
 class TestSweepCommand:

@@ -16,7 +16,13 @@ from kfpls import (
     run_kernel_flows,
     update_theta,
 )
-from kfpls.flows import _batch_losses, _sample_indices, _stratified_choice
+from kfpls.flows import (
+    _batch_losses,
+    _fd_gradient,
+    _sample_indices,
+    _stratified_choice,
+    _Workspace,
+)
 from kfpls.kernels import center_train, kernel_matrix, train_sq_dists
 from kfpls.pls import fit_pls
 
@@ -234,6 +240,96 @@ class TestStackedLossEngine:
             ref[i] = (f[0] - f[1]) / (2.0 * step)
         grad = kf_gradient(X, Y, subs, 2, spec, step=step)
         np.testing.assert_allclose(grad, ref, rtol=0, atol=1e-8)
+
+
+COMBO = ("gaussian", "matern32", "cauchy")
+
+
+def combo_spec():
+    return KernelSpec.create(COMBO, sigma=[0.8, 1.3, 0.6], gamma=[0.5, 0.3, 0.2],
+                             delta=0.05)
+
+
+def probes(spec, step=1e-4):
+    """Specs at a ``log σ``, a ``log γ`` and the ``log δ`` probe of ``spec``."""
+    theta = spec.theta()
+    k = len(spec.families)
+    for i, name in ((1, "sigma"), (k + 2, "gamma"), (theta.size - 1, "delta")):
+        vec = theta.copy()
+        vec[i] += step
+        yield name, spec.replace_theta(vec)
+
+
+class TestWorkspace:
+    """All loss evaluations of one draw share one `_Workspace`; each must give
+    the bytes a fresh evaluation gives."""
+
+    def _batch(self, seed=3, n=40):
+        ds = gen_peaks(n + 10, 0.05, seed)
+        X, Y = ds.X_cal[:n], ds.Y_cal[:n]
+        rng = np.random.default_rng(seed)
+        subs = [np.sort(rng.choice(n, n // 2, replace=False)) for _ in range(4)]
+        return train_sq_dists(X), Y, subs
+
+    def test_gram_at_each_probe_is_kernel_matrix_bitwise(self):
+        d2, _, _ = self._batch()
+        spec = combo_spec()
+        ws = _Workspace().start(d2)
+        ws.hold(spec)
+        for _, probe in [("centre", spec), *probes(spec)]:
+            assert ws.gram(probe).tobytes() == kernel_matrix(probe, d2).tobytes()
+
+    @pytest.mark.parametrize("objective", ["cv", "norm_ratio"])
+    def test_shared_workspace_losses_bytewise(self, objective):
+        d2, Y, subs = self._batch()
+        spec = combo_spec()
+        ws = _Workspace().start(d2)
+        ws.hold(spec)
+        for name, probe in [("centre", spec), *probes(spec)]:
+            shared = _batch_losses(ws, Y, subs, 3, probe, objective)
+            fresh = _batch_losses(d2, Y, subs, 3, probe, objective)
+            assert shared == fresh, name
+
+    def test_other_index_sets_on_one_workspace(self):
+        d2, Y, subs = self._batch()
+        spec = combo_spec()
+        ws = _Workspace().start(d2)
+        for sets in (subs, subs[::-1], [s[::-1].copy() for s in subs]):
+            assert (_batch_losses(ws, Y, sets, 3, spec, "cv")
+                    == _batch_losses(d2, Y, sets, 3, spec, "cv"))
+
+    def test_holds_the_centre_terms_only(self):
+        d2, Y, subs = self._batch()
+        spec = combo_spec()
+        ws = _Workspace().start(d2)
+        _fd_gradient(ws, Y, subs, 3, spec, spec.theta(), 1e-4, "cv")
+        assert sorted(ws._terms) == sorted(
+            zip(spec.families, spec.log_sigma.tolist())
+        )
+
+    @pytest.mark.parametrize("families, per_iter", [(COMBO, 9), (("gaussian",), 3)])
+    def test_family_evaluations_per_vanilla_iteration(self, families, per_iter,
+                                                      monkeypatch):
+        # Central differences make 2·dim + 1 loss evaluations per iteration:
+        # 15 × 3 families on the combo kernel and 5 for one Gaussian when each
+        # evaluation computes every family. Sharing the centre's terms leaves
+        # the centre's families plus one family per length-scale probe.
+        import kfpls.flows as flows
+
+        counted = []
+
+        def counting(spec, d2, d=None):
+            counted.append(len(spec.families))
+            return kernel_matrix(spec, d2, d)
+
+        monkeypatch.setattr(flows, "kernel_matrix", counting)
+        ds = gen_peaks(120, 0.05, 4)
+        config = FlowConfig(n_iter=3, n_subsamples=4, n_lv=3, update_rule="vanilla",
+                            patience=10**6, seed=4)
+        spec0 = KernelSpec.create(families, sigma=1.0, delta=1.0)
+        _, trace = run_kernel_flows(ds.X_cal, ds.Y_cal, config, spec0)
+        assert trace.iterations_run == 3 and trace.n_skipped == 0
+        assert sum(counted) == 3 * per_iter
 
 
 class TestKfGradient:
@@ -540,6 +636,13 @@ class TestFlowConfigValidation:
             FlowConfig(update_rule="adam").validate(100)
         with pytest.raises(ValueError, match="objective"):
             FlowConfig(objective="mse").validate(100)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["batch_fraction", "sub_fraction", "learning_rate",
+                                      "momentum", "nesterov_gamma", "tol", "fd_step"])
+    def test_non_finite_float_settings_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            FlowConfig(**{name: value})
 
     def test_batch_sizes_returned(self):
         nb, ns = FlowConfig(batch_fraction=0.5, sub_fraction=0.5, n_lv=3).validate(100)
