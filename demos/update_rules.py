@@ -17,8 +17,7 @@ spec0 = KernelSpec.create(["gaussian"], sigma=1.0, delta=1.0)
 settings = [
     ("vanilla", dict(update_rule="vanilla", learning_rate=0.25)),
     ("polyak", dict(update_rule="polyak", learning_rate=0.1, momentum=0.8)),
-    ("nesterov", dict(update_rule="nesterov", learning_rate=0.1,
-                      momentum=0.8, nesterov_gamma=0.1)),
+    ("nesterov", dict(update_rule="nesterov", learning_rate=0.1, momentum=0.8)),
 ]
 
 print("120 iterations from sigma = delta = 1 on the two-peak data:\n")

@@ -28,7 +28,7 @@ from .kernels import (
 )
 from .kpls import KplsModel, classify, fit_kpls, load_model, predict_kpls, save_model
 from .metrics import EvalReport, accuracy, nrmse, q2, rmse
-from .pls import PlsModel, first_pc, fit_pls, predict_pls
+from .pls import PlsModel, fit_pls, predict_pls
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,6 @@ __all__ = [
     "center_train",
     "classify",
     "destandardize",
-    "first_pc",
     "fit_kpls",
     "fit_pls",
     "gen_circles",

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from ._serialize import read_array_archive, write_array_archive
-from .datasets import Dataset, load_csv, read_csv, standardize
+from .datasets import Dataset, check_noise, load_csv, read_csv, standardize
 from .exceptions import DegenerateProblemError, FlowAbortError
 from .flows import _OBJECTIVES, _UPDATE_RULES, FlowConfig, loss_surface
 from .kernels import KernelSpec
@@ -166,6 +166,13 @@ def _kernel_spec(args, config, default_families="gaussian") -> KernelSpec:
         raise CliError("config", str(exc)) from exc
 
 
+def _check_noise(level) -> None:
+    try:
+        check_noise(level)
+    except ValueError as exc:
+        raise CliError("config", str(exc)) from exc
+
+
 def _read(load, *args, what=None):
     """``load(*args)``, mapping ``OSError`` to ``io`` and ``ValueError`` to
     ``data``; the message starts ``cannot load <what>:`` if ``what`` is given."""
@@ -184,6 +191,8 @@ def _dataset(args, config, seed) -> Dataset:
     if case_id not in CASE_DEFAULTS:
         raise CliError("usage", f"unknown case id {case_id}")
     noise = _setting(args, config, "noise", cast=float)
+    if noise is not None:
+        _check_noise(noise)
     csv_path = _setting(args, config, "csv")
     response = _setting(args, config, "response")
     if case_id in (3, 4):
@@ -432,6 +441,8 @@ def cmd_sweep(args, config) -> int:
     if args.axis == "noise":
         if case_id != 1:
             raise CliError("usage", "the noise axis applies to case 1 only")
+        for value in grid:
+            _check_noise(value)
     else:
         ds = _dataset(args, config, seed)
 

@@ -9,6 +9,7 @@ responses are kept as 0/1 so the argmax decision rule stays meaningful.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,6 +155,12 @@ def peaks_surface(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     )
 
 
+def check_noise(level: float, name: str = "noise") -> None:
+    """Reject (``ValueError``) a noise level that is NaN, infinite or negative."""
+    if not 0.0 <= level < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {level!r}")
+
+
 def gen_peaks(n: int, noise_delta: float, seed) -> Dataset:
     """Noisy samples of the peaks surface for nonlinear regression.
 
@@ -164,8 +171,7 @@ def gen_peaks(n: int, noise_delta: float, seed) -> Dataset:
     """
     if n < 10:
         raise ValueError("need at least 10 samples")
-    if noise_delta < 0:
-        raise ValueError("noise_delta must be >= 0")
+    check_noise(noise_delta, "noise_delta")
     rng = np.random.default_rng(seed)
     X = rng.uniform(-2.0, 2.0, size=(n, 2))
     f = peaks_surface(X[:, 0], X[:, 1])
@@ -197,6 +203,7 @@ def gen_circles(
         raise ValueError("need at least 2 classes")
     if n_per_class < 2:
         raise ValueError("need at least 2 samples per class")
+    check_noise(radial_noise, "radial_noise")
     rng = np.random.default_rng(seed)
     n = n_per_class * n_classes
     X = np.empty((n, 2))

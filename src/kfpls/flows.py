@@ -6,7 +6,10 @@ sub-batch refits agree with the minibatch generalizes across subsets, so
 the iteration loss measures that agreement and is driven toward zero by
 gradient steps on the log kernel parameters. Gradients come from central
 finite differences; the parameter dimension is small enough that this
-costs only a handful of refits per step.
+costs only a handful of refits per step. Each iteration takes one gradient
+and one step of ``learning_rate`` (`update_theta`): vanilla and Polyak
+take the gradient at the current parameters, Nesterov at the lookahead
+point ``theta + momentum * (theta - prev_theta)``.
 
 One engine, `_batch_losses`, computes both losses from one plain Gram of
 the minibatch. The sub-batches of one size are fitted as one stack: their
@@ -74,7 +77,10 @@ class FlowConfig:
     loss at the cost of proportionally more refits. Early stopping
     triggers after ``patience`` consecutive iterations in which the
     ``smoothing_window``-wide moving average of the loss improves by less
-    than ``tol``. ``stratified`` samples batches proportionally per class
+    than ``tol``. ``learning_rate`` is the step size of every update rule
+    (``lr_decay`` scales it by ``1/sqrt(k + 1)`` at iteration ``k``), and
+    ``momentum`` weighs the previous displacement under ``polyak`` and
+    ``nesterov``. ``stratified`` samples batches proportionally per class
     (one-hot responses) to keep rare classes represented. Building a
     config checks every setting that does not depend on the data (a
     comparison that NaN fails rejects it); `validate` checks the rest
@@ -88,7 +94,6 @@ class FlowConfig:
     n_lv: int = 3
     learning_rate: float = 0.25
     momentum: float = 0.9
-    nesterov_gamma: float = 0.1
     update_rule: str = "vanilla"
     seed: int | None = None
     smoothing_window: int = 20
@@ -115,8 +120,6 @@ class FlowConfig:
             raise ValueError("learning_rate must be positive and finite")
         if not 0.0 <= self.momentum <= 1.0:
             raise ValueError("momentum must be in [0, 1]")
-        if not 0.0 < self.nesterov_gamma < math.inf:
-            raise ValueError("nesterov_gamma must be positive and finite")
         if self.update_rule not in _UPDATE_RULES:
             raise ValueError(
                 f"unknown update rule {self.update_rule!r}; choose from {_UPDATE_RULES}"
@@ -359,7 +362,6 @@ def _fd_gradient(
     theta: np.ndarray,
     step: float,
     objective: str,
-    probe_hook=None,
 ) -> np.ndarray:
     """Central-difference gradient of the averaged loss in log-parameter space.
 
@@ -372,8 +374,6 @@ def _fd_gradient(
     ws.hold(spec.replace_theta(theta))
 
     def avg_at(vec: np.ndarray) -> float:
-        if probe_hook is not None:
-            probe_hook(vec.copy(), subsets)
         value, _ = _batch_losses(
             ws, Y_batch, subsets, n_lv, spec.replace_theta(vec), objective
         )
@@ -410,7 +410,6 @@ def kf_gradient(
     n_lv: int,
     spec: KernelSpec,
     step: float = 1e-4,
-    probe_hook=None,
 ) -> np.ndarray:
     """Gradient of the averaged norm-ratio loss at the spec's parameters.
 
@@ -424,51 +423,37 @@ def kf_gradient(
         if idx.size and (idx.min() < 0 or idx.max() >= X_b.shape[0]):
             raise ValueError("subsample indices out of range")
     ws = _Workspace().start(train_sq_dists(X_b))
-    return _fd_gradient(
-        ws, Y_b, subsets, n_lv, spec, spec.theta(), step, "norm_ratio",
-        probe_hook=probe_hook,
-    )
+    return _fd_gradient(ws, Y_b, subsets, n_lv, spec, spec.theta(), step, "norm_ratio")
 
 
 def update_theta(
     theta: np.ndarray,
     prev_theta: np.ndarray,
-    grad: np.ndarray | None,
+    grad: np.ndarray,
     rule: str,
     learning_rate: float,
     momentum: float = 0.0,
-    nesterov_gamma: float | None = None,
-    grad_fn=None,
 ) -> np.ndarray:
     """One parameter update step.
 
     vanilla:   theta - lr * grad
     polyak:    theta - lr * grad + momentum * (theta - prev_theta)
-    nesterov:  look = theta + momentum * (theta - prev_theta);
-               look - nesterov_gamma * grad_fn(look)
+    nesterov:  theta + momentum * (theta - prev_theta) - lr * grad
 
-    The lookahead rule needs ``grad_fn`` because its gradient is evaluated
-    at the shifted point, not at ``theta``.
+    For nesterov, ``grad`` is the gradient at the lookahead point
+    ``theta + momentum * (theta - prev_theta)``; the caller evaluates it there.
     """
     theta = np.asarray(theta, dtype=float)
     prev_theta = np.asarray(prev_theta, dtype=float)
+    grad = np.asarray(grad, dtype=float)
     if theta.shape != prev_theta.shape:
         raise ValueError("theta and prev_theta shapes differ")
     if rule == "vanilla":
-        return theta - learning_rate * np.asarray(grad, dtype=float)
+        return theta - learning_rate * grad
     if rule == "polyak":
-        return (
-            theta
-            - learning_rate * np.asarray(grad, dtype=float)
-            + momentum * (theta - prev_theta)
-        )
+        return theta - learning_rate * grad + momentum * (theta - prev_theta)
     if rule == "nesterov":
-        if grad_fn is None:
-            raise ValueError("the nesterov rule requires a gradient callback")
-        if nesterov_gamma is None:
-            raise ValueError("the nesterov rule requires its own rate")
-        look = theta + momentum * (theta - prev_theta)
-        return look - nesterov_gamma * np.asarray(grad_fn(look), dtype=float)
+        return theta + momentum * (theta - prev_theta) - learning_rate * grad
     raise ValueError(f"unknown update rule {rule!r}; choose from {_UPDATE_RULES}")
 
 
@@ -564,47 +549,19 @@ def run_kernel_flows(
                 rho_bar, _ = _batch_losses(
                     ws, Y_b, subsets, config.n_lv, spec_now, config.objective
                 )
-                rate = config.learning_rate
-                gamma = config.nesterov_gamma
-                if config.lr_decay:
-                    scale = 1.0 / math.sqrt(it + 1)
-                    rate *= scale
-                    gamma *= scale
+                point = theta
                 if config.update_rule == "nesterov":
-                    seen = {}
-
-                    def grad_fn(vec, _seen=seen):
-                        g = _fd_gradient(
-                            ws, Y_b, subsets, config.n_lv, spec0, vec,
-                            config.fd_step, config.objective,
-                        )
-                        _seen["grad"] = g
-                        return g
-
-                    new_theta = update_theta(
-                        theta,
-                        prev_theta,
-                        None,
-                        "nesterov",
-                        rate,
-                        config.momentum,
-                        gamma,
-                        grad_fn=grad_fn,
-                    )
-                    grad = seen["grad"]
-                else:
-                    grad = _fd_gradient(
-                        ws, Y_b, subsets, config.n_lv, spec0, theta,
-                        config.fd_step, config.objective,
-                    )
-                    new_theta = update_theta(
-                        theta,
-                        prev_theta,
-                        grad,
-                        config.update_rule,
-                        rate,
-                        config.momentum,
-                    )
+                    point = theta + config.momentum * (theta - prev_theta)
+                grad = _fd_gradient(
+                    ws, Y_b, subsets, config.n_lv, spec0, point,
+                    config.fd_step, config.objective,
+                )
+                rate = config.learning_rate
+                if config.lr_decay:
+                    rate *= 1.0 / math.sqrt(it + 1)
+                new_theta = update_theta(
+                    theta, prev_theta, grad, config.update_rule, rate, config.momentum
+                )
                 result = (rho_bar, grad, new_theta)
                 break
             except DegenerateProblemError as exc:

@@ -31,7 +31,7 @@ from .kpls import KplsModel, affine_coef, fit_kpls, predict_kpls
 from .metrics import EvalReport, accuracy, nrmse, q2, rmse
 from .pls import PlsModel, coef_path, fit_pls, predict_pls
 
-# Factor count for the untuned reference model (and the flow default).
+# Factor count for the untuned reference model.
 DEFAULT_BASELINE_LV = 3
 
 CASE_DEFAULTS = {
@@ -259,20 +259,10 @@ def case_dataset(case_id: int, seed, noise: float | None = None,
 
 
 def case_flow_config(case_id: int, seed, **overrides) -> FlowConfig:
-    """Flow settings for a case, with keyword overrides."""
-    d = CASE_DEFAULTS[case_id]
-    base = dict(
-        n_iter=d["n_iter"],
-        n_subsamples=8,
-        batch_fraction=0.5,
-        sub_fraction=0.5,
-        n_lv=DEFAULT_BASELINE_LV,
-        learning_rate=0.25,
-        update_rule="vanilla",
-        seed=seed,
-    )
-    base.update(overrides)
-    return FlowConfig(**base)
+    """Flow settings for a case, with keyword overrides: the `FlowConfig`
+    defaults except the case's iteration count and 8 sub-batches."""
+    base = dict(n_iter=CASE_DEFAULTS[case_id]["n_iter"], n_subsamples=8, seed=seed)
+    return FlowConfig(**{**base, **overrides})
 
 
 def case_spec(case_id: int, sigma: float = 1.0, delta: float = 1.0,

@@ -59,8 +59,10 @@ class PlsModel:
 
 
 def _directions(C: np.ndarray) -> np.ndarray:
-    """`first_pc` of each covariance in a stack (S, m, p): ``C/‖C‖`` for one
-    response, else ``Cᵀv`` normalized, for the top eigenvector ``v`` of ``C Cᵀ``.
+    """Dominant right singular direction of each covariance in a stack
+    (S, m, p): ``C/‖C‖`` for one response, else ``Cᵀv`` normalized, for the
+    top eigenvector ``v`` of ``C Cᵀ``. The sign makes the entry of largest
+    magnitude positive, so the result is deterministic.
     """
     w = C[:, 0, :]
     if C.shape[1] > 1:
@@ -69,34 +71,6 @@ def _directions(C: np.ndarray) -> np.ndarray:
     w = w / np.linalg.norm(w, axis=1, keepdims=True)
     top = np.take_along_axis(w, np.argmax(np.abs(w), axis=1)[:, None], axis=1)
     return np.where(top < 0, -w, w)
-
-
-def first_pc(C: np.ndarray) -> np.ndarray:
-    """Dominant right singular direction of a covariance matrix.
-
-    Parameters
-    ----------
-    C : ndarray, shape (m, p)
-
-    Returns
-    -------
-    ndarray, shape (p,)
-        Unit vector. The sign is fixed so the entry of largest magnitude
-        is positive, which makes the result deterministic.
-
-    Raises
-    ------
-    DegenerateProblemError
-        If ``C`` is identically zero (rank exhausted).
-    ValueError
-        If ``C`` contains non-finite values.
-    """
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    if not np.all(np.isfinite(C)):
-        raise ValueError("covariance matrix contains non-finite values")
-    if not C.any():
-        raise DegenerateProblemError("covariance matrix is zero: rank exhausted")
-    return _directions(C[None])[0]
 
 
 def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int):

@@ -285,6 +285,10 @@ def _no_flow(*args, **kwargs):
     raise AssertionError("the kernel flow ran")
 
 
+def _no_dataset(*args, **kwargs):
+    raise AssertionError("a dataset was built")
+
+
 class TestLvMaxBeforeFlow:
     """A factor-search bound that cannot be fitted is a configuration error,
     found before any kernel flow runs."""
@@ -326,6 +330,24 @@ class TestConfigErrorsBeforeCompute:
         monkeypatch.setattr(pipeline, "run_kernel_flows", _no_flow)
         assert run_cli(*argv, "--out-dir", tmp_path) == 2
         assert capsys.readouterr().err.startswith("error:config: learning_rate")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["case", "1", "--noise", "nan"],
+        ["case", "1", "--noise", "inf"],
+        ["case", "1", "--noise", "-1"],
+        ["case", "2", "--noise", "nan"],
+        ["case", "2", "--noise", "inf"],
+        ["sweep", "--axis", "noise", "--grid", "0.1,nan"],
+        ["sweep", "--axis", "noise", "--grid", "-1"],
+    ], ids=["case1-nan", "case1-inf", "case1-negative", "case2-nan", "case2-inf",
+            "sweep-nan", "sweep-negative"])
+    def test_bad_noise_level(self, argv, tmp_path, capsys, monkeypatch):
+        for module in (cli, pipeline):
+            monkeypatch.setattr(module, "case_dataset", _no_dataset)
+        monkeypatch.setattr(pipeline, "run_kernel_flows", _no_flow)
+        assert run_cli(*argv, "--out-dir", tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error:config: noise")
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flags, message", [
@@ -445,7 +467,7 @@ class TestErrorContract:
 
 _FLOW_FLAGS = {
     "iterations", "n_subsamples", "batch_fraction", "sub_fraction", "n_lv",
-    "learning_rate", "momentum", "nesterov_gamma", "update_rule",
+    "learning_rate", "momentum", "update_rule",
     "smoothing_window", "tol", "patience", "stratified", "lr_decay", "objective",
 }
 _RUN_FLAGS = {"config", "out_dir", "seed", "kernel", "sigma", "delta", *_FLOW_FLAGS}
@@ -474,7 +496,7 @@ class TestFlagSets:
             for name, p in sub.choices.items()
         }
         assert got == self.EXPECTED
-        assert [len(got[n]) for n in got] == [25, 24, 2, 26, 15]
+        assert [len(got[n]) for n in got] == [24, 23, 2, 25, 15]
 
     def test_predict_rejects_flags_it_does_not_read(self, xy_model):
         with pytest.raises(SystemExit) as exc:

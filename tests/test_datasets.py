@@ -1,3 +1,4 @@
+import math
 import tempfile
 from pathlib import Path
 
@@ -86,6 +87,11 @@ class TestGenPeaks:
         with pytest.raises(ValueError, match="10"):
             gen_peaks(5, 0.1, seed=0)
 
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -0.1])
+    def test_bad_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise_delta"):
+            gen_peaks(50, noise, seed=0)
+
 
 class TestGenCircles:
     def test_one_hot_rows_sum_to_one(self):
@@ -125,6 +131,11 @@ class TestGenCircles:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="classes"):
             gen_circles(20, 1, 0.1, seed=0)
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -0.1])
+    def test_bad_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="radial_noise"):
+            gen_circles(20, 4, noise, seed=0)
 
 
 class TestSplitArithmetic:

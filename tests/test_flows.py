@@ -382,12 +382,21 @@ class TestKfGradient:
         oracle = richardson_gradient(f, spec.theta())
         np.testing.assert_allclose(grad, oracle, rtol=1e-4)
 
-    def test_probes_reuse_identical_subsample_sets(self):
+    def test_probes_reuse_identical_subsample_sets(self, monkeypatch):
+        import kfpls.flows as flows
+
+        seen = []
+        real = flows._batch_losses
+
+        def recording(batch, Y, subsets, n_lv, spec, objective):
+            seen.append([idx.copy() for idx in subsets])
+            return real(batch, Y, subsets, n_lv, spec, objective)
+
+        monkeypatch.setattr(flows, "_batch_losses", recording)
         X, Y = make_batch(8)
         spec = gauss()
         subs = [np.arange(8), np.arange(4, 12)]
-        seen = []
-        kf_gradient(X, Y, subs, 2, spec, probe_hook=lambda vec, s: seen.append(s))
+        kf_gradient(X, Y, subs, 2, spec)
         assert len(seen) == 2 * spec.theta().size
         for s in seen:
             assert len(s) == len(subs)
@@ -427,26 +436,26 @@ class TestUpdateTheta:
         new = update_theta(theta, prev, np.array([0.0]), "polyak", 0.1, momentum=0.9)
         np.testing.assert_allclose(new, [1.9])
 
-    def test_nesterov_evaluates_gradient_at_lookahead(self):
-        calls = []
+    def test_nesterov_steps_from_lookahead(self):
+        new = update_theta(np.array([1.0]), np.array([0.5]), np.array([2.0]),
+                           "nesterov", 0.2, momentum=0.5)
+        np.testing.assert_allclose(new, [1.25 - 0.2 * 2.0])  # lookahead 1 + 0.5 * 0.5
 
-        def grad_fn(vec):
-            calls.append(vec.copy())
-            return np.array([2.0])
+    def test_nesterov_evaluates_gradient_at_lookahead(self, small_regression, monkeypatch):
+        points, trace = gradient_points(small_regression, monkeypatch, "nesterov")
+        assert len(points) == trace.iterations_run == len(trace.theta)
+        prev = trace.theta[0]
+        for k, theta in enumerate(trace.theta):
+            np.testing.assert_array_equal(points[k], theta + 0.5 * (theta - prev))
+            if k + 1 < len(trace.theta):
+                np.testing.assert_allclose(trace.theta[k + 1], points[k] - 0.2 * 0.1)
+            prev = theta
 
-        theta = np.array([1.0])
-        prev = np.array([0.5])
-        new = update_theta(
-            theta, prev, None, "nesterov", 0.1, momentum=0.5,
-            nesterov_gamma=0.2, grad_fn=grad_fn,
-        )
-        np.testing.assert_allclose(calls[0], [1.25])  # theta + 0.5 * (theta - prev)
-        np.testing.assert_allclose(new, [1.25 - 0.2 * 2.0])
-
-    def test_nesterov_requires_callback(self):
-        with pytest.raises(ValueError, match="callback"):
-            update_theta(np.zeros(1), np.zeros(1), np.zeros(1), "nesterov", 0.1,
-                         nesterov_gamma=0.1)
+    @pytest.mark.parametrize("rule", ["vanilla", "polyak"])
+    def test_gradient_at_current_parameters(self, rule, small_regression, monkeypatch):
+        points, trace = gradient_points(small_regression, monkeypatch, rule)
+        assert len(points) == trace.iterations_run == len(trace.theta)
+        np.testing.assert_array_equal(np.asarray(points), trace.theta)
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError, match="unknown update rule"):
@@ -456,6 +465,25 @@ class TestUpdateTheta:
 @pytest.fixture(scope="module")
 def small_regression():
     return gen_peaks(60, 0.05, seed=3)
+
+
+def gradient_points(ds, monkeypatch, rule):
+    """Where each iteration of a short run under ``rule`` took its gradient
+    (a constant 0.1 in every coordinate), and the run's trace."""
+    import kfpls.flows as flows
+
+    points = []
+
+    def constant_gradient(ws, Y_b, subsets, n_lv, spec, theta, step, objective):
+        points.append(theta.copy())
+        return np.full(theta.shape, 0.1)
+
+    monkeypatch.setattr(flows, "_fd_gradient", constant_gradient)
+    cfg = FlowConfig(n_iter=4, n_subsamples=3, batch_fraction=0.6, n_lv=2,
+                     learning_rate=0.2, momentum=0.5, update_rule=rule, seed=11,
+                     patience=10**6)
+    _, trace = run_kernel_flows(ds.X_cal, ds.Y_cal, cfg, gauss())
+    return points, trace
 
 
 class TestRunKernelFlows:
@@ -522,7 +550,7 @@ class TestRunKernelFlows:
     def test_all_rules_progress(self, small_regression):
         ds = small_regression
         for rule in ("vanilla", "polyak", "nesterov"):
-            cfg = self._config(update_rule=rule, momentum=0.5, nesterov_gamma=0.2)
+            cfg = self._config(update_rule=rule, momentum=0.5)
             spec, trace = run_kernel_flows(ds.X_cal, ds.Y_cal, cfg, gauss())
             assert np.isfinite(trace.loss).all()
             assert np.isfinite(spec.theta()).all()
@@ -544,6 +572,17 @@ class TestRunKernelFlows:
         Y = np.ones_like(ds.Y_cal)
         with pytest.raises(FlowAbortError, match="degenerate"):
             run_kernel_flows(ds.X_cal, Y, self._config(), gauss())
+
+    def test_nesterov_steps_by_learning_rate(self, small_regression):
+        ds = small_regression
+        a, b = (
+            run_kernel_flows(ds.X_cal, ds.Y_cal,
+                             self._config(update_rule="nesterov", momentum=0.5,
+                                          learning_rate=rate), gauss())[1]
+            for rate in (0.1, 0.3)
+        )
+        np.testing.assert_array_equal(a.theta[0], b.theta[0])
+        assert not np.array_equal(a.theta[1], b.theta[1])
 
     def test_lr_decay_supported(self, small_regression):
         ds = small_regression
@@ -639,7 +678,7 @@ class TestFlowConfigValidation:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["batch_fraction", "sub_fraction", "learning_rate",
-                                      "momentum", "nesterov_gamma", "tol", "fd_step"])
+                                      "momentum", "tol", "fd_step"])
     def test_non_finite_float_settings_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             FlowConfig(**{name: value})
