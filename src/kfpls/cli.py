@@ -10,11 +10,19 @@ Each subcommand takes only the flags it reads. Options may also come from
 a flat key-value config file (``key = value``, ``#`` comments; keys only
 other subcommands read are ignored); flags take precedence. Errors exit
 nonzero with a single ``error:<category>: <message>`` line on stderr.
+
+A command runs in phases: checks (``usage``, ``config``: flags, settings
+and every grid point of a sweep), data (``io``, ``data``: read or build
+the dataset, then the ``config`` checks that need it, such as
+``--lv-max``), compute (create the output directory, then ``compute``)
+and write. So a command that stops before compute leaves no output
+directory behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import dataclasses
@@ -31,15 +39,15 @@ from .exceptions import DegenerateProblemError, FlowAbortError
 from .flows import _OBJECTIVES, _UPDATE_RULES, FlowConfig, loss_surface
 from .kernels import KernelSpec
 from .kpls import KplsModel, model_from_arrays, model_to_arrays, predict_kpls
+from .metrics import rmse
 from .pipeline import (
     CASE_DEFAULTS,
     case_dataset,
     case_flow_config,
     check_lv_max,
     run_pipeline,
-    sweep_flow_parameter,
     sweep_n_lv,
-    sweep_noise,
+    sweep_points,
 )
 
 
@@ -47,6 +55,16 @@ class CliError(Exception):
     def __init__(self, category: str, message: str):
         super().__init__(message)
         self.category = category
+
+
+@contextlib.contextmanager
+def _phase(category: str):
+    """Report a ``ValueError``, or a fit or flow that failed, raised in the
+    block as ``error:<category>``."""
+    try:
+        yield
+    except (DegenerateProblemError, FlowAbortError, ValueError) as exc:
+        raise CliError(category, str(exc)) from exc
 
 
 def load_config(path) -> dict:
@@ -136,23 +154,10 @@ def _flow_overrides(args, config) -> dict:
     return overrides
 
 
-def _flow_config(overrides, seed, case_id=None) -> FlowConfig:
-    """Flow settings with the user's overrides, on a case's defaults if given."""
-    try:
-        if case_id is None:
-            return FlowConfig(seed=seed, **overrides)
-        return case_flow_config(case_id, seed, **overrides)
-    except ValueError as exc:
-        raise CliError("config", str(exc)) from exc
-
-
 def _lv_max(args, config, ds: Dataset, default: int) -> int:
-    """The factor-search bound, checked against the dataset before any flow."""
+    """The factor-search bound, checked against the dataset (``ValueError``)."""
     lv_max = int(_setting(args, config, "lv_max", default=default, cast=int))
-    try:
-        check_lv_max(ds, lv_max)
-    except ValueError as exc:
-        raise CliError("config", str(exc)) from exc
+    check_lv_max(ds, lv_max)
     return lv_max
 
 
@@ -160,17 +165,7 @@ def _kernel_spec(args, config, default_families="gaussian") -> KernelSpec:
     families = _setting(args, config, "kernel", default=default_families)
     sigma = _setting(args, config, "sigma", default=1.0, cast=float)
     delta = _setting(args, config, "delta", default=1.0, cast=float)
-    try:
-        return KernelSpec.create(families, sigma=float(sigma), delta=float(delta))
-    except ValueError as exc:
-        raise CliError("config", str(exc)) from exc
-
-
-def _check_noise(level) -> None:
-    try:
-        check_noise(level)
-    except ValueError as exc:
-        raise CliError("config", str(exc)) from exc
+    return KernelSpec.create(families, sigma=float(sigma), delta=float(delta))
 
 
 def _read(load, *args, what=None):
@@ -185,14 +180,16 @@ def _read(load, *args, what=None):
         raise CliError("data", f"{prefix}{exc}") from exc
 
 
-def _dataset(args, config, seed) -> Dataset:
-    """The dataset of case ``args.case``, read from ``--csv`` for cases 3 and 4."""
+def _case_source(args, config) -> tuple:
+    """``(noise, csv_path, response)``, the `case_dataset` arguments after
+    the seed for case ``args.case``. A bad noise level raises ``ValueError``;
+    cases 3 and 4 need ``--csv`` and ``--response``."""
     case_id = args.case
     if case_id not in CASE_DEFAULTS:
         raise CliError("usage", f"unknown case id {case_id}")
     noise = _setting(args, config, "noise", cast=float)
     if noise is not None:
-        _check_noise(noise)
+        check_noise(noise)
     csv_path = _setting(args, config, "csv")
     response = _setting(args, config, "response")
     if case_id in (3, 4):
@@ -201,7 +198,7 @@ def _dataset(args, config, seed) -> Dataset:
         if response is None:
             raise CliError("usage", f"case {case_id} requires --response")
         response = _parse_response(response)
-    return _read(case_dataset, case_id, seed, noise, csv_path, response)
+    return noise, csv_path, response
 
 
 def _grid(raw, flag) -> list:
@@ -353,15 +350,16 @@ def _case_report(result, case_id, seed, command) -> dict:
 def cmd_case(args, config) -> int:
     case_id = args.case
     seed = int(_setting(args, config, "seed", default=0, cast=int))
+    with _phase("config"):
+        source = _case_source(args, config)
+        spec0 = _kernel_spec(args, config, CASE_DEFAULTS[case_id]["families"])
+        flow = case_flow_config(case_id, seed, **_flow_overrides(args, config))
+    ds = _read(case_dataset, case_id, seed, *source)
+    with _phase("config"):
+        lv_max = _lv_max(args, config, ds, CASE_DEFAULTS[case_id]["lv_max"])
     out = _out_dir(args, config)
-    ds = _dataset(args, config, seed)
-    lv_max = _lv_max(args, config, ds, CASE_DEFAULTS[case_id]["lv_max"])
-    spec0 = _kernel_spec(args, config, CASE_DEFAULTS[case_id]["families"])
-    flow = _flow_config(_flow_overrides(args, config), seed, case_id)
-    try:
+    with _phase("compute"):
         result = run_pipeline(ds, spec0, flow, lv_max, seed)
-    except (DegenerateProblemError, FlowAbortError, ValueError) as exc:
-        raise CliError("compute", str(exc)) from exc
 
     write_report(out / "report.json", _case_report(result, case_id, seed, "case"))
     _write_trace(out / "trace.csv", result.trace)
@@ -374,22 +372,22 @@ def cmd_case(args, config) -> int:
 
 def cmd_optimize(args, config) -> int:
     seed = int(_setting(args, config, "seed", default=0, cast=int))
-    out = _out_dir(args, config)
     response = _setting(args, config, "response")
     if response is None:
         raise CliError("usage", "optimize requires --response")
     task = _setting(args, config, "task", default="regression")
     if task not in ("regression", "classification"):
         raise CliError("config", f"unknown task {task!r}")
+    with _phase("config"):
+        spec0 = _kernel_spec(args, config)
+        flow = FlowConfig(seed=seed, **_flow_overrides(args, config))
 
     ds = _read(load_csv, args.csv, _parse_response(response), task, seed)
-    lv_max = _lv_max(args, config, ds, 20)
-    spec0 = _kernel_spec(args, config)
-    flow = _flow_config(_flow_overrides(args, config), seed)
-    try:
+    with _phase("config"):
+        lv_max = _lv_max(args, config, ds, 20)
+    out = _out_dir(args, config)
+    with _phase("compute"):
         result = run_pipeline(ds, spec0, flow, lv_max, seed)
-    except (DegenerateProblemError, FlowAbortError, ValueError) as exc:
-        raise CliError("compute", str(exc)) from exc
 
     save_calibrated_model(out / "model.kfpls", result.model, ds)
     _write_trace(out / "trace.csv", result.trace)
@@ -405,7 +403,6 @@ def _parse_response(raw) -> list:
 
 
 def cmd_predict(args, config) -> int:
-    out = _out_dir(args, config)
     model, meta = _read(load_calibrated_model, args.model, what="model")
 
     header, rows = _read(read_csv, args.csv)
@@ -414,6 +411,7 @@ def cmd_predict(args, config) -> int:
     if missing:
         raise CliError("data", f"feature columns missing from CSV: {missing}")
     cols = [header.index(name) for name in meta["x_names"]]
+    out = _out_dir(args, config)
     X_raw = rows[:, cols]
     X = standardize(X_raw, meta["x_means"], meta["x_stds"])
     pred = predict_kpls(model, X)
@@ -436,79 +434,72 @@ _SWEEP_AXES = ("n_lv", "noise", "learning_rate", "n_subsamples", "init_theta")
 def cmd_sweep(args, config) -> int:
     grid = _grid(args.grid, "sweep grid")
     seed = int(_setting(args, config, "seed", default=0, cast=int))
-    out = _out_dir(args, config)
     case_id = args.case
-    if args.axis == "noise":
-        if case_id != 1:
-            raise CliError("usage", "the noise axis applies to case 1 only")
-        for value in grid:
-            _check_noise(value)
-    else:
-        ds = _dataset(args, config, seed)
-
-    spec0 = _kernel_spec(args, config, CASE_DEFAULTS[case_id]["families"])
-    overrides = _flow_overrides(args, config)
-    flow = _flow_config(overrides, seed, case_id)
-    if args.axis in ("n_lv", "n_subsamples") and not all(v.is_integer() for v in grid):
-        raise CliError("config", f"the {args.axis} grid takes whole numbers only")
-    if args.axis == "n_lv":
-        if min(grid) < 1:
-            raise CliError("config", f"the n_lv grid takes counts >= 1, got {min(grid):g}")
-        if max(grid) > ds.X_cal.shape[0]:
-            raise CliError("config", f"the n_lv grid exceeds the "
-                           f"{ds.X_cal.shape[0]} calibration rows")
-    if args.axis in ("learning_rate", "n_subsamples"):
-        cast = int if args.axis == "n_subsamples" else float
-        for value in grid:
-            _flow_config({**overrides, args.axis: cast(value)}, seed, case_id)
-    if args.axis == "init_theta":
-        for value in grid:
-            try:
-                KernelSpec.create(spec0.families, sigma=value, delta=value)
-            except ValueError as exc:
-                raise CliError("config", str(exc)) from exc
-
-    try:
-        if args.axis == "noise":
-            rows = sweep_noise(grid, seed, spec0, case_id, overrides)
-            header = ["noise", "rmse", "nrmse_percent", "q2", "rmse_true", "rmse_noisy"]
-            table = [
-                (level, rep.rmse, rep.nrmse_percent, rep.q2, r_true, r_noisy)
-                for level, rep, r_true, r_noisy in rows
-            ]
-        elif args.axis == "n_lv":
-            result = run_pipeline(ds, spec0, flow, CASE_DEFAULTS[case_id]["lv_max"], seed)
-            rows = sweep_n_lv(ds, result.spec_opt, [int(v) for v in grid])
-            header = ["n_lv", "rmse", "nrmse_percent", "q2", "accuracy"]
-            table = [
-                (lv, rep.rmse, rep.nrmse_percent, rep.q2,
-                 rep.accuracy if rep.accuracy is not None else "")
-                for lv, rep in rows
-            ]
+    if args.axis == "noise" and case_id != 1:
+        raise CliError("usage", "the noise axis applies to case 1 only")
+    with _phase("config"):
+        source = None if args.axis == "noise" else _case_source(args, config)
+        spec0 = _kernel_spec(args, config, CASE_DEFAULTS[case_id]["families"])
+        overrides = _flow_overrides(args, config)
+        flow = case_flow_config(case_id, seed, **overrides)
+        if args.axis == "n_lv":
+            if not all(v.is_integer() for v in grid):
+                raise ValueError("the n_lv grid takes whole numbers only")
+            if min(grid) < 1:
+                raise ValueError(f"the n_lv grid takes counts >= 1, got {min(grid):g}")
         else:
-            rows = sweep_flow_parameter(ds, spec0, args.axis, grid, seed, case_id,
-                                        overrides)
-            header = [
-                args.axis, "rmse", "q2", "accuracy", "sigma_opt", "delta_opt",
-                "iterations_run", "converged", "loss_std_last100",
-            ]
-            table = []
-            for value, result in rows:
-                rep = result.reports["kf_pls"]
-                tail = result.trace.loss[-100:]
-                table.append(
-                    (
-                        value, rep.rmse, rep.q2,
-                        rep.accuracy if rep.accuracy is not None else "",
-                        float(result.spec_opt.sigma.mean()),
-                        result.spec_opt.delta,
-                        result.trace.iterations_run,
-                        int(result.trace.converged),
-                        float(np.std(tail)),
-                    )
+            points = sweep_points(args.axis, grid, spec0, seed, case_id, overrides)
+    ds = None if source is None else _read(case_dataset, case_id, seed, *source)
+    if args.axis == "n_lv" and max(grid) > ds.X_cal.shape[0]:
+        raise CliError("config", f"the n_lv grid exceeds the "
+                       f"{ds.X_cal.shape[0]} calibration rows")
+    out = _out_dir(args, config)
+
+    lv_max = CASE_DEFAULTS[case_id]["lv_max"]
+    with _phase("compute"):
+        if args.axis == "n_lv":
+            result = run_pipeline(ds, spec0, flow, lv_max, seed)
+            rows = sweep_n_lv(ds, result.spec_opt, [int(v) for v in grid])
+        else:
+            rows = []
+            for value, spec, point_flow, noise in points:
+                point_ds = ds if noise is None else case_dataset(case_id, seed, noise)
+                rows.append((value, run_pipeline(point_ds, spec, point_flow, lv_max, seed)))
+    if args.axis == "noise":
+        header = ["noise", "rmse", "nrmse_percent", "q2", "rmse_true", "rmse_noisy"]
+        table = []
+        for level, result in rows:
+            rep, pred = result.reports["kf_pls"], result.predictions["kf_pls"]
+            table.append((level, rep.rmse, rep.nrmse_percent, rep.q2,
+                          rmse(result.predictions["y_true"], pred),
+                          rmse(result.predictions["y_test"], pred)))
+    elif args.axis == "n_lv":
+        header = ["n_lv", "rmse", "nrmse_percent", "q2", "accuracy"]
+        table = [
+            (lv, rep.rmse, rep.nrmse_percent, rep.q2,
+             rep.accuracy if rep.accuracy is not None else "")
+            for lv, rep in rows
+        ]
+    else:
+        header = [
+            args.axis, "rmse", "q2", "accuracy", "sigma_opt", "delta_opt",
+            "iterations_run", "converged", "loss_std_last100",
+        ]
+        table = []
+        for value, result in rows:
+            rep = result.reports["kf_pls"]
+            tail = result.trace.loss[-100:]
+            table.append(
+                (
+                    value, rep.rmse, rep.q2,
+                    rep.accuracy if rep.accuracy is not None else "",
+                    float(result.spec_opt.sigma.mean()),
+                    result.spec_opt.delta,
+                    result.trace.iterations_run,
+                    int(result.trace.converged),
+                    float(np.std(tail)),
                 )
-    except (DegenerateProblemError, FlowAbortError, ValueError) as exc:
-        raise CliError("compute", str(exc)) from exc
+            )
 
     write_table(out / "sweep.csv", header, table)
     print(f"sweep table written to {out / 'sweep.csv'}")
@@ -519,21 +510,17 @@ def cmd_loss_surface(args, config) -> int:
     sigmas = _grid(args.sigma_grid, "sigma grid")
     deltas = _grid(args.delta_grid, "delta grid")
     seed = int(_setting(args, config, "seed", default=0, cast=int))
-    out = _out_dir(args, config)
-    ds = _dataset(args, config, seed)
-    families = _setting(args, config, "kernel",
-                        default=CASE_DEFAULTS[args.case]["families"])
-    flow = _flow_config(_flow_overrides(args, config), seed, args.case)
-
     grid = list(itertools.product(sigmas, deltas))
-    try:
+    with _phase("config"):
+        source = _case_source(args, config)
+        families = _setting(args, config, "kernel",
+                            default=CASE_DEFAULTS[args.case]["families"])
+        flow = case_flow_config(args.case, seed, **_flow_overrides(args, config))
         specs = [KernelSpec.create(families, sigma=s, delta=d) for s, d in grid]
-    except ValueError as exc:
-        raise CliError("config", str(exc)) from exc
-    try:
+    ds = _read(case_dataset, args.case, seed, *source)
+    out = _out_dir(args, config)
+    with _phase("compute"):
         rows = loss_surface(ds.X_cal, ds.Y_cal, specs, flow)
-    except (DegenerateProblemError, FlowAbortError, ValueError) as exc:
-        raise CliError("compute", str(exc)) from exc
 
     table = [(s, d, mean, std) for (s, d), (_, mean, std) in zip(grid, rows)]
     write_table(out / "loss_surface.csv", ["sigma", "delta", "mean_loss", "std_loss"], table)

@@ -29,14 +29,11 @@ def q2(
     y_test: np.ndarray,
     y_pred: np.ndarray,
     y_cal: np.ndarray,
-    literal: bool = False,
 ) -> float:
     """Goodness of prediction on held-out data; 1 means perfect.
 
-    The default form is one minus the ratio of test residuals to test
-    deviations from the calibration mean. With ``literal=True`` the bare
-    ratio of test residuals to calibration deviations is returned instead
-    (an auditing aid; small is good in that form).
+    One minus the ratio of test residuals to test deviations from the
+    calibration mean.
     """
     y_test = np.asarray(y_test, dtype=float)
     y_pred = np.asarray(y_pred, dtype=float)
@@ -55,8 +52,6 @@ def q2(
         raise ValueError("calibration responses have zero variance")
 
     press = float(np.sum((y_test - y_pred) ** 2))
-    if literal:
-        return press / cal_dev
     test_dev = float(np.sum((y_test - cal_means) ** 2))
     if test_dev <= 0:
         raise ValueError("test responses do not deviate from the calibration mean")
@@ -90,7 +85,3 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(**d)

@@ -5,8 +5,10 @@ the calibration partition, pick the latent-variable count by a line
 search on a held-out fifth of the calibration data, refit on the whole
 calibration partition, and score the untouched test partition. Two
 reference models are evaluated alongside: plain linear PLS, and kernel
-PLS with untuned unit parameters. Sweep helpers rerun pieces of that
-recipe over one axis at a time.
+PLS with untuned unit parameters. A one-axis sweep reruns that recipe
+once per grid point, from the runs `sweep_points` builds before any of
+them starts; the factor-count axis instead reuses one run's kernel
+(`sweep_n_lv`).
 
 Each factor search (`line_search_n_lv`, `plain_pls_lv`, `sweep_n_lv`)
 makes one SIMPLS fit at its largest count and takes every smaller count
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import Dataset, gen_circles, gen_peaks, load_csv
+from .datasets import Dataset, check_noise, gen_circles, gen_peaks, load_csv
 from .exceptions import DegenerateProblemError
 from .flows import FlowConfig, FlowTrace, run_kernel_flows
 from .kernels import KernelSpec, gram_test
@@ -296,54 +298,36 @@ def sweep_n_lv(ds: Dataset, spec: KernelSpec, grid) -> list:
     return [(lv, evaluate_predictions(ds, preds[lv - 1])) for lv in grid]
 
 
-def sweep_noise(grid, seed, spec0, case_id: int = 1, flow_overrides=None) -> list:
-    """Full reruns of the synthetic regression case at several noise levels.
+def sweep_points(axis: str, grid, spec0: KernelSpec, seed, case_id: int,
+                 flow_overrides=None) -> list:
+    """The `run_pipeline` inputs of each grid point of a one-axis sweep.
 
-    The dataset seed is shared across grid points so every level sees the
-    same inputs and the same noise pattern scaled up, which isolates the
-    noise effect; every flow starts from ``spec0`` and the optimizer stream
-    is spawned per point.
+    Returns ``(value, initial kernel, flow settings, noise level)`` per
+    point: ``spec0`` and the case's flow settings with ``flow_overrides``,
+    and one thing varied. ``learning_rate`` and ``n_subsamples`` set that
+    flow setting; ``init_theta`` sets the length-scale and ridge of
+    ``spec0``'s families; ``noise`` sets the noise of the case's dataset
+    (``None`` elsewhere: the case default), whose seed stays ``seed`` so
+    every level sees the same inputs and noise pattern. Each point's flow
+    seed is spawned from ``seed``. Raises ``ValueError`` for an unknown axis
+    or a point no run can use, before any point runs.
     """
-    rows = []
-    children = np.random.SeedSequence(seed).spawn(len(grid))
-    for level, child in zip(grid, children):
-        ds = case_dataset(case_id, seed, noise=float(level))
-        config = case_flow_config(case_id, child, **(flow_overrides or {}))
-        result = run_pipeline(ds, spec0, config, CASE_DEFAULTS[case_id]["lv_max"], seed)
-        pred = result.predictions["kf_pls"]
-        y_true = result.predictions.get("y_true")
-        y_noisy = result.predictions["y_test"]
-        rows.append(
-            (
-                float(level),
-                result.reports["kf_pls"],
-                rmse(y_true, pred) if y_true is not None else float("nan"),
-                rmse(y_noisy, pred),
-            )
-        )
-    return rows
-
-
-def sweep_flow_parameter(ds: Dataset, spec0: KernelSpec, axis: str, grid, seed,
-                         case_id: int, flow_overrides=None) -> list:
-    """Rerun the pipeline from ``spec0`` varying one optimizer setting per
-    grid point; ``init_theta`` starts from ``spec0``'s families at
-    length-scale and ridge equal to the grid value."""
-    if axis not in ("learning_rate", "n_subsamples", "init_theta"):
+    if axis not in ("noise", "learning_rate", "n_subsamples", "init_theta"):
         raise ValueError(f"unknown sweep axis {axis!r}")
-    rows = []
+    grid = [float(v) for v in grid]
+    if axis == "n_subsamples" and not all(v.is_integer() for v in grid):
+        raise ValueError("the n_subsamples grid takes whole numbers only")
+    points = []
     children = np.random.SeedSequence(seed).spawn(len(grid))
-    lv_max = CASE_DEFAULTS[case_id]["lv_max"]
     for value, child in zip(grid, children):
         overrides = dict(flow_overrides or {})
-        spec = spec0
-        if axis == "learning_rate":
-            overrides["learning_rate"] = float(value)
-        elif axis == "n_subsamples":
-            overrides["n_subsamples"] = int(value)
+        spec, noise = spec0, None
+        if axis == "noise":
+            check_noise(value)
+            noise = value
+        elif axis == "init_theta":
+            spec = KernelSpec.create(spec0.families, sigma=value, delta=value)
         else:
-            spec = KernelSpec.create(spec0.families, sigma=float(value), delta=float(value))
-        config = case_flow_config(case_id, child, **overrides)
-        result = run_pipeline(ds, spec, config, lv_max, seed)
-        rows.append((float(value), result))
-    return rows
+            overrides[axis] = int(value) if axis == "n_subsamples" else value
+        points.append((value, spec, case_flow_config(case_id, child, **overrides), noise))
+    return points

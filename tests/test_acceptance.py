@@ -29,15 +29,18 @@ from kfpls import (
 )
 from kfpls.datasets import compute_stats, destandardize, standardize
 from kfpls.kernels import FAMILY_NAMES, center_train, gram_train, kernel_matrix, train_sq_dists
+from kfpls.metrics import rmse
 from kfpls.pipeline import (
+    CASE_DEFAULTS,
     case_dataset,
     case_flow_config,
     case_spec,
     evaluate_predictions,
     plain_pls_predictions,
     run_case,
+    run_pipeline,
     sweep_n_lv,
-    sweep_noise,
+    sweep_points,
 )
 
 from oracles import flow_loss_literal, least_squares_prediction, richardson_gradient
@@ -98,9 +101,14 @@ class TestCriterion1Case1Regression:
 
 class TestCriterion2DenoisingProperty:
     def test_noise_sweep_shapes(self):
-        rows = sweep_noise([0.05, 0.1, 0.15, 0.2], seed=1, spec0=case_spec(1))
-        rmse_true = [r[2] for r in rows]
-        rmse_noisy = [r[3] for r in rows]
+        rmse_true, rmse_noisy = [], []
+        for _, spec, config, noise in sweep_points("noise", [0.05, 0.1, 0.15, 0.2],
+                                                   case_spec(1), seed=1, case_id=1):
+            result = run_pipeline(case_dataset(1, 1, noise), spec, config,
+                                  CASE_DEFAULTS[1]["lv_max"], 1)
+            pred = result.predictions["kf_pls"]
+            rmse_true.append(rmse(result.predictions["y_true"], pred))
+            rmse_noisy.append(rmse(result.predictions["y_test"], pred))
         band = max(rmse_true) - min(rmse_true)
         flat = band < 0.5 * rmse_true[0]
         monotone = all(b > a for a, b in zip(rmse_noisy, rmse_noisy[1:]))

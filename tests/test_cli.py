@@ -85,9 +85,10 @@ class TestCaseCommand:
 
     @pytest.mark.parametrize("flag", ["--iterations", "--n-lv"])
     def test_rejected_flow_setting_is_config_error(self, flag, tmp_path, capsys):
-        assert run_cli("case", "1", flag, "0", "--out-dir", tmp_path) == 2
+        out = tmp_path / "out"
+        assert run_cli("case", "1", flag, "0", "--out-dir", out) == 2
         assert "error:config" in capsys.readouterr().err
-        assert not (tmp_path / "report.json").exists()
+        assert not out.exists()
 
     def test_case3_without_csv_is_usage_error(self, capsys):
         assert run_cli("case", "3") == 2
@@ -300,7 +301,7 @@ class TestLvMaxBeforeFlow:
         assert run_cli("optimize", toy_csv, "--response", "target",
                        "--lv-max", lv_max, "--out-dir", out) == 2
         assert capsys.readouterr().err.startswith("error:config: lv_max")
-        assert not (out / "model.kfpls").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("lv_max", ["0", "500"])
     def test_case(self, lv_max, tmp_path, capsys, monkeypatch):
@@ -308,14 +309,15 @@ class TestLvMaxBeforeFlow:
         out = tmp_path / "out"
         assert run_cli("case", "1", "--lv-max", lv_max, "--out-dir", out) == 2
         assert capsys.readouterr().err.startswith("error:config: lv_max")
-        assert not (out / "report.json").exists()
+        assert not out.exists()
 
     def test_sweep_n_lv_grid_above_calibration_rows(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(pipeline, "run_kernel_flows", _no_flow)
+        out = tmp_path / "out"
         assert run_cli("sweep", "--axis", "n_lv", "--grid", "1,500", "--case", "1",
-                       "--out-dir", tmp_path) == 2
+                       "--out-dir", out) == 2
         assert "error:config" in capsys.readouterr().err
-        assert not (tmp_path / "sweep.csv").exists()
+        assert not out.exists()
 
 
 class TestConfigErrorsBeforeCompute:
@@ -328,9 +330,10 @@ class TestConfigErrorsBeforeCompute:
     ], ids=["case", "sweep"])
     def test_nan_flow_setting(self, argv, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(pipeline, "run_kernel_flows", _no_flow)
-        assert run_cli(*argv, "--out-dir", tmp_path) == 2
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out-dir", out) == 2
         assert capsys.readouterr().err.startswith("error:config: learning_rate")
-        assert not any(tmp_path.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["case", "1", "--noise", "nan"],
@@ -346,9 +349,10 @@ class TestConfigErrorsBeforeCompute:
         for module in (cli, pipeline):
             monkeypatch.setattr(module, "case_dataset", _no_dataset)
         monkeypatch.setattr(pipeline, "run_kernel_flows", _no_flow)
-        assert run_cli(*argv, "--out-dir", tmp_path) == 2
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out-dir", out) == 2
         assert capsys.readouterr().err.startswith("error:config: noise")
-        assert not any(tmp_path.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--kernel", "bogus"], "unknown kernel family"),
@@ -362,9 +366,10 @@ class TestConfigErrorsBeforeCompute:
         grids = {"--sigma-grid": "1", "--delta-grid": "1"}
         grids.update(zip(flags[::2], flags[1::2]))
         argv = [a for pair in grids.items() for a in pair]
-        assert run_cli("loss-surface", *argv, "--out-dir", tmp_path) == 2
+        out = tmp_path / "out"
+        assert run_cli("loss-surface", *argv, "--out-dir", out) == 2
         assert capsys.readouterr().err.startswith(f"error:config: {message}")
-        assert not any(tmp_path.iterdir())
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -381,17 +386,19 @@ class TestSweepCommand:
         assert "error:usage" in err
 
     def test_invalid_flow_grid_point_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
         assert run_cli("sweep", "--axis", "n_subsamples", "--grid", "2,0",
-                       "--case", "1", "--out-dir", tmp_path) == 2
+                       "--case", "1", "--out-dir", out) == 2
         assert "error:config" in capsys.readouterr().err
-        assert not (tmp_path / "sweep.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("axis", ["n_lv", "init_theta"])
     def test_invalid_grid_point_is_config_error(self, axis, tmp_path, capsys):
+        out = tmp_path / "out"
         assert run_cli("sweep", "--axis", axis, "--grid", "2,0", "--case", "1",
-                       "--out-dir", tmp_path) == 2
+                       "--out-dir", out) == 2
         assert "error:config" in capsys.readouterr().err
-        assert not (tmp_path / "sweep.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("axis", ["n_subsamples", "n_lv"])
     def test_fractional_count_grid_is_config_error(self, axis, tmp_path, capsys):
@@ -439,7 +446,7 @@ class TestErrorContract:
         out = tmp_path / "out"
         assert run_cli(*[a.format(**fill) for a in argv], "--out-dir", out) == 1
         assert capsys.readouterr().err.startswith("error:io:")
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["case", "3"],

@@ -27,6 +27,7 @@ from kfpls.pipeline import (
     plain_pls_predictions,
     run_pipeline,
     sweep_n_lv,
+    sweep_points,
 )
 from kfpls.pls import coef_path
 
@@ -265,3 +266,56 @@ class TestCaseDataset:
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError, match="unknown case"):
             case_dataset(9, seed=0)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("a dataset was built or a flow ran")
+
+
+class TestSweepPoints:
+    """Every run of a one-axis sweep is built, and checked, before any runs."""
+
+    @pytest.mark.parametrize("axis, grid", [
+        ("noise", [0.05, 0.2]),
+        ("learning_rate", [0.1, 0.5]),
+        ("n_subsamples", [2.0, 4.0]),
+        ("init_theta", [0.5, 3.0]),
+    ])
+    def test_points_per_axis(self, axis, grid):
+        spec0 = KernelSpec.create("gaussian,cauchy", sigma=2.0, delta=0.3)
+        overrides = {"n_iter": 7, "momentum": 0.5}
+        points = sweep_points(axis, grid, spec0, 11, 2, overrides)
+        children = np.random.SeedSequence(11).spawn(len(grid))
+        assert [value for value, *_ in points] == grid
+        for (value, spec, config, noise), child in zip(points, children):
+            assert (config.seed.entropy, config.seed.spawn_key) == (child.entropy,
+                                                                  child.spawn_key)
+            expected = dict(overrides)
+            if axis in ("learning_rate", "n_subsamples"):
+                expected[axis] = value
+            assert dataclasses.replace(config, seed=None) == case_flow_config(
+                2, None, **expected)
+            assert type(config.n_subsamples) is int
+            if axis == "init_theta":
+                assert spec.families == spec0.families
+                np.testing.assert_array_equal(
+                    spec.theta(), KernelSpec.create(spec0.families, sigma=value,
+                                                    delta=value).theta())
+            else:
+                assert spec is spec0
+            assert noise == (value if axis == "noise" else None)
+
+    @pytest.mark.parametrize("axis, grid, message", [
+        ("n_subsamples", [2.0, 0.0], "n_subsamples must be >= 1"),
+        ("n_subsamples", [1.5], "whole numbers"),
+        ("learning_rate", [0.1, float("nan")], "learning_rate"),
+        ("init_theta", [1.0, 0.0], "length-scales"),
+        ("noise", [0.1, -1.0], "noise"),
+        ("n_lv", [2.0], "unknown sweep axis"),
+    ], ids=["n_subsamples-0", "n_subsamples-1.5", "learning_rate-nan",
+            "init_theta-0", "noise-negative", "axis"])
+    def test_bad_point_rejected_before_any_run(self, axis, grid, message, monkeypatch):
+        monkeypatch.setattr(pipeline, "run_kernel_flows", _never)
+        monkeypatch.setattr(pipeline, "case_dataset", _never)
+        with pytest.raises(ValueError, match=message):
+            sweep_points(axis, grid, pipeline.case_spec(1), 0, 1)
