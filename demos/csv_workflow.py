@@ -13,8 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from kfpls import load_csv, predict_kpls
-from kfpls.cli import load_calibrated_model, save_calibrated_model
+from kfpls import load_calibrated_model, load_csv, predict_kpls, save_calibrated_model
 from kfpls.pipeline import case_flow_config, run_pipeline
 from kfpls.kernels import KernelSpec
 from kfpls.datasets import standardize

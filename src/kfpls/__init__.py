@@ -13,8 +13,6 @@ from .exceptions import DegenerateProblemError, FlowAbortError
 from .flows import (
     FlowConfig,
     FlowTrace,
-    kf_gradient,
-    kf_loss,
     loss_surface,
     run_kernel_flows,
     update_theta,
@@ -26,7 +24,14 @@ from .kernels import (
     gram_train,
     kernel_eval,
 )
-from .kpls import KplsModel, classify, fit_kpls, load_model, predict_kpls, save_model
+from .kpls import (
+    KplsModel,
+    classify,
+    fit_kpls,
+    load_calibrated_model,
+    predict_kpls,
+    save_calibrated_model,
+)
 from .metrics import EvalReport, accuracy, nrmse, q2, rmse
 from .pls import PlsModel, fit_pls, predict_pls
 
@@ -53,10 +58,8 @@ __all__ = [
     "gram_test",
     "gram_train",
     "kernel_eval",
-    "kf_gradient",
-    "kf_loss",
+    "load_calibrated_model",
     "load_csv",
-    "load_model",
     "loss_surface",
     "nrmse",
     "peaks_surface",
@@ -65,7 +68,7 @@ __all__ = [
     "q2",
     "rmse",
     "run_kernel_flows",
-    "save_model",
+    "save_calibrated_model",
     "standardize",
     "update_theta",
 ]

@@ -16,7 +16,9 @@ and every grid point of a sweep), data (``io``, ``data``: read or build
 the dataset, then the ``config`` checks that need it, such as
 ``--lv-max``), compute (create the output directory, then ``compute``)
 and write. So a command that stops before compute leaves no output
-directory behind.
+directory behind. A file or directory that cannot be read or written, in
+any phase, is an ``io`` error. ``model.kfpls`` is written and read by
+`kpls.save_calibrated_model` and `kpls.load_calibrated_model`.
 """
 
 from __future__ import annotations
@@ -33,12 +35,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._serialize import read_array_archive, write_array_archive
 from .datasets import Dataset, check_noise, load_csv, read_csv, standardize
 from .exceptions import DegenerateProblemError, FlowAbortError
 from .flows import _OBJECTIVES, _UPDATE_RULES, FlowConfig, loss_surface
 from .kernels import KernelSpec
-from .kpls import KplsModel, model_from_arrays, model_to_arrays, predict_kpls
+from .kpls import load_calibrated_model, predict_kpls, save_calibrated_model
 from .metrics import rmse
 from .pipeline import (
     CASE_DEFAULTS,
@@ -214,10 +215,7 @@ def _grid(raw, flag) -> list:
 
 def _out_dir(args, config) -> Path:
     out = Path(_setting(args, config, "out_dir", default="."))
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError("io", f"cannot create output directory: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -276,56 +274,6 @@ def _write_predictions(path, ds: Dataset, predictions: dict) -> None:
             blocks.append((np.argmax(predictions[key], axis=1) + 1)[:, None])
         data = np.hstack(blocks)
     write_table(path, names, data)
-
-
-def save_calibrated_model(path, model: KplsModel, ds: Dataset) -> None:
-    """Model archive that also carries the dataset standardization."""
-    arrays = model_to_arrays(model)
-    arrays.update(
-        {
-            "prep_x_means": ds.x_means,
-            "prep_x_stds": ds.x_stds,
-            "prep_has_y_stats": np.array(ds.y_means is not None),
-            "prep_y_means": ds.y_means if ds.y_means is not None else np.zeros(0),
-            "prep_y_stds": ds.y_stds if ds.y_stds is not None else np.zeros(0),
-            "prep_task": np.array(ds.task),
-            "prep_x_names": np.array(ds.x_names),
-            "prep_y_names": np.array(ds.y_names),
-        }
-    )
-    write_array_archive(path, arrays)
-
-
-def load_calibrated_model(path) -> tuple[KplsModel, dict]:
-    """Model and standardization from one read of a calibrated archive.
-
-    Raises ``ValueError`` when the archive is malformed: see
-    `model_from_arrays`, plus standardization arrays and names whose
-    lengths disagree with the model.
-    """
-    data = read_array_archive(path)
-    if "prep_task" not in data:
-        raise ValueError("model file lacks preprocessing metadata")
-    model = model_from_arrays(data)
-    has_y_stats = bool(data["prep_has_y_stats"])
-    meta = {
-        "x_means": data["prep_x_means"],
-        "x_stds": data["prep_x_stds"],
-        "y_means": data["prep_y_means"] if has_y_stats else None,
-        "y_stds": data["prep_y_stds"] if has_y_stats else None,
-        "task": str(data["prep_task"]),
-        "x_names": [str(s) for s in data["prep_x_names"]],
-        "y_names": [str(s) for s in data["prep_y_names"]],
-    }
-    n_x, n_y = model.x_train.shape[1], model.y_means.shape[0]
-    expected = {"prep_x_names": n_x, "prep_x_means": n_x, "prep_x_stds": n_x,
-                "prep_y_names": n_y}
-    if has_y_stats:
-        expected.update(prep_y_means=n_y, prep_y_stds=n_y)
-    for key, n in expected.items():
-        if data[key].shape != (n,):
-            raise ValueError(f"{key} has shape {data[key].shape}, the model needs ({n},)")
-    return model, meta
 
 
 def _case_report(result, case_id, seed, command) -> dict:
@@ -594,6 +542,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)
         return 2 if exc.category in ("usage", "config") else 1
+    except OSError as exc:  # an output directory or file that cannot be written
+        print(f"error:io: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # noqa: BLE001 - last-resort CLI boundary
         print(f"error:internal: {exc}", file=sys.stderr)
         return 1

@@ -29,8 +29,6 @@ Gram of its own fit. That is the classical kernel-flow quantity for
 full-rank kernel regression, where the sub-batch fit is a projection of
 the full fit. PLS truncation breaks that identity, letting the norm ratio
 go negative and reward degenerate kernels, so it is not the default.
-`kf_loss` applies the same fit and norm to two Grams built independently
-from raw rows.
 
 Every loss evaluation on one minibatch draw (the iteration loss and each
 finite-difference probe) reads one `_Workspace`, started when the draw is
@@ -318,41 +316,6 @@ def _batch_losses(batch, Y_batch, subsets, n_lv, spec, objective):
     return float(np.mean(rhos)), rhos.tolist()
 
 
-def _kpls_norm(X: np.ndarray, Y: np.ndarray, n_lv: int, spec: KernelSpec) -> float:
-    """Squared model norm of an independent kernel-PLS fit on raw rows."""
-    d2 = train_sq_dists(np.asarray(X, dtype=float))
-    if d2.max() <= 0.0:
-        raise DegenerateProblemError("all batch rows are identical")
-    coef, _, _, K_c = _fit_stack(kernel_matrix(spec, d2)[None], Y[None], n_lv, spec.delta)
-    return float(_model_norms(coef, K_c)[0])
-
-
-def kf_loss(
-    X_b: np.ndarray,
-    Y_b: np.ndarray,
-    X_s: np.ndarray,
-    Y_s: np.ndarray,
-    n_lv: int,
-    spec: KernelSpec,
-) -> float:
-    """Flow loss for one minibatch / sub-batch pair.
-
-    Both sets get an independent kernel-PLS fit (own Gram, own centering);
-    the loss is one minus the ratio of their squared model norms. Zero when
-    the sub-batch equals the minibatch, and always below one.
-    """
-    Y_b = np.atleast_2d(np.asarray(Y_b, dtype=float).T).T
-    Y_s = np.atleast_2d(np.asarray(Y_s, dtype=float).T).T
-    norm_b = _kpls_norm(X_b, Y_b, n_lv, spec)
-    if abs(norm_b) < _NORM_FLOOR:
-        raise DegenerateProblemError("minibatch norm is zero; loss undefined")
-    norm_s = _kpls_norm(X_s, Y_s, n_lv, spec)
-    value = 1.0 - norm_s / norm_b
-    if not math.isfinite(value):
-        raise DegenerateProblemError("loss is not finite")
-    return value
-
-
 def _fd_gradient(
     ws: _Workspace,
     Y_batch,
@@ -401,29 +364,6 @@ def _fd_gradient(
                     f"loss not finite while probing parameter {i}, even at half step"
                 )
     return grad
-
-
-def kf_gradient(
-    X_b: np.ndarray,
-    Y_b: np.ndarray,
-    subsample_set: list,
-    n_lv: int,
-    spec: KernelSpec,
-    step: float = 1e-4,
-) -> np.ndarray:
-    """Gradient of the averaged norm-ratio loss at the spec's parameters.
-
-    ``subsample_set`` is a list of index arrays into the minibatch rows;
-    the same sets are reused for every finite-difference probe.
-    """
-    X_b = np.asarray(X_b, dtype=float)
-    Y_b = np.atleast_2d(np.asarray(Y_b, dtype=float).T).T
-    subsets = [np.asarray(idx, dtype=int) for idx in subsample_set]
-    for idx in subsets:
-        if idx.size and (idx.min() < 0 or idx.max() >= X_b.shape[0]):
-            raise ValueError("subsample indices out of range")
-    ws = _Workspace().start(train_sq_dists(X_b))
-    return _fd_gradient(ws, Y_b, subsets, n_lv, spec, spec.theta(), step, "norm_ratio")
 
 
 def update_theta(

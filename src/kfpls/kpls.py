@@ -5,8 +5,13 @@ ridge Gram, and runs SIMPLS against column-centered responses. A new
 row's cross kernel must be centered on the Gram's column means before it
 meets the coefficients, and the response means added back; `affine_coef`
 folds both into one affine map on the plain cross kernel, which is how
-every prediction in the package is made. Archives are written at schema
-version 2; version 1, which also held scores, is still read.
+every prediction in the package is made.
+
+A model archive holds the model and the standardization of the dataset it
+was fitted on: `save_calibrated_model` writes it and
+`load_calibrated_model` reads it back, checking every member. Archives
+are written at schema version 2; version 1, which also held scores, is
+still read.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._serialize import read_array_archive, write_array_archive
+from .datasets import Dataset
 from .exceptions import DegenerateProblemError
 from .kernels import KernelSpec, center_train, gram_test, gram_train
 from .pls import PlsModel, fit_pls
@@ -112,10 +118,12 @@ def classify(model: KplsModel, X_new: np.ndarray) -> np.ndarray:
     return np.argmax(scores, axis=1) + 1
 
 
-def model_to_arrays(model: KplsModel) -> dict:
-    """Archive members of a model, keyed by member name (schema v2)."""
+def save_calibrated_model(path, model: KplsModel, ds: Dataset) -> None:
+    """Write a model and the standardization of its dataset ``ds`` to one
+    archive (schema v2). Equal inputs give byte-identical files, and all
+    float payloads round-trip bit-exact."""
     spec = model.spec
-    return {
+    write_array_archive(path, {
         "schema_version": np.array(_SCHEMA_VERSION),
         "families": np.array(list(spec.families)),
         "log_sigma": spec.log_sigma,
@@ -130,24 +138,47 @@ def model_to_arrays(model: KplsModel) -> dict:
         "pls_coef": model.pls.coef,
         "pls_n_lv": np.array(model.pls.n_lv),
         "y_means": model.y_means,
-    }
+        "prep_x_means": ds.x_means,
+        "prep_x_stds": ds.x_stds,
+        "prep_has_y_stats": np.array(ds.y_means is not None),
+        "prep_y_means": ds.y_means if ds.y_means is not None else np.zeros(0),
+        "prep_y_stds": ds.y_stds if ds.y_stds is not None else np.zeros(0),
+        "prep_task": np.array(ds.task),
+        "prep_x_names": np.array(ds.x_names),
+        "prep_y_names": np.array(ds.y_names),
+    })
 
 
 def model_from_arrays(data: dict) -> KplsModel:
-    """Inverse of `model_to_arrays`, which also reads version-1 archives;
-    other members, such as a calibrated archive's ``prep_*`` arrays or the
-    ones only version 1 wrote, are left for the caller.
+    """The model in the members of an archive, version 2 or 1; other
+    members, such as the ``prep_*`` arrays or the ones only version 1
+    wrote, are left for the caller.
 
-    Raises ``ValueError`` for another schema version, a non-finite float
-    member (of any name), or prediction arrays whose shapes disagree with
-    ``x_train``.
+    Raises ``ValueError`` for a scalar or list member of another shape,
+    another schema version, a non-finite float member (of any name), a
+    kernel whose families are unknown or repeated or whose parameters do
+    not have one entry per family, or prediction arrays whose shapes
+    disagree with ``x_train``.
     """
+    for key, ndim in (("schema_version", 0), ("families", 1), ("has_log_gamma", 0),
+                      ("log_delta", 0), ("pls_n_lv", 0)):
+        if data[key].ndim != ndim:
+            raise ValueError(f"archive member {key!r} is not {ndim}-dimensional")
     version = int(data["schema_version"])
     if version not in (1, _SCHEMA_VERSION):
         raise ValueError(f"unsupported model schema version {version}")
     for key, value in data.items():
         if value.dtype.kind == "f" and not np.isfinite(value).all():
             raise ValueError(f"archive member {key!r} holds non-finite values")
+    families = KernelSpec.create([str(f) for f in data["families"]]).families
+    log_gamma = data["log_gamma"] if bool(data["has_log_gamma"]) else None
+    k = len(families)
+    shapes = {"log_sigma": data["log_sigma"].shape}
+    if k > 1 or log_gamma is not None:
+        shapes["log_gamma"] = np.shape(log_gamma)
+    for key, shape in shapes.items():
+        if shape != (k,):
+            raise ValueError(f"{key} has shape {shape}, the kernel has {k} families")
     n_train = data["x_train"].shape[0]
     coef_shape = (n_train, data["y_means"].shape[0])
     if data["pls_coef"].shape != coef_shape:
@@ -157,9 +188,9 @@ def model_from_arrays(data: dict) -> KplsModel:
     if data["center_col_means"].shape != (n_train,):
         raise ValueError(f"center_col_means does not have {n_train} entries")
     spec = KernelSpec(
-        families=tuple(str(f) for f in data["families"]),
+        families=families,
         log_sigma=data["log_sigma"],
-        log_gamma=data["log_gamma"] if bool(data["has_log_gamma"]) else None,
+        log_gamma=log_gamma,
         log_delta=float(data["log_delta"]),
     )
     pls = PlsModel(
@@ -178,14 +209,35 @@ def model_from_arrays(data: dict) -> KplsModel:
     )
 
 
-def save_model(model: KplsModel, path) -> None:
-    """Write a model to a single self-describing archive.
+def load_calibrated_model(path) -> tuple[KplsModel, dict]:
+    """Model and standardization from one read of an archive that
+    `save_calibrated_model` wrote.
 
-    Equal models produce byte-identical files, and all float payloads
-    round-trip bit-exact.
+    Raises ``OSError`` if the file cannot be read and ``ValueError`` when
+    the archive is malformed: see `model_from_arrays`, plus missing
+    standardization members, or standardization arrays and names whose
+    lengths disagree with the model.
     """
-    write_array_archive(path, model_to_arrays(model))
-
-
-def load_model(path) -> KplsModel:
-    return model_from_arrays(read_array_archive(path))
+    data = read_array_archive(path)
+    if "prep_task" not in data:
+        raise ValueError("model file lacks preprocessing metadata")
+    model = model_from_arrays(data)
+    has_y_stats = bool(data["prep_has_y_stats"])
+    meta = {
+        "x_means": data["prep_x_means"],
+        "x_stds": data["prep_x_stds"],
+        "y_means": data["prep_y_means"] if has_y_stats else None,
+        "y_stds": data["prep_y_stds"] if has_y_stats else None,
+        "task": str(data["prep_task"]),
+        "x_names": [str(s) for s in data["prep_x_names"]],
+        "y_names": [str(s) for s in data["prep_y_names"]],
+    }
+    n_x, n_y = model.x_train.shape[1], model.y_means.shape[0]
+    expected = {"prep_x_names": n_x, "prep_x_means": n_x, "prep_x_stds": n_x,
+                "prep_y_names": n_y}
+    if has_y_stats:
+        expected.update(prep_y_means=n_y, prep_y_stds=n_y)
+    for key, n in expected.items():
+        if data[key].shape != (n,):
+            raise ValueError(f"{key} has shape {data[key].shape}, the model needs ({n},)")
+    return model, meta

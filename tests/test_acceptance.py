@@ -21,13 +21,12 @@ from kfpls import (
     KernelSpec,
     fit_pls,
     gen_peaks,
-    kf_gradient,
-    kf_loss,
     loss_surface,
     predict_pls,
     run_kernel_flows,
 )
 from kfpls.datasets import compute_stats, destandardize, standardize
+from kfpls.flows import _batch_losses, _fd_gradient, _Workspace
 from kfpls.kernels import FAMILY_NAMES, center_train, gram_train, kernel_matrix, train_sq_dists
 from kfpls.metrics import rmse
 from kfpls.pipeline import (
@@ -242,7 +241,7 @@ class TestCriterion7OracleEquivalences:
         Y_b = (np.sin(X_b[:, 0]) + X_b[:, 1] ** 2)[:, None]
         idx = np.sort(rng.choice(16, 8, replace=False))
         spec = KernelSpec.create(["gaussian"], sigma=1.0, delta=0.01)
-        got = kf_loss(X_b, Y_b, X_b[idx], Y_b[idx], 2, spec)
+        got = _batch_losses(train_sq_dists(X_b), Y_b, [idx], 2, spec, "norm_ratio")[0]
         ref = flow_loss_literal(
             ["gaussian"], [1.0], [1.0], 0.01, X_b, Y_b, X_b[idx], Y_b[idx], 2
         )
@@ -266,11 +265,9 @@ class TestCriterion7OracleEquivalences:
             Y = (np.sin(X[:, 0]) + 0.5 * X[:, 1] ** 2)[:, None]
             spec = KernelSpec.create(families, sigma=sigma, delta=delta)
             subs = [np.sort(rng.choice(18, 9, replace=False)) for _ in range(4)]
-            grad = kf_gradient(X, Y, subs, 2, spec)
-
-            from kfpls.flows import _batch_losses
-
             d2 = train_sq_dists(X)
+            grad = _fd_gradient(_Workspace().start(d2), Y, subs, 2, spec,
+                                spec.theta(), 1e-4, "norm_ratio")
 
             def f(vec, d2=d2, Y=Y, subs=subs, spec=spec):
                 return _batch_losses(

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kfpls import FlowConfig, KernelSpec, cli, pipeline, predict_kpls
+from kfpls import FlowConfig, KernelSpec, cli, load_calibrated_model, pipeline, predict_kpls
 from kfpls._serialize import read_array_archive, write_array_archive
-from kfpls.cli import build_parser, load_calibrated_model, main
+from kfpls.cli import build_parser, main
 from kfpls.datasets import read_csv, standardize
 from kfpls.pipeline import case_flow_config
 
@@ -244,9 +244,41 @@ def _no_schema_version(arrays):
     del arrays["schema_version"]
 
 
+def _unknown_family(arrays):
+    arrays["families"] = np.array(["bogus"])
+
+
+def _no_length_scale(arrays):
+    arrays["log_sigma"] = np.zeros(0)
+
+
+def _no_weight(arrays):
+    arrays["has_log_gamma"] = np.array(True)
+    arrays["log_gamma"] = np.zeros(0)
+
+
+def _two_families_no_weights(arrays):
+    arrays["families"] = np.array(["gaussian", "cauchy"])
+    arrays["log_sigma"] = np.zeros(2)
+
+
+def _vector_ridge(arrays):
+    arrays["log_delta"] = np.zeros(2)
+
+
+def _duplicate_family(arrays):
+    arrays["families"] = np.array(["gaussian", "gaussian"])
+    arrays["log_sigma"] = np.zeros(2)
+    arrays["has_log_gamma"] = np.array(True)
+    arrays["log_gamma"] = np.zeros(2)
+
+
 class TestCorruptArchive:
     @pytest.mark.parametrize("corrupt", [_cut_coef, _nan_coef, _one_feature_name,
-                                         _no_schema_version])
+                                         _no_schema_version, _unknown_family,
+                                         _no_length_scale, _no_weight,
+                                         _two_families_no_weights, _duplicate_family,
+                                         _vector_ridge])
     def test_predict_rejects_corrupt_archive(self, tmp_path, xy_model, capsys, corrupt):
         train, archive = xy_model
         arrays = read_array_archive(archive)
@@ -280,6 +312,22 @@ class TestCorruptArchive:
         assert run_cli("predict", archive, train, "--out-dir", pred_dir) == 1
         assert capsys.readouterr().err.startswith("error:io: cannot load model")
         assert not (pred_dir / "predictions.csv").exists()
+
+
+class TestUnwritableOutput:
+    """An output file that cannot be written is an ``io`` error."""
+
+    def test_case_report(self, tmp_path, capsys):
+        (tmp_path / "report.json").mkdir()
+        assert run_cli("case", "1", "--iterations", "3", "--out-dir", tmp_path) == 1
+        assert capsys.readouterr().err.startswith("error:io:")
+
+    def test_predict_predictions(self, tmp_path, xy_model, capsys):
+        train, archive = xy_model
+        pred_dir = tmp_path / "pred"
+        (pred_dir / "predictions.csv").mkdir(parents=True)
+        assert run_cli("predict", archive, train, "--out-dir", pred_dir) == 1
+        assert capsys.readouterr().err.startswith("error:io:")
 
 
 def _no_flow(*args, **kwargs):

@@ -1,4 +1,5 @@
-"""Every script in ``demos/`` runs to completion against the current API.
+"""Every script in ``demos/`` and the README's library quick start run to
+completion against the current API.
 
 Each demo runs in-process through ``runpy`` with stdout captured, from a
 temporary working directory, with temporary files kept under it too.
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_all_six_demos_found():
@@ -30,3 +32,12 @@ def test_demo_runs(demo, tmp_path, monkeypatch):
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(demo), run_name="__main__")
     assert out.getvalue().strip()
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md (library quick start)", "exec"), {})
+    assert (tmp_path / "model.kfpls").exists()

@@ -13,13 +13,14 @@ from kfpls import (
     gen_circles,
     gen_peaks,
     gram_train,
-    load_model,
+    load_calibrated_model,
     predict_kpls,
-    save_model,
+    save_calibrated_model,
 )
 
 from kfpls._serialize import read_array_archive, write_array_archive
 from kfpls.kernels import kernel_matrix, pairwise_sq_dists
+from kfpls.kpls import model_from_arrays
 from oracles import center_test_literal, gram_literal, kernel_value, kpls_coef_literal
 
 V1_ARCHIVE = Path(__file__).parent / "data" / "model_v1.kfpls"
@@ -222,18 +223,22 @@ class TestArgmaxRule:
             np.testing.assert_array_equal(np.argmax(transform(scores), axis=1), base)
 
 
+def peaks_model(seed, n_lv=2, spec=None):
+    """A model fitted to the calibration rows of a small peaks dataset."""
+    ds = gen_peaks(12, 0.05, seed)
+    return fit_kpls(ds.X_cal, ds.Y_cal, n_lv, spec or gauss()), ds
+
+
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(13)
-        X = rng.normal(size=(10, 3))
-        Y = rng.normal(size=(10, 2))
+        ds = gen_circles(4, n_classes=3, seed=13)
         spec = KernelSpec.create(
             ["gaussian", "cauchy"], sigma=[0.7, 1.3], gamma=[0.4, 0.6], delta=0.02
         )
-        model = fit_kpls(X, Y, 3, spec)
+        model = fit_kpls(ds.X_cal, ds.Y_cal, 3, spec)
         path = tmp_path / "model.kfpls"
-        save_model(model, path)
-        loaded = load_model(path)
+        save_calibrated_model(path, model, ds)
+        loaded, _ = load_calibrated_model(path)
         assert loaded.spec.families == model.spec.families
         np.testing.assert_array_equal(loaded.spec.log_sigma, model.spec.log_sigma)
         np.testing.assert_array_equal(loaded.spec.log_gamma, model.spec.log_gamma)
@@ -245,34 +250,27 @@ class TestSerialization:
         assert loaded.pls.n_lv == model.pls.n_lv
 
     def test_loaded_model_predicts_identically(self, tmp_path):
-        rng = np.random.default_rng(14)
-        X = rng.normal(size=(9, 2))
-        y = rng.normal(size=9)
-        model = fit_kpls(X, y, 2, gauss(sigma=0.8))
+        model, ds = peaks_model(14, spec=gauss(sigma=0.8))
         path = tmp_path / "model.kfpls"
-        save_model(model, path)
-        loaded = load_model(path)
-        X_new = rng.normal(size=(5, 2))
+        save_calibrated_model(path, model, ds)
+        loaded, _ = load_calibrated_model(path)
+        X_new = ds.X_test
         np.testing.assert_array_equal(
             predict_kpls(model, X_new), predict_kpls(loaded, X_new)
         )
 
     def test_equal_models_produce_identical_bytes(self, tmp_path):
-        rng = np.random.default_rng(15)
-        X = rng.normal(size=(8, 2))
-        y = rng.normal(size=8)
-        model = fit_kpls(X, y, 2, gauss())
+        model, ds = peaks_model(15)
         p1 = tmp_path / "a.kfpls"
         p2 = tmp_path / "b.kfpls"
-        save_model(model, p1)
-        save_model(model, p2)
+        save_calibrated_model(p1, model, ds)
+        save_calibrated_model(p2, model, ds)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_save_leaves_no_temp_file_and_failed_write_keeps_old_archive(self, tmp_path):
-        rng = np.random.default_rng(16)
-        model = fit_kpls(rng.normal(size=(8, 2)), rng.normal(size=8), 2, gauss())
+        model, ds = peaks_model(16)
         path = tmp_path / "model.kfpls"
-        save_model(model, path)
+        save_calibrated_model(path, model, ds)
         assert [p.name for p in tmp_path.iterdir()] == ["model.kfpls"]
         before = path.read_bytes()
 
@@ -286,10 +284,9 @@ class TestSerialization:
         assert [p.name for p in tmp_path.iterdir()] == ["model.kfpls"]
 
     def test_writes_schema_2_without_scores(self, tmp_path):
-        rng = np.random.default_rng(17)
-        model = fit_kpls(rng.normal(size=(8, 2)), rng.normal(size=8), 2, gauss())
+        model, ds = peaks_model(17)
         path = tmp_path / "model.kfpls"
-        save_model(model, path)
+        save_calibrated_model(path, model, ds)
         data = read_array_archive(path)
         assert int(data["schema_version"]) == 2
         assert not set(V1_ONLY_MEMBERS) & set(data)
@@ -297,19 +294,18 @@ class TestSerialization:
             assert key in data
 
     def test_column_means_of_another_training_set_rejected(self, tmp_path):
-        rng = np.random.default_rng(18)
-        model = fit_kpls(rng.normal(size=(8, 2)), rng.normal(size=8), 2, gauss())
+        model, ds = peaks_model(18)
         path = tmp_path / "model.kfpls"
-        save_model(model, path)
+        save_calibrated_model(path, model, ds)
         data = read_array_archive(path)
         data["center_col_means"] = data["center_col_means"][:-1]
         write_array_archive(path, data)
         with pytest.raises(ValueError, match="center_col_means"):
-            load_model(path)
+            load_calibrated_model(path)
 
 
 class TestVersion1Archive:
-    """``tests/data/model_v1.kfpls`` was written by the schema-1 `save_model`
+    """``tests/data/model_v1.kfpls`` was written by the schema-1 archive writer
     from ``fit_kpls`` on 12 rows (two features, two responses, three factors,
     a gaussian + matern32 kernel)."""
 
@@ -331,7 +327,7 @@ class TestVersion1Archive:
                              for z in x_train] for x in X_new])
         expected = center_test_literal(K_cross, K_train) @ data["pls_coef"] + data["y_means"]
 
-        model = load_model(V1_ARCHIVE)
+        model = model_from_arrays(read_array_archive(V1_ARCHIVE))
         assert model.pls.n_lv == 3
         np.testing.assert_allclose(predict_kpls(model, X_new), expected,
                                    rtol=0, atol=1e-12)
