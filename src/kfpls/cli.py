@@ -97,13 +97,13 @@ def _bool(value) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-# Config key -> (FlowConfig field, cast), one entry per settable field; each
-# key is also a flag (``n_subsamples`` -> ``--n-subsamples``). ``seed`` is a
-# common setting and ``fd_step`` is recorded in reports but not settable.
+# Config key -> (FlowConfig field, cast), one entry per field but ``seed``,
+# which is a common setting; each key is also a flag (``n_subsamples`` ->
+# ``--n-subsamples``).
 _FLOW_SETTINGS = {
     "iterations" if f.name == "n_iter" else f.name:
         (f.name, _bool if isinstance(f.default, bool) else type(f.default))
-    for f in dataclasses.fields(FlowConfig) if f.name not in ("seed", "fd_step")
+    for f in dataclasses.fields(FlowConfig) if f.name != "seed"
 }
 _FLOW_CHOICES = {"update_rule": _UPDATE_RULES, "objective": _OBJECTIVES}
 

@@ -4,12 +4,10 @@ Each iteration draws a random minibatch and several random sub-batches of
 it, and refits kernel PLS on every sub-batch. A kernel under which the
 sub-batch refits agree with the minibatch generalizes across subsets, so
 the iteration loss measures that agreement and is driven toward zero by
-gradient steps on the log kernel parameters. Gradients come from central
-finite differences; the parameter dimension is small enough that this
-costs only a handful of refits per step. Each iteration takes one gradient
-and one step of ``learning_rate`` (`update_theta`): vanilla and Polyak
-take the gradient at the current parameters, Nesterov at the lookahead
-point ``theta + momentum * (theta - prev_theta)``.
+gradient steps on the log kernel parameters. Each iteration takes one
+gradient and one step of ``learning_rate`` (`update_theta`): vanilla and
+Polyak take the gradient at the current parameters, Nesterov at the
+lookahead point ``theta + momentum * (theta - prev_theta)``.
 
 One engine, `_batch_losses`, computes both losses from one plain Gram of
 the minibatch. The sub-batches of one size are fitted as one stack: their
@@ -30,18 +28,24 @@ full-rank kernel regression, where the sub-batch fit is a projection of
 the full fit. PLS truncation breaks that identity, letting the norm ratio
 go negative and reward degenerate kernels, so it is not the default.
 
-Every loss evaluation on one minibatch draw (the iteration loss and each
-finite-difference probe) reads one `_Workspace`, started when the draw is
-made. It takes ``d = sqrt(d2)`` once and holds each family's matrix at the
-probe centre, keyed by family and log length-scale: a probe of a weight or
-of the ridge computes no kernel, a probe of length-scale ``i`` computes
-family ``i`` only and uses that term once. The terms are weighted and
-summed with `kernel_matrix`'s products in its order, so every Gram is the
-one a fresh evaluation gives, bit for bit. The plain Gram and each size
-group's gathered sub-batch stack (and its gather index) live in buffers
-that every evaluation reuses; the stack takes the ridge and is centered
-in place. A run keeps one workspace, so the buffers pass from draw to
-draw, and nothing outlives the run.
+The gradient is exact: `_loss_gradient` runs `_batch_losses` once with a
+tape and then one reverse pass back through the residuals (or the norms),
+the SIMPLS loop (`pls._simpls_adjoint`), the centering and the gather. The loss
+depends on the parameters only through the plain Gram ``K`` and the ridge
+``δ``, so the pass yields ``K̄ = ∂L/∂K`` and ``δ̄``, and then
+``∂L/∂log γ_i = γ_i ⟨K̄, K_i⟩``, ``∂L/∂log σ_i = γ_i ⟨K̄, ∂K_i/∂log σ_i⟩``
+(an elementwise map of ``K_i`` and the distances, per family) and
+``∂L/∂log δ = δ δ̄``. Each fit's adjoint is kept in low-rank form
+``A Bᵀ``, scattered onto the minibatch rows like the affine coefficients,
+so ``K̄`` is one product of two thin matrices.
+
+The loss evaluations and the gradient on one minibatch draw read one
+`_Workspace`, started when the draw is made. Its buffers, reused from draw
+to draw, hold the squared distances, ``d = sqrt(d2)``, the plain Gram (then
+``K̄``), each size group's gathered sub-batch stack (and its gather index),
+which takes the ridge and is centered in place, and the scratch of the
+derivative maps; it keeps the family matrices of its last Gram for the
+gradient. A run keeps one workspace, and nothing outlives the run.
 """
 
 from __future__ import annotations
@@ -53,9 +57,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateProblemError, FlowAbortError
-from .kernels import KernelSpec, center_train, kernel_matrix, train_sq_dists
+from .kernels import (
+    _FAMILY_SLOPES,
+    KernelSpec,
+    center_train,
+    kernel_matrix,
+    train_sq_dists,
+)
 from .kpls import affine_coef
-from .pls import fit_pls_stack
+from .pls import _simpls_adjoint, fit_pls_stack
 
 logger = logging.getLogger(__name__)
 
@@ -99,7 +109,6 @@ class FlowConfig:
     patience: int = 50
     stratified: bool = False
     lr_decay: bool = False
-    fd_step: float = 1e-4
     objective: str = "cv"
 
     def __post_init__(self):
@@ -132,8 +141,6 @@ class FlowConfig:
             raise ValueError("patience must be >= 1")
         if not 0.0 <= self.tol < math.inf:
             raise ValueError("tol must be nonnegative and finite")
-        if not 0.0 < self.fd_step < math.inf:
-            raise ValueError("fd_step must be positive and finite")
 
     def validate(self, n_rows: int) -> tuple[int, int]:
         """Check settings against the dataset size; return batch sizes."""
@@ -176,55 +183,44 @@ class FlowTrace:
 
 
 class _Workspace:
-    """What the loss evaluations on one minibatch draw share (see the module
-    docstring). `start` begins a draw and `hold` sets the probe centre; the
-    buffers pass from draw to draw, so they are not allocated and paged in
-    again for each one.
+    """What the loss evaluations and the gradient on one minibatch draw
+    share (see the module docstring). The buffers pass from draw to draw,
+    so they are not allocated and paged in again for each one.
     """
 
     def __init__(self):
         self._full = {}  # name -> reused buffer of the minibatch's shape
         self._stacks = {}  # (n, S, size) -> (index sets, flat index, stack buffer)
-        self.clear()
-
-    def clear(self):
-        """Drop the draw's distances and family matrices; keep the buffers."""
         self.d2 = self.d = None
-        self._terms = {}  # (family, log sigma) -> its matrix at the held point
+        self.terms = []  # the family matrices of the last `gram`
 
     def start(self, d2):
         """Begin a draw on the minibatch's squared distances ``d2``."""
-        self.clear()
+        self.terms = []
         self.d2 = d2
-        self.d = np.sqrt(d2, out=self._buffer("d"))
+        self.d = np.sqrt(d2, out=self.buffer("d", d2.shape))
         return self
 
-    def _buffer(self, name):
+    def buffer(self, name, shape=None):
+        """The reused buffer ``name`` of ``shape`` (default: the minibatch's)."""
+        shape = self.d2.shape if shape is None else shape
         buf = self._full.get(name)
-        if buf is None or buf.shape != self.d2.shape:
-            buf = self._full[name] = np.empty_like(self.d2)
+        if buf is None or buf.shape != shape:
+            buf = self._full[name] = np.empty(shape)
         return buf
 
-    def _term(self, spec, i):
-        term = self._terms.get((spec.families[i], float(spec.log_sigma[i])))
-        return kernel_matrix(spec.member(i), self.d2, self.d) if term is None else term
-
-    def hold(self, spec):
-        """Keep the family matrices at ``spec``'s length-scales, and only those."""
-        self._terms = {
-            (name, float(spec.log_sigma[i])): self._term(spec, i)
-            for i, name in enumerate(spec.families)
-        }
-
     def gram(self, spec):
-        """Plain Gram of ``spec`` in its buffer: the family terms weighted and
-        summed with `kernel_matrix`'s products in its order, so bit for bit
-        its result."""
+        """Plain Gram of ``spec`` in its buffer: the family matrices, kept in
+        ``terms``, weighted and summed with `kernel_matrix`'s products in its
+        order, so bit for bit its result."""
+        self.terms = []  # the last evaluation's matrices go before these come
+        self.terms = [kernel_matrix(spec.member(i), self.d2, self.d)
+                      for i in range(len(spec.families))]
         gamma = spec.gamma
-        out = np.multiply(gamma[0], self._term(spec, 0), out=self._buffer("gram"))
-        scratch = self._buffer("scratch")
+        out = np.multiply(gamma[0], self.terms[0], out=self.buffer("gram"))
+        scratch = self.buffer("scratch")
         for i in range(1, len(spec.families)):
-            out += np.multiply(gamma[i], self._term(spec, i), out=scratch)
+            out += np.multiply(gamma[i], self.terms[i], out=scratch)
         return out
 
     def stack(self, K_plain, idx):
@@ -241,15 +237,33 @@ class _Workspace:
         # The indices are in range; "clip" lets take write straight into `buf`.
         return np.take(K_plain, flat, out=buf, mode="clip")
 
+    def theta_gradient(self, spec, K_bar, delta_bar):
+        """``∂L/∂θ`` of ``spec`` from the adjoint ``K_bar`` of the plain Gram
+        that the last `gram` built and the ridge adjoint ``delta_bar``:
+        ``⟨K_bar, γ_i ∂K_i/∂θ_j⟩`` per family parameter, ``δ δ̄`` for the
+        ridge."""
+        k = len(spec.families)
+        grad = np.empty(spec.n_params)
+        gamma, sigma = spec.gamma, spec.sigma
+        out = self.buffer("scratch")
+        for i, (name, term) in enumerate(zip(spec.families, self.terms)):
+            slope = _FAMILY_SLOPES[name](term, self.d2, self.d, sigma[i], out)
+            grad[i] = gamma[i] * np.vdot(K_bar, slope)
+            if k > 1:
+                grad[k + i] = gamma[i] * np.vdot(K_bar, term)
+        grad[-1] = spec.delta * delta_bar
+        return grad
 
-def _fit_stack(K, Y_sets, n_lv, delta):
+
+def _fit_stack(K, Y_sets, n_lv, delta, tape=None):
     """Kernel-PLS fits of a stack of plain Grams ``K`` (S, n, n) on ``Y_sets``
     (S, n, m). ``K`` takes the ridge and is centered in place. Returns
-    ``(coef, col_means, y_means, K_centered)``, stacked."""
+    ``(coef, col_means, y_means, K_centered)``, stacked; ``tape``: see
+    `pls._simpls`."""
     K.reshape(len(K), -1)[:, :: K.shape[1] + 1] += delta  # each diagonal
     K_centered, col_means = center_train(K, out=K)
     y_means = Y_sets.mean(axis=1)
-    coef = fit_pls_stack(K_centered, Y_sets - y_means[:, None, :], n_lv)
+    coef = fit_pls_stack(K_centered, Y_sets - y_means[:, None, :], n_lv, tape)
     return coef, col_means, y_means, K_centered
 
 
@@ -261,10 +275,11 @@ def _model_norms(coef, K_centered) -> np.ndarray:
     return values
 
 
-def _cv_sse(K_plain, idx, coef, col_means, y_means, Y) -> np.ndarray:
-    """Squared residual sum of each fit's predictions of every minibatch row:
-    `affine_coef` for all fits in one product of the plain Gram with their
-    affine coefficients scattered onto their rows, plus each fit's bias."""
+def _cv_residuals(K_plain, idx, coef, col_means, y_means, Y):
+    """Residuals (n_rows, S, m) of each fit's predictions of every minibatch
+    row, and the fits' affine coefficients scattered onto their rows,
+    ``G`` (n_rows, S, m): `affine_coef` for all fits in one product of the
+    plain Gram with ``G``, plus each fit's bias."""
     n_rows, m = Y.shape
     n_sets = idx.shape[0]
     # A constant shift of each Gram column cancels exactly; the column means
@@ -274,14 +289,15 @@ def _cv_sse(K_plain, idx, coef, col_means, y_means, Y) -> np.ndarray:
     G = np.zeros((n_rows, n_sets, m))
     np.add.at(G, (idx, np.arange(n_sets)[:, None]), C)
     KG = ((K_plain - K_mean) @ G.reshape(n_rows, -1)).reshape(n_rows, n_sets, m)
-    return np.sum((Y[:, None, :] - KG - b[:, 0, :]) ** 2, axis=(0, 2))
+    return Y[:, None, :] - KG - b[:, 0, :], G
 
 
-def _batch_losses(batch, Y_batch, subsets, n_lv, spec, objective):
+def _batch_losses(batch, Y_batch, subsets, n_lv, spec, objective, tape=None):
     """Average iteration loss over fixed sub-batch index sets, plus the
     per-subset losses in list order (objectives: see the module docstring).
     ``batch`` is the minibatch's squared distances or the `_Workspace` of
-    its draw. Index sets of one size are fitted as one stack.
+    its draw. Index sets of one size are fitted as one stack. A ``tape``
+    dict receives what `_loss_gradient` reads back.
     """
     ws = batch if isinstance(batch, _Workspace) else _Workspace().start(batch)
     K_plain = ws.gram(spec)
@@ -294,16 +310,25 @@ def _batch_losses(batch, Y_batch, subsets, n_lv, spec, objective):
             raise DegenerateProblemError("minibatch responses are constant")
     sizes = [idx.size for idx in sets]
     values = np.empty(len(sets))
+    groups = []
     for size in sorted(set(sizes)):  # np.unique would import numpy.ma (~1 MB)
         members = [i for i, s in enumerate(sizes) if s == size]
         idx = np.stack([sets[i] for i in members])
+        simpls = {} if tape is not None else None
         coef, means, y_means, K_c = _fit_stack(
-            ws.stack(K_plain, idx), Y_batch[idx], n_lv, spec.delta
+            ws.stack(K_plain, idx), Y_batch[idx], n_lv, spec.delta, simpls
         )
-        values[members] = (
-            _model_norms(coef, K_c) if objective == "norm_ratio"
-            else _cv_sse(K_plain, idx, coef, means, y_means, Y_batch)
-        )
+        if objective == "norm_ratio":
+            values[members] = _model_norms(coef, K_c)
+        else:
+            R, G = _cv_residuals(K_plain, idx, coef, means, y_means, Y_batch)
+            values[members] = np.sum(R ** 2, axis=(0, 2))
+        if tape is not None:
+            group = dict(members=members, idx=idx, coef=coef, col_means=means,
+                         y_means=y_means, K_c=K_c, simpls=simpls)
+            if objective == "cv":
+                group.update(R=R, G=G)
+            groups.append(group)
     if objective == "norm_ratio":
         norm_b = values[-1]
         if abs(norm_b) < _NORM_FLOOR:
@@ -313,57 +338,68 @@ def _batch_losses(batch, Y_batch, subsets, n_lv, spec, objective):
         rhos = values / denom
     if not np.all(np.isfinite(rhos)):
         raise DegenerateProblemError("loss is not finite")
-    return float(np.mean(rhos)), rhos.tolist()
+    loss = float(np.mean(rhos))
+    if tape is not None:
+        tape.update(groups=groups, K_plain=K_plain,
+                    scale=norm_b if objective == "norm_ratio" else denom)
+    return loss, rhos.tolist()
 
 
-def _fd_gradient(
-    ws: _Workspace,
-    Y_batch,
-    subsets,
-    n_lv: int,
-    spec: KernelSpec,
-    theta: np.ndarray,
-    step: float,
-    objective: str,
-) -> np.ndarray:
-    """Central-difference gradient of the averaged loss in log-parameter space.
-
-    The sub-batch index sets are held fixed across every probe evaluation,
-    so the differences see one realization of the stochastic loss. The
-    draw's workspace ``ws`` holds the family matrices at ``theta`` for every
-    probe. A probe that fails or goes non-finite is retried once with half
-    the step.
+def _loss_gradient(ws, Y_batch, subsets, n_lv, spec, objective):
+    """``(loss, gradient)``: the iteration loss of `_batch_losses` on the draw
+    ``ws`` and its exact gradient in ``spec.theta()``, from one reverse pass
+    through that evaluation (see the module docstring). Raises
+    `DegenerateProblemError` where the loss or the gradient is not finite.
     """
-    ws.hold(spec.replace_theta(theta))
-
-    def avg_at(vec: np.ndarray) -> float:
-        value, _ = _batch_losses(
-            ws, Y_batch, subsets, n_lv, spec.replace_theta(vec), objective
-        )
-        return value
-
-    grad = np.empty_like(theta)
-    for i in range(theta.size):
-        h = step
-        for attempt in range(2):
-            probe = theta.copy()
-            try:
-                probe[i] = theta[i] + h
-                f_plus = avg_at(probe)
-                probe[i] = theta[i] - h
-                f_minus = avg_at(probe)
-            except DegenerateProblemError:
-                f_plus = f_minus = math.nan
-            if math.isfinite(f_plus) and math.isfinite(f_minus):
-                grad[i] = (f_plus - f_minus) / (2.0 * h)
-                break
-            if attempt == 0:
-                h *= 0.5
-            else:
-                raise DegenerateProblemError(
-                    f"loss not finite while probing parameter {i}, even at half step"
-                )
-    return grad
+    tape = {}
+    loss, _ = _batch_losses(ws, Y_batch, subsets, n_lv, spec, objective, tape)
+    K_plain, scale = tape["K_plain"], tape["scale"]
+    n_rows, n_sets = Y_batch.shape[0], len(subsets)
+    U, V = [], []  # ∂L/∂K_plain = U Vᵀ, in column blocks
+    delta_bar = 0.0
+    for group in tape["groups"]:
+        idx, coef, K_c = group["idx"], group["coef"], group["K_c"]
+        S, n = idx.shape
+        rows = (idx, np.arange(S)[:, None])  # member s's rows of an (n_rows, S, ·)
+        if objective == "norm_ratio":
+            # loss = mean over subsets of 1 - values / values[-1]
+            nu = np.where(np.asarray(group["members"]) == n_sets,
+                          (1.0 - loss) / scale, -1.0 / (n_sets * scale))[:, None, None]
+            coef_bar = 2.0 * nu * (K_c @ coef)
+            direct = (nu * coef, coef)  # the quadratic form's own term
+        else:
+            # Each prediction is K_plain[:, idx] C + 1 (y_means - col_meansᵀ C),
+            # col_means the mean of K_plain's block plus δ/n: the affine
+            # coefficients C = H coef meet K_plain in both.
+            R_bar = group["R"] * (-2.0 / (scale * n_sets))
+            r_sum = R_bar.sum(axis=0)
+            KR = (K_plain @ R_bar.reshape(n_rows, -1)).reshape(R_bar.shape)
+            C_bar = KR[rows] - group["col_means"][:, :, None] * r_sum[:, None, :]
+            coef_bar = C_bar - C_bar.mean(axis=1, keepdims=True)
+            R_bar[rows] -= r_sum[:, None, :] / n
+            U.append(R_bar.reshape(n_rows, -1))
+            V.append(group["G"].reshape(n_rows, -1))
+            direct = None
+        Y_c = Y_batch[idx] - group["y_means"][:, None, :]
+        A, B = _simpls_adjoint(K_c, Y_c, group["simpls"], coef_bar)
+        if direct is not None:
+            A, B = (np.concatenate([x, y], axis=2) for x, y in zip((A, B), direct))
+        # The centered Gram is H K H: its adjoint H A Bᵀ H goes to the block
+        # of K_plain on the member's rows, and its trace to the ridge.
+        A -= A.mean(axis=1, keepdims=True)
+        B -= B.mean(axis=1, keepdims=True)
+        delta_bar += float(np.sum(A * B))
+        for factor, blocks in ((A, U), (B, V)):
+            scattered = np.zeros((n_rows, S, factor.shape[2]))
+            scattered[rows] = factor
+            blocks.append(scattered.reshape(n_rows, -1))
+    # Nothing reads the plain Gram any more, so K̄ takes its buffer.
+    K_bar = np.matmul(np.concatenate(U, axis=1), np.concatenate(V, axis=1).T,
+                      out=K_plain)
+    grad = ws.theta_gradient(spec, K_bar, delta_bar)
+    if not np.all(np.isfinite(grad)):
+        raise DegenerateProblemError("gradient is not finite")
+    return loss, grad
 
 
 def update_theta(
@@ -445,8 +481,10 @@ def _batch_sampler(X, Y, config: FlowConfig):
             _sample_indices(rng, n_batch, n_sub, batch_labels)
             for _ in range(config.n_subsamples)
         ]
-        ws.clear()  # the last draw's matrices go before the next distances come
-        return ws.start(train_sq_dists(X[batch_idx])), Y[batch_idx], subsets
+        shape = (batch_idx.size, batch_idx.size)
+        d2 = train_sq_dists(X[batch_idx], out=ws.buffer("d2", shape),
+                            work=ws.buffer("d", shape))
+        return ws.start(d2), Y[batch_idx], subsets
 
     return draw
 
@@ -460,8 +498,9 @@ def run_kernel_flows(
     """Learn kernel parameters by stochastic minibatch descent.
 
     Returns the spec whose smoothed loss was lowest along the run, plus the
-    full trace. Deterministic for a fixed seed. Iterations whose loss is
-    degenerate (for example a sub-batch that drew a single class) are
+    full trace. Deterministic for a fixed seed. Iterations whose loss or
+    gradient is degenerate (for example a sub-batch that drew a single
+    class, or a covariance whose top eigenvalue is not separated) are
     resampled once and then skipped; a run with more than half of its
     iterations skipped aborts.
     """
@@ -485,17 +524,20 @@ def run_kernel_flows(
             ws, Y_b, subsets = draw(rng)
             spec_now = spec0.replace_theta(theta)
             try:
-                ws.hold(spec_now)
-                rho_bar, _ = _batch_losses(
-                    ws, Y_b, subsets, config.n_lv, spec_now, config.objective
-                )
-                point = theta
                 if config.update_rule == "nesterov":
-                    point = theta + config.momentum * (theta - prev_theta)
-                grad = _fd_gradient(
-                    ws, Y_b, subsets, config.n_lv, spec0, point,
-                    config.fd_step, config.objective,
-                )
+                    rho_bar, _ = _batch_losses(
+                        ws, Y_b, subsets, config.n_lv, spec_now, config.objective
+                    )
+                    lookahead = spec0.replace_theta(
+                        theta + config.momentum * (theta - prev_theta)
+                    )
+                    _, grad = _loss_gradient(
+                        ws, Y_b, subsets, config.n_lv, lookahead, config.objective
+                    )
+                else:
+                    rho_bar, grad = _loss_gradient(
+                        ws, Y_b, subsets, config.n_lv, spec_now, config.objective
+                    )
                 rate = config.learning_rate
                 if config.lr_decay:
                     rate *= 1.0 / math.sqrt(it + 1)
@@ -584,7 +626,6 @@ def loss_surface(
         ws, Y_b, subsets = draw(np.random.default_rng(child))
         for s, spec in enumerate(specs):
             try:
-                ws.hold(spec)
                 values[s, j], _ = _batch_losses(
                     ws, Y_b, subsets, config.n_lv, spec, config.objective
                 )

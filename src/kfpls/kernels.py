@@ -75,6 +75,62 @@ def _cauchy(d2, d, sigma):
     return np.divide(1.0, out, out=out)
 
 
+# Each family's derivative by its log length-scale, from its matrix ``K`` at
+# that length-scale and the distances, written into ``out`` (the Matern
+# ones make one array of its size).
+
+
+def _gaussian_slope(K, d2, d, sigma, out):
+    # K d2 / sigma^2
+    np.multiply(K, d2, out=out)
+    out /= sigma * sigma
+    return out
+
+
+def _matern12_slope(K, d2, d, sigma, out):
+    # K d / sigma
+    np.multiply(K, d, out=out)
+    out /= sigma
+    return out
+
+
+def _matern32_slope(K, d2, d, sigma, out):
+    # a^2 exp(-a) = K a^2 / (1 + a), a = sqrt(3) d / sigma
+    a = np.multiply(_SQRT3, d)
+    a /= sigma
+    np.multiply(a, a, out=out)
+    a += 1.0
+    out /= a
+    out *= K
+    return out
+
+
+def _matern52_slope(K, d2, d, sigma, out):
+    # q (1 + a) exp(-a) = K q (1 + a) / (1 + a + q), a = sqrt(5) d / sigma,
+    # q = a^2 / 3
+    a = np.multiply(_SQRT5, d)
+    a /= sigma
+    q = np.multiply(a, a, out=out)
+    q /= 3.0
+    a += 1.0
+    a += q
+    q /= a  # q / (1 + a + q)
+    np.multiply(_SQRT5, d, out=a)
+    a /= sigma
+    a += 1.0
+    q *= a
+    q *= K
+    return q
+
+
+def _cauchy_slope(K, d2, d, sigma, out):
+    # 2 K^2 d2 / sigma^2
+    np.multiply(K, K, out=out)
+    out *= d2
+    out *= 2.0 / (sigma * sigma)
+    return out
+
+
 FAMILY_NAMES = ("gaussian", "matern12", "matern32", "matern52", "cauchy")
 _FAMILY_FUNCS = {
     "gaussian": _gaussian,
@@ -82,6 +138,14 @@ _FAMILY_FUNCS = {
     "matern32": _matern32,
     "matern52": _matern52,
     "cauchy": _cauchy,
+}
+
+_FAMILY_SLOPES = {
+    "gaussian": _gaussian_slope,
+    "matern12": _matern12_slope,
+    "matern32": _matern32_slope,
+    "matern52": _matern52_slope,
+    "cauchy": _cauchy_slope,
 }
 
 _DEFAULT_DELTA = 1e-3
@@ -219,19 +283,24 @@ class KernelSpec:
         return names
 
 
-def pairwise_sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def pairwise_sq_dists(
+    X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """Matrix of squared Euclidean distances, clipped at zero.
 
     The quadratic expansion can go slightly negative in floating point;
     the clip keeps the square roots used by the Matern families safe.
+    ``out`` receives the result and ``work``, of the same shape, the cross
+    products; each is made when not given.
     """
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    d2 = (
-        np.sum(X * X, axis=1)[:, None]
-        + np.sum(Z * Z, axis=1)[None, :]
-        - 2.0 * (X @ Z.T)
-    )
+    d2 = np.add(np.sum(X * X, axis=1)[:, None], np.sum(Z * Z, axis=1)[None, :],
+                out=out)
+    cross = np.matmul(X, Z.T, out=work)
+    cross *= 2.0
+    d2 -= cross
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -270,10 +339,18 @@ def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
     return float(kernel_matrix(spec, np.array([d2]))[0])
 
 
-def train_sq_dists(X: np.ndarray) -> np.ndarray:
-    """Symmetrized squared-distance matrix with an exactly zero diagonal."""
-    d2 = pairwise_sq_dists(X, X)
-    d2 = 0.5 * (d2 + d2.T)
+def train_sq_dists(
+    X: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """Symmetrized squared-distance matrix with an exactly zero diagonal.
+
+    ``out`` receives the result and ``work``, of the same shape, is
+    overwritten; each is made when not given, so with both no matrix of
+    the result's size is allocated.
+    """
+    half = pairwise_sq_dists(X, X, out=work, work=out)
+    d2 = np.add(half, half.T, out=out)
+    d2 *= 0.5
     np.fill_diagonal(d2, 0.0)
     return d2
 

@@ -215,8 +215,9 @@ def load_calibrated_model(path) -> tuple[KplsModel, dict]:
 
     Raises ``OSError`` if the file cannot be read and ``ValueError`` when
     the archive is malformed: see `model_from_arrays`, plus missing
-    standardization members, or standardization arrays and names whose
-    lengths disagree with the model.
+    standardization members, standardization arrays and names whose
+    lengths disagree with the model, or a standard deviation that is not
+    positive.
     """
     data = read_array_archive(path)
     if "prep_task" not in data:
@@ -240,4 +241,7 @@ def load_calibrated_model(path) -> tuple[KplsModel, dict]:
     for key, n in expected.items():
         if data[key].shape != (n,):
             raise ValueError(f"{key} has shape {data[key].shape}, the model needs ({n},)")
+    for key in ("prep_x_stds", "prep_y_stds") if has_y_stats else ("prep_x_stds",):
+        if not np.all(data[key] > 0.0):  # finite already (`model_from_arrays`)
+            raise ValueError(f"{key} holds a scale that is not positive")
     return model, meta

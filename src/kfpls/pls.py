@@ -32,6 +32,9 @@ _SCORE_NORM_FLOOR = 1e-12
 _COV_EXHAUSTED_REL = 1e-14
 # Condition-number ceiling for the loadings-weights system.
 _MAX_CONDITION = 1e12
+# Relative floor for the top eigen-gap of C Cᵀ: below it the direction's
+# derivative (inversely proportional to the gap) is not trusted.
+_EIGEN_GAP_REL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -58,22 +61,31 @@ class PlsModel:
     n_lv: int
 
 
-def _directions(C: np.ndarray) -> np.ndarray:
+def _directions(C: np.ndarray):
     """Dominant right singular direction of each covariance in a stack
     (S, m, p): ``C/‖C‖`` for one response, else ``Cᵀv`` normalized, for the
     top eigenvector ``v`` of ``C Cᵀ``. The sign makes the entry of largest
     magnitude positive, so the result is deterministic.
+
+    Returns ``(w, v, norm, eig)``: the directions, with what the reverse
+    pass needs: ``v`` (S, m) signed so that ``w = Cᵀv/norm`` (for one
+    response, the sign alone), ``norm`` (S,) and, for m > 1, the
+    eigenvalues and eigenvectors of ``C Cᵀ`` (else None).
     """
     w = C[:, 0, :]
+    v = np.ones((len(C), 1))
+    eig = None
     if C.shape[1] > 1:
-        v = np.linalg.eigh(C @ np.swapaxes(C, 1, 2))[1][:, :, -1]
+        eig = np.linalg.eigh(C @ np.swapaxes(C, 1, 2))
+        v = eig[1][:, :, -1]
         w = np.einsum("smp,sm->sp", C, v)
-    w = w / np.linalg.norm(w, axis=1, keepdims=True)
+    norm = np.linalg.norm(w, axis=1, keepdims=True)
+    w = w / norm
     top = np.take_along_axis(w, np.argmax(np.abs(w), axis=1)[:, None], axis=1)
-    return np.where(top < 0, -w, w)
+    return np.where(top < 0, -w, w), np.where(top < 0, -v, v), norm[:, 0], eig
 
 
-def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int):
+def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int, tape: dict | None = None):
     """SIMPLS of each ``X[s]`` (n, p) on ``Y[s]`` (n, m), all members at once.
 
     A member stops when its covariance is exhausted or its score norm
@@ -82,21 +94,30 @@ def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int):
     its coefficients from the factors it has, which is what a separate fit
     of it gives. Returns ``(W, P, Q, B)``: the factors (one column per
     latent variable) of the members that ran to the end, and the
-    coefficients (S, p, m) of every member.
+    coefficients (S, p, m) of every member. A ``tape`` dict receives, for
+    `_simpls_adjoint`, every member's factor count and, per factor, its
+    covariance, direction data, scores and factors.
     """
     S, n, p = X.shape
+    m = Y.shape[2]
     a_max = min(n_lv, n, p)
     C = np.swapaxes(Y, 1, 2) @ X  # (S, m, p) cross-covariances
     c_norm0 = np.linalg.norm(C, axis=(1, 2))
-    W, P, Q = (np.empty((S, d, a_max)) for d in (p, p, Y.shape[2]))
-    B = np.empty((S, p, Y.shape[2]))
+    W, P, Q = (np.empty((S, d, a_max)) for d in (p, p, m))
+    B = np.empty((S, p, m))
     running = np.arange(S)
+    if tape is not None:
+        # Factor k of member s is entry [s, k] of each array.
+        shapes = dict(C=(m, p), v=(m,), norm=(), t=(n,), tt=(), w=(p,), p=(p,),
+                      q=(m,), eig_values=(m,), eig_vectors=(m, m))
+        tape.update({key: np.empty((S, a_max, *shape)) for key, shape in shapes.items()})
+        tape["count"] = np.empty(S, dtype=int)
 
     k = 0
     while k < a_max:
         live = np.linalg.norm(C, axis=(1, 2)) > _COV_EXHAUSTED_REL * c_norm0
         if live.all():
-            w = _directions(C)
+            w, v, norm, eig = _directions(C)
             t = (X @ w[:, :, None])[:, :, 0]
             tt = np.sum(t * t, axis=1)
             live = tt >= _SCORE_NORM_FLOOR * n
@@ -105,6 +126,8 @@ def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int):
                 raise DegenerateProblemError(
                     "rank exhausted before extracting any factor"
                 )
+            if tape is not None:
+                tape["count"][running[~live]] = k
             if not live.any():
                 break
             done = ~live
@@ -116,6 +139,12 @@ def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int):
         q = (np.swapaxes(Y, 1, 2) @ t[:, :, None])[:, :, 0] / tt[:, None]
         pv = (np.swapaxes(X, 1, 2) @ t[:, :, None])[:, :, 0] / tt[:, None]
         W[:, :, k], Q[:, :, k], P[:, :, k] = w, q, pv
+        if tape is not None:
+            step = dict(C=C, v=v, norm=norm, t=t, tt=tt, w=w, p=pv, q=q)
+            if eig is not None:
+                step.update(eig_values=eig[0], eig_vectors=eig[1])
+            for key, value in step.items():
+                tape[key][running, k] = value
         k += 1
         if k < a_max:
             # Deflate: remove the span of the accumulated X-loadings from the
@@ -128,7 +157,86 @@ def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int):
 
     W, P, Q = (v[:, :, :k] for v in (W, P, Q))
     B[running] = _coef(W, P, Q)
+    if tape is not None:
+        tape["count"][running] = k
     return W, P, Q, B
+
+
+def _simpls_adjoint(X: np.ndarray, Y: np.ndarray, tape: dict, B_bar: np.ndarray):
+    """Reverse pass of `_simpls` through the ``tape`` it recorded: the
+    derivative of ``⟨B_bar, B⟩`` by each ``X[s]``, where ``B`` are the
+    coefficients and ``B_bar`` (S, p, m) their adjoints.
+
+    Returns it in low-rank form ``(A, G)``, ``X̄[s] = A[s] G[s]ᵀ`` with
+    ``A`` (S, n, r) and ``G`` (S, p, r), ``r = 2·a + m`` for ``a`` factors:
+    the columns pair each score ``t_k`` with ``p̄_k/tt_k``, each ``t̄_k``
+    with the direction ``w_k``, and ``Y`` with ``C̄₀ᵀ``. A member that
+    stopped early is differentiated through the factors it kept (its unused
+    columns are zero). In exact arithmetic the scores are orthogonal, so
+    ``PᵀW = I`` and the coefficients are ``Σ_k w_k q_kᵀ``; the deflation is
+    ``C_{k+1} = C_k (I - Π_k)`` with ``Π_k`` the projector onto the first
+    k + 1 loadings, and for m > 1 the direction's eigenvector is
+    differentiated by the symmetric eigenvector adjoint (Magnus 1985).
+    Raises `DegenerateProblemError` where that eigenvector's top gap is
+    below ``_EIGEN_GAP_REL`` of its eigenvalue.
+    """
+    S, n, p = X.shape
+    m = Y.shape[2]
+    a_max = tape["w"].shape[1]
+    A = np.zeros((S, n, 2 * a_max + m))
+    G = np.zeros((S, p, 2 * a_max + m))
+    A[:, :, 2 * a_max:] = Y
+    for a in sorted(set(tape["count"].tolist())):
+        sel = np.flatnonzero(tape["count"] == a)
+        f = {key: value[sel, :a] for key, value in tape.items() if key != "count"}
+        Xs, Ys = X[sel], Y[sel]
+        w, q, pv, t, tt = f["w"], f["q"], f["p"], f["t"], f["tt"]
+        w_bar = q @ np.swapaxes(B_bar[sel], 1, 2)  # row k: B̄ q_k
+        q_bar = w @ B_bar[sel]  # row k: B̄ᵀ w_k
+        p_bar = np.zeros_like(pv)
+        t_bar = np.empty_like(t)
+        C_bar = np.zeros((len(sel), m, p))  # adjoint of the next covariance
+        for k in reversed(range(a)):
+            C_k = f["C"][:, k]
+            if k + 1 < a:
+                Pk = pv[:, : k + 1]  # loadings as rows
+                Z = np.linalg.solve(Pk @ np.swapaxes(Pk, 1, 2), Pk)  # (PᵀP)⁻¹Pᵀ
+                CbZ = C_bar @ np.swapaxes(Z, 1, 2)
+                M = -(np.swapaxes(CbZ, 1, 2) @ C_k
+                      + np.swapaxes(C_k @ np.swapaxes(Z, 1, 2), 1, 2) @ C_bar)
+                p_bar[:, : k + 1] += M - (M @ np.swapaxes(Pk, 1, 2)) @ Z
+                C_bar = C_bar - CbZ @ Pk
+            ttk = tt[:, k, None]
+            tt_bar = -(np.sum(p_bar[:, k] * pv[:, k], axis=1, keepdims=True)
+                       + np.sum(q_bar[:, k] * q[:, k], axis=1, keepdims=True)) / ttk
+            tb = ((Xs @ p_bar[:, k, :, None])[:, :, 0]
+                  + (Ys @ q_bar[:, k, :, None])[:, :, 0]) / ttk + 2.0 * tt_bar * t[:, k]
+            t_bar[:, k] = tb
+            wb = w_bar[:, k] + (np.swapaxes(Xs, 1, 2) @ tb[:, :, None])[:, :, 0]
+            wk, vk, norm = w[:, k], f["v"][:, k], f["norm"][:, k, None]
+            u_bar = (wb - wk * np.sum(wk * wb, axis=1, keepdims=True)) / norm
+            C_bar = C_bar + vk[:, :, None] * u_bar[:, None, :]
+            if m > 1:
+                # w = Cᵀv/‖Cᵀv‖, v the top eigenvector of C Cᵀ: v̄ = C ū, and
+                # dv = Σ_j e_j e_jᵀ d(C Cᵀ) v / (λ_top - λ_j) over the other
+                # eigenvectors e_j, so C̄ += (M̄ + M̄ᵀ) C for M̄ = a vᵀ, with
+                # a = Σ_j e_j (e_jᵀ v̄) / (λ_top - λ_j).
+                lam, E = f["eig_values"][:, k], f["eig_vectors"][:, k, :, :-1]
+                gap = lam[:, -1:] - lam[:, :-1]
+                if np.any(gap <= _EIGEN_GAP_REL * np.abs(lam[:, -1:])):
+                    raise DegenerateProblemError(
+                        "top eigenvalue of the covariance is not separated"
+                    )
+                v_bar = np.einsum("smp,sp->sm", C_k, u_bar)
+                a_vec = np.einsum("smj,sj->sm", E, np.einsum("smj,sm->sj", E, v_bar) / gap)
+                C_bar = (C_bar + a_vec[:, :, None] * (norm * wk)[:, None, :]
+                         + vk[:, :, None] * np.einsum("smp,sm->sp", C_k, a_vec)[:, None, :])
+        A[sel, :, :a] = np.swapaxes(t, 1, 2)
+        A[sel, :, a_max : a_max + a] = np.swapaxes(t_bar, 1, 2)
+        G[sel, :, :a] = np.swapaxes(p_bar / tt[:, :, None], 1, 2)
+        G[sel, :, a_max : a_max + a] = np.swapaxes(w, 1, 2)
+        G[sel, :, 2 * a_max:] = np.swapaxes(C_bar, 1, 2)
+    return A, G
 
 
 def _coef(W: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -179,14 +287,17 @@ def fit_pls(X: np.ndarray, Y: np.ndarray, n_lv: int) -> PlsModel:
     return PlsModel(W[0], P[0], Q[0], B[0], n_lv=W.shape[2])
 
 
-def fit_pls_stack(X: np.ndarray, Y: np.ndarray, n_lv: int) -> np.ndarray:
+def fit_pls_stack(
+    X: np.ndarray, Y: np.ndarray, n_lv: int, tape: dict | None = None
+) -> np.ndarray:
     """Coefficients (S, p, m) of the SIMPLS fits of ``X[s]`` (n, p) on ``Y[s]``.
 
     A member that stops early while others go on keeps the coefficients of
     the factors it had, the fit `fit_pls` gives it. Inputs are not checked,
-    and ``n_lv`` is clamped to ``min(n, p)`` silently.
+    and ``n_lv`` is clamped to ``min(n, p)`` silently. ``tape``: see
+    `_simpls`.
     """
-    return _simpls(X, Y, n_lv)[3]
+    return _simpls(X, Y, n_lv, tape)[3]
 
 
 def coef_path(model: PlsModel) -> np.ndarray:

@@ -26,7 +26,7 @@ from kfpls import (
     run_kernel_flows,
 )
 from kfpls.datasets import compute_stats, destandardize, standardize
-from kfpls.flows import _batch_losses, _fd_gradient, _Workspace
+from kfpls.flows import _batch_losses, _loss_gradient, _Workspace
 from kfpls.kernels import FAMILY_NAMES, center_train, gram_train, kernel_matrix, train_sq_dists
 from kfpls.metrics import rmse
 from kfpls.pipeline import (
@@ -266,8 +266,8 @@ class TestCriterion7OracleEquivalences:
             spec = KernelSpec.create(families, sigma=sigma, delta=delta)
             subs = [np.sort(rng.choice(18, 9, replace=False)) for _ in range(4)]
             d2 = train_sq_dists(X)
-            grad = _fd_gradient(_Workspace().start(d2), Y, subs, 2, spec,
-                                spec.theta(), 1e-4, "norm_ratio")
+            grad = _loss_gradient(_Workspace().start(d2), Y, subs, 2, spec,
+                                  "norm_ratio")[1]
 
             def f(vec, d2=d2, Y=Y, subs=subs, spec=spec):
                 return _batch_losses(

@@ -273,12 +273,20 @@ def _duplicate_family(arrays):
     arrays["log_gamma"] = np.zeros(2)
 
 
+def _zero_x_std(arrays):
+    arrays["prep_x_stds"] = np.zeros_like(arrays["prep_x_stds"])
+
+
+def _negative_y_std(arrays):
+    arrays["prep_y_stds"] = -arrays["prep_y_stds"]
+
+
 class TestCorruptArchive:
     @pytest.mark.parametrize("corrupt", [_cut_coef, _nan_coef, _one_feature_name,
                                          _no_schema_version, _unknown_family,
                                          _no_length_scale, _no_weight,
                                          _two_families_no_weights, _duplicate_family,
-                                         _vector_ridge])
+                                         _vector_ridge, _zero_x_std, _negative_y_std])
     def test_predict_rejects_corrupt_archive(self, tmp_path, xy_model, capsys, corrupt):
         train, archive = xy_model
         arrays = read_array_archive(archive)

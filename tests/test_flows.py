@@ -16,13 +16,14 @@ from kfpls import (
 )
 from kfpls.flows import (
     _batch_losses,
-    _fd_gradient,
+    _batch_sampler,
+    _loss_gradient,
     _sample_indices,
     _stratified_choice,
     _Workspace,
 )
-from kfpls.kernels import center_train, kernel_matrix, train_sq_dists
-from kfpls.pls import fit_pls
+from kfpls.kernels import FAMILY_NAMES, center_train, kernel_matrix, train_sq_dists
+from kfpls.pls import _simpls, _simpls_adjoint, fit_pls
 
 from oracles import (
     center_test_literal,
@@ -48,10 +49,24 @@ def norm_ratio(X, Y, subs, n_lv, spec):
     return _batch_losses(train_sq_dists(X), Y, subs, n_lv, spec, "norm_ratio")[0]
 
 
-def norm_ratio_gradient(X, Y, subs, spec, step=1e-4):
+def norm_ratio_gradient(X, Y, subs, spec):
     """The flow's gradient of the norm-ratio loss at ``spec``, two factors."""
     ws = _Workspace().start(train_sq_dists(X))
-    return _fd_gradient(ws, Y, subs, 2, spec, spec.theta(), step, "norm_ratio")
+    return _loss_gradient(ws, Y, subs, 2, spec, "norm_ratio")[1]
+
+
+def relative_to_richardson(d2, Y, subs, n_lv, spec, objective):
+    """Worst per-coordinate deviation of the flow's gradient from the
+    Richardson oracle on the loss, relative to the oracle (as criterion 7c)."""
+    grad = _loss_gradient(_Workspace().start(d2), Y, subs, n_lv, spec, objective)[1]
+
+    def f(vec):
+        return _batch_losses(d2, Y, subs, n_lv, spec.replace_theta(vec), objective)[0]
+
+    # A step of 1e-4, not the default 1e-3: the oracle's own truncation error
+    # reaches 2.3e-4 relative on the Gaussian norm-ratio problem below.
+    oracle = richardson_gradient(f, spec.theta(), h=1e-4)
+    return float(np.max(np.abs(grad - oracle) / np.maximum(np.abs(oracle), 1e-12)))
 
 
 class TestKfLoss:
@@ -217,7 +232,9 @@ class TestStackedLossEngine:
             rhos, per_fit_losses(d2, Y, subs, 2, spec, "norm_ratio"), rtol=0, atol=1e-12
         )
 
-        step = 1e-4
+        # The exact gradient differs from central differences by their
+        # truncation error: 1.6e-8 at a step of 1e-4, 1.4e-10 at 1e-5.
+        step = 1e-5
         theta = spec.theta()
         ref = np.empty_like(theta)
         for i in range(theta.size):
@@ -229,8 +246,7 @@ class TestStackedLossEngine:
                     d2, Y, subs, 2, spec.replace_theta(probe), "norm_ratio"
                 )))
             ref[i] = (f[0] - f[1]) / (2.0 * step)
-        grad = _fd_gradient(_Workspace().start(d2), Y, subs, 2, spec, theta, step,
-                            "norm_ratio")
+        grad = _loss_gradient(_Workspace().start(d2), Y, subs, 2, spec, "norm_ratio")[1]
         np.testing.assert_allclose(grad, ref, rtol=0, atol=1e-8)
 
 
@@ -267,7 +283,6 @@ class TestWorkspace:
         d2, _, _ = self._batch()
         spec = combo_spec()
         ws = _Workspace().start(d2)
-        ws.hold(spec)
         for _, probe in [("centre", spec), *probes(spec)]:
             assert ws.gram(probe).tobytes() == kernel_matrix(probe, d2).tobytes()
 
@@ -276,7 +291,6 @@ class TestWorkspace:
         d2, Y, subs = self._batch()
         spec = combo_spec()
         ws = _Workspace().start(d2)
-        ws.hold(spec)
         for name, probe in [("centre", spec), *probes(spec)]:
             shared = _batch_losses(ws, Y, subs, 3, probe, objective)
             fresh = _batch_losses(d2, Y, subs, 3, probe, objective)
@@ -290,22 +304,37 @@ class TestWorkspace:
             assert (_batch_losses(ws, Y, sets, 3, spec, "cv")
                     == _batch_losses(d2, Y, sets, 3, spec, "cv"))
 
-    def test_holds_the_centre_terms_only(self):
+    def test_keeps_the_terms_of_the_last_gram(self):
+        # The gradient reads each family's matrix at the evaluated point.
         d2, Y, subs = self._batch()
         spec = combo_spec()
         ws = _Workspace().start(d2)
-        _fd_gradient(ws, Y, subs, 3, spec, spec.theta(), 1e-4, "cv")
-        assert sorted(ws._terms) == sorted(
-            zip(spec.families, spec.log_sigma.tolist())
-        )
+        for _, probe in [*probes(spec), ("centre", spec)]:
+            ws.gram(probe)
+        assert [t.tobytes() for t in ws.terms] == [
+            kernel_matrix(spec.member(i), d2).tobytes() for i in range(len(COMBO))
+        ]
 
-    @pytest.mark.parametrize("families, per_iter", [(COMBO, 9), (("gaussian",), 3)])
+    def test_sampler_writes_distances_into_one_buffer(self, small_regression):
+        ds = small_regression
+        config = FlowConfig(n_subsamples=3, batch_fraction=0.5, n_lv=2)
+        draw = _batch_sampler(ds.X_cal, ds.Y_cal, config)
+        n_batch = config.validate(ds.X_cal.shape[0])[0]
+        buffers = set()
+        for seed in range(3):
+            ws, _, _ = draw(np.random.default_rng(seed))
+            batch = _sample_indices(np.random.default_rng(seed), ds.X_cal.shape[0],
+                                    n_batch, None)
+            assert ws.d2.tobytes() == train_sq_dists(ds.X_cal[batch]).tobytes()
+            assert ws.d.tobytes() == np.sqrt(ws.d2).tobytes()
+            buffers.add(id(ws.d2))
+        assert len(buffers) == 1
+
+    @pytest.mark.parametrize("families, per_iter", [(COMBO, 3), (("gaussian",), 1)])
     def test_family_evaluations_per_vanilla_iteration(self, families, per_iter,
                                                       monkeypatch):
-        # Central differences make 2·dim + 1 loss evaluations per iteration:
-        # 15 × 3 families on the combo kernel and 5 for one Gaussian when each
-        # evaluation computes every family. Sharing the centre's terms leaves
-        # the centre's families plus one family per length-scale probe.
+        # One loss evaluation per iteration, whose family matrices the reverse
+        # pass reuses: 3 on the combo kernel and 1 for one Gaussian.
         import kfpls.flows as flows
 
         counted = []
@@ -338,26 +367,6 @@ class TestKfGradient:
         flat = grad[names.index("log_sigma_cauchy")]
         assert abs(flat) < 1e-6
 
-    def test_exact_on_injected_quadratic(self, monkeypatch):
-        # Central differences are exact on quadratics up to round-off; swap the
-        # loss engine for a known quadratic to verify the probe machinery.
-        import kfpls.flows as flows
-
-        A = np.array([[2.0, 0.3], [0.3, 1.0]])
-        b = np.array([-0.5, 1.25])
-
-        def fake_losses(d2, Y, subsets, n_lv, spec, objective):
-            theta = spec.theta()
-            value = 0.5 * theta @ A @ theta + b @ theta
-            return value, [value]
-
-        monkeypatch.setattr(flows, "_batch_losses", fake_losses)
-        X, Y = make_batch(6)
-        spec = gauss(sigma=0.7, delta=0.2)
-        theta = spec.theta()
-        grad = norm_ratio_gradient(X, Y, [np.arange(8)], spec)
-        np.testing.assert_allclose(grad, A @ theta + b, atol=1e-8)
-
     def test_matches_richardson_oracle_on_1d_problem(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(18, 1))
@@ -374,26 +383,122 @@ class TestKfGradient:
         oracle = richardson_gradient(f, spec.theta())
         np.testing.assert_allclose(grad, oracle, rtol=1e-4)
 
-    def test_probes_reuse_identical_subsample_sets(self, monkeypatch):
+    def test_one_forward_on_the_given_index_sets(self, monkeypatch):
         import kfpls.flows as flows
 
         seen = []
         real = flows._batch_losses
 
-        def recording(batch, Y, subsets, n_lv, spec, objective):
+        def recording(batch, Y, subsets, n_lv, spec, objective, tape=None):
             seen.append([idx.copy() for idx in subsets])
-            return real(batch, Y, subsets, n_lv, spec, objective)
+            return real(batch, Y, subsets, n_lv, spec, objective, tape)
 
         monkeypatch.setattr(flows, "_batch_losses", recording)
         X, Y = make_batch(8)
-        spec = gauss()
         subs = [np.arange(8), np.arange(4, 12)]
-        norm_ratio_gradient(X, Y, subs, spec)
-        assert len(seen) == 2 * spec.theta().size
-        for s in seen:
-            assert len(s) == len(subs)
-            for got, expected in zip(s, subs):
-                np.testing.assert_array_equal(got, expected)
+        norm_ratio_gradient(X, Y, subs, gauss())
+        assert len(seen) == 1
+        for got, expected in zip(seen[0], subs, strict=True):
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("objective", ["cv", "norm_ratio"])
+    def test_loss_is_batch_losses_bitwise(self, objective):
+        ds = gen_peaks(60, 0.05, seed=9)
+        X, Y = ds.X_cal[:30], ds.Y_cal[:30]
+        rng = np.random.default_rng(9)
+        subs = [np.sort(rng.choice(30, 15, replace=False)) for _ in range(4)]
+        d2 = train_sq_dists(X)
+        spec = combo_spec()
+        loss, _ = _loss_gradient(_Workspace().start(d2), Y, subs, 3, spec, objective)
+        assert loss == _batch_losses(d2, Y, subs, 3, spec, objective)[0]
+
+
+class TestLossGradient:
+    """The reverse pass against the Richardson oracle on the loss engine."""
+
+    @pytest.mark.parametrize("objective", ["cv", "norm_ratio"])
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("families", [*([f] for f in FAMILY_NAMES), list(COMBO)],
+                             ids=[*FAMILY_NAMES, "combo"])
+    def test_matches_richardson_oracle(self, families, m, objective):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(30, 2))
+        if m == 1:
+            Y = (np.sin(X[:, 0]) + 0.5 * X[:, 1] ** 2)[:, None]
+        else:
+            Y = np.eye(m)[np.arange(30) % m]
+        spec = KernelSpec.create(families, sigma=rng.uniform(0.6, 1.6, len(families)),
+                                 gamma=None if len(families) == 1 else
+                                 rng.uniform(0.2, 1.0, len(families)), delta=0.05)
+        subs = [np.sort(rng.choice(30, 15, replace=False)) for _ in range(4)]
+        assert relative_to_richardson(train_sq_dists(X), Y, subs, 3, spec,
+                                      objective) <= 1e-6
+
+    @pytest.mark.parametrize("objective", ["cv", "norm_ratio"])
+    @pytest.mark.parametrize("response", ["single", "one_hot_4"])
+    def test_member_stopped_early_takes_gradient_of_its_factors(self, response,
+                                                                objective):
+        # The data of `test_member_exhausting_its_rank_keeps_its_factor_count`:
+        # the first index set stops at one factor while the others run to 3.
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(20, 2))
+        X[1:4] = X[0]
+        X[5:8] = X[4]
+        if response == "single":
+            Y = (np.sin(X[:, 0]) + X[:, 1] ** 2)[:, None]
+        else:
+            Y = np.eye(4)[np.r_[[0] * 4, [1] * 4, np.arange(12) % 4]]
+        subs = [np.arange(8), np.arange(8, 16), np.arange(10, 18)]
+        spec = gauss(sigma=0.9, delta=0.05)
+        d2 = train_sq_dists(X)
+        tape = {}
+        _batch_losses(d2, Y, subs, 3, spec, objective, tape)
+        assert tape["groups"][0]["simpls"]["count"].tolist()[:3] == [1, 3, 3]
+        assert relative_to_richardson(d2, Y, subs, 3, spec, objective) <= 1e-6
+
+    def test_unseparated_top_eigenvalue_is_degenerate(self):
+        # C Cᵀ = I: every unit vector is a top eigenvector.
+        X = np.eye(6)[None]
+        Y = np.zeros((1, 6, 2))
+        Y[0, 0, 0] = Y[0, 1, 1] = 1.0
+        tape = {}
+        B = _simpls(X, Y, 2, tape)[3]
+        with pytest.raises(DegenerateProblemError, match="eigenvalue"):
+            _simpls_adjoint(X, Y, tape, np.ones_like(B))
+
+    def test_non_finite_gradient_is_degenerate(self, monkeypatch):
+        import kfpls.flows as flows
+
+        def nan_slope(K, d2, d, sigma, out):
+            out.fill(math.nan)
+            return out
+
+        monkeypatch.setitem(flows._FAMILY_SLOPES, "gaussian", nan_slope)
+        X, Y = make_batch(10)
+        with pytest.raises(DegenerateProblemError, match="gradient is not finite"):
+            norm_ratio_gradient(X, Y, [np.arange(8)], gauss())
+
+    def test_degenerate_gradient_resampled_then_skipped(self, small_regression,
+                                                        monkeypatch):
+        import kfpls.flows as flows
+
+        calls = []
+        real = flows._loss_gradient
+
+        def failing_first_two(*args):
+            calls.append(len(calls))
+            if len(calls) <= 2:
+                raise DegenerateProblemError("top eigenvalue is not separated")
+            return real(*args)
+
+        monkeypatch.setattr(flows, "_loss_gradient", failing_first_two)
+        cfg = FlowConfig(n_iter=4, n_subsamples=3, batch_fraction=0.6, n_lv=2,
+                         seed=11, patience=10**6)
+        _, trace = run_kernel_flows(small_regression.X_cal, small_regression.Y_cal,
+                                    cfg, gauss())
+        assert len(calls) == 5  # iteration 0 twice (resampled, then skipped), 1-3 once
+        assert trace.n_skipped == 1
+        assert trace.iterations.tolist() == [1, 2, 3]
 
 
 class TestUpdateTheta:
@@ -461,11 +566,11 @@ def gradient_points(ds, monkeypatch, rule):
 
     points = []
 
-    def constant_gradient(ws, Y_b, subsets, n_lv, spec, theta, step, objective):
-        points.append(theta.copy())
-        return np.full(theta.shape, 0.1)
+    def constant_gradient(ws, Y_b, subsets, n_lv, spec, objective):
+        points.append(spec.theta())
+        return 0.5, np.full(spec.n_params, 0.1)
 
-    monkeypatch.setattr(flows, "_fd_gradient", constant_gradient)
+    monkeypatch.setattr(flows, "_loss_gradient", constant_gradient)
     cfg = FlowConfig(n_iter=4, n_subsamples=3, batch_fraction=0.6, n_lv=2,
                      learning_rate=0.2, momentum=0.5, update_rule=rule, seed=11,
                      patience=10**6)
@@ -665,7 +770,7 @@ class TestFlowConfigValidation:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["batch_fraction", "sub_fraction", "learning_rate",
-                                      "momentum", "tol", "fd_step"])
+                                      "momentum", "tol"])
     def test_non_finite_float_settings_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             FlowConfig(**{name: value})

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfpls import KernelSpec, center_train, gram_test, gram_train, kernel_eval
-from kfpls.kernels import FAMILY_NAMES, kernel_matrix, train_sq_dists
+from kfpls.kernels import (
+    _FAMILY_SLOPES,
+    FAMILY_NAMES,
+    kernel_matrix,
+    pairwise_sq_dists,
+    train_sq_dists,
+)
 from kfpls.kpls import affine_coef
 
 from oracles import center_test_literal, gram_literal, kernel_value
@@ -144,6 +150,40 @@ class TestKernelEval:
         a = kernel_eval(spec, x, y)
         b = kernel_eval(spec, x[perm], y[perm])
         assert a == pytest.approx(b, rel=1e-12)
+
+
+class TestDistances:
+    def test_buffers_give_the_same_bytes(self):
+        X = np.random.default_rng(4).normal(size=(25, 3))
+        out, work = np.empty((25, 25)), np.empty((25, 25))
+        got = train_sq_dists(X, out=out, work=work)
+        assert got is out
+        assert got.tobytes() == train_sq_dists(X).tobytes()
+        expected = pairwise_sq_dists(X, X)
+        assert pairwise_sq_dists(X, X, out=out, work=work).tobytes() == expected.tobytes()
+
+    def test_symmetric_with_zero_diagonal(self):
+        d2 = train_sq_dists(np.random.default_rng(5).normal(size=(12, 2)))
+        assert d2.tobytes() == d2.T.copy().tobytes()
+        assert np.all(np.diag(d2) == 0.0)
+
+
+class TestLogSigmaSlope:
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    @pytest.mark.parametrize("sigma", [0.3, 1.7])
+    def test_matches_central_differences(self, family, sigma):
+        d2 = train_sq_dists(np.random.default_rng(6).normal(size=(30, 2)))
+        d = np.sqrt(d2)
+        h = 1e-5
+
+        def K(s):
+            return kernel_matrix(single(family, sigma=s), d2)
+
+        fd = (K(sigma * np.exp(h)) - K(sigma * np.exp(-h))) / (2.0 * h)
+        out = np.empty_like(d2)
+        slope = _FAMILY_SLOPES[family](K(sigma), d2, d, sigma, out)
+        assert slope is out
+        np.testing.assert_allclose(slope, fd, rtol=0, atol=1e-9)
 
 
 class TestGramTrain:

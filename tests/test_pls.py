@@ -16,7 +16,7 @@ from oracles import jacobi_dominant_right_singular_vector, least_squares_predict
 
 def first_pc(C):
     """The SIMPLS direction of one covariance ``C`` (m, p), as a stack of one."""
-    return _directions(C[None])[0]
+    return _directions(C[None])[0][0]
 
 
 class TestFirstPc:
