@@ -398,12 +398,15 @@ def cmd_sweep(args, config) -> int:
         else:
             points = sweep_points(args.axis, grid, spec0, seed, case_id, overrides)
     ds = None if source is None else _read(case_dataset, case_id, seed, *source)
+    lv_max = CASE_DEFAULTS[case_id]["lv_max"]
+    if ds is not None:
+        with _phase("config"):
+            check_lv_max(ds, lv_max)
     if args.axis == "n_lv" and max(grid) > ds.X_cal.shape[0]:
         raise CliError("config", f"the n_lv grid exceeds the "
                        f"{ds.X_cal.shape[0]} calibration rows")
     out = _out_dir(args, config)
 
-    lv_max = CASE_DEFAULTS[case_id]["lv_max"]
     with _phase("compute"):
         if args.axis == "n_lv":
             result = run_pipeline(ds, spec0, flow, lv_max, seed)

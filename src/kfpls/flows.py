@@ -10,23 +10,23 @@ Polyak take the gradient at the current parameters, Nesterov at the
 lookahead point ``theta + momentum * (theta - prev_theta)``.
 
 One engine, `_batch_losses`, computes both losses from one plain Gram of
-the minibatch. The sub-batches of one size are fitted as one stack: their
-ridge blocks are gathered at once, double-centered by
-`kernels.center_train` and fitted by `pls.fit_pls_stack`, which runs the
-SIMPLS loop of `fit_kpls` over the whole stack. The default, ``cv``,
-scores each sub-batch model's predictions of the whole minibatch against
-the minibatch responses, relative to the variance baseline: nonnegative,
-near one for a kernel that predicts nothing, small when models fitted on
-any subset predict the rest. The predictions of all sub-batch models come
-from one product of the plain Gram with their `kpls.affine_coef`
-coefficients scattered onto their rows, plus each fit's bias, so no
-cross kernel is centered. ``norm_ratio`` also fits the whole minibatch
-and is one minus the ratio of each sub-batch model's squared norm to the
-minibatch one, each norm a coefficient quadratic form in the centered
-Gram of its own fit. That is the classical kernel-flow quantity for
-full-rank kernel regression, where the sub-batch fit is a projection of
-the full fit. PLS truncation breaks that identity, letting the norm ratio
-go negative and reward degenerate kernels, so it is not the default.
+the minibatch. The sub-batches of one size are fitted as one stack:
+their blocks are gathered at once, take the ridge on their diagonals and
+go through `kpls.fit_grams`, the fit `fit_kpls` makes, for the whole
+stack. The default, ``cv``, scores each sub-batch model's predictions of
+the whole minibatch against the minibatch responses, relative to the
+variance baseline: nonnegative, near one for a kernel that predicts
+nothing, small when models fitted on any subset predict the rest. The
+predictions of all sub-batch models come from one product of the plain
+Gram with their `kpls.affine_coef` coefficients scattered onto their
+rows, plus each fit's bias, so no cross kernel is centered.
+``norm_ratio`` also fits the whole minibatch and is one minus the ratio
+of each sub-batch model's squared norm to the minibatch one, each norm a
+coefficient quadratic form in the centered Gram of its own fit. That is
+the classical kernel-flow quantity for full-rank kernel regression,
+where the sub-batch fit is a projection of the full fit. PLS truncation
+breaks that identity, letting the norm ratio go negative and reward
+degenerate kernels, so it is not the default.
 
 The gradient is exact: `_loss_gradient` runs `_batch_losses` once with a
 tape and then one reverse pass back through the residuals (or the norms),
@@ -57,15 +57,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateProblemError, FlowAbortError
-from .kernels import (
-    _FAMILY_SLOPES,
-    KernelSpec,
-    center_train,
-    kernel_matrix,
-    train_sq_dists,
-)
-from .kpls import affine_coef
-from .pls import _simpls_adjoint, fit_pls_stack
+from .kernels import _FAMILY_SLOPES, KernelSpec, kernel_matrix, train_sq_dists
+from .kpls import affine_coef, fit_grams
+from .pls import _simpls_adjoint
 
 logger = logging.getLogger(__name__)
 
@@ -255,18 +249,6 @@ class _Workspace:
         return grad
 
 
-def _fit_stack(K, Y_sets, n_lv, delta, tape=None):
-    """Kernel-PLS fits of a stack of plain Grams ``K`` (S, n, n) on ``Y_sets``
-    (S, n, m). ``K`` takes the ridge and is centered in place. Returns
-    ``(coef, col_means, y_means, K_centered)``, stacked; ``tape``: see
-    `pls._simpls`."""
-    K.reshape(len(K), -1)[:, :: K.shape[1] + 1] += delta  # each diagonal
-    K_centered, col_means = center_train(K, out=K)
-    y_means = Y_sets.mean(axis=1)
-    coef = fit_pls_stack(K_centered, Y_sets - y_means[:, None, :], n_lv, tape)
-    return coef, col_means, y_means, K_centered
-
-
 def _model_norms(coef, K_centered) -> np.ndarray:
     """Squared model norms: coefficient quadratic forms in each fit's centered Gram."""
     values = np.sum(coef * (K_centered @ coef), axis=(1, 2))
@@ -315,9 +297,9 @@ def _batch_losses(batch, Y_batch, subsets, n_lv, spec, objective, tape=None):
         members = [i for i, s in enumerate(sizes) if s == size]
         idx = np.stack([sets[i] for i in members])
         simpls = {} if tape is not None else None
-        coef, means, y_means, K_c = _fit_stack(
-            ws.stack(K_plain, idx), Y_batch[idx], n_lv, spec.delta, simpls
-        )
+        K = ws.stack(K_plain, idx)
+        K.reshape(len(K), -1)[:, :: K.shape[1] + 1] += spec.delta  # each diagonal
+        (*_, coef), means, y_means, K_c = fit_grams(K, Y_batch[idx], n_lv, simpls)
         if objective == "norm_ratio":
             values[members] = _model_norms(coef, K_c)
         else:

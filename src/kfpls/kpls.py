@@ -1,11 +1,14 @@
 """Kernel PLS: SIMPLS regression between a centered Gram matrix and Y.
 
 Fitting maps the training rows through the kernel, double-centers the
-ridge Gram, and runs SIMPLS against column-centered responses. A new
-row's cross kernel must be centered on the Gram's column means before it
-meets the coefficients, and the response means added back; `affine_coef`
-folds both into one affine map on the plain cross kernel, which is how
-every prediction in the package is made.
+ridge Gram, and runs SIMPLS against column-centered responses. One
+function, `fit_grams`, does that for a stack of ridge Grams: `fit_kpls`
+calls it on a stack of one, and the kernel flow on the sub-batches of
+each size (`flows._batch_losses`). A new row's cross kernel must be
+centered on the Gram's column means before it meets the coefficients,
+and the response means added back; `affine_coef` folds both into one
+affine map on the plain cross kernel, which is how every prediction in
+the package is made.
 
 A model archive holds the model and the standardization of the dataset it
 was fitted on: `save_calibrated_model` writes it and
@@ -24,7 +27,7 @@ from ._serialize import read_array_archive, write_array_archive
 from .datasets import Dataset
 from .exceptions import DegenerateProblemError
 from .kernels import KernelSpec, center_train, gram_test, gram_train
-from .pls import PlsModel, fit_pls
+from .pls import PlsModel, _simpls
 
 _SCHEMA_VERSION = 2
 
@@ -54,6 +57,23 @@ def affine_coef(coef: np.ndarray, col_means: np.ndarray, y_means: np.ndarray):
     return C, b
 
 
+def fit_grams(K: np.ndarray, Y: np.ndarray, n_lv: int, tape: dict | None = None):
+    """Kernel-PLS fits of a stack of ridge Grams ``K`` (S, n, n) on ``Y``
+    (S, n, m), in one pass of `pls._simpls`.
+
+    ``K`` is double-centered in place. Returns ``((W, P, Q, B), col_means,
+    y_means, K)``: the SIMPLS factors and coefficients of the stack, the
+    Grams' column means (S, n), the response means (S, m), and the centered
+    stack, which the flow's norm-ratio loss and reverse pass read. Inputs
+    are not checked, and ``n_lv`` is clamped to ``n`` silently. ``tape``:
+    see `pls._simpls`.
+    """
+    K_centered, col_means = center_train(K, out=K)
+    y_means = Y.mean(axis=1)
+    factors = _simpls(K_centered, Y - y_means[:, None, :], n_lv, tape)
+    return factors, col_means, y_means, K_centered
+
+
 def fit_kpls(
     X: np.ndarray, Y: np.ndarray, n_lv: int, spec: KernelSpec
 ) -> KplsModel:
@@ -69,6 +89,9 @@ def fit_kpls(
 
     Raises
     ------
+    ValueError
+        For a non-finite X or Y, a Y of more than two dimensions, row
+        counts that differ, or an ``n_lv`` outside 1 and the row count.
     DegenerateProblemError
         If the centered Gram carries no usable covariance with Y, e.g.
         when all training rows are identical.
@@ -77,10 +100,16 @@ def fit_kpls(
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
+    if Y.ndim != 2:
+        raise ValueError("Y must be 1-D or 2-D")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("Y must be finite")
     if X.shape[0] != Y.shape[0]:
         raise ValueError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
     if X.shape[0] < 2:
         raise ValueError("at least two training rows are required")
+    if n_lv < 1:
+        raise ValueError(f"n_lv must be >= 1, got {n_lv}")
     if n_lv > X.shape[0]:
         raise ValueError(f"n_lv={n_lv} exceeds the number of training rows")
 
@@ -88,12 +117,11 @@ def fit_kpls(
         # Identical rows give a constant kernel block; the centered Gram
         # would carry ridge structure only.
         raise DegenerateProblemError("all training rows are identical")
-    K_centered, col_means = center_train(gram_train(spec, X))
-    y_means = Y.mean(axis=0)
-    pls = fit_pls(K_centered, Y - y_means, n_lv)
-    return KplsModel(
-        spec=spec, x_train=X.copy(), col_means=col_means, pls=pls, y_means=y_means
-    )
+    (W, P, Q, B), col_means, y_means, _ = fit_grams(gram_train(spec, X)[None],
+                                                   Y[None], n_lv)
+    pls = PlsModel(W[0], P[0], Q[0], B[0], n_lv=W.shape[2])
+    return KplsModel(spec=spec, x_train=X.copy(), col_means=col_means[0], pls=pls,
+                     y_means=y_means[0])
 
 
 def predict_kpls(model: KplsModel, X_new: np.ndarray) -> np.ndarray:
@@ -154,14 +182,16 @@ def model_from_arrays(data: dict) -> KplsModel:
     members, such as the ``prep_*`` arrays or the ones only version 1
     wrote, are left for the caller.
 
-    Raises ``ValueError`` for a scalar or list member of another shape,
+    Raises ``ValueError`` for a scalar, list or matrix member of another
+    number of dimensions (``x_train`` is a matrix, ``y_means`` a list),
     another schema version, a non-finite float member (of any name), a
     kernel whose families are unknown or repeated or whose parameters do
     not have one entry per family, or prediction arrays whose shapes
     disagree with ``x_train``.
     """
     for key, ndim in (("schema_version", 0), ("families", 1), ("has_log_gamma", 0),
-                      ("log_delta", 0), ("pls_n_lv", 0)):
+                      ("log_delta", 0), ("pls_n_lv", 0), ("x_train", 2),
+                      ("y_means", 1)):
         if data[key].ndim != ndim:
             raise ValueError(f"archive member {key!r} is not {ndim}-dimensional")
     version = int(data["schema_version"])

@@ -12,10 +12,10 @@ them starts; the factor-count axis instead reuses one run's kernel
 
 Each factor search (`line_search_n_lv`, `plain_pls_lv`, `sweep_n_lv`)
 makes one SIMPLS fit at its largest count and takes every smaller count
-from the prefix coefficients of that fit (`pls.coef_path`). The kernel
-searches predict every count at once, through `kpls.affine_coef` of the
-whole stack of coefficients. Both line searches score the counts with
-`_score_counts`.
+from the prefix coefficients of that fit (`pls.coef_path`). The two kernel
+searches predict every count at once with `_count_predictions`, through
+`kpls.affine_coef` of the whole stack of coefficients. Both line searches
+score the counts with `_score_counts`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .flows import FlowConfig, FlowTrace, run_kernel_flows
 from .kernels import KernelSpec, gram_test
 from .kpls import KplsModel, affine_coef, fit_kpls, predict_kpls
 from .metrics import EvalReport, accuracy, nrmse, q2, rmse
-from .pls import PlsModel, coef_path, fit_pls, predict_pls
+from .pls import coef_path, fit_pls, predict_pls
 
 # Factor count for the untuned reference model.
 DEFAULT_BASELINE_LV = 3
@@ -125,17 +125,13 @@ def _score_counts(preds: np.ndarray, Y_val: np.ndarray, task: str) -> tuple:
     return int(np.argmin(loss)) + 1, list(enumerate(scores, start=1))
 
 
-def _count_path(pls: PlsModel, lv_max: int) -> np.ndarray:
-    """Coefficients of the fits at counts 1..lv_max, from one fit at ``lv_max``.
-
-    A fit that ran out of rank at ``pls.n_lv`` factors is the fit at every
-    larger count too, so its last entry repeats. A path that `coef_path`
-    ended early stays short: a refit at the next count would raise.
+def _count_predictions(model: KplsModel, lv_max: int, X_new: np.ndarray) -> np.ndarray:
+    """Predictions (a, q, m) of the rows ``X_new`` (q, p) by the fits at counts
+    1..a, from ``model``, the fit at ``lv_max``. ``a`` is ``lv_max`` unless
+    `pls.coef_path` ended early, where a refit at count ``a + 1`` would raise.
     """
-    path = coef_path(pls)
-    if len(path) < pls.n_lv:
-        return path
-    return path[np.minimum(np.arange(lv_max), pls.n_lv - 1)]
+    C, b = affine_coef(coef_path(model.pls, lv_max), model.col_means, model.y_means)
+    return gram_test(model.spec, X_new, model.x_train) @ C + b
 
 
 def line_search_n_lv(
@@ -155,8 +151,7 @@ def line_search_n_lv(
     """
     fit_idx, val_idx = _holdout_split(X.shape[0], seed)
     model = fit_kpls(X[fit_idx], Y[fit_idx], lv_max, spec)
-    C, b = affine_coef(_count_path(model.pls, lv_max), model.col_means, model.y_means)
-    preds = gram_test(spec, X[val_idx], model.x_train) @ C + b
+    preds = _count_predictions(model, lv_max, X[val_idx])
     return _score_counts(preds, Y[val_idx], task)
 
 
@@ -176,12 +171,12 @@ def plain_pls_lv(ds: Dataset, lv_max: int, seed) -> int:
     """Factor count for the linear reference, line-searched the same way."""
     fit_idx, val_idx = _holdout_split(ds.X_cal.shape[0], seed)
     y_means = ds.Y_cal[fit_idx].mean(axis=0)
+    lv_max = min(ds.X_cal.shape[1], lv_max)
     try:
-        model = fit_pls(ds.X_cal[fit_idx], ds.Y_cal[fit_idx] - y_means,
-                        min(ds.X_cal.shape[1], lv_max))
+        model = fit_pls(ds.X_cal[fit_idx], ds.Y_cal[fit_idx] - y_means, lv_max)
     except DegenerateProblemError:
         return 1
-    preds = ds.X_cal[val_idx] @ coef_path(model) + y_means
+    preds = ds.X_cal[val_idx] @ coef_path(model, lv_max) + y_means
     return _score_counts(preds, ds.Y_cal[val_idx], ds.task)[0]
 
 
@@ -290,11 +285,9 @@ def sweep_n_lv(ds: Dataset, spec: KernelSpec, grid) -> list:
     if min(grid) < 1:
         raise ValueError(f"n_lv must be >= 1, got {min(grid)}")
     model = fit_kpls(ds.X_cal, ds.Y_cal, max(grid), spec)
-    path = _count_path(model.pls, max(grid))
-    if len(path) < max(grid):
+    preds = _count_predictions(model, max(grid), ds.X_test)
+    if len(preds) < max(grid):
         raise DegenerateProblemError("loadings-weights system is too ill-conditioned")
-    C, b = affine_coef(path, model.col_means, model.y_means)
-    preds = gram_test(spec, ds.X_test, model.x_train) @ C + b
     return [(lv, evaluate_predictions(ds, preds[lv - 1])) for lv in grid]
 
 

@@ -8,13 +8,14 @@ loadings before the next extraction. Scores are not kept: the X-scores of
 a fit are ``X @ weights``.
 
 One extraction loop, `_simpls`, runs over a leading stack axis: `fit_pls`
-is that loop at stack size 1, and `fit_pls_stack` fits many same-sized
-problems (the kernel-flow sub-batches) in one pass. The direction is
-closed-form for one response, else from one batched m×m ``eigh``.
-SIMPLS extracts one factor at a time, so the first ``a`` factors of a fit
-are the ``a``-factor fit. `_coef` is the one coefficient formula: it gives
-a stack member that stops early its coefficients from the factors it had
-then, and `coef_path` the coefficients at every factor count of one fit.
+is that loop at stack size 1, and `kpls.fit_grams` runs it on a stack of
+centered Grams (one kernel-PLS model, or the kernel-flow sub-batches of
+one size) in one pass. The direction is closed-form for one response,
+else from one batched m×m ``eigh``. SIMPLS extracts one factor at a time,
+so the first ``a`` factors of a fit are the ``a``-factor fit. `_coef` is
+the one coefficient formula: it gives a stack member that stops early its
+coefficients from the factors it had then, and `coef_path` the
+coefficients at every factor count up to a search bound from one fit.
 """
 
 from __future__ import annotations
@@ -287,26 +288,16 @@ def fit_pls(X: np.ndarray, Y: np.ndarray, n_lv: int) -> PlsModel:
     return PlsModel(W[0], P[0], Q[0], B[0], n_lv=W.shape[2])
 
 
-def fit_pls_stack(
-    X: np.ndarray, Y: np.ndarray, n_lv: int, tape: dict | None = None
-) -> np.ndarray:
-    """Coefficients (S, p, m) of the SIMPLS fits of ``X[s]`` (n, p) on ``Y[s]``.
-
-    A member that stops early while others go on keeps the coefficients of
-    the factors it had, the fit `fit_pls` gives it. Inputs are not checked,
-    and ``n_lv`` is clamped to ``min(n, p)`` silently. ``tape``: see
-    `_simpls`.
-    """
-    return _simpls(X, Y, n_lv, tape)[3]
-
-
-def coef_path(model: PlsModel) -> np.ndarray:
-    """Coefficients (a, p, m) of the fits with 1, 2, ..., ``model.n_lv`` factors.
+def coef_path(model: PlsModel, lv_max: int) -> np.ndarray:
+    """Coefficients (a, p, m) of the fits with 1, 2, ..., ``lv_max`` factors,
+    from ``model``, the fit at ``lv_max``.
 
     SIMPLS extracts one factor at a time, so the first ``a`` factors of a
     fit are the ``a``-factor fit: entry ``a-1`` is `_coef` of them, the
-    formula `fit_pls` uses. The path ends before the first prefix whose
-    ``PᵀW`` block is too ill-conditioned, where a fit at that count raises.
+    formula `fit_pls` uses. A fit that ran out of rank at ``model.n_lv``
+    factors is the fit at every larger count too, so its last entry
+    repeats. The path ends before the first prefix whose ``PᵀW`` block is
+    too ill-conditioned, where a fit at that count raises.
     """
     W, P, Q = model.weights, model.x_loadings, model.y_loadings
     path = []
@@ -314,8 +305,8 @@ def coef_path(model: PlsModel) -> np.ndarray:
         try:
             path.append(_coef(W[:, :a], P[:, :a], Q[:, :a]))
         except DegenerateProblemError:
-            break
-    return np.array(path).reshape(len(path), *model.coef.shape)
+            return np.array(path).reshape(len(path), *model.coef.shape)
+    return np.array(path)[np.minimum(np.arange(lv_max), model.n_lv - 1)]
 
 
 def predict_pls(model: PlsModel, X_new: np.ndarray) -> np.ndarray:

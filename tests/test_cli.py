@@ -281,12 +281,21 @@ def _negative_y_std(arrays):
     arrays["prep_y_stds"] = -arrays["prep_y_stds"]
 
 
+def _one_d_x_train(arrays):
+    arrays["x_train"] = arrays["x_train"][:, 0]
+
+
+def _matrix_y_means(arrays):
+    arrays["y_means"] = arrays["y_means"][:, None]
+
+
 class TestCorruptArchive:
     @pytest.mark.parametrize("corrupt", [_cut_coef, _nan_coef, _one_feature_name,
                                          _no_schema_version, _unknown_family,
                                          _no_length_scale, _no_weight,
                                          _two_families_no_weights, _duplicate_family,
-                                         _vector_ridge, _zero_x_std, _negative_y_std])
+                                         _vector_ridge, _zero_x_std, _negative_y_std,
+                                         _one_d_x_train, _matrix_y_means])
     def test_predict_rejects_corrupt_archive(self, tmp_path, xy_model, capsys, corrupt):
         train, archive = xy_model
         arrays = read_array_archive(archive)
@@ -373,6 +382,18 @@ class TestLvMaxBeforeFlow:
         assert run_cli("sweep", "--axis", "n_lv", "--grid", "1,500", "--case", "1",
                        "--out-dir", out) == 2
         assert "error:config" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis, grid", [("learning_rate", "0.1"), ("n_lv", "1,2")])
+    def test_sweep_case_lv_max_above_fit_rows(self, axis, grid, tmp_path, capsys,
+                                               monkeypatch):
+        # Case 3 searches up to 20 factors; 20 rows leave fewer to fit on.
+        monkeypatch.setattr(pipeline, "run_kernel_flows", _no_flow)
+        small = write_toy_csv(tmp_path / "small.csv", n=20)
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--axis", axis, "--grid", grid, "--case", "3",
+                       "--csv", small, "--response", "target", "--out-dir", out) == 2
+        assert capsys.readouterr().err.startswith("error:config: lv_max")
         assert not out.exists()
 
 

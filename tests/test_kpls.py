@@ -20,7 +20,7 @@ from kfpls import (
 
 from kfpls._serialize import read_array_archive, write_array_archive
 from kfpls.kernels import kernel_matrix, pairwise_sq_dists
-from kfpls.kpls import model_from_arrays
+from kfpls.kpls import fit_grams, model_from_arrays
 from oracles import center_test_literal, gram_literal, kernel_value, kpls_coef_literal
 
 V1_ARCHIVE = Path(__file__).parent / "data" / "model_v1.kfpls"
@@ -98,6 +98,42 @@ class TestFitKpls:
     def test_row_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rows"):
             fit_kpls(np.zeros((5, 2)), np.zeros((4, 1)), 1, gauss())
+
+    @pytest.mark.parametrize("bad, match", [
+        ("nan_x", "finite"), ("inf_y", "finite"), ("3d_y", "2-D"), ("zero_n_lv", "n_lv"),
+    ])
+    def test_bad_input_rejected(self, bad, match):
+        rng = np.random.default_rng(5)
+        X, Y, n_lv = rng.normal(size=(8, 2)), rng.normal(size=(8, 1)), 2
+        if bad == "nan_x":
+            X[3, 1] = np.nan
+        elif bad == "inf_y":
+            Y[5, 0] = np.inf
+        elif bad == "3d_y":
+            Y = Y[:, :, None]
+        else:
+            n_lv = 0
+        with pytest.raises(ValueError, match=match):
+            fit_kpls(X, Y, n_lv, gauss())
+
+
+class TestFitGrams:
+    def test_members_match_separate_fits(self):
+        # A stack of ridge Grams, as the kernel flow fits its sub-batches,
+        # gives each member the model `fit_kpls` fits on its rows.
+        rng = np.random.default_rng(7)
+        spec = gauss(sigma=0.9, delta=0.02)
+        X = rng.normal(size=(3, 15, 2))
+        Y = rng.normal(size=(3, 15, 2))
+        K = np.stack([gram_train(spec, x) for x in X])
+        (W, P, Q, B), col_means, y_means, K_c = fit_grams(K, Y, 4)
+        assert K_c is K
+        for s in range(3):
+            model = fit_kpls(X[s], Y[s], 4, spec)
+            np.testing.assert_allclose(B[s], model.pls.coef, rtol=1e-10,
+                                       atol=1e-10 * np.abs(model.pls.coef).max())
+            np.testing.assert_array_equal(col_means[s], model.col_means)
+            np.testing.assert_array_equal(y_means[s], model.y_means)
 
 
 class TestPredictKpls:

@@ -160,7 +160,8 @@ class TestOneFitFactorSearch:
         # As a refit loop stops at the first count whose fit raises.
         ds, sigma, _ = FACTOR_SEARCH_CASES["peaks"]
         spec = KernelSpec.create("gaussian", sigma=sigma, delta=0.01)
-        monkeypatch.setattr(pipeline, "coef_path", lambda model: coef_path(model)[:2])
+        monkeypatch.setattr(pipeline, "coef_path",
+                            lambda model, lv_max: coef_path(model, lv_max)[:2])
         _, table = line_search_n_lv(ds.X_cal, ds.Y_cal, spec, ds.task, 6, 1)
         assert [lv for lv, _ in table] == [1, 2]
         assert len(sweep_n_lv(ds, spec, [1, 2])) == 2

@@ -9,7 +9,7 @@ from kfpls import (
     predict_pls,
 )
 from kfpls.kernels import center_train, gram_train
-from kfpls.pls import PlsModel, _directions, coef_path, fit_pls_stack
+from kfpls.pls import PlsModel, _directions, _simpls, coef_path
 
 from oracles import jacobi_dominant_right_singular_vector, least_squares_prediction
 
@@ -141,18 +141,20 @@ class TestFitPls:
 
 
 class TestFitPlsStack:
+    """The stacked SIMPLS loop that `fit_pls` and `kpls.fit_grams` run."""
+
     def test_one_member_stack_is_fit_pls(self):
         rng = np.random.default_rng(29)
         X = rng.normal(size=(20, 5))
         Y = rng.normal(size=(20, 2))
-        coef = fit_pls_stack(X[None], Y[None], 3)
+        coef = _simpls(X[None], Y[None], 3)[3]
         np.testing.assert_array_equal(coef[0], fit_pls(X, Y, 3).coef)
 
     def test_members_match_separate_fits(self):
         rng = np.random.default_rng(30)
         X = rng.normal(size=(4, 15, 6))
         Y = rng.normal(size=(4, 15, 3))
-        coef = fit_pls_stack(X, Y, 4)
+        coef = _simpls(X, Y, 4)[3]
         for s in range(4):
             np.testing.assert_allclose(coef[s], fit_pls(X[s], Y[s], 4).coef,
                                        rtol=1e-12, atol=1e-12)
@@ -170,7 +172,7 @@ class TestFitPlsStack:
         Y = rng.normal(size=(3, 12, 1))
         models = [fit_pls(X[s], Y[s], 4) for s in range(3)]
         assert models[0].n_lv == 4 and models[1].n_lv <= 2
-        coef = fit_pls_stack(X, Y, 4)
+        coef = _simpls(X, Y, 4)[3]
         for s in range(3):
             np.testing.assert_allclose(coef[s], models[s].coef, rtol=1e-12, atol=1e-12)
 
@@ -179,7 +181,7 @@ class TestFitPlsStack:
         X = rng.normal(size=(2, 10, 4))
         Y = np.stack([rng.normal(size=(10, 1)), np.zeros((10, 1))])
         with pytest.raises(DegenerateProblemError, match="rank exhausted"):
-            fit_pls_stack(X, Y, 3)
+            _simpls(X, Y, 3)
 
 
 class TestCoefPath:
@@ -195,7 +197,7 @@ class TestCoefPath:
         Y = ds.Y_cal if m == 4 else rng.normal(size=(48, 1))
         Y = Y - Y.mean(axis=0)
         a_max = 12 if gram else 9
-        path = coef_path(fit_pls(X, Y, a_max))
+        path = coef_path(fit_pls(X, Y, a_max), a_max)
         assert path.shape == (a_max, X.shape[1], m)
         for a in range(1, a_max + 1):
             coef = fit_pls(X, Y, a).coef
@@ -207,16 +209,19 @@ class TestCoefPath:
         base = rng.normal(size=(12, 2))
         X = np.hstack([base, base @ rng.normal(size=(2, 3))])  # rank 2
         model = fit_pls(X, rng.normal(size=(12, 1)), 5)
-        path = coef_path(model)
+        path = coef_path(model, model.n_lv)
         assert len(path) == model.n_lv <= 2
         np.testing.assert_allclose(path[-1], model.coef, rtol=1e-12, atol=1e-12)
+        # Past the rank, the path repeats the fit's last entry up to the bound.
+        np.testing.assert_array_equal(coef_path(model, 5)[model.n_lv - 1:],
+                                      [path[-1]] * (6 - model.n_lv))
 
     def test_ends_before_ill_conditioned_prefix(self):
         # PᵀW = Pᵀ: its leading 2x2 block is singular, the 1x1 and 3x3 are not.
         P = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]).T
         model = PlsModel(weights=np.eye(3), x_loadings=P, y_loadings=np.ones((2, 3)),
                          coef=np.zeros((3, 2)), n_lv=3)
-        path = coef_path(model)
+        path = coef_path(model, 3)
         assert path.shape == (1, 3, 2)
         np.testing.assert_array_equal(path[0], [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
 
