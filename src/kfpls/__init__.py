@@ -2,7 +2,6 @@
 
 from .datasets import (
     Dataset,
-    destandardize,
     gen_circles,
     gen_peaks,
     load_csv,
@@ -15,7 +14,6 @@ from .flows import (
     FlowTrace,
     loss_surface,
     run_kernel_flows,
-    update_theta,
 )
 from .kernels import (
     KernelSpec,
@@ -32,7 +30,7 @@ from .kpls import (
     predict_kpls,
     save_calibrated_model,
 )
-from .metrics import EvalReport, accuracy, nrmse, q2, rmse
+from .metrics import EvalReport, accuracy, q2, rmse
 from .pls import PlsModel, fit_pls, predict_pls
 
 __version__ = "0.1.0"
@@ -50,7 +48,6 @@ __all__ = [
     "accuracy",
     "center_train",
     "classify",
-    "destandardize",
     "fit_kpls",
     "fit_pls",
     "gen_circles",
@@ -61,7 +58,6 @@ __all__ = [
     "load_calibrated_model",
     "load_csv",
     "loss_surface",
-    "nrmse",
     "peaks_surface",
     "predict_kpls",
     "predict_pls",
@@ -70,5 +66,4 @@ __all__ = [
     "run_kernel_flows",
     "save_calibrated_model",
     "standardize",
-    "update_theta",
 ]

@@ -155,6 +155,14 @@ def _flow_overrides(args, config) -> dict:
     return overrides
 
 
+def _seed(args, config) -> int:
+    """The run seed (default 0); a negative one is a ``config`` error."""
+    seed = int(_setting(args, config, "seed", default=0, cast=int))
+    if seed < 0:
+        raise CliError("config", f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _lv_max(args, config, ds: Dataset, default: int) -> int:
     """The factor-search bound, checked against the dataset (``ValueError``)."""
     lv_max = int(_setting(args, config, "lv_max", default=default, cast=int))
@@ -297,9 +305,9 @@ def _case_report(result, case_id, seed, command) -> dict:
 
 def cmd_case(args, config) -> int:
     case_id = args.case
-    seed = int(_setting(args, config, "seed", default=0, cast=int))
     with _phase("config"):
         source = _case_source(args, config)
+        seed = _seed(args, config)
         spec0 = _kernel_spec(args, config, CASE_DEFAULTS[case_id]["families"])
         flow = case_flow_config(case_id, seed, **_flow_overrides(args, config))
     ds = _read(case_dataset, case_id, seed, *source)
@@ -319,10 +327,10 @@ def cmd_case(args, config) -> int:
 
 
 def cmd_optimize(args, config) -> int:
-    seed = int(_setting(args, config, "seed", default=0, cast=int))
     response = _setting(args, config, "response")
     if response is None:
         raise CliError("usage", "optimize requires --response")
+    seed = _seed(args, config)
     task = _setting(args, config, "task", default="regression")
     if task not in ("regression", "classification"):
         raise CliError("config", f"unknown task {task!r}")
@@ -381,12 +389,12 @@ _SWEEP_AXES = ("n_lv", "noise", "learning_rate", "n_subsamples", "init_theta")
 
 def cmd_sweep(args, config) -> int:
     grid = _grid(args.grid, "sweep grid")
-    seed = int(_setting(args, config, "seed", default=0, cast=int))
     case_id = args.case
     if args.axis == "noise" and case_id != 1:
         raise CliError("usage", "the noise axis applies to case 1 only")
     with _phase("config"):
         source = None if args.axis == "noise" else _case_source(args, config)
+        seed = _seed(args, config)
         spec0 = _kernel_spec(args, config, CASE_DEFAULTS[case_id]["families"])
         overrides = _flow_overrides(args, config)
         flow = case_flow_config(case_id, seed, **overrides)
@@ -460,10 +468,10 @@ def cmd_sweep(args, config) -> int:
 def cmd_loss_surface(args, config) -> int:
     sigmas = _grid(args.sigma_grid, "sigma grid")
     deltas = _grid(args.delta_grid, "delta grid")
-    seed = int(_setting(args, config, "seed", default=0, cast=int))
     grid = list(itertools.product(sigmas, deltas))
     with _phase("config"):
         source = _case_source(args, config)
+        seed = _seed(args, config)
         families = _setting(args, config, "kernel",
                             default=CASE_DEFAULTS[args.case]["families"])
         flow = case_flow_config(args.case, seed, **_flow_overrides(args, config))

@@ -167,13 +167,12 @@ class FlowTrace:
     converged: bool
     param_names: list = field(default_factory=list)
 
-    def to_table(self) -> tuple[list, np.ndarray]:
-        """Header and row matrix for a flat tabular export."""
+    def to_table(self) -> tuple[list, list]:
+        """Header and rows for a flat tabular export; each row is the
+        iteration (an int) and that iteration's floats."""
         header = ["iteration", "loss", *self.param_names, "grad_norm"]
-        rows = np.column_stack(
-            [self.iterations, self.loss, self.theta, self.grad_norms]
-        )
-        return header, rows
+        values = np.column_stack([self.loss, self.theta, self.grad_norms])
+        return header, [(int(it), *row) for it, row in zip(self.iterations, values)]
 
 
 class _Workspace:

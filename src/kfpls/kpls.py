@@ -2,19 +2,19 @@
 
 Fitting maps the training rows through the kernel, double-centers the
 ridge Gram, and runs SIMPLS against column-centered responses. One
-function, `fit_grams`, does that for a stack of ridge Grams: `fit_kpls`
-calls it on a stack of one, and the kernel flow on the sub-batches of
-each size (`flows._batch_losses`). A new row's cross kernel must be
-centered on the Gram's column means before it meets the coefficients,
-and the response means added back; `affine_coef` folds both into one
-affine map on the plain cross kernel, which is how every prediction in
-the package is made.
+function, `fit_grams`, does that for a stack of ridge Grams: for
+`fit_kpls` and the factor searches (a stack of one) and for the kernel
+flow's sub-batches. A new row's cross kernel must be centered on the
+Gram's column means before it meets the coefficients, and the response
+means added back; `affine_coef` folds both into one affine map on the
+plain cross kernel, which is how every prediction in the package is made.
+So a `KplsModel` holds what that map reads and no SIMPLS factor.
 
 A model archive holds the model and the standardization of the dataset it
 was fitted on: `save_calibrated_model` writes it and
 `load_calibrated_model` reads it back, checking every member. Archives
-are written at schema version 2; version 1, which also held scores, is
-still read.
+are written at schema version 3; versions 2 (plus the factors) and 1
+(plus the factors and the scores) are still read.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .exceptions import DegenerateProblemError
 from .kernels import KernelSpec, center_train, gram_test, gram_train
 from .pls import PlsModel, _simpls
 
-_SCHEMA_VERSION = 2
+_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ def fit_grams(K: np.ndarray, Y: np.ndarray, n_lv: int, tape: dict | None = None)
     y_means, K)``: the SIMPLS factors and coefficients of the stack, the
     Grams' column means (S, n), the response means (S, m), and the centered
     stack, which the flow's norm-ratio loss and reverse pass read. Inputs
-    are not checked, and ``n_lv`` is clamped to ``n`` silently. ``tape``:
-    see `pls._simpls`.
+    are not checked (see `check_fit_inputs`), and ``n_lv`` is clamped to
+    ``n`` silently. ``tape``: see `pls._simpls`.
     """
     K_centered, col_means = center_train(K, out=K)
     y_means = Y.mean(axis=1)
@@ -74,27 +74,14 @@ def fit_grams(K: np.ndarray, Y: np.ndarray, n_lv: int, tape: dict | None = None)
     return factors, col_means, y_means, K_centered
 
 
-def fit_kpls(
-    X: np.ndarray, Y: np.ndarray, n_lv: int, spec: KernelSpec
-) -> KplsModel:
-    """Fit kernel PLS on training data.
+def check_fit_inputs(X, Y, n_lv: int) -> tuple[np.ndarray, np.ndarray]:
+    """Training rows ``X`` (n, p) and responses ``Y`` (n, m) or (n,) as float
+    arrays, ``Y`` as a matrix, for a kernel-PLS fit with ``n_lv`` factors.
 
-    Parameters
-    ----------
-    X : ndarray, shape (n, p)
-    Y : ndarray, shape (n, m) or (n,)
-    n_lv : int
-        Latent variables for the SIMPLS fit on the centered Gram.
-    spec : KernelSpec
-
-    Raises
-    ------
-    ValueError
-        For a non-finite X or Y, a Y of more than two dimensions, row
-        counts that differ, or an ``n_lv`` outside 1 and the row count.
-    DegenerateProblemError
-        If the centered Gram carries no usable covariance with Y, e.g.
-        when all training rows are identical.
+    Raises ``ValueError`` for a non-finite Y, a Y of more than two
+    dimensions, row counts that differ or are below 2, or an ``n_lv``
+    outside 1 and the row count, and `DegenerateProblemError` if all rows are identical (the
+    centered Gram would carry ridge structure only).
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -112,16 +99,20 @@ def fit_kpls(
         raise ValueError(f"n_lv must be >= 1, got {n_lv}")
     if n_lv > X.shape[0]:
         raise ValueError(f"n_lv={n_lv} exceeds the number of training rows")
-
     if np.ptp(X, axis=0).max() == 0.0:
-        # Identical rows give a constant kernel block; the centered Gram
-        # would carry ridge structure only.
         raise DegenerateProblemError("all training rows are identical")
-    (W, P, Q, B), col_means, y_means, _ = fit_grams(gram_train(spec, X)[None],
+    return X, Y
+
+
+def fit_kpls(X: np.ndarray, Y: np.ndarray, n_lv: int, spec: KernelSpec) -> KplsModel:
+    """Fit kernel PLS on the centered Gram of kernel ``spec`` with ``n_lv``
+    latent variables. See `check_fit_inputs` for the inputs and errors; a
+    non-finite X is a ``ValueError`` too (`gram_train`)."""
+    X, Y = check_fit_inputs(X, Y, n_lv)
+    (W, _, _, B), col_means, y_means, _ = fit_grams(gram_train(spec, X)[None],
                                                    Y[None], n_lv)
-    pls = PlsModel(W[0], P[0], Q[0], B[0], n_lv=W.shape[2])
-    return KplsModel(spec=spec, x_train=X.copy(), col_means=col_means[0], pls=pls,
-                     y_means=y_means[0])
+    return KplsModel(spec=spec, x_train=X.copy(), col_means=col_means[0],
+                     pls=PlsModel(B[0], n_lv=W.shape[2]), y_means=y_means[0])
 
 
 def predict_kpls(model: KplsModel, X_new: np.ndarray) -> np.ndarray:
@@ -148,7 +139,7 @@ def classify(model: KplsModel, X_new: np.ndarray) -> np.ndarray:
 
 def save_calibrated_model(path, model: KplsModel, ds: Dataset) -> None:
     """Write a model and the standardization of its dataset ``ds`` to one
-    archive (schema v2). Equal inputs give byte-identical files, and all
+    archive (schema v3). Equal inputs give byte-identical files, and all
     float payloads round-trip bit-exact."""
     spec = model.spec
     write_array_archive(path, {
@@ -160,9 +151,6 @@ def save_calibrated_model(path, model: KplsModel, ds: Dataset) -> None:
         "log_delta": np.array(spec.log_delta),
         "x_train": model.x_train,
         "center_col_means": model.col_means,
-        "pls_weights": model.pls.weights,
-        "pls_x_loadings": model.pls.x_loadings,
-        "pls_y_loadings": model.pls.y_loadings,
         "pls_coef": model.pls.coef,
         "pls_n_lv": np.array(model.pls.n_lv),
         "y_means": model.y_means,
@@ -178,9 +166,9 @@ def save_calibrated_model(path, model: KplsModel, ds: Dataset) -> None:
 
 
 def model_from_arrays(data: dict) -> KplsModel:
-    """The model in the members of an archive, version 2 or 1; other
-    members, such as the ``prep_*`` arrays or the ones only version 1
-    wrote, are left for the caller.
+    """The model in the members of an archive, version 3, 2 or 1; other
+    members, such as the ``prep_*`` arrays or the factors and scores only
+    versions 2 and 1 wrote, are left for the caller.
 
     Raises ``ValueError`` for a scalar, list or matrix member of another
     number of dimensions (``x_train`` is a matrix, ``y_means`` a list),
@@ -195,7 +183,7 @@ def model_from_arrays(data: dict) -> KplsModel:
         if data[key].ndim != ndim:
             raise ValueError(f"archive member {key!r} is not {ndim}-dimensional")
     version = int(data["schema_version"])
-    if version not in (1, _SCHEMA_VERSION):
+    if version not in (1, 2, _SCHEMA_VERSION):
         raise ValueError(f"unsupported model schema version {version}")
     for key, value in data.items():
         if value.dtype.kind == "f" and not np.isfinite(value).all():
@@ -223,18 +211,11 @@ def model_from_arrays(data: dict) -> KplsModel:
         log_gamma=log_gamma,
         log_delta=float(data["log_delta"]),
     )
-    pls = PlsModel(
-        weights=data["pls_weights"],
-        x_loadings=data["pls_x_loadings"],
-        y_loadings=data["pls_y_loadings"],
-        coef=data["pls_coef"],
-        n_lv=int(data["pls_n_lv"]),
-    )
     return KplsModel(
         spec=spec,
         x_train=data["x_train"],
         col_means=data["center_col_means"],
-        pls=pls,
+        pls=PlsModel(coef=data["pls_coef"], n_lv=int(data["pls_n_lv"])),
         y_means=data["y_means"],
     )
 

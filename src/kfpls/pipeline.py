@@ -11,11 +11,12 @@ them starts; the factor-count axis instead reuses one run's kernel
 (`sweep_n_lv`).
 
 Each factor search (`line_search_n_lv`, `plain_pls_lv`, `sweep_n_lv`)
-makes one SIMPLS fit at its largest count and takes every smaller count
-from the prefix coefficients of that fit (`pls.coef_path`). The two kernel
-searches predict every count at once with `_count_predictions`, through
-`kpls.affine_coef` of the whole stack of coefficients. Both line searches
-score the counts with `_score_counts`.
+makes one SIMPLS fit at its largest count (`kpls.fit_grams`, or
+`pls._simpls` for the linear one, whose factors a fitted model does not
+keep) and takes every smaller count from the factors' prefixes
+(`pls.coef_path`). The two kernel searches predict every count at once
+with `_count_predictions`, through `kpls.affine_coef` of the whole stack
+of coefficients. Both line searches score the counts with `_score_counts`.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ import numpy as np
 from .datasets import Dataset, check_noise, gen_circles, gen_peaks, load_csv
 from .exceptions import DegenerateProblemError
 from .flows import FlowConfig, FlowTrace, run_kernel_flows
-from .kernels import KernelSpec, gram_test
-from .kpls import KplsModel, affine_coef, fit_kpls, predict_kpls
+from .kernels import KernelSpec, gram_test, gram_train
+from .kpls import (KplsModel, affine_coef, check_fit_inputs, fit_grams, fit_kpls,
+                   predict_kpls)
 from .metrics import EvalReport, accuracy, nrmse, q2, rmse
-from .pls import coef_path, fit_pls, predict_pls
+from .pls import _simpls, coef_path, fit_pls, predict_pls
 
 # Factor count for the untuned reference model.
 DEFAULT_BASELINE_LV = 3
@@ -125,13 +127,18 @@ def _score_counts(preds: np.ndarray, Y_val: np.ndarray, task: str) -> tuple:
     return int(np.argmin(loss)) + 1, list(enumerate(scores, start=1))
 
 
-def _count_predictions(model: KplsModel, lv_max: int, X_new: np.ndarray) -> np.ndarray:
-    """Predictions (a, q, m) of the rows ``X_new`` (q, p) by the fits at counts
-    1..a, from ``model``, the fit at ``lv_max``. ``a`` is ``lv_max`` unless
-    `pls.coef_path` ended early, where a refit at count ``a + 1`` would raise.
+def _count_predictions(spec: KernelSpec, X_fit, Y_fit, lv_max: int,
+                       X_new: np.ndarray) -> np.ndarray:
+    """Predictions (a, q, m) of the rows ``X_new`` (q, p) by the kernel-PLS
+    fits on ``X_fit`` and ``Y_fit`` at counts 1..a, from one fit at
+    ``lv_max``. ``a`` is ``lv_max`` unless `pls.coef_path` ended early, where
+    a refit at count ``a + 1`` would raise. Errors: as `fit_kpls`.
     """
-    C, b = affine_coef(coef_path(model.pls, lv_max), model.col_means, model.y_means)
-    return gram_test(model.spec, X_new, model.x_train) @ C + b
+    X_fit, Y_fit = check_fit_inputs(X_fit, Y_fit, lv_max)
+    (W, P, Q, _), col_means, y_means, _ = fit_grams(gram_train(spec, X_fit)[None],
+                                                   Y_fit[None], lv_max)
+    C, b = affine_coef(coef_path(W[0], P[0], Q[0], lv_max), col_means[0], y_means[0])
+    return gram_test(spec, X_new, X_fit) @ C + b
 
 
 def line_search_n_lv(
@@ -150,8 +157,7 @@ def line_search_n_lv(
     (n_lv, score) table.
     """
     fit_idx, val_idx = _holdout_split(X.shape[0], seed)
-    model = fit_kpls(X[fit_idx], Y[fit_idx], lv_max, spec)
-    preds = _count_predictions(model, lv_max, X[val_idx])
+    preds = _count_predictions(spec, X[fit_idx], Y[fit_idx], lv_max, X[val_idx])
     return _score_counts(preds, Y[val_idx], task)
 
 
@@ -173,10 +179,11 @@ def plain_pls_lv(ds: Dataset, lv_max: int, seed) -> int:
     y_means = ds.Y_cal[fit_idx].mean(axis=0)
     lv_max = min(ds.X_cal.shape[1], lv_max)
     try:
-        model = fit_pls(ds.X_cal[fit_idx], ds.Y_cal[fit_idx] - y_means, lv_max)
+        W, P, Q, _ = _simpls(ds.X_cal[fit_idx][None],
+                             (ds.Y_cal[fit_idx] - y_means)[None], lv_max)
     except DegenerateProblemError:
         return 1
-    preds = ds.X_cal[val_idx] @ coef_path(model, lv_max) + y_means
+    preds = ds.X_cal[val_idx] @ coef_path(W[0], P[0], Q[0], lv_max) + y_means
     return _score_counts(preds, ds.Y_cal[val_idx], ds.task)[0]
 
 
@@ -284,8 +291,7 @@ def sweep_n_lv(ds: Dataset, spec: KernelSpec, grid) -> list:
     grid = [int(lv) for lv in grid]
     if min(grid) < 1:
         raise ValueError(f"n_lv must be >= 1, got {min(grid)}")
-    model = fit_kpls(ds.X_cal, ds.Y_cal, max(grid), spec)
-    preds = _count_predictions(model, max(grid), ds.X_test)
+    preds = _count_predictions(spec, ds.X_cal, ds.Y_cal, max(grid), ds.X_test)
     if len(preds) < max(grid):
         raise DegenerateProblemError("loadings-weights system is too ill-conditioned")
     return [(lv, evaluate_predictions(ds, preds[lv - 1])) for lv in grid]

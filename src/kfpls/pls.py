@@ -4,18 +4,20 @@ Latent variables are extracted one at a time from the cross-covariance
 between predictors and responses. Each factor takes the dominant principal
 direction of the current covariance, its X-scores give the loadings, and
 the covariance is deflated by projecting out the span of the X-side
-loadings before the next extraction. Scores are not kept: the X-scores of
-a fit are ``X @ weights``.
+loadings before the next extraction.
 
 One extraction loop, `_simpls`, runs over a leading stack axis: `fit_pls`
 is that loop at stack size 1, and `kpls.fit_grams` runs it on a stack of
 centered Grams (one kernel-PLS model, or the kernel-flow sub-batches of
 one size) in one pass. The direction is closed-form for one response,
-else from one batched m×m ``eigh``. SIMPLS extracts one factor at a time,
-so the first ``a`` factors of a fit are the ``a``-factor fit. `_coef` is
-the one coefficient formula: it gives a stack member that stops early its
-coefficients from the factors it had then, and `coef_path` the
-coefficients at every factor count up to a search bound from one fit.
+else from one batched m×m ``eigh``. A fitted `PlsModel` is its
+coefficients: prediction reads nothing else, so the factors (W, P, Q)
+exist only as what `_simpls` returns. SIMPLS extracts one factor at a
+time, so the first ``a`` factors of a fit are the ``a``-factor fit.
+`_coef` is the one coefficient formula: it gives a stack member that
+stops early its coefficients from the factors it had then, and
+`coef_path` the coefficients at every factor count up to a search bound
+from the factors of one fit.
 """
 
 from __future__ import annotations
@@ -40,14 +42,10 @@ _EIGEN_GAP_REL = 1e-10
 
 @dataclass(frozen=True)
 class PlsModel:
-    """Fitted SIMPLS factors and regression coefficients.
+    """Fitted SIMPLS regression.
 
     Attributes
     ----------
-    weights : ndarray, shape (p, a)
-        Rotated X-side loadings, one column per latent variable.
-    x_loadings : ndarray, shape (p, a)
-    y_loadings : ndarray, shape (m, a)
     coef : ndarray, shape (p, m)
         Regression coefficients mapping predictors to responses.
     n_lv : int
@@ -55,9 +53,6 @@ class PlsModel:
         requested when rank is exhausted).
     """
 
-    weights: np.ndarray
-    x_loadings: np.ndarray
-    y_loadings: np.ndarray
     coef: np.ndarray
     n_lv: int
 
@@ -284,29 +279,30 @@ def fit_pls(X: np.ndarray, Y: np.ndarray, n_lv: int) -> PlsModel:
         warnings.warn(f"n_lv={n_lv} exceeds min(n, p)={min(X.shape)}; clamping",
                       stacklevel=2)
 
-    W, P, Q, B = _simpls(X[None], Y[None], n_lv)
-    return PlsModel(W[0], P[0], Q[0], B[0], n_lv=W.shape[2])
+    W, _, _, B = _simpls(X[None], Y[None], n_lv)
+    return PlsModel(B[0], n_lv=W.shape[2])
 
 
-def coef_path(model: PlsModel, lv_max: int) -> np.ndarray:
+def coef_path(W: np.ndarray, P: np.ndarray, Q: np.ndarray, lv_max: int) -> np.ndarray:
     """Coefficients (a, p, m) of the fits with 1, 2, ..., ``lv_max`` factors,
-    from ``model``, the fit at ``lv_max``.
+    from the factors W, P (p, k) and Q (m, k) of one `_simpls` fit at
+    ``lv_max`` (one member of its stack).
 
     SIMPLS extracts one factor at a time, so the first ``a`` factors of a
     fit are the ``a``-factor fit: entry ``a-1`` is `_coef` of them, the
-    formula `fit_pls` uses. A fit that ran out of rank at ``model.n_lv``
-    factors is the fit at every larger count too, so its last entry
-    repeats. The path ends before the first prefix whose ``PᵀW`` block is
-    too ill-conditioned, where a fit at that count raises.
+    formula `fit_pls` uses. A fit that ran out of rank at ``k`` factors is
+    the fit at every larger count too, so its last entry repeats. The path
+    ends before the first prefix whose ``PᵀW`` block is too
+    ill-conditioned, where a fit at that count raises.
     """
-    W, P, Q = model.weights, model.x_loadings, model.y_loadings
+    k = W.shape[1]
     path = []
-    for a in range(1, model.n_lv + 1):
+    for a in range(1, k + 1):
         try:
             path.append(_coef(W[:, :a], P[:, :a], Q[:, :a]))
         except DegenerateProblemError:
-            return np.array(path).reshape(len(path), *model.coef.shape)
-    return np.array(path)[np.minimum(np.arange(lv_max), model.n_lv - 1)]
+            return np.array(path).reshape(len(path), W.shape[0], Q.shape[0])
+    return np.array(path)[np.minimum(np.arange(lv_max), k - 1)]
 
 
 def predict_pls(model: PlsModel, X_new: np.ndarray) -> np.ndarray:

@@ -104,6 +104,7 @@ class TestCaseCommand:
         assert header[:2] == ["iteration", "loss"]
         assert header[-1] == "grad_norm"
         for line in lines[1:]:
+            assert line.split(",")[0].isdigit()  # the iteration, written as an int
             assert np.isfinite(float(line.split(",")[1]))
 
 
@@ -429,6 +430,27 @@ class TestConfigErrorsBeforeCompute:
         out = tmp_path / "out"
         assert run_cli(*argv, "--out-dir", out) == 2
         assert capsys.readouterr().err.startswith("error:config: noise")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["case", "1", "--seed", "-1"],
+        ["optimize", "TRAIN", "--response", "target", "--seed", "-1"],
+        ["sweep", "--axis", "n_lv", "--grid", "1,2", "--seed", "-1"],
+        ["loss-surface", "--sigma-grid", "1", "--delta-grid", "1", "--seed", "-1"],
+        ["case", "1", "--config", "CONFIG"],
+    ], ids=["case", "optimize", "sweep", "loss-surface", "config-file"])
+    def test_negative_seed(self, argv, tmp_path, capsys, monkeypatch):
+        for module in (cli, pipeline):
+            monkeypatch.setattr(module, "case_dataset", _no_dataset)
+        monkeypatch.setattr(cli, "load_csv", _no_dataset)
+        monkeypatch.setattr(pipeline, "run_kernel_flows", _no_flow)
+        monkeypatch.setattr(cli, "loss_surface", _no_flow)
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = -1\n", encoding="utf-8")
+        paths = {"TRAIN": str(write_toy_csv(tmp_path / "toy.csv")), "CONFIG": str(config)}
+        out = tmp_path / "out"
+        assert run_cli(*[paths.get(a, a) for a in argv], "--out-dir", out) == 2
+        assert capsys.readouterr().err.startswith("error:config: seed")
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [

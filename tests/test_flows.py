@@ -12,7 +12,6 @@ from kfpls import (
     gen_peaks,
     loss_surface,
     run_kernel_flows,
-    update_theta,
 )
 from kfpls.flows import (
     _batch_losses,
@@ -21,6 +20,7 @@ from kfpls.flows import (
     _sample_indices,
     _stratified_choice,
     _Workspace,
+    update_theta,
 )
 from kfpls.kernels import FAMILY_NAMES, center_train, kernel_matrix, train_sq_dists
 from kfpls.pls import _simpls, _simpls_adjoint, fit_pls

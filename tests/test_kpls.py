@@ -1,5 +1,6 @@
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from oracles import center_test_literal, gram_literal, kernel_value, kpls_coef_l
 
 V1_ARCHIVE = Path(__file__).parent / "data" / "model_v1.kfpls"
 V1_ONLY_MEMBERS = ("pls_x_scores", "pls_y_scores", "center_grand_mean", "center_n", "n_lv")
+V2_ARCHIVE = Path(__file__).parent / "data" / "model_v2.kfpls"
+FACTOR_MEMBERS = ("pls_weights", "pls_x_loadings", "pls_y_loadings")
 
 
 def gauss(sigma=1.0, delta=1e-3):
@@ -319,13 +322,14 @@ class TestSerialization:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.kfpls"]
 
-    def test_writes_schema_2_without_scores(self, tmp_path):
+    def test_writes_schema_3_without_scores_or_factors(self, tmp_path):
         model, ds = peaks_model(17)
         path = tmp_path / "model.kfpls"
         save_calibrated_model(path, model, ds)
         data = read_array_archive(path)
-        assert int(data["schema_version"]) == 2
+        assert int(data["schema_version"]) == 3
         assert not set(V1_ONLY_MEMBERS) & set(data)
+        assert not set(FACTOR_MEMBERS) & set(data)
         for key in ("pls_coef", "y_means", "x_train", "center_col_means"):
             assert key in data
 
@@ -340,6 +344,21 @@ class TestSerialization:
             load_calibrated_model(path)
 
 
+def oracle_predictions(data, X_new):
+    """Predictions of ``X_new`` from an archive's raw members: kernel values
+    from `kernel_value` in pure-Python loops, test centering from
+    `center_test_literal`, then ``pls_coef`` and ``y_means``."""
+    families = [str(f) for f in data["families"]]
+    sigmas = np.exp(data["log_sigma"])
+    gammas = np.exp(data["log_gamma"])
+    delta = math.exp(float(data["log_delta"]))
+    x_train = data["x_train"]
+    K_train = gram_literal(families, sigmas, gammas, delta, x_train)
+    K_cross = np.array([[kernel_value(families, sigmas, gammas, x, z)
+                         for z in x_train] for x in X_new])
+    return center_test_literal(K_cross, K_train) @ data["pls_coef"] + data["y_means"]
+
+
 class TestVersion1Archive:
     """``tests/data/model_v1.kfpls`` was written by the schema-1 archive writer
     from ``fit_kpls`` on 12 rows (two features, two responses, three factors,
@@ -352,18 +371,44 @@ class TestVersion1Archive:
 
     def test_predictions_match_oracle_from_raw_members(self):
         data = read_array_archive(V1_ARCHIVE)
-        families = [str(f) for f in data["families"]]
-        sigmas = np.exp(data["log_sigma"])
-        gammas = np.exp(data["log_gamma"])
-        delta = math.exp(float(data["log_delta"]))
-        x_train = data["x_train"]
         X_new = np.random.default_rng(19).normal(size=(5, 2))
-        K_train = gram_literal(families, sigmas, gammas, delta, x_train)
-        K_cross = np.array([[kernel_value(families, sigmas, gammas, x, z)
-                             for z in x_train] for x in X_new])
-        expected = center_test_literal(K_cross, K_train) @ data["pls_coef"] + data["y_means"]
-
         model = model_from_arrays(read_array_archive(V1_ARCHIVE))
         assert model.pls.n_lv == 3
-        np.testing.assert_allclose(predict_kpls(model, X_new), expected,
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(predict_kpls(model, X_new),
+                                   oracle_predictions(data, X_new), rtol=0, atol=1e-12)
+
+
+class TestVersion2Archive:
+    """``tests/data/model_v2.kfpls`` was written by the schema-2 archive writer
+    from ``fit_kpls`` on the 12 calibration rows of ``gen_peaks(15, 0.05, 21)``
+    (two features, one response, three factors, a gaussian + matern32
+    kernel), with that dataset's standardization."""
+
+    def test_is_a_version_2_archive(self):
+        data = read_array_archive(V2_ARCHIVE)
+        assert int(data["schema_version"]) == 2
+        assert set(FACTOR_MEMBERS) <= set(data)
+        assert not set(V1_ONLY_MEMBERS) & set(data)
+
+    def test_predictions_match_oracle_from_raw_members(self):
+        data = read_array_archive(V2_ARCHIVE)
+        X_new = np.random.default_rng(20).normal(size=(5, 2))
+        model, meta = load_calibrated_model(V2_ARCHIVE)
+        assert model.pls.n_lv == 3
+        assert meta["task"] == "regression"
+        np.testing.assert_allclose(predict_kpls(model, X_new),
+                                   oracle_predictions(data, X_new), rtol=0, atol=1e-12)
+
+    def test_resaved_as_version_3_predicts_bit_for_bit_alike(self, tmp_path):
+        model, meta = load_calibrated_model(V2_ARCHIVE)
+        path = tmp_path / "model.kfpls"
+        save_calibrated_model(path, model, SimpleNamespace(**meta))
+        data = read_array_archive(path)
+        assert int(data["schema_version"]) == 3
+        assert not set(FACTOR_MEMBERS) & set(data)
+        resaved, resaved_meta = load_calibrated_model(path)
+        X_new = np.random.default_rng(21).normal(size=(7, 2))
+        np.testing.assert_array_equal(predict_kpls(resaved, X_new),
+                                      predict_kpls(model, X_new))
+        for key, value in meta.items():
+            np.testing.assert_array_equal(resaved_meta[key], value)

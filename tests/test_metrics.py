@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfpls import EvalReport, accuracy, nrmse, q2, rmse
+from kfpls import EvalReport, accuracy, q2, rmse
+from kfpls.metrics import nrmse
 
 
 class TestRmse:

@@ -161,7 +161,7 @@ class TestOneFitFactorSearch:
         ds, sigma, _ = FACTOR_SEARCH_CASES["peaks"]
         spec = KernelSpec.create("gaussian", sigma=sigma, delta=0.01)
         monkeypatch.setattr(pipeline, "coef_path",
-                            lambda model, lv_max: coef_path(model, lv_max)[:2])
+                            lambda W, P, Q, lv_max: coef_path(W, P, Q, lv_max)[:2])
         _, table = line_search_n_lv(ds.X_cal, ds.Y_cal, spec, ds.task, 6, 1)
         assert [lv for lv, _ in table] == [1, 2]
         assert len(sweep_n_lv(ds, spec, [1, 2])) == 2

@@ -9,7 +9,7 @@ from kfpls import (
     predict_pls,
 )
 from kfpls.kernels import center_train, gram_train
-from kfpls.pls import PlsModel, _directions, _simpls, coef_path
+from kfpls.pls import _directions, _simpls, coef_path
 
 from oracles import jacobi_dominant_right_singular_vector, least_squares_prediction
 
@@ -17,6 +17,12 @@ from oracles import jacobi_dominant_right_singular_vector, least_squares_predict
 def first_pc(C):
     """The SIMPLS direction of one covariance ``C`` (m, p), as a stack of one."""
     return _directions(C[None])[0][0]
+
+
+def factors(X, Y, n_lv):
+    """The factors ``(W, P, Q)`` of the SIMPLS fit of ``X`` on ``Y``."""
+    W, P, Q, _ = _simpls(X[None], Y[None], n_lv)
+    return W[0], P[0], Q[0]
 
 
 class TestFirstPc:
@@ -68,20 +74,20 @@ class TestFitPls:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(6, 2))
         Y = rng.normal(size=(6, 1))
-        model = fit_pls(X, Y, 1)
+        W = factors(X, Y, 1)[0]
         C = (Y.T @ X).ravel()
         v = C / np.linalg.norm(C)  # dominant right singular direction of a 1 x 2 matrix
-        assert abs(abs(model.weights[:, 0] @ v) - 1.0) < 1e-10
+        assert abs(abs(W[:, 0] @ v) - 1.0) < 1e-10
 
     def test_deflation_removes_loading_span(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(15, 6))
         Y = rng.normal(size=(15, 2))
-        model = fit_pls(X, Y, 4)
+        P_all = factors(X, Y, 4)[1]
         C = Y.T @ X
         scale = np.linalg.norm(C)
-        for i in range(1, model.n_lv + 1):
-            P = model.x_loadings[:, :i]
+        for i in range(1, P_all.shape[1] + 1):
+            P = P_all[:, :i]
             C = C - (C @ P) @ np.linalg.solve(P.T @ P, P.T)
             assert np.linalg.norm(C @ P) <= 1e-8 * scale
 
@@ -100,9 +106,8 @@ class TestFitPls:
         X = rng.normal(size=(18, 5))
         Y = rng.normal(size=(18, 2))
         model = fit_pls(X, Y, 3)
-        B = model.weights @ np.linalg.solve(
-            model.x_loadings.T @ model.weights, model.y_loadings.T
-        )
+        W, P, Q = factors(X, Y, 3)
+        B = W @ np.linalg.solve(P.T @ W, Q.T)
         np.testing.assert_allclose(model.coef, B, rtol=1e-12)
 
     def test_requested_factor_count_clamped_with_warning(self):
@@ -120,7 +125,7 @@ class TestFitPls:
         Y = rng.normal(size=(12, 1))
         model = fit_pls(X, Y, 5)
         assert model.n_lv <= 2
-        assert model.weights.shape[1] == model.n_lv
+        assert factors(X, Y, 5)[0].shape[1] == model.n_lv
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rows"):
@@ -197,7 +202,7 @@ class TestCoefPath:
         Y = ds.Y_cal if m == 4 else rng.normal(size=(48, 1))
         Y = Y - Y.mean(axis=0)
         a_max = 12 if gram else 9
-        path = coef_path(fit_pls(X, Y, a_max), a_max)
+        path = coef_path(*factors(X, Y, a_max), a_max)
         assert path.shape == (a_max, X.shape[1], m)
         for a in range(1, a_max + 1):
             coef = fit_pls(X, Y, a).coef
@@ -208,20 +213,20 @@ class TestCoefPath:
         rng = np.random.default_rng(2)
         base = rng.normal(size=(12, 2))
         X = np.hstack([base, base @ rng.normal(size=(2, 3))])  # rank 2
-        model = fit_pls(X, rng.normal(size=(12, 1)), 5)
-        path = coef_path(model, model.n_lv)
+        Y = rng.normal(size=(12, 1))
+        model = fit_pls(X, Y, 5)
+        W, P, Q = factors(X, Y, 5)
+        path = coef_path(W, P, Q, model.n_lv)
         assert len(path) == model.n_lv <= 2
         np.testing.assert_allclose(path[-1], model.coef, rtol=1e-12, atol=1e-12)
         # Past the rank, the path repeats the fit's last entry up to the bound.
-        np.testing.assert_array_equal(coef_path(model, 5)[model.n_lv - 1:],
+        np.testing.assert_array_equal(coef_path(W, P, Q, 5)[model.n_lv - 1:],
                                       [path[-1]] * (6 - model.n_lv))
 
     def test_ends_before_ill_conditioned_prefix(self):
         # PᵀW = Pᵀ: its leading 2x2 block is singular, the 1x1 and 3x3 are not.
         P = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]).T
-        model = PlsModel(weights=np.eye(3), x_loadings=P, y_loadings=np.ones((2, 3)),
-                         coef=np.zeros((3, 2)), n_lv=3)
-        path = coef_path(model, 3)
+        path = coef_path(np.eye(3), P, np.ones((2, 3)), 3)
         assert path.shape == (1, 3, 2)
         np.testing.assert_array_equal(path[0], [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
 
