@@ -24,6 +24,7 @@ from .kernels import (
 )
 from .kpls import (
     KplsModel,
+    PlsModel,
     classify,
     fit_kpls,
     load_calibrated_model,
@@ -31,7 +32,6 @@ from .kpls import (
     save_calibrated_model,
 )
 from .metrics import EvalReport, accuracy, q2, rmse
-from .pls import PlsModel, fit_pls, predict_pls
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "center_train",
     "classify",
     "fit_kpls",
-    "fit_pls",
     "gen_circles",
     "gen_peaks",
     "gram_test",
@@ -60,7 +59,6 @@ __all__ = [
     "loss_surface",
     "peaks_surface",
     "predict_kpls",
-    "predict_pls",
     "q2",
     "rmse",
     "run_kernel_flows",

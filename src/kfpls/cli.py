@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .datasets import Dataset, check_noise, load_csv, read_csv, standardize
+from .datasets import Dataset, check_noise, labels, load_csv, read_csv, standardize
 from .exceptions import DegenerateProblemError, FlowAbortError
 from .flows import _OBJECTIVES, _UPDATE_RULES, FlowConfig, loss_surface
 from .kernels import KernelSpec
@@ -279,7 +279,7 @@ def _write_predictions(path, ds: Dataset, predictions: dict) -> None:
         blocks = [data, ds.labels_test[:, None]]
         for key in ("kf_pls", "kpls_default", "pls"):
             names.append(f"label_{key}")
-            blocks.append((np.argmax(predictions[key], axis=1) + 1)[:, None])
+            blocks.append(labels(predictions[key])[:, None])
         data = np.hstack(blocks)
     write_table(path, names, data)
 
@@ -378,7 +378,7 @@ def cmd_predict(args, config) -> int:
     data = pred
     if meta["task"] == "classification":
         names.append("label")
-        data = np.hstack([pred, (np.argmax(pred, axis=1) + 1)[:, None]])
+        data = np.hstack([pred, labels(pred)[:, None]])
     write_table(out / "predictions.csv", names, data)
     print(f"predictions written to {out / 'predictions.csv'}")
     return 0

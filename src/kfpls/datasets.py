@@ -2,8 +2,10 @@
 
 Every dataset is split 80/20 into calibration and test partitions by a
 seeded shuffle, then standardized column-wise using calibration statistics
-only. Regression responses are standardized too; one-hot classification
-responses are kept as 0/1 so the argmax decision rule stays meaningful.
+only. Regression responses are standardized too; classification responses
+must be one-hot (`check_one_hot`) and are kept as 0/1, so that `labels`,
+the one decoder of responses and predictions into class labels, stays
+meaningful.
 """
 
 from __future__ import annotations
@@ -36,6 +38,33 @@ def standardize(M: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarra
 
 def destandardize(M: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
     return np.asarray(M, dtype=float) * stds + means
+
+
+def check_one_hot(Y: np.ndarray, names) -> None:
+    """Reject (``ValueError``) classification responses ``Y`` (n, m) that are
+    not one-hot: at least 2 columns, named by ``names``, of 0/1 values with
+    exactly one 1 per row. The message names the offending column or row
+    (data rows count from 1, the header not included)."""
+    if Y.shape[1] < 2:
+        raise ValueError(f"a classification response needs one 0/1 column per "
+                         f"class, at least 2; got {', '.join(map(repr, names))}")
+    bad = np.argwhere((Y != 0.0) & (Y != 1.0))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"classification response column {names[j]!r} holds "
+                         f"{float(Y[i, j])!r} at data row {i + 1}; one-hot columns "
+                         f"hold 0 and 1 only")
+    ones = Y.sum(axis=1)
+    if np.any(ones != 1.0):
+        i = int(np.argmax(ones != 1.0))
+        raise ValueError(f"classification response data row {i + 1} has "
+                         f"{int(ones[i])} ones; a one-hot row has exactly one")
+
+
+def labels(Y: np.ndarray) -> np.ndarray:
+    """1-based class labels of one-hot responses or of their predictions
+    ``Y`` (n, m): the argmax of each row, ties going to the lowest column."""
+    return np.argmax(Y, axis=1) + 1
 
 
 @dataclass
@@ -74,7 +103,7 @@ class Dataset:
         """1-based class labels for the test rows (classification only)."""
         if self.task != "classification":
             raise ValueError("labels are only defined for classification tasks")
-        return np.argmax(self.Y_test, axis=1) + 1
+        return labels(self.Y_test)
 
     @property
     def y_range_cal(self) -> float:
@@ -121,6 +150,7 @@ def _assemble(
             standardize(y_true[test_idx], y_means, y_stds) if y_true is not None else None
         )
     else:
+        check_one_hot(Y_raw, y_names)
         y_means = y_stds = None
         Y_cal = Y_raw[cal_idx].copy()
         Y_test = Y_raw[test_idx].copy()
@@ -228,11 +258,12 @@ def gen_circles(
 def read_csv(path) -> tuple[list, np.ndarray]:
     """Parse a numeric CSV with a header row into ``(header, data)``.
 
-    Header names and cells are stripped of surrounding whitespace. Empty
-    files, ragged rows and missing, non-numeric or non-finite cells raise
-    ``ValueError`` naming the file row (the header is row 1) and column.
+    Header names and cells are stripped of surrounding whitespace, and a
+    UTF-8 byte-order mark before the header is dropped. Empty files, ragged
+    rows and missing, non-numeric or non-finite cells raise ``ValueError``
+    naming the file row (the header is row 1) and column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

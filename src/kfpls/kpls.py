@@ -7,8 +7,9 @@ function, `fit_grams`, does that for a stack of ridge Grams: for
 flow's sub-batches. A new row's cross kernel must be centered on the
 Gram's column means before it meets the coefficients, and the response
 means added back; `affine_coef` folds both into one affine map on the
-plain cross kernel, which is how every prediction in the package is made.
-So a `KplsModel` holds what that map reads and no SIMPLS factor.
+plain cross kernel, which is how every kernel-PLS prediction in the
+package is made. So a `KplsModel` holds what that map reads and no SIMPLS
+factor: its `PlsModel` is the coefficients and the factor count.
 
 A model archive holds the model and the standardization of the dataset it
 was fitted on: `save_calibrated_model` writes it and
@@ -24,12 +25,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._serialize import read_array_archive, write_array_archive
-from .datasets import Dataset
+from .datasets import Dataset, labels
 from .exceptions import DegenerateProblemError
 from .kernels import KernelSpec, center_train, gram_test, gram_train
-from .pls import PlsModel, _simpls
+from .pls import _simpls
 
 _SCHEMA_VERSION = 3
+
+
+@dataclass(frozen=True)
+class PlsModel:
+    """SIMPLS coefficients of a kernel-PLS fit.
+
+    Attributes
+    ----------
+    coef : ndarray, shape (n, m)
+        Regression coefficients mapping the centered Gram to the centered
+        responses.
+    n_lv : int
+        Number of latent variables actually extracted (may be fewer than
+        requested when rank is exhausted).
+    """
+
+    coef: np.ndarray
+    n_lv: int
 
 
 @dataclass(frozen=True)
@@ -126,15 +145,11 @@ def predict_kpls(model: KplsModel, X_new: np.ndarray) -> np.ndarray:
 
 
 def classify(model: KplsModel, X_new: np.ndarray) -> np.ndarray:
-    """Class labels (1-based) from a model fitted on one-hot responses.
-
-    The label is the argmax over predicted response columns; exact ties go
-    to the lowest class index.
-    """
+    """Class labels (1-based, `datasets.labels`) of the predictions of a
+    model fitted on one-hot responses."""
     if model.y_means.shape[0] < 2:
         raise ValueError("classification requires a model fitted on one-hot Y")
-    scores = predict_kpls(model, X_new)
-    return np.argmax(scores, axis=1) + 1
+    return labels(predict_kpls(model, X_new))
 
 
 def save_calibrated_model(path, model: KplsModel, ds: Dataset) -> None:
@@ -174,8 +189,8 @@ def model_from_arrays(data: dict) -> KplsModel:
     number of dimensions (``x_train`` is a matrix, ``y_means`` a list),
     another schema version, a non-finite float member (of any name), a
     kernel whose families are unknown or repeated or whose parameters do
-    not have one entry per family, or prediction arrays whose shapes
-    disagree with ``x_train``.
+    not have one entry per family, fewer than 2 training rows, or
+    prediction arrays whose shapes disagree with ``x_train``.
     """
     for key, ndim in (("schema_version", 0), ("families", 1), ("has_log_gamma", 0),
                       ("log_delta", 0), ("pls_n_lv", 0), ("x_train", 2),
@@ -198,6 +213,8 @@ def model_from_arrays(data: dict) -> KplsModel:
         if shape != (k,):
             raise ValueError(f"{key} has shape {shape}, the kernel has {k} families")
     n_train = data["x_train"].shape[0]
+    if n_train < 2:
+        raise ValueError(f"x_train has {n_train} rows, a fit needs at least 2")
     coef_shape = (n_train, data["y_means"].shape[0])
     if data["pls_coef"].shape != coef_shape:
         raise ValueError(
@@ -226,9 +243,9 @@ def load_calibrated_model(path) -> tuple[KplsModel, dict]:
 
     Raises ``OSError`` if the file cannot be read and ``ValueError`` when
     the archive is malformed: see `model_from_arrays`, plus missing
-    standardization members, standardization arrays and names whose
-    lengths disagree with the model, or a standard deviation that is not
-    positive.
+    standardization members, a task other than ``regression`` and
+    ``classification``, standardization arrays and names whose lengths
+    disagree with the model, or a standard deviation that is not positive.
     """
     data = read_array_archive(path)
     if "prep_task" not in data:
@@ -244,6 +261,8 @@ def load_calibrated_model(path) -> tuple[KplsModel, dict]:
         "x_names": [str(s) for s in data["prep_x_names"]],
         "y_names": [str(s) for s in data["prep_y_names"]],
     }
+    if meta["task"] not in ("regression", "classification"):
+        raise ValueError(f"unknown task {meta['task']!r}")
     n_x, n_y = model.x_train.shape[1], model.y_means.shape[0]
     expected = {"prep_x_names": n_x, "prep_x_means": n_x, "prep_x_stds": n_x,
                 "prep_y_names": n_y}

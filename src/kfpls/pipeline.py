@@ -4,19 +4,20 @@ The full recipe is: build (or load) a dataset, learn kernel parameters on
 the calibration partition, pick the latent-variable count by a line
 search on a held-out fifth of the calibration data, refit on the whole
 calibration partition, and score the untouched test partition. Two
-reference models are evaluated alongside: plain linear PLS, and kernel
-PLS with untuned unit parameters. A one-axis sweep reruns that recipe
-once per grid point, from the runs `sweep_points` builds before any of
-them starts; the factor-count axis instead reuses one run's kernel
+reference models are evaluated alongside: plain linear PLS (`pls._simpls`
+on the standardized predictors, with no model type of its own), and
+kernel PLS with untuned unit parameters. A one-axis sweep reruns that
+recipe once per grid point, from the runs `sweep_points` builds before
+any of them starts; the factor-count axis instead reuses one run's kernel
 (`sweep_n_lv`).
 
 Each factor search (`line_search_n_lv`, `plain_pls_lv`, `sweep_n_lv`)
 makes one SIMPLS fit at its largest count (`kpls.fit_grams`, or
-`pls._simpls` for the linear one, whose factors a fitted model does not
-keep) and takes every smaller count from the factors' prefixes
-(`pls.coef_path`). The two kernel searches predict every count at once
-with `_count_predictions`, through `kpls.affine_coef` of the whole stack
-of coefficients. Both line searches score the counts with `_score_counts`.
+`pls._simpls` for the linear one) and takes every smaller count from the
+factors' prefixes (`pls.coef_path`). The two kernel searches predict
+every count at once with `_count_predictions`, through `kpls.affine_coef`
+of the whole stack of coefficients. Both line searches score the counts
+with `_score_counts`.
 """
 
 from __future__ import annotations
@@ -26,14 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import Dataset, check_noise, gen_circles, gen_peaks, load_csv
+from .datasets import Dataset, check_noise, gen_circles, gen_peaks, labels, load_csv
 from .exceptions import DegenerateProblemError
 from .flows import FlowConfig, FlowTrace, run_kernel_flows
 from .kernels import KernelSpec, gram_test, gram_train
 from .kpls import (KplsModel, affine_coef, check_fit_inputs, fit_grams, fit_kpls,
                    predict_kpls)
 from .metrics import EvalReport, accuracy, nrmse, q2, rmse
-from .pls import _simpls, coef_path, fit_pls, predict_pls
+from .pls import _simpls, coef_path
 
 # Factor count for the untuned reference model.
 DEFAULT_BASELINE_LV = 3
@@ -80,8 +81,7 @@ def evaluate_predictions(ds: Dataset, pred_std: np.ndarray) -> EvalReport:
 
     acc = None
     if ds.task == "classification":
-        labels_pred = np.argmax(pred, axis=1) + 1
-        acc = accuracy(ds.labels_test, labels_pred)
+        acc = accuracy(ds.labels_test, labels(pred))
 
     r = rmse(y_ref, pred)
     return EvalReport(
@@ -119,8 +119,8 @@ def _score_counts(preds: np.ndarray, Y_val: np.ndarray, task: str) -> tuple:
     count. Returns the winning count and the (n_lv, score) table.
     """
     if task == "classification":
-        truth = np.argmax(Y_val, axis=1) + 1
-        scores = [float(accuracy(truth, np.argmax(p, axis=1) + 1)) for p in preds]
+        truth = labels(Y_val)
+        scores = [float(accuracy(truth, labels(p))) for p in preds]
         loss = [-s for s in scores]
     else:
         scores = loss = [float(rmse(Y_val, p)) for p in preds]
@@ -169,8 +169,8 @@ def plain_pls_predictions(ds: Dataset, n_lv: int) -> np.ndarray:
     intercept.
     """
     y_means = ds.Y_cal.mean(axis=0)
-    model = fit_pls(ds.X_cal, ds.Y_cal - y_means, n_lv)
-    return predict_pls(model, ds.X_test) + y_means
+    coef = _simpls(ds.X_cal[None], (ds.Y_cal - y_means)[None], n_lv)[3][0]
+    return ds.X_test @ coef + y_means
 
 
 def plain_pls_lv(ds: Dataset, lv_max: int, seed) -> int:

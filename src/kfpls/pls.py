@@ -6,24 +6,21 @@ direction of the current covariance, its X-scores give the loadings, and
 the covariance is deflated by projecting out the span of the X-side
 loadings before the next extraction.
 
-One extraction loop, `_simpls`, runs over a leading stack axis: `fit_pls`
-is that loop at stack size 1, and `kpls.fit_grams` runs it on a stack of
-centered Grams (one kernel-PLS model, or the kernel-flow sub-batches of
-one size) in one pass. The direction is closed-form for one response,
-else from one batched m×m ``eigh``. A fitted `PlsModel` is its
-coefficients: prediction reads nothing else, so the factors (W, P, Q)
-exist only as what `_simpls` returns. SIMPLS extracts one factor at a
-time, so the first ``a`` factors of a fit are the ``a``-factor fit.
-`_coef` is the one coefficient formula: it gives a stack member that
-stops early its coefficients from the factors it had then, and
-`coef_path` the coefficients at every factor count up to a search bound
-from the factors of one fit.
+This module is the engine only; it defines no model type. One extraction
+loop, `_simpls`, runs over a leading stack axis: `kpls.fit_grams` runs it
+on a stack of centered Grams (one kernel-PLS model, or the kernel-flow
+sub-batches of one size) in one pass, and the linear reference of
+`pipeline` on a stack of one. The direction is closed-form for one
+response, else from one batched m×m ``eigh``. The factors (W, P, Q) exist
+only as what `_simpls` returns. SIMPLS extracts one factor at a time, so
+the first ``a`` factors of a fit are the ``a``-factor fit. `_coef` is the
+one coefficient formula: it gives a stack member that stops early its
+coefficients from the factors it had then, and `coef_path` the
+coefficients at every factor count up to a search bound from the factors
+of one fit.
 """
 
 from __future__ import annotations
-
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,23 +35,6 @@ _MAX_CONDITION = 1e12
 # Relative floor for the top eigen-gap of C Cᵀ: below it the direction's
 # derivative (inversely proportional to the gap) is not trusted.
 _EIGEN_GAP_REL = 1e-10
-
-
-@dataclass(frozen=True)
-class PlsModel:
-    """Fitted SIMPLS regression.
-
-    Attributes
-    ----------
-    coef : ndarray, shape (p, m)
-        Regression coefficients mapping predictors to responses.
-    n_lv : int
-        Number of latent variables actually extracted (may be fewer than
-        requested when rank is exhausted).
-    """
-
-    coef: np.ndarray
-    n_lv: int
 
 
 def _directions(C: np.ndarray):
@@ -246,43 +226,6 @@ def _coef(W: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return W @ np.linalg.solve(PtW, np.swapaxes(Q, -1, -2))
 
 
-def fit_pls(X: np.ndarray, Y: np.ndarray, n_lv: int) -> PlsModel:
-    """Fit a SIMPLS model with up to ``n_lv`` latent variables.
-
-    Parameters
-    ----------
-    X : ndarray, shape (n, p)
-    Y : ndarray, shape (n, m)
-        Response matrix; a 1-D vector is treated as a single column.
-    n_lv : int
-        Requested number of latent variables. Values above ``min(n, p)``
-        are clamped with a warning. Extraction stops early if the score
-        norm underflows or the deflated covariance is exhausted.
-
-    Returns
-    -------
-    PlsModel
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if X.ndim != 2 or Y.ndim != 2:
-        raise ValueError("X and Y must be 2-D arrays")
-    if X.shape[0] != Y.shape[0]:
-        raise ValueError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-        raise ValueError("X and Y must be finite")
-    if n_lv < 1:
-        raise ValueError(f"n_lv must be >= 1, got {n_lv}")
-    if n_lv > min(X.shape):
-        warnings.warn(f"n_lv={n_lv} exceeds min(n, p)={min(X.shape)}; clamping",
-                      stacklevel=2)
-
-    W, _, _, B = _simpls(X[None], Y[None], n_lv)
-    return PlsModel(B[0], n_lv=W.shape[2])
-
-
 def coef_path(W: np.ndarray, P: np.ndarray, Q: np.ndarray, lv_max: int) -> np.ndarray:
     """Coefficients (a, p, m) of the fits with 1, 2, ..., ``lv_max`` factors,
     from the factors W, P (p, k) and Q (m, k) of one `_simpls` fit at
@@ -290,7 +233,7 @@ def coef_path(W: np.ndarray, P: np.ndarray, Q: np.ndarray, lv_max: int) -> np.nd
 
     SIMPLS extracts one factor at a time, so the first ``a`` factors of a
     fit are the ``a``-factor fit: entry ``a-1`` is `_coef` of them, the
-    formula `fit_pls` uses. A fit that ran out of rank at ``k`` factors is
+    formula `_simpls` uses. A fit that ran out of rank at ``k`` factors is
     the fit at every larger count too, so its last entry repeats. The path
     ends before the first prefix whose ``PᵀW`` block is too
     ill-conditioned, where a fit at that count raises.
@@ -303,15 +246,3 @@ def coef_path(W: np.ndarray, P: np.ndarray, Q: np.ndarray, lv_max: int) -> np.nd
         except DegenerateProblemError:
             return np.array(path).reshape(len(path), W.shape[0], Q.shape[0])
     return np.array(path)[np.minimum(np.arange(lv_max), k - 1)]
-
-
-def predict_pls(model: PlsModel, X_new: np.ndarray) -> np.ndarray:
-    """Predict responses for new rows: ``X_new @ coef``."""
-    X_new = np.asarray(X_new, dtype=float)
-    if X_new.ndim != 2:
-        raise ValueError("X_new must be 2-D")
-    if X_new.shape[1] != model.coef.shape[0]:
-        raise ValueError(
-            f"X_new has {X_new.shape[1]} columns, model expects {model.coef.shape[0]}"
-        )
-    return X_new @ model.coef

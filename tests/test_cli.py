@@ -163,6 +163,26 @@ class TestOptimizeAndPredict:
         labels = [int(float(line.split(",")[-1])) for line in lines[1:]]
         assert set(labels) <= {1, 2}
 
+    def test_classification_response_must_be_one_hot(self, tmp_path, capsys):
+        path = tmp_path / "cls.csv"
+        path.write_text("x1,x2,label\n" + "".join(f"{i},{i % 3},{1 + i % 2}\n"
+                                                  for i in range(20)), encoding="utf-8")
+        out = tmp_path / "opt"
+        assert run_cli("optimize", path, "--response", "label",
+                       "--task", "classification", "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:data:") and "'label'" in err
+        assert not out.exists()
+
+    def test_predict_reads_byte_order_marked_csv(self, tmp_path, xy_model):
+        train, archive = xy_model
+        marked = tmp_path / "marked.csv"
+        marked.write_text("\ufeff" + train.read_text(encoding="utf-8"), encoding="utf-8")
+        for name, csv_path in (("plain", train), ("marked", marked)):
+            assert run_cli("predict", archive, csv_path, "--out-dir", tmp_path / name) == 0
+        assert ((tmp_path / "marked" / "predictions.csv").read_bytes()
+                == (tmp_path / "plain" / "predictions.csv").read_bytes())
+
     def test_predict_rejects_csv_without_model_features(self, tmp_path, toy_csv, capsys):
         out = tmp_path / "opt"
         assert run_cli("optimize", toy_csv, "--response", "target", "--seed", "1",
@@ -290,13 +310,23 @@ def _matrix_y_means(arrays):
     arrays["y_means"] = arrays["y_means"][:, None]
 
 
+def _no_training_rows(arrays):
+    for key in ("x_train", "pls_coef", "center_col_means"):
+        arrays[key] = arrays[key][:0]
+
+
+def _unknown_task(arrays):
+    arrays["prep_task"] = np.array("bogus")
+
+
 class TestCorruptArchive:
     @pytest.mark.parametrize("corrupt", [_cut_coef, _nan_coef, _one_feature_name,
                                          _no_schema_version, _unknown_family,
                                          _no_length_scale, _no_weight,
                                          _two_families_no_weights, _duplicate_family,
                                          _vector_ridge, _zero_x_std, _negative_y_std,
-                                         _one_d_x_train, _matrix_y_means])
+                                         _one_d_x_train, _matrix_y_means,
+                                         _no_training_rows, _unknown_task])
     def test_predict_rejects_corrupt_archive(self, tmp_path, xy_model, capsys, corrupt):
         train, archive = xy_model
         arrays = read_array_archive(archive)

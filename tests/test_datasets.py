@@ -236,6 +236,20 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=r"non-finite value 'inf' at row 3, column 'y'"):
             load_csv(path, ["y"], "regression", seed=0)
 
+    @pytest.mark.parametrize("names, row, message", [
+        ("label", lambda i: str(1 + i % 2), r"at least 2; got 'label'"),
+        ("c1,c2", lambda i: "2,0" if i == 3 else ("1,0" if i % 2 else "0,1"),
+         r"column 'c1' holds 2\.0 at data row 4"),
+        ("c1,c2", lambda i: "1,1" if i == 5 else ("1,0" if i % 2 else "0,1"),
+         r"data row 6 has 2 ones"),
+    ], ids=["one_column", "value_two", "two_ones"])
+    def test_classification_response_not_one_hot_rejected(self, tmp_path, names, row,
+                                                          message):
+        path = self._write(tmp_path, f"x,{names}\n"
+                           + "".join(f"{i},{row(i)}\n" for i in range(10)))
+        with pytest.raises(ValueError, match=message):
+            load_csv(path, names.split(","), "classification", seed=0)
+
 
 class TestReadCsv:
     @given(finite_tables)
@@ -267,3 +281,8 @@ class TestReadCsv:
         header, data = read_csv(path)
         assert header == ["a", "b"]
         np.testing.assert_array_equal(data, [[1.5, 2.0]])
+
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("\ufeffa,b\n1.5,2\n", encoding="utf-8")
+        assert read_csv(path)[0] == ["a", "b"]

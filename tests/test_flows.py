@@ -23,7 +23,7 @@ from kfpls.flows import (
     update_theta,
 )
 from kfpls.kernels import FAMILY_NAMES, center_train, kernel_matrix, train_sq_dists
-from kfpls.pls import _simpls, _simpls_adjoint, fit_pls
+from kfpls.pls import _simpls, _simpls_adjoint
 
 from oracles import (
     center_test_literal,
@@ -139,7 +139,7 @@ class TestLossEngineOracle:
 
 
 def per_fit_losses(d2, Y, subsets, n_lv, spec, objective):
-    """Per-subset losses with one `fit_pls` per index set: the loss engine
+    """Per-subset losses with one SIMPLS fit per index set: the loss engine
     written out fit by fit, cross kernels centered by `center_test_literal`."""
     K = kernel_matrix(spec, d2)
 
@@ -147,7 +147,8 @@ def per_fit_losses(d2, Y, subsets, n_lv, spec, objective):
         K_train = K[np.ix_(idx, idx)] + spec.delta * np.eye(idx.size)
         K_c, _ = center_train(K_train)
         y_means = Y[idx].mean(axis=0)
-        return fit_pls(K_c, Y[idx] - y_means, n_lv).coef, K_train, y_means, K_c
+        B = _simpls(K_c[None], (Y[idx] - y_means)[None], n_lv)[3][0]
+        return B, K_train, y_means, K_c
 
     if objective == "norm_ratio":
         B, _, _, K_c = fit(np.arange(Y.shape[0]))
@@ -215,7 +216,8 @@ class TestStackedLossEngine:
         counts = []
         for idx in subs:
             K_c, _ = center_train(K[np.ix_(idx, idx)] + spec.delta * np.eye(8))
-            counts.append(fit_pls(K_c, Y[idx] - Y[idx].mean(axis=0), 3).n_lv)
+            W = _simpls(K_c[None], (Y[idx] - Y[idx].mean(axis=0))[None], 3)[0]
+            counts.append(W.shape[2])
         assert counts == [1, 3, 3]
 
         _, rhos = _batch_losses(d2, Y, subs, 3, spec, objective)

@@ -146,11 +146,10 @@ class TestPredictKpls:
         y = X[:, 0] * X[:, 1]
         spec = zero_ridge(sigma=1.1)
         model = fit_kpls(X, y, 4, spec)
-        from kfpls.pls import predict_pls
         from kfpls.kernels import center_train, gram_train
 
         K_centered, _ = center_train(gram_train(spec, X))
-        in_sample = predict_pls(model.pls, K_centered) + model.y_means
+        in_sample = K_centered @ model.pls.coef + model.y_means
         np.testing.assert_allclose(predict_kpls(model, X), in_sample, atol=1e-10)
 
     def test_empty_query_gives_empty_output(self):

@@ -8,12 +8,10 @@ from kfpls import (
     DegenerateProblemError,
     KernelSpec,
     fit_kpls,
-    fit_pls,
     gen_circles,
     gen_peaks,
     pipeline,
     predict_kpls,
-    predict_pls,
 )
 from kfpls.metrics import accuracy, rmse
 from kfpls.pipeline import (
@@ -29,7 +27,7 @@ from kfpls.pipeline import (
     sweep_n_lv,
     sweep_points,
 )
-from kfpls.pls import coef_path
+from kfpls.pls import _simpls, coef_path
 
 
 def refit_search(fit, X_val, Y_val, task, lv_max):
@@ -68,8 +66,9 @@ def refit_plain_pls_lv(ds, lv_max, seed):
     y_means = ds.Y_cal[fit_idx].mean(axis=0)
 
     def fit(lv):
-        model = fit_pls(ds.X_cal[fit_idx], ds.Y_cal[fit_idx] - y_means, lv)
-        return lambda X_new: predict_pls(model, X_new) + y_means
+        Y_fit = ds.Y_cal[fit_idx] - y_means
+        B = _simpls(ds.X_cal[fit_idx][None], Y_fit[None], lv)[3][0]
+        return lambda X_new: X_new @ B + y_means
 
     lv, _ = refit_search(fit, ds.X_cal[val_idx], ds.Y_cal[val_idx], ds.task,
                          min(ds.X_cal.shape[1], lv_max))

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from kfpls import (
-    DegenerateProblemError,
-    KernelSpec,
-    fit_pls,
-    gen_circles,
-    predict_pls,
-)
+from kfpls import DegenerateProblemError, KernelSpec, gen_circles
 from kfpls.kernels import center_train, gram_train
 from kfpls.pls import _directions, _simpls, coef_path
 
@@ -23,6 +17,11 @@ def factors(X, Y, n_lv):
     """The factors ``(W, P, Q)`` of the SIMPLS fit of ``X`` on ``Y``."""
     W, P, Q, _ = _simpls(X[None], Y[None], n_lv)
     return W[0], P[0], Q[0]
+
+
+def coef(X, Y, n_lv):
+    """The coefficients of the SIMPLS fit of ``X`` on ``Y``, as a stack of one."""
+    return _simpls(X[None], Y[None], n_lv)[3][0]
 
 
 class TestFirstPc:
@@ -59,16 +58,14 @@ class TestFitPls:
     def test_identity_single_column(self):
         rng = np.random.default_rng(0)
         y = rng.normal(size=(12, 1))
-        model = fit_pls(y, y, 1)
-        np.testing.assert_allclose(predict_pls(model, y), y, atol=1e-12)
+        np.testing.assert_allclose(y @ coef(y, y, 1), y, atol=1e-12)
 
     def test_full_rank_matches_least_squares(self):
         rng = np.random.default_rng(42)
         X = rng.normal(size=(20, 3))
         Y = rng.normal(size=(20, 2))
-        model = fit_pls(X, Y, 3)
         expected = least_squares_prediction(X, Y)
-        np.testing.assert_allclose(predict_pls(model, X), expected, rtol=1e-8)
+        np.testing.assert_allclose(X @ coef(X, Y, 3), expected, rtol=1e-8)
 
     def test_first_weight_is_dominant_covariance_direction(self):
         rng = np.random.default_rng(5)
@@ -97,71 +94,41 @@ class TestFitPls:
         Y = rng.normal(size=(25, 1))
         rss = []
         for a in range(1, 7):
-            model = fit_pls(X, Y, a)
-            rss.append(float(np.sum((Y - predict_pls(model, X)) ** 2)))
+            rss.append(float(np.sum((Y - X @ coef(X, Y, a)) ** 2)))
         assert all(rss[i + 1] <= rss[i] + 1e-10 for i in range(len(rss) - 1))
 
     def test_coefficient_identity_holds(self):
         rng = np.random.default_rng(23)
         X = rng.normal(size=(18, 5))
         Y = rng.normal(size=(18, 2))
-        model = fit_pls(X, Y, 3)
         W, P, Q = factors(X, Y, 3)
         B = W @ np.linalg.solve(P.T @ W, Q.T)
-        np.testing.assert_allclose(model.coef, B, rtol=1e-12)
+        np.testing.assert_allclose(coef(X, Y, 3), B, rtol=1e-12)
 
-    def test_requested_factor_count_clamped_with_warning(self):
+    def test_requested_factor_count_clamped(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(10, 3))
         Y = rng.normal(size=(10, 1))
-        with pytest.warns(UserWarning, match="clamp"):
-            model = fit_pls(X, Y, 7)
-        assert model.n_lv <= 3
+        assert factors(X, Y, 7)[0].shape[1] <= 3
 
     def test_rank_deficient_data_stops_early(self):
         rng = np.random.default_rng(2)
         base = rng.normal(size=(12, 2))
         X = np.hstack([base, base @ rng.normal(size=(2, 3))])  # rank 2 in 5 columns
         Y = rng.normal(size=(12, 1))
-        model = fit_pls(X, Y, 5)
-        assert model.n_lv <= 2
-        assert factors(X, Y, 5)[0].shape[1] == model.n_lv
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="rows"):
-            fit_pls(np.zeros((4, 2)), np.zeros((5, 1)), 1)
-
-    def test_nonfinite_rejected(self):
-        X = np.ones((5, 2))
-        X[0, 0] = np.inf
-        with pytest.raises(ValueError, match="finite"):
-            fit_pls(X, np.ones((5, 1)), 1)
-
-    def test_vector_response_accepted(self):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(10, 3))
-        y = rng.normal(size=10)
-        model = fit_pls(X, y, 2)
-        assert model.coef.shape == (3, 1)
+        assert factors(X, Y, 5)[0].shape[1] <= 2
 
 
 class TestFitPlsStack:
-    """The stacked SIMPLS loop that `fit_pls` and `kpls.fit_grams` run."""
-
-    def test_one_member_stack_is_fit_pls(self):
-        rng = np.random.default_rng(29)
-        X = rng.normal(size=(20, 5))
-        Y = rng.normal(size=(20, 2))
-        coef = _simpls(X[None], Y[None], 3)[3]
-        np.testing.assert_array_equal(coef[0], fit_pls(X, Y, 3).coef)
+    """The stacked SIMPLS loop that `kpls.fit_grams` and the linear reference run."""
 
     def test_members_match_separate_fits(self):
         rng = np.random.default_rng(30)
         X = rng.normal(size=(4, 15, 6))
         Y = rng.normal(size=(4, 15, 3))
-        coef = _simpls(X, Y, 4)[3]
+        B = _simpls(X, Y, 4)[3]
         for s in range(4):
-            np.testing.assert_allclose(coef[s], fit_pls(X[s], Y[s], 4).coef,
+            np.testing.assert_allclose(B[s], coef(X[s], Y[s], 4),
                                        rtol=1e-12, atol=1e-12)
 
     def test_member_that_stops_early_is_refit_alone(self):
@@ -175,11 +142,11 @@ class TestFitPlsStack:
             rng.normal(size=(12, 5)),
         ])
         Y = rng.normal(size=(3, 12, 1))
-        models = [fit_pls(X[s], Y[s], 4) for s in range(3)]
-        assert models[0].n_lv == 4 and models[1].n_lv <= 2
-        coef = _simpls(X, Y, 4)[3]
+        counts = [factors(X[s], Y[s], 4)[0].shape[1] for s in range(3)]
+        assert counts[0] == 4 and counts[1] <= 2
+        B = _simpls(X, Y, 4)[3]
         for s in range(3):
-            np.testing.assert_allclose(coef[s], models[s].coef, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(B[s], coef(X[s], Y[s], 4), rtol=1e-12, atol=1e-12)
 
     def test_member_without_any_factor_raises(self):
         rng = np.random.default_rng(3)
@@ -205,23 +172,23 @@ class TestCoefPath:
         path = coef_path(*factors(X, Y, a_max), a_max)
         assert path.shape == (a_max, X.shape[1], m)
         for a in range(1, a_max + 1):
-            coef = fit_pls(X, Y, a).coef
-            np.testing.assert_allclose(path[a - 1], coef, rtol=1e-12,
-                                       atol=1e-12 * np.abs(coef).max())
+            B = coef(X, Y, a)
+            np.testing.assert_allclose(path[a - 1], B, rtol=1e-12,
+                                       atol=1e-12 * np.abs(B).max())
 
     def test_rank_exhausted_fit_gives_its_factor_count(self):
         rng = np.random.default_rng(2)
         base = rng.normal(size=(12, 2))
         X = np.hstack([base, base @ rng.normal(size=(2, 3))])  # rank 2
         Y = rng.normal(size=(12, 1))
-        model = fit_pls(X, Y, 5)
         W, P, Q = factors(X, Y, 5)
-        path = coef_path(W, P, Q, model.n_lv)
-        assert len(path) == model.n_lv <= 2
-        np.testing.assert_allclose(path[-1], model.coef, rtol=1e-12, atol=1e-12)
+        n_lv = W.shape[1]
+        path = coef_path(W, P, Q, n_lv)
+        assert len(path) == n_lv <= 2
+        np.testing.assert_allclose(path[-1], coef(X, Y, 5), rtol=1e-12, atol=1e-12)
         # Past the rank, the path repeats the fit's last entry up to the bound.
-        np.testing.assert_array_equal(coef_path(W, P, Q, 5)[model.n_lv - 1:],
-                                      [path[-1]] * (6 - model.n_lv))
+        np.testing.assert_array_equal(coef_path(W, P, Q, 5)[n_lv - 1:],
+                                      [path[-1]] * (6 - n_lv))
 
     def test_ends_before_ill_conditioned_prefix(self):
         # PᵀW = Pᵀ: its leading 2x2 block is singular, the 1x1 and 3x3 are not.
@@ -230,16 +197,3 @@ class TestCoefPath:
         assert path.shape == (1, 3, 2)
         np.testing.assert_array_equal(path[0], [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
 
-
-class TestPredictPls:
-    def test_zero_rows_give_zero_rows(self):
-        rng = np.random.default_rng(6)
-        model = fit_pls(rng.normal(size=(8, 3)), rng.normal(size=(8, 1)), 2)
-        out = predict_pls(model, np.empty((0, 3)))
-        assert out.shape == (0, 1)
-
-    def test_column_mismatch_rejected(self):
-        rng = np.random.default_rng(6)
-        model = fit_pls(rng.normal(size=(8, 3)), rng.normal(size=(8, 1)), 2)
-        with pytest.raises(ValueError, match="columns"):
-            predict_pls(model, np.zeros((2, 4)))
