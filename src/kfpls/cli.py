@@ -330,6 +330,7 @@ def cmd_optimize(args, config) -> int:
     response = _setting(args, config, "response")
     if response is None:
         raise CliError("usage", "optimize requires --response")
+    response = _parse_response(response)
     seed = _seed(args, config)
     task = _setting(args, config, "task", default="regression")
     if task not in ("regression", "classification"):
@@ -338,7 +339,7 @@ def cmd_optimize(args, config) -> int:
         spec0 = _kernel_spec(args, config)
         flow = FlowConfig(seed=seed, **_flow_overrides(args, config))
 
-    ds = _read(load_csv, args.csv, _parse_response(response), task, seed)
+    ds = _read(load_csv, args.csv, response, task, seed)
     with _phase("config"):
         lv_max = _lv_max(args, config, ds, 20)
     out = _out_dir(args, config)
@@ -353,8 +354,11 @@ def cmd_optimize(args, config) -> int:
 
 
 def _parse_response(raw) -> list:
-    """Response columns from ``name,name`` or 0-based ``index,index``."""
+    """Response columns from ``name,name`` or 0-based ``index,index``; a
+    list that names no column is a ``usage`` error."""
     parts = [p.strip() for p in str(raw).split(",") if p.strip()]
+    if not parts:
+        raise CliError("usage", f"--response names no column: {raw!r}")
     return [int(p) if p.lstrip("-").isdigit() else p for p in parts]
 
 
@@ -371,12 +375,11 @@ def cmd_predict(args, config) -> int:
     X_raw = rows[:, cols]
     X = standardize(X_raw, meta["x_means"], meta["x_stds"])
     pred = predict_kpls(model, X)
-    if meta["y_stds"] is not None:
-        pred = pred * meta["y_stds"] + meta["y_means"]
 
     names = [f"pred_{n}" for n in meta["y_names"]]
-    data = pred
-    if meta["task"] == "classification":
+    if meta["task"] == "regression":
+        data = pred * meta["y_stds"] + meta["y_means"]
+    else:
         names.append("label")
         data = np.hstack([pred, labels(pred)[:, None]])
     write_table(out / "predictions.csv", names, data)

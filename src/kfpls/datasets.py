@@ -307,11 +307,14 @@ def load_csv(path, response_columns, task: str, seed) -> Dataset:
     """Load a numeric CSV with a header row and split/standardize it.
 
     ``response_columns`` is a list of header names or 0-based column
-    indices (a single name/index is also accepted). All remaining columns
-    become predictors. Cells are parsed by `read_csv`.
+    indices (a single name/index is also accepted); an empty list is a
+    ``ValueError``. All remaining columns become predictors. Cells are
+    parsed by `read_csv`.
     """
     if isinstance(response_columns, (str, int)):
         response_columns = [response_columns]
+    if len(response_columns) == 0:
+        raise ValueError("no response column given")
     header, data = read_csv(path)
 
     resp_idx = []

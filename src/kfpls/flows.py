@@ -13,10 +13,12 @@ One engine, `_batch_losses`, computes both losses from one plain Gram of
 the minibatch. The sub-batches of one size are fitted as one stack:
 their blocks are gathered at once, take the ridge on their diagonals and
 go through `kpls.fit_grams`, the fit `fit_kpls` makes, for the whole
-stack. The default, ``cv``, scores each sub-batch model's predictions of
-the whole minibatch against the minibatch responses, relative to the
-variance baseline: nonnegative, near one for a kernel that predicts
-nothing, small when models fitted on any subset predict the rest. The
+stack. A stack has one factor count: where one sub-batch's fit runs out
+of rank, every fit of its stack stops at that count. The default,
+``cv``, scores each sub-batch model's predictions of the whole minibatch
+against the minibatch responses, relative to the variance baseline:
+nonnegative, near one for a kernel that predicts nothing, small when
+models fitted on any subset predict the rest. The
 predictions of all sub-batch models come from one product of the plain
 Gram with their `kpls.affine_coef` coefficients scattered onto their
 rows, plus each fit's bias, so no cross kernel is centered.
@@ -277,8 +279,9 @@ def _batch_losses(batch, Y_batch, subsets, n_lv, spec, objective, tape=None):
     """Average iteration loss over fixed sub-batch index sets, plus the
     per-subset losses in list order (objectives: see the module docstring).
     ``batch`` is the minibatch's squared distances or the `_Workspace` of
-    its draw. Index sets of one size are fitted as one stack. A ``tape``
-    dict receives what `_loss_gradient` reads back.
+    its draw. Index sets of one size are fitted as one stack, with one
+    factor count (see `kpls.fit_grams`). A ``tape`` dict receives what
+    `_loss_gradient` reads back.
     """
     ws = batch if isinstance(batch, _Workspace) else _Workspace().start(batch)
     K_plain = ws.gram(spec)
@@ -417,7 +420,9 @@ def update_theta(
 def _stratified_choice(
     rng: np.random.Generator, labels: np.ndarray, size: int
 ) -> np.ndarray:
-    """Proportional per-class sample of ``size`` indices, largest remainders first."""
+    """Proportional per-class sample of ``size`` indices, largest remainders
+    first. No class is asked for more rows than it has: its exact share is
+    at most its count, a whole number, so rounding up stays within it."""
     classes, counts = np.unique(labels, return_counts=True)
     exact = size * counts / labels.size
     base = np.floor(exact).astype(int)
@@ -426,16 +431,18 @@ def _stratified_choice(
     base[order[:shortfall]] += 1
     picks = []
     for cls, take in zip(classes, base):
-        pool = np.flatnonzero(labels == cls)
-        take = min(take, pool.size)
         if take:
-            picks.append(rng.choice(pool, size=take, replace=False))
+            picks.append(rng.choice(np.flatnonzero(labels == cls), size=take,
+                                    replace=False))
     return np.sort(np.concatenate(picks))
 
 
 def _sample_indices(
     rng: np.random.Generator, n: int, size: int, labels: np.ndarray | None
 ) -> np.ndarray:
+    """``size`` distinct sorted indices below ``n``, per class of ``labels``
+    (one per index) if given. So all sub-batches of a run have one size and
+    form one stack."""
     if labels is None:
         return np.sort(rng.choice(n, size=size, replace=False))
     return _stratified_choice(rng, labels, size)

@@ -83,9 +83,11 @@ def fit_grams(K: np.ndarray, Y: np.ndarray, n_lv: int, tape: dict | None = None)
     ``K`` is double-centered in place. Returns ``((W, P, Q, B), col_means,
     y_means, K)``: the SIMPLS factors and coefficients of the stack, the
     Grams' column means (S, n), the response means (S, m), and the centered
-    stack, which the flow's norm-ratio loss and reverse pass read. Inputs
-    are not checked (see `check_fit_inputs`), and ``n_lv`` is clamped to
-    ``n`` silently. ``tape``: see `pls._simpls`.
+    stack, which the flow's norm-ratio loss and reverse pass read. The
+    stack has one factor count: at most ``n_lv``, fewer for all of it if
+    one member runs out of rank first. Inputs are not checked (see
+    `check_fit_inputs`), and ``n_lv`` is clamped to ``n`` silently.
+    ``tape``: see `pls._simpls`.
     """
     K_centered, col_means = center_train(K, out=K)
     y_means = Y.mean(axis=1)
@@ -244,8 +246,11 @@ def load_calibrated_model(path) -> tuple[KplsModel, dict]:
     Raises ``OSError`` if the file cannot be read and ``ValueError`` when
     the archive is malformed: see `model_from_arrays`, plus missing
     standardization members, a task other than ``regression`` and
-    ``classification``, standardization arrays and names whose lengths
-    disagree with the model, or a standard deviation that is not positive.
+    ``classification``, a classification model with fewer than 2
+    responses, response statistics missing from a regression archive or
+    present in a classification one, standardization arrays and names whose
+    lengths disagree with the model, or a standard deviation that is not
+    positive.
     """
     data = read_array_archive(path)
     if "prep_task" not in data:
@@ -264,6 +269,12 @@ def load_calibrated_model(path) -> tuple[KplsModel, dict]:
     if meta["task"] not in ("regression", "classification"):
         raise ValueError(f"unknown task {meta['task']!r}")
     n_x, n_y = model.x_train.shape[1], model.y_means.shape[0]
+    if meta["task"] == "classification" and n_y < 2:
+        raise ValueError(f"a classification model has {n_y} response, it needs "
+                         "one per class and at least 2")
+    if has_y_stats != (meta["task"] == "regression"):
+        raise ValueError(f"a {meta['task']} archive "
+                         f"{'carries' if has_y_stats else 'lacks'} response statistics")
     expected = {"prep_x_names": n_x, "prep_x_means": n_x, "prep_x_stds": n_x,
                 "prep_y_names": n_y}
     if has_y_stats:

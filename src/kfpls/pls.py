@@ -12,12 +12,13 @@ on a stack of centered Grams (one kernel-PLS model, or the kernel-flow
 sub-batches of one size) in one pass, and the linear reference of
 `pipeline` on a stack of one. The direction is closed-form for one
 response, else from one batched m×m ``eigh``. The factors (W, P, Q) exist
-only as what `_simpls` returns. SIMPLS extracts one factor at a time, so
-the first ``a`` factors of a fit are the ``a``-factor fit. `_coef` is the
-one coefficient formula: it gives a stack member that stops early its
-coefficients from the factors it had then, and `coef_path` the
-coefficients at every factor count up to a search bound from the factors
-of one fit.
+only as what `_simpls` returns. A stack has one factor count: it stops
+at the first factor where any member runs out of rank. SIMPLS extracts
+one factor at a time, so the first ``a`` factors of a fit are the
+``a``-factor fit, and each member of a stack that stopped at ``a`` is its
+separate fit at ``a``. `_coef` is the one coefficient formula: `_simpls`
+applies it to the whole stack, and `coef_path` to every factor count up
+to a search bound from the factors of one fit.
 """
 
 from __future__ import annotations
@@ -62,17 +63,16 @@ def _directions(C: np.ndarray):
 
 
 def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int, tape: dict | None = None):
-    """SIMPLS of each ``X[s]`` (n, p) on ``Y[s]`` (n, m), all members at once.
+    """SIMPLS of each ``X[s]`` (n, p) on ``Y[s]`` (n, m), all members at once,
+    with one factor count for the whole stack.
 
-    A member stops when its covariance is exhausted or its score norm
-    underflows. If all members still running stop at one factor, the loop
-    ends there; a member that stops while others go on is dropped and takes
-    its coefficients from the factors it has, which is what a separate fit
-    of it gives. Returns ``(W, P, Q, B)``: the factors (one column per
-    latent variable) of the members that ran to the end, and the
-    coefficients (S, p, m) of every member. A ``tape`` dict receives, for
-    `_simpls_adjoint`, every member's factor count and, per factor, its
-    covariance, direction data, scores and factors.
+    The stack stops at the first factor where any member's covariance is
+    exhausted or its score norm underflows, so every member is the separate
+    fit of it at that count; `DegenerateProblemError` if that is the first
+    factor. Returns ``(W, P, Q, B)``: the factors (one column per latent
+    variable) and the coefficients (S, p, m). A ``tape`` dict receives, for
+    `_simpls_adjoint`, each factor's covariance, direction data, scores and
+    factors, factor k of member s at entry [s, k] of each array.
     """
     S, n, p = X.shape
     m = Y.shape[2]
@@ -80,38 +80,22 @@ def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int, tape: dict | None = None):
     C = np.swapaxes(Y, 1, 2) @ X  # (S, m, p) cross-covariances
     c_norm0 = np.linalg.norm(C, axis=(1, 2))
     W, P, Q = (np.empty((S, d, a_max)) for d in (p, p, m))
-    B = np.empty((S, p, m))
-    running = np.arange(S)
     if tape is not None:
-        # Factor k of member s is entry [s, k] of each array.
         shapes = dict(C=(m, p), v=(m,), norm=(), t=(n,), tt=(), w=(p,), p=(p,),
-                      q=(m,), eig_values=(m,), eig_vectors=(m, m))
+                      q=(m,))
+        if m > 1:
+            shapes.update(eig_values=(m,), eig_vectors=(m, m))
         tape.update({key: np.empty((S, a_max, *shape)) for key, shape in shapes.items()})
-        tape["count"] = np.empty(S, dtype=int)
 
     k = 0
     while k < a_max:
-        live = np.linalg.norm(C, axis=(1, 2)) > _COV_EXHAUSTED_REL * c_norm0
-        if live.all():
-            w, v, norm, eig = _directions(C)
-            t = (X @ w[:, :, None])[:, :, 0]
-            tt = np.sum(t * t, axis=1)
-            live = tt >= _SCORE_NORM_FLOOR * n
-        if not live.all():
-            if k == 0:
-                raise DegenerateProblemError(
-                    "rank exhausted before extracting any factor"
-                )
-            if tape is not None:
-                tape["count"][running[~live]] = k
-            if not live.any():
-                break
-            done = ~live
-            B[running[done]] = _coef(W[done, :, :k], P[done, :, :k], Q[done, :, :k])
-            X, Y, C, c_norm0, running, W, P, Q = (
-                v[live] for v in (X, Y, C, c_norm0, running, W, P, Q)
-            )
-            continue
+        if not np.all(np.linalg.norm(C, axis=(1, 2)) > _COV_EXHAUSTED_REL * c_norm0):
+            break
+        w, v, norm, eig = _directions(C)
+        t = (X @ w[:, :, None])[:, :, 0]
+        tt = np.sum(t * t, axis=1)
+        if not np.all(tt >= _SCORE_NORM_FLOOR * n):
+            break
         q = (np.swapaxes(Y, 1, 2) @ t[:, :, None])[:, :, 0] / tt[:, None]
         pv = (np.swapaxes(X, 1, 2) @ t[:, :, None])[:, :, 0] / tt[:, None]
         W[:, :, k], Q[:, :, k], P[:, :, k] = w, q, pv
@@ -120,7 +104,7 @@ def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int, tape: dict | None = None):
             if eig is not None:
                 step.update(eig_values=eig[0], eig_vectors=eig[1])
             for key, value in step.items():
-                tape[key][running, k] = value
+                tape[key][:, k] = value
         k += 1
         if k < a_max:
             # Deflate: remove the span of the accumulated X-loadings from the
@@ -131,11 +115,12 @@ def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int, tape: dict | None = None):
             A = np.linalg.solve(Pkt @ Pk, np.swapaxes(C @ Pk, 1, 2))
             C = C - np.swapaxes(A, 1, 2) @ Pkt
 
-    W, P, Q = (v[:, :, :k] for v in (W, P, Q))
-    B[running] = _coef(W, P, Q)
+    if k == 0:
+        raise DegenerateProblemError("rank exhausted before extracting any factor")
     if tape is not None:
-        tape["count"][running] = k
-    return W, P, Q, B
+        tape.update({key: value[:, :k] for key, value in tape.items()})
+    W, P, Q = (v[:, :, :k] for v in (W, P, Q))
+    return W, P, Q, _coef(W, P, Q)
 
 
 def _simpls_adjoint(X: np.ndarray, Y: np.ndarray, tape: dict, B_bar: np.ndarray):
@@ -144,74 +129,63 @@ def _simpls_adjoint(X: np.ndarray, Y: np.ndarray, tape: dict, B_bar: np.ndarray)
     coefficients and ``B_bar`` (S, p, m) their adjoints.
 
     Returns it in low-rank form ``(A, G)``, ``X̄[s] = A[s] G[s]ᵀ`` with
-    ``A`` (S, n, r) and ``G`` (S, p, r), ``r = 2·a + m`` for ``a`` factors:
-    the columns pair each score ``t_k`` with ``p̄_k/tt_k``, each ``t̄_k``
-    with the direction ``w_k``, and ``Y`` with ``C̄₀ᵀ``. A member that
-    stopped early is differentiated through the factors it kept (its unused
-    columns are zero). In exact arithmetic the scores are orthogonal, so
-    ``PᵀW = I`` and the coefficients are ``Σ_k w_k q_kᵀ``; the deflation is
+    ``A`` (S, n, r) and ``G`` (S, p, r), ``r = 2·a + m`` for the stack's
+    ``a`` factors: the columns pair each score ``t_k`` with ``p̄_k/tt_k``,
+    each ``t̄_k`` with the direction ``w_k``, and ``Y`` with ``C̄₀ᵀ``. In
+    exact arithmetic the scores are orthogonal, so ``PᵀW = I`` and the
+    coefficients are ``Σ_k w_k q_kᵀ``; the deflation is
     ``C_{k+1} = C_k (I - Π_k)`` with ``Π_k`` the projector onto the first
     k + 1 loadings, and for m > 1 the direction's eigenvector is
     differentiated by the symmetric eigenvector adjoint (Magnus 1985).
     Raises `DegenerateProblemError` where that eigenvector's top gap is
     below ``_EIGEN_GAP_REL`` of its eigenvalue.
     """
-    S, n, p = X.shape
     m = Y.shape[2]
-    a_max = tape["w"].shape[1]
-    A = np.zeros((S, n, 2 * a_max + m))
-    G = np.zeros((S, p, 2 * a_max + m))
-    A[:, :, 2 * a_max:] = Y
-    for a in sorted(set(tape["count"].tolist())):
-        sel = np.flatnonzero(tape["count"] == a)
-        f = {key: value[sel, :a] for key, value in tape.items() if key != "count"}
-        Xs, Ys = X[sel], Y[sel]
-        w, q, pv, t, tt = f["w"], f["q"], f["p"], f["t"], f["tt"]
-        w_bar = q @ np.swapaxes(B_bar[sel], 1, 2)  # row k: B̄ q_k
-        q_bar = w @ B_bar[sel]  # row k: B̄ᵀ w_k
-        p_bar = np.zeros_like(pv)
-        t_bar = np.empty_like(t)
-        C_bar = np.zeros((len(sel), m, p))  # adjoint of the next covariance
-        for k in reversed(range(a)):
-            C_k = f["C"][:, k]
-            if k + 1 < a:
-                Pk = pv[:, : k + 1]  # loadings as rows
-                Z = np.linalg.solve(Pk @ np.swapaxes(Pk, 1, 2), Pk)  # (PᵀP)⁻¹Pᵀ
-                CbZ = C_bar @ np.swapaxes(Z, 1, 2)
-                M = -(np.swapaxes(CbZ, 1, 2) @ C_k
-                      + np.swapaxes(C_k @ np.swapaxes(Z, 1, 2), 1, 2) @ C_bar)
-                p_bar[:, : k + 1] += M - (M @ np.swapaxes(Pk, 1, 2)) @ Z
-                C_bar = C_bar - CbZ @ Pk
-            ttk = tt[:, k, None]
-            tt_bar = -(np.sum(p_bar[:, k] * pv[:, k], axis=1, keepdims=True)
-                       + np.sum(q_bar[:, k] * q[:, k], axis=1, keepdims=True)) / ttk
-            tb = ((Xs @ p_bar[:, k, :, None])[:, :, 0]
-                  + (Ys @ q_bar[:, k, :, None])[:, :, 0]) / ttk + 2.0 * tt_bar * t[:, k]
-            t_bar[:, k] = tb
-            wb = w_bar[:, k] + (np.swapaxes(Xs, 1, 2) @ tb[:, :, None])[:, :, 0]
-            wk, vk, norm = w[:, k], f["v"][:, k], f["norm"][:, k, None]
-            u_bar = (wb - wk * np.sum(wk * wb, axis=1, keepdims=True)) / norm
-            C_bar = C_bar + vk[:, :, None] * u_bar[:, None, :]
-            if m > 1:
-                # w = Cᵀv/‖Cᵀv‖, v the top eigenvector of C Cᵀ: v̄ = C ū, and
-                # dv = Σ_j e_j e_jᵀ d(C Cᵀ) v / (λ_top - λ_j) over the other
-                # eigenvectors e_j, so C̄ += (M̄ + M̄ᵀ) C for M̄ = a vᵀ, with
-                # a = Σ_j e_j (e_jᵀ v̄) / (λ_top - λ_j).
-                lam, E = f["eig_values"][:, k], f["eig_vectors"][:, k, :, :-1]
-                gap = lam[:, -1:] - lam[:, :-1]
-                if np.any(gap <= _EIGEN_GAP_REL * np.abs(lam[:, -1:])):
-                    raise DegenerateProblemError(
-                        "top eigenvalue of the covariance is not separated"
-                    )
-                v_bar = np.einsum("smp,sp->sm", C_k, u_bar)
-                a_vec = np.einsum("smj,sj->sm", E, np.einsum("smj,sm->sj", E, v_bar) / gap)
-                C_bar = (C_bar + a_vec[:, :, None] * (norm * wk)[:, None, :]
-                         + vk[:, :, None] * np.einsum("smp,sm->sp", C_k, a_vec)[:, None, :])
-        A[sel, :, :a] = np.swapaxes(t, 1, 2)
-        A[sel, :, a_max : a_max + a] = np.swapaxes(t_bar, 1, 2)
-        G[sel, :, :a] = np.swapaxes(p_bar / tt[:, :, None], 1, 2)
-        G[sel, :, a_max : a_max + a] = np.swapaxes(w, 1, 2)
-        G[sel, :, 2 * a_max:] = np.swapaxes(C_bar, 1, 2)
+    w, q, pv, t, tt = (tape[key] for key in ("w", "q", "p", "t", "tt"))
+    w_bar = q @ np.swapaxes(B_bar, 1, 2)  # row k: B̄ q_k
+    q_bar = w @ B_bar  # row k: B̄ᵀ w_k
+    p_bar = np.zeros_like(pv)
+    t_bar = np.empty_like(t)
+    C_bar = np.zeros_like(tape["C"][:, 0])  # adjoint of the next covariance
+    a = w.shape[1]
+    for k in reversed(range(a)):
+        C_k = tape["C"][:, k]
+        if k + 1 < a:
+            Pk = pv[:, : k + 1]  # loadings as rows
+            Z = np.linalg.solve(Pk @ np.swapaxes(Pk, 1, 2), Pk)  # (PᵀP)⁻¹Pᵀ
+            CbZ = C_bar @ np.swapaxes(Z, 1, 2)
+            M = -(np.swapaxes(CbZ, 1, 2) @ C_k
+                  + np.swapaxes(C_k @ np.swapaxes(Z, 1, 2), 1, 2) @ C_bar)
+            p_bar[:, : k + 1] += M - (M @ np.swapaxes(Pk, 1, 2)) @ Z
+            C_bar = C_bar - CbZ @ Pk
+        ttk = tt[:, k, None]
+        tt_bar = -(np.sum(p_bar[:, k] * pv[:, k], axis=1, keepdims=True)
+                   + np.sum(q_bar[:, k] * q[:, k], axis=1, keepdims=True)) / ttk
+        tb = ((X @ p_bar[:, k, :, None])[:, :, 0]
+              + (Y @ q_bar[:, k, :, None])[:, :, 0]) / ttk + 2.0 * tt_bar * t[:, k]
+        t_bar[:, k] = tb
+        wb = w_bar[:, k] + (np.swapaxes(X, 1, 2) @ tb[:, :, None])[:, :, 0]
+        wk, vk, norm = w[:, k], tape["v"][:, k], tape["norm"][:, k, None]
+        u_bar = (wb - wk * np.sum(wk * wb, axis=1, keepdims=True)) / norm
+        C_bar = C_bar + vk[:, :, None] * u_bar[:, None, :]
+        if m > 1:
+            # w = Cᵀv/‖Cᵀv‖, v the top eigenvector of C Cᵀ: v̄ = C ū, and
+            # dv = Σ_j e_j e_jᵀ d(C Cᵀ) v / (λ_top - λ_j) over the other
+            # eigenvectors e_j, so C̄ += (M̄ + M̄ᵀ) C for M̄ = a vᵀ, with
+            # a = Σ_j e_j (e_jᵀ v̄) / (λ_top - λ_j).
+            lam, E = tape["eig_values"][:, k], tape["eig_vectors"][:, k, :, :-1]
+            gap = lam[:, -1:] - lam[:, :-1]
+            if np.any(gap <= _EIGEN_GAP_REL * np.abs(lam[:, -1:])):
+                raise DegenerateProblemError(
+                    "top eigenvalue of the covariance is not separated"
+                )
+            v_bar = np.einsum("smp,sp->sm", C_k, u_bar)
+            a_vec = np.einsum("smj,sj->sm", E, np.einsum("smj,sm->sj", E, v_bar) / gap)
+            C_bar = (C_bar + a_vec[:, :, None] * (norm * wk)[:, None, :]
+                     + vk[:, :, None] * np.einsum("smp,sm->sp", C_k, a_vec)[:, None, :])
+    A = np.concatenate([np.swapaxes(t, 1, 2), np.swapaxes(t_bar, 1, 2), Y], axis=2)
+    G = np.concatenate([np.swapaxes(p_bar / tt[:, :, None], 1, 2),
+                        np.swapaxes(w, 1, 2), np.swapaxes(C_bar, 1, 2)], axis=2)
     return A, G
 
 

@@ -163,6 +163,25 @@ class TestOptimizeAndPredict:
         labels = [int(float(line.split(",")[-1])) for line in lines[1:]]
         assert set(labels) <= {1, 2}
 
+    def test_classification_archive_with_response_statistics(self, tmp_path, capsys):
+        path = tmp_path / "cls.csv"
+        path.write_text("x1,x2,a,b\n" + "".join(
+            f"{i},{(i * 7) % 5},{i % 2},{1 - i % 2}\n" for i in range(30)),
+            encoding="utf-8")
+        out = tmp_path / "opt"
+        assert run_cli("optimize", path, "--response", "a,b", "--task",
+                       "classification", "--iterations", "3", "--lv-max", "4",
+                       "--out-dir", out) == 0
+        arrays = read_array_archive(out / "model.kfpls")
+        arrays.update(prep_has_y_stats=np.array(True), prep_y_means=np.zeros(2),
+                      prep_y_stds=np.ones(2))
+        write_array_archive(out / "model.kfpls", arrays)
+        pred_dir = tmp_path / "pred"
+        capsys.readouterr()
+        assert run_cli("predict", out / "model.kfpls", path, "--out-dir", pred_dir) == 1
+        assert capsys.readouterr().err.startswith("error:data: cannot load model")
+        assert not (pred_dir / "predictions.csv").exists()
+
     def test_classification_response_must_be_one_hot(self, tmp_path, capsys):
         path = tmp_path / "cls.csv"
         path.write_text("x1,x2,label\n" + "".join(f"{i},{i % 3},{1 + i % 2}\n"
@@ -319,6 +338,15 @@ def _unknown_task(arrays):
     arrays["prep_task"] = np.array("bogus")
 
 
+def _no_y_stats(arrays):
+    arrays["prep_has_y_stats"] = np.array(False)
+
+
+def _one_response_classification(arrays):
+    arrays["prep_task"] = np.array("classification")
+    arrays["prep_has_y_stats"] = np.array(False)
+
+
 class TestCorruptArchive:
     @pytest.mark.parametrize("corrupt", [_cut_coef, _nan_coef, _one_feature_name,
                                          _no_schema_version, _unknown_family,
@@ -326,7 +354,8 @@ class TestCorruptArchive:
                                          _two_families_no_weights, _duplicate_family,
                                          _vector_ridge, _zero_x_std, _negative_y_std,
                                          _one_d_x_train, _matrix_y_means,
-                                         _no_training_rows, _unknown_task])
+                                         _no_training_rows, _unknown_task,
+                                         _no_y_stats, _one_response_classification])
     def test_predict_rejects_corrupt_archive(self, tmp_path, xy_model, capsys, corrupt):
         train, archive = xy_model
         arrays = read_array_archive(archive)
@@ -585,6 +614,18 @@ class TestErrorContract:
     def test_case3_without_csv_is_usage_error(self, argv, tmp_path, capsys):
         assert run_cli(*argv, "--response", "target", "--out-dir", tmp_path) == 2
         assert capsys.readouterr().err.startswith("error:usage: case 3 requires --csv")
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "{csv}", "--response", ","],
+        ["case", "3", "--csv", "{csv}", "--response", " "],
+    ], ids=["optimize", "case"])
+    def test_empty_response_is_usage_error(self, argv, tmp_path, toy_csv, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr(pipeline, "run_kernel_flows", _no_flow)
+        out = tmp_path / "out"
+        assert run_cli(*[a.format(csv=toy_csv) for a in argv], "--out-dir", out) == 2
+        assert capsys.readouterr().err.startswith("error:usage: --response names no")
+        assert not out.exists()
 
     @pytest.mark.parametrize("response", ["3", "f3,target", "0,target"])
     def test_case3_response_selects_the_columns_optimize_does(self, response, tmp_path,

@@ -205,6 +205,12 @@ class TestLoadCsv:
         ds = load_csv(path, [2], "regression", seed=0)
         assert ds.y_names == ["c"]
 
+    def test_empty_response_list_rejected(self, tmp_path):
+        path = self._write(tmp_path, "a,b,y\n" + "".join(f"{i},{i % 3},{i}\n"
+                                                        for i in range(10)))
+        with pytest.raises(ValueError, match="no response column"):
+            load_csv(path, [], "regression", seed=0)
+
     def test_header_only_rejected(self, tmp_path):
         path = self._write(tmp_path, "a,b,y\n")
         with pytest.raises(ValueError, match="no data rows"):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kfpls import (
     DegenerateProblemError,
@@ -138,12 +140,14 @@ class TestLossEngineOracle:
             assert got == pytest.approx(ref, abs=1e-10)
 
 
-def per_fit_losses(d2, Y, subsets, n_lv, spec, objective):
+def per_fit_losses(d2, Y, subsets, n_lv, spec, objective, batch_n_lv=None):
     """Per-subset losses with one SIMPLS fit per index set: the loss engine
-    written out fit by fit, cross kernels centered by `center_test_literal`."""
+    written out fit by fit, cross kernels centered by `center_test_literal`.
+    The norm-ratio minibatch fit takes ``batch_n_lv`` factors (default
+    ``n_lv``)."""
     K = kernel_matrix(spec, d2)
 
-    def fit(idx):
+    def fit(idx, n_lv=n_lv):
         K_train = K[np.ix_(idx, idx)] + spec.delta * np.eye(idx.size)
         K_c, _ = center_train(K_train)
         y_means = Y[idx].mean(axis=0)
@@ -151,7 +155,7 @@ def per_fit_losses(d2, Y, subsets, n_lv, spec, objective):
         return B, K_train, y_means, K_c
 
     if objective == "norm_ratio":
-        B, _, _, K_c = fit(np.arange(Y.shape[0]))
+        B, _, _, K_c = fit(np.arange(Y.shape[0]), batch_n_lv or n_lv)
         norm_b = np.sum(B * (K_c @ B))
     out = []
     for idx in subsets:
@@ -220,8 +224,10 @@ class TestStackedLossEngine:
             counts.append(W.shape[2])
         assert counts == [1, 3, 3]
 
+        # The first set stops its stack at one factor; the minibatch fit of
+        # `norm_ratio` is a stack of its own and keeps 3.
         _, rhos = _batch_losses(d2, Y, subs, 3, spec, objective)
-        ref = per_fit_losses(d2, Y, subs, 3, spec, objective)
+        ref = per_fit_losses(d2, Y, subs, 1, spec, objective, batch_n_lv=3)
         np.testing.assert_allclose(rhos, ref, rtol=0, atol=1e-12)
 
     def test_ragged_index_sets(self):
@@ -441,7 +447,7 @@ class TestLossGradient:
     def test_member_stopped_early_takes_gradient_of_its_factors(self, response,
                                                                 objective):
         # The data of `test_member_exhausting_its_rank_keeps_its_factor_count`:
-        # the first index set stops at one factor while the others run to 3.
+        # the first index set stops the stack of all three at one factor.
         rng = np.random.default_rng(21)
         X = rng.normal(size=(20, 2))
         X[1:4] = X[0]
@@ -455,7 +461,8 @@ class TestLossGradient:
         d2 = train_sq_dists(X)
         tape = {}
         _batch_losses(d2, Y, subs, 3, spec, objective, tape)
-        assert tape["groups"][0]["simpls"]["count"].tolist()[:3] == [1, 3, 3]
+        counts = [group["simpls"]["w"].shape[1] for group in tape["groups"]]
+        assert counts == ([1] if objective == "cv" else [1, 3])
         assert relative_to_richardson(d2, Y, subs, 3, spec, objective) <= 1e-6
 
     def test_unseparated_top_eigenvalue_is_degenerate(self):
@@ -707,6 +714,22 @@ class TestStratifiedSampling:
         idx = _sample_indices(rng, 50, 20, None)
         assert len(np.unique(idx)) == 20
         assert np.all(np.diff(idx) > 0)
+
+    @given(st.lists(st.integers(0, 4), min_size=2, max_size=60), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sample_is_distinct_sorted_and_of_its_size(self, raw_labels, data):
+        # Every sub-batch of a run has one size, so the draw is one stack.
+        labels = np.array(raw_labels)
+        n = labels.size
+        size = data.draw(st.integers(1, n))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        for strata in (None, labels):
+            idx = _sample_indices(np.random.default_rng(seed), n, size, strata)
+            assert idx.size == size
+            assert np.all(np.diff(idx) > 0) and 0 <= idx[0] and idx[-1] < n
+        classes, counts = np.unique(labels, return_counts=True)
+        picked = np.bincount(labels[idx], minlength=classes.max() + 1)[classes]
+        assert np.all(np.abs(picked - size * counts / n) < 1)
 
     def test_stratified_run_keeps_classes_in_subbatches(self):
         ds = gen_circles(30, 3, 0.1, seed=4)

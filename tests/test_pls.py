@@ -132,8 +132,8 @@ class TestFitPlsStack:
                                        rtol=1e-12, atol=1e-12)
 
     def test_member_that_stops_early_is_refit_alone(self):
-        # The rank-2 member stops while the others go on; its coefficients
-        # come from its own factors at that point, with no separate refit.
+        # The rank-2 member stops the whole stack at its factor count; every
+        # member is then its separate fit at that count.
         rng = np.random.default_rng(2)
         base = rng.normal(size=(12, 2))
         X = np.stack([
@@ -144,9 +144,11 @@ class TestFitPlsStack:
         Y = rng.normal(size=(3, 12, 1))
         counts = [factors(X[s], Y[s], 4)[0].shape[1] for s in range(3)]
         assert counts[0] == 4 and counts[1] <= 2
-        B = _simpls(X, Y, 4)[3]
+        W, _, _, B = _simpls(X, Y, 4)
+        assert W.shape[2] == counts[1]
         for s in range(3):
-            np.testing.assert_allclose(B[s], coef(X[s], Y[s], 4), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(B[s], coef(X[s], Y[s], counts[1]),
+                                       rtol=1e-12, atol=1e-12)
 
     def test_member_without_any_factor_raises(self):
         rng = np.random.default_rng(3)
