@@ -234,12 +234,19 @@ def _fmt(value) -> str:
 
 
 def write_table(path, header, rows) -> None:
-    """CSV with full-precision floats; identical inputs give identical bytes."""
+    """CSV with full-precision floats; identical inputs give identical bytes.
+
+    ``rows`` is a 2-D array, converted to Python numbers in one `tolist`
+    (whose floats the writer formats as `_fmt` does), or a list of rows
+    whose cells, numpy scalars among them, go through `_fmt`.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        if isinstance(rows, np.ndarray):
+            writer.writerows(rows.tolist())
+        else:
+            writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def write_report(path, payload: dict) -> None:

@@ -132,12 +132,13 @@ def _cauchy_slope(K, d2, d, sigma, out):
 
 
 FAMILY_NAMES = ("gaussian", "matern12", "matern32", "matern52", "cauchy")
+# name -> (kernel, whether it reads the distance d and not d2 alone)
 _FAMILY_FUNCS = {
-    "gaussian": _gaussian,
-    "matern12": _matern12,
-    "matern32": _matern32,
-    "matern52": _matern52,
-    "cauchy": _cauchy,
+    "gaussian": (_gaussian, False),
+    "matern12": (_matern12, True),
+    "matern32": (_matern32, True),
+    "matern52": (_matern52, True),
+    "cauchy": (_cauchy, False),
 }
 
 _FAMILY_SLOPES = {
@@ -310,17 +311,20 @@ def kernel_matrix(
 ) -> np.ndarray:
     """Weighted sum of family kernels evaluated on squared distances (no ridge).
 
-    ``d`` is ``sqrt(d2)``, computed here unless the caller has it.
+    ``d`` is ``sqrt(d2)``. Unless the caller has it, it is computed here,
+    and only when a family of the spec reads it (the Matern ones): the
+    Gaussian and Cauchy kernels are functions of ``d2`` alone.
     """
     d2 = np.asarray(d2, dtype=float)
-    if d is None:
+    funcs = [_FAMILY_FUNCS[name] for name in spec.families]
+    if d is None and any(reads_d for _, reads_d in funcs):
         d = np.sqrt(d2)
     sigma = spec.sigma
     gamma = spec.gamma
-    out = _FAMILY_FUNCS[spec.families[0]](d2, d, sigma[0])
+    out = funcs[0][0](d2, d, sigma[0])
     out *= gamma[0]
-    for i in range(1, len(spec.families)):
-        term = _FAMILY_FUNCS[spec.families[i]](d2, d, sigma[i])
+    for i in range(1, len(funcs)):
+        term = funcs[i][0](d2, d, sigma[i])
         term *= gamma[i]
         out += term
     return out

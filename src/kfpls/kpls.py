@@ -8,7 +8,10 @@ flow's sub-batches. A new row's cross kernel must be centered on the
 Gram's column means before it meets the coefficients, and the response
 means added back; `affine_coef` folds both into one affine map on the
 plain cross kernel, which is how every kernel-PLS prediction in the
-package is made. So a `KplsModel` holds what that map reads and no SIMPLS
+package is made. `_affine_predict` applies that map one block of new rows
+at a time, each block's cross kernel holding at most `_BLOCK_ENTRIES`
+values, so the memory of a prediction does not grow with the rows scored.
+So a `KplsModel` holds what that map reads and no SIMPLS
 factor: its `PlsModel` is the coefficients and the factor count.
 
 A model archive holds the model and the standardization of the dataset it
@@ -31,6 +34,10 @@ from .kernels import KernelSpec, center_train, gram_test, gram_train
 from .pls import _simpls
 
 _SCHEMA_VERSION = 3
+
+# Cross-kernel values in one prediction block: 2**17 floats are 1 MiB, so a
+# block and the kernel's temporaries of its size stay in a 4 MiB L2 cache.
+_BLOCK_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -136,14 +143,40 @@ def fit_kpls(X: np.ndarray, Y: np.ndarray, n_lv: int, spec: KernelSpec) -> KplsM
                      pls=PlsModel(B[0], n_lv=W.shape[2]), y_means=y_means[0])
 
 
-def predict_kpls(model: KplsModel, X_new: np.ndarray) -> np.ndarray:
-    """Predict responses for new rows: the plain cross kernel through
-    `affine_coef` of the model."""
+def _affine_predict(spec: KernelSpec, x_train: np.ndarray, C: np.ndarray,
+                    b: np.ndarray, X_new) -> np.ndarray:
+    """``gram_test(spec, X_new, x_train) @ C + b``, one row block at a time.
+
+    ``C`` (..., n, m) and ``b`` (..., 1, m) are an `affine_coef` map, or a
+    stack of them; the result is (..., q, m) for the q rows of ``X_new``.
+    A block holds at most ``_BLOCK_ENTRIES`` cross-kernel values, so memory
+    does not grow with q, and each output row is the same dot products as
+    with the whole cross kernel. Raises ``ValueError`` for an ``X_new`` that
+    is not 2-D or whose feature count is not ``x_train``'s, even when q = 0.
+    """
     X_new = np.asarray(X_new, dtype=float)
     if X_new.ndim != 2:
         raise ValueError("X_new must be 2-D")
+    if X_new.shape[1] != x_train.shape[1]:
+        raise ValueError(f"feature mismatch: X_new has {X_new.shape[1]} columns, "
+                         f"the training rows have {x_train.shape[1]}")
+    # The largest power of two of rows within the budget, so block edges fall
+    # on the row alignment of the BLAS kernels: where the library groups rows
+    # by powers of two, a row is summed as in one product over all the rows.
+    rows = 1 << max(0, (_BLOCK_ENTRIES // x_train.shape[0]).bit_length() - 1)
+    q = X_new.shape[0]
+    out = np.empty(C.shape[:-2] + (q, C.shape[-1]))
+    for start in range(0, q, rows):
+        block = slice(start, start + rows)
+        out[..., block, :] = gram_test(spec, X_new[block], x_train) @ C + b
+    return out
+
+
+def predict_kpls(model: KplsModel, X_new: np.ndarray) -> np.ndarray:
+    """Predict responses for new rows: the plain cross kernel through
+    `affine_coef` of the model, in row blocks (`_affine_predict`)."""
     C, b = affine_coef(model.pls.coef, model.col_means, model.y_means)
-    return gram_test(model.spec, X_new, model.x_train) @ C + b
+    return _affine_predict(model.spec, model.x_train, C, b, X_new)
 
 
 def classify(model: KplsModel, X_new: np.ndarray) -> np.ndarray:

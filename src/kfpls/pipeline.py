@@ -15,9 +15,9 @@ Each factor search (`line_search_n_lv`, `plain_pls_lv`, `sweep_n_lv`)
 makes one SIMPLS fit at its largest count (`kpls.fit_grams`, or
 `pls._simpls` for the linear one) and takes every smaller count from the
 factors' prefixes (`pls.coef_path`). The two kernel searches predict
-every count at once with `_count_predictions`, through `kpls.affine_coef`
-of the whole stack of coefficients. Both line searches score the counts
-with `_score_counts`.
+every count at once with `_count_predictions`: `kpls.affine_coef` of the
+whole stack of coefficients, applied by `kpls._affine_predict`. Both line
+searches score the counts with `_score_counts`.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import numpy as np
 from .datasets import Dataset, check_noise, gen_circles, gen_peaks, labels, load_csv
 from .exceptions import DegenerateProblemError
 from .flows import FlowConfig, FlowTrace, run_kernel_flows
-from .kernels import KernelSpec, gram_test, gram_train
-from .kpls import (KplsModel, affine_coef, check_fit_inputs, fit_grams, fit_kpls,
-                   predict_kpls)
+from .kernels import KernelSpec, gram_train
+from .kpls import (KplsModel, _affine_predict, affine_coef, check_fit_inputs, fit_grams,
+                   fit_kpls, predict_kpls)
 from .metrics import EvalReport, accuracy, nrmse, q2, rmse
 from .pls import _simpls, coef_path
 
@@ -138,7 +138,7 @@ def _count_predictions(spec: KernelSpec, X_fit, Y_fit, lv_max: int,
     (W, P, Q, _), col_means, y_means, _ = fit_grams(gram_train(spec, X_fit)[None],
                                                    Y_fit[None], lv_max)
     C, b = affine_coef(coef_path(W[0], P[0], Q[0], lv_max), col_means[0], y_means[0])
-    return gram_test(spec, X_new, X_fit) @ C + b
+    return _affine_predict(spec, X_fit, C, b, X_new)
 
 
 def line_search_n_lv(

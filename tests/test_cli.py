@@ -55,6 +55,26 @@ def xy_model(tmp_path, capsys):
     return train, out / "model.kfpls"
 
 
+class TestWriteTable:
+    @staticmethod
+    def per_cell(header, rows):
+        # The reference: every cell formatted alone, floats by repr(float(v)).
+        def fmt(v):
+            return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+        return "".join(",".join(map(fmt, row)) + "\n" for row in [header, *rows])
+
+    @pytest.mark.parametrize("rows", [
+        np.array([[-0.0, 5e-324, 0.1], [1.0 / 3.0, 2.0, 1e300]]),
+        np.array([[1, -2, 3], [40, 0, 7]]),
+        [(np.int64(3), np.float64(-0.0), np.float64(5e-324)),
+         (4, np.float64(1.0 / 3.0), 1e300)],
+    ], ids=["float_array", "int_array", "list_of_scalars"])
+    def test_bytes_match_per_cell_formatting(self, tmp_path, rows):
+        path = tmp_path / "table.csv"
+        cli.write_table(path, ["a", "b", "c"], rows)
+        assert path.read_bytes() == self.per_cell(["a", "b", "c"], rows).encode()
+
+
 class TestCaseCommand:
     def test_case1_writes_reports(self, tmp_path):
         out = tmp_path / "out"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from kfpls import KernelSpec, center_train, gram_test, gram_train, kernel_eval
 from kfpls.kernels import (
+    _FAMILY_FUNCS,
     _FAMILY_SLOPES,
     FAMILY_NAMES,
     kernel_matrix,
@@ -166,6 +167,24 @@ class TestDistances:
         d2 = train_sq_dists(np.random.default_rng(5).normal(size=(12, 2)))
         assert d2.tobytes() == d2.T.copy().tobytes()
         assert np.all(np.diag(d2) == 0.0)
+
+
+class TestKernelMatrix:
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_distance_flag_says_whether_family_reads_d(self, family):
+        # `kernel_matrix` takes the square root only for the families flagged.
+        func, reads_d = _FAMILY_FUNCS[family]
+        d2 = train_sq_dists(np.random.default_rng(7).normal(size=(6, 2)))
+        blind = func(d2, np.full_like(d2, np.nan), 1.3)
+        assert np.isnan(blind).any() == reads_d
+
+    @pytest.mark.parametrize("families", [*([f] for f in FAMILY_NAMES),
+                                          ["gaussian", "cauchy"], list(FAMILY_NAMES)])
+    def test_distances_made_here_give_the_callers_bytes(self, families):
+        d2 = train_sq_dists(np.random.default_rng(8).normal(size=(15, 3)))
+        spec = KernelSpec.create(families, sigma=0.7)
+        expected = kernel_matrix(spec, d2, np.sqrt(d2))
+        assert kernel_matrix(spec, d2).tobytes() == expected.tobytes()
 
 
 class TestLogSigmaSlope:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,9 +20,12 @@ from kfpls import (
     save_calibrated_model,
 )
 
+from kfpls import kpls
 from kfpls._serialize import read_array_archive, write_array_archive
-from kfpls.kernels import kernel_matrix, pairwise_sq_dists
-from kfpls.kpls import fit_grams, model_from_arrays
+from kfpls.kernels import FAMILY_NAMES, gram_test, kernel_matrix, pairwise_sq_dists
+from kfpls.kpls import _affine_predict, affine_coef, fit_grams, model_from_arrays
+from kfpls.pipeline import _count_predictions
+from kfpls.pls import coef_path
 from oracles import center_test_literal, gram_literal, kernel_value, kpls_coef_literal
 
 V1_ARCHIVE = Path(__file__).parent / "data" / "model_v1.kfpls"
@@ -180,11 +184,20 @@ class TestPredictKpls:
             rss.append(float(np.sum((predict_kpls(model, X) - y) ** 2)))
         assert all(rss[i + 1] <= rss[i] + 1e-9 for i in range(len(rss) - 1))
 
-    def test_feature_mismatch_rejected(self):
+    @pytest.mark.parametrize("rows", [3, 0])
+    def test_feature_mismatch_rejected(self, rows):
+        # With no rows no block runs, so the check must come before the blocks.
         rng = np.random.default_rng(9)
         model = fit_kpls(rng.normal(size=(8, 2)), rng.normal(size=8), 2, gauss())
-        with pytest.raises(ValueError):
-            predict_kpls(model, np.zeros((3, 5)))
+        with pytest.raises(ValueError, match="feature mismatch"):
+            predict_kpls(model, np.zeros((rows, 5)))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 2, 1), (3,)])
+    def test_query_that_is_not_a_matrix_rejected(self, shape):
+        rng = np.random.default_rng(9)
+        model = fit_kpls(rng.normal(size=(8, 2)), rng.normal(size=8), 2, gauss())
+        with pytest.raises(ValueError, match="2-D"):
+            predict_kpls(model, np.zeros(shape))
 
     @pytest.mark.parametrize("case, sigma", [("peaks", 1.0), ("peaks", 5.0),
                                              ("peaks", 12.0), ("circles", 12.0)])
@@ -201,6 +214,88 @@ class TestPredictKpls:
                     @ model.pls.coef + model.y_means)
         np.testing.assert_allclose(predict_kpls(model, ds.X_test), expected,
                                    rtol=0, atol=1e-9)
+
+
+BLOCK_ROWS = 8  # a power of two, so `_affine_predict` takes exactly this many
+
+
+class TestAffinePredict:
+    """The streamed predictor against the one-shot product over all rows."""
+
+    N_TRAIN = 20
+
+    @staticmethod
+    def one_shot(spec, x_train, C, b, X_new):
+        return gram_test(spec, X_new, x_train) @ C + b
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """Block budget of `BLOCK_ROWS` rows; the row count of each block."""
+        sizes = []
+
+        def counting(spec, X_test, X_train):
+            sizes.append(X_test.shape[0])
+            return gram_test(spec, X_test, X_train)
+
+        monkeypatch.setattr(kpls, "_BLOCK_ENTRIES", BLOCK_ROWS * self.N_TRAIN)
+        monkeypatch.setattr(kpls, "gram_test", counting)
+        return sizes
+
+    def affine_map(self, rng, families, m):
+        spec = KernelSpec.create(families, sigma=rng.uniform(0.5, 2.0, len(families)),
+                                 delta=0.01)
+        x_train = rng.normal(size=(self.N_TRAIN, 2))
+        C, b = affine_coef(rng.normal(size=(self.N_TRAIN, m)),
+                           rng.uniform(size=self.N_TRAIN), rng.normal(size=m))
+        return spec, x_train, C, b
+
+    @pytest.mark.parametrize("q", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   3 * BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("families", [*([f] for f in FAMILY_NAMES),
+                                          ["matern52", "cauchy"]],
+                             ids=[*FAMILY_NAMES, "combo"])
+    def test_matches_one_shot_product(self, blocks, families, m, q):
+        rng = np.random.default_rng(q + 10 * m)
+        spec, x_train, C, b = self.affine_map(rng, families, m)
+        X_new = rng.normal(size=(q, 2))
+        got = _affine_predict(spec, x_train, C, b, X_new)
+        assert got.shape == (q, m)
+        assert blocks == [min(BLOCK_ROWS, q - s) for s in range(0, q, BLOCK_ROWS)]
+        np.testing.assert_allclose(got, self.one_shot(spec, x_train, C, b, X_new),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("q", [0, 1, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_factor_search_stack_matches_one_shot_product(self, blocks, m, q):
+        # `_count_predictions` applies the stacked (a, n, m) maps of counts 1..a.
+        rng = np.random.default_rng(q + 10 * m)
+        spec = KernelSpec.create(["gaussian", "cauchy"], sigma=[0.8, 1.5], delta=0.01)
+        X, Y = rng.normal(size=(self.N_TRAIN, 2)), rng.normal(size=(self.N_TRAIN, m))
+        X_new = rng.normal(size=(q, 2))
+        got = _count_predictions(spec, X, Y, 6, X_new)
+        (W, P, Q, _), col_means, y_means, _ = fit_grams(gram_train(spec, X)[None],
+                                                       Y[None], 6)
+        C, b = affine_coef(coef_path(W[0], P[0], Q[0], 6), col_means[0], y_means[0])
+        assert got.shape == (6, q, m)
+        np.testing.assert_allclose(got, self.one_shot(spec, X, C, b, X_new),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("family", ["gaussian", "matern32"])
+    def test_memory_does_not_grow_with_rows_scored(self, family):
+        # 20,000 x 500 cross kernel values are 80 MB; the blocks hold 1 MiB.
+        rng = np.random.default_rng(4)
+        X = rng.uniform(-2.0, 2.0, size=(500, 2))
+        model = fit_kpls(X, np.sin(X).sum(axis=1), 5, KernelSpec.create([family]))
+        X_new = rng.uniform(-2.0, 2.0, size=(20_000, 2))
+        tracemalloc.start()
+        try:
+            pred = predict_kpls(model, X_new)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pred.shape == (20_000, 1)
+        assert peak < 16e6
 
 
 @pytest.fixture(scope="module")
