@@ -35,9 +35,10 @@ from .pls import _simpls
 
 _SCHEMA_VERSION = 3
 
-# Cross-kernel values in one prediction block: 2**17 floats are 1 MiB, so a
-# block and the kernel's temporaries of its size stay in a 4 MiB L2 cache.
-_BLOCK_ENTRIES = 2**17
+# Cross-kernel values in one prediction block: 2**18 floats are 2 MiB. Up to
+# 256 rows against up to 1,024 training rows, the size of the case studies'
+# holdouts and test partitions, are one block: the one product they always were.
+_BLOCK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)

@@ -283,7 +283,7 @@ class TestAffinePredict:
 
     @pytest.mark.parametrize("family", ["gaussian", "matern32"])
     def test_memory_does_not_grow_with_rows_scored(self, family):
-        # 20,000 x 500 cross kernel values are 80 MB; the blocks hold 1 MiB.
+        # 20,000 x 500 cross kernel values are 80 MB; the blocks hold 2 MiB.
         rng = np.random.default_rng(4)
         X = rng.uniform(-2.0, 2.0, size=(500, 2))
         model = fit_kpls(X, np.sin(X).sum(axis=1), 5, KernelSpec.create([family]))
