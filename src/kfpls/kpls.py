@@ -11,8 +11,8 @@ plain cross kernel, which is how every kernel-PLS prediction in the
 package is made. `_affine_predict` applies that map one block of new rows
 at a time, each block's cross kernel holding at most `_BLOCK_ENTRIES`
 values, so the memory of a prediction does not grow with the rows scored.
-So a `KplsModel` holds what that map reads and no SIMPLS
-factor: its `PlsModel` is the coefficients and the factor count.
+A `KplsModel` holds what that map reads and no SIMPLS factor: its
+`PlsModel` is the coefficients and the factor count.
 
 A model archive holds the model and the standardization of the dataset it
 was fitted on: `save_calibrated_model` writes it and
