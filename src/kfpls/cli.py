@@ -269,6 +269,13 @@ def _write_trace(path, trace) -> None:
     write_table(path, header, rows)
 
 
+def _with_labels(values: np.ndarray, label_columns) -> list:
+    """Rows of the float table ``values``, each followed by its cells of the
+    1-based ``label_columns``, which are written as integers."""
+    return [row + cells for row, cells in
+            zip(values.tolist(), np.column_stack(label_columns).tolist())]
+
+
 def _write_predictions(path, ds: Dataset, predictions: dict) -> None:
     names = []
     blocks = []
@@ -282,12 +289,9 @@ def _write_predictions(path, ds: Dataset, predictions: dict) -> None:
         blocks.append(block)
     data = np.hstack(blocks)
     if ds.task == "classification":
-        names.append("label_true")
-        blocks = [data, ds.labels_test[:, None]]
-        for key in ("kf_pls", "kpls_default", "pls"):
-            names.append(f"label_{key}")
-            blocks.append(labels(predictions[key])[:, None])
-        data = np.hstack(blocks)
+        keys = ("kf_pls", "kpls_default", "pls")
+        names += ["label_true", *(f"label_{key}" for key in keys)]
+        data = _with_labels(data, [ds.labels_test, *(labels(predictions[k]) for k in keys)])
     write_table(path, names, data)
 
 
@@ -388,7 +392,7 @@ def cmd_predict(args, config) -> int:
         data = pred * meta["y_stds"] + meta["y_means"]
     else:
         names.append("label")
-        data = np.hstack([pred, labels(pred)[:, None]])
+        data = _with_labels(pred, [labels(pred)])
     write_table(out / "predictions.csv", names, data)
     print(f"predictions written to {out / 'predictions.csv'}")
     return 0

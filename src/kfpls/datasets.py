@@ -259,9 +259,10 @@ def read_csv(path) -> tuple[list, np.ndarray]:
     """Parse a numeric CSV with a header row into ``(header, data)``.
 
     Header names and cells are stripped of surrounding whitespace, and a
-    UTF-8 byte-order mark before the header is dropped. Empty files, ragged
-    rows and missing, non-numeric or non-finite cells raise ``ValueError``
-    naming the file row (the header is row 1) and column.
+    UTF-8 byte-order mark before the header is dropped. Empty files, a
+    column name given twice, ragged rows and missing, non-numeric or
+    non-finite cells raise ``ValueError`` naming the file row (the header
+    is row 1) and column.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -269,6 +270,9 @@ def read_csv(path) -> tuple[list, np.ndarray]:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: file is empty") from None
+        for j, name in enumerate(header):
+            if name in header[:j]:
+                raise ValueError(f"{path}: duplicate column name {name!r} in the header")
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: no data rows after the header")

@@ -10,25 +10,26 @@ Polyak take the gradient at the current parameters, Nesterov at the
 lookahead point ``theta + momentum * (theta - prev_theta)``.
 
 One engine, `_batch_losses`, computes both losses from one plain Gram of
-the minibatch. The sub-batches of one size are fitted as one stack:
-their blocks are gathered at once, take the ridge on their diagonals and
-go through `kpls.fit_grams`, the fit `fit_kpls` makes, for the whole
-stack. A stack has one factor count: where one sub-batch's fit runs out
-of rank, every fit of its stack stops at that count. The default,
-``cv``, scores each sub-batch model's predictions of the whole minibatch
-against the minibatch responses, relative to the variance baseline:
-nonnegative, near one for a kernel that predicts nothing, small when
-models fitted on any subset predict the rest. The
-predictions of all sub-batch models come from one product of the plain
-Gram with their `kpls.affine_coef` coefficients scattered onto their
-rows, plus each fit's bias, so no cross kernel is centered.
-``norm_ratio`` also fits the whole minibatch and is one minus the ratio
-of each sub-batch model's squared norm to the minibatch one, each norm a
-coefficient quadratic form in the centered Gram of its own fit. That is
-the classical kernel-flow quantity for full-rank kernel regression,
-where the sub-batch fit is a projection of the full fit. PLS truncation
-breaks that identity, letting the norm ratio go negative and reward
-degenerate kernels, so it is not the default.
+the minibatch. A draw's sub-batches are one (S, n_sub) index array and
+are fitted as one stack: their blocks are gathered at once, take the
+ridge on their diagonals and go through `kpls.fit_grams`, the fit
+`fit_kpls` makes, for the whole stack. A stack has one factor count:
+where one sub-batch's fit runs out of rank, every fit of its stack stops
+at that count. The default, ``cv``, scores each sub-batch model's
+predictions of the whole minibatch against the minibatch responses,
+relative to the variance baseline: nonnegative, near one for a kernel
+that predicts nothing, small when models fitted on any subset predict
+the rest. The predictions of all sub-batch models come from one product
+of the plain Gram with their `kpls.affine_coef` coefficients scattered
+onto their rows, plus each fit's bias, so no cross kernel is centered.
+``norm_ratio`` also fits the whole minibatch, as a second stack, and is
+one minus the ratio of each sub-batch model's squared norm to the
+minibatch one, each norm a coefficient quadratic form in the centered
+Gram of its own fit. That is the classical kernel-flow quantity for
+full-rank kernel regression, where the sub-batch fit is a projection of
+the full fit. PLS truncation breaks that identity, letting the norm
+ratio go negative and reward degenerate kernels, so it is not the
+default.
 
 The gradient is exact: `_loss_gradient` runs `_batch_losses` once with a
 tape and then one reverse pass back through the residuals (or the norms),
@@ -43,11 +44,12 @@ so ``K̄`` is one product of two thin matrices.
 
 The loss evaluations and the gradient on one minibatch draw read one
 `_Workspace`, started when the draw is made. Its buffers, reused from draw
-to draw, hold the squared distances, ``d = sqrt(d2)``, the plain Gram (then
-``K̄``), each size group's gathered sub-batch stack (and its gather index),
-which takes the ridge and is centered in place, and the scratch of the
-derivative maps; it keeps the family matrices of its last Gram for the
-gradient. A run keeps one workspace, and nothing outlives the run.
+to draw, hold the squared distances, ``d = sqrt(d2)`` (taken on the draw's
+first Gram of a spec with a Matern family; no other family reads it), the
+plain Gram (then ``K̄``), each stack's gathered Grams (and its gather
+index), which take the ridge and are centered in place, and the scratch
+of the derivative maps; it keeps the family matrices of its last Gram for
+the gradient. A run keeps one workspace, and nothing outlives the run.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateProblemError, FlowAbortError
-from .kernels import _FAMILY_SLOPES, KernelSpec, kernel_matrix, train_sq_dists
+from .kernels import _FAMILIES, KernelSpec, kernel_matrix, train_sq_dists
 from .kpls import affine_coef, fit_grams
 from .pls import _simpls_adjoint
 
@@ -184,16 +186,17 @@ class _Workspace:
     """
 
     def __init__(self):
-        self._full = {}  # name -> reused buffer of the minibatch's shape
+        self._full = {}  # name -> reused buffer
         self._stacks = {}  # (n, S, size) -> (index sets, flat index, stack buffer)
         self.d2 = self.d = None
         self.terms = []  # the family matrices of the last `gram`
 
     def start(self, d2):
-        """Begin a draw on the minibatch's squared distances ``d2``."""
+        """Begin a draw on the minibatch's squared distances ``d2``; its
+        ``d`` is taken by the first `gram` that reads it."""
         self.terms = []
         self.d2 = d2
-        self.d = np.sqrt(d2, out=self.buffer("d", d2.shape))
+        self.d = None
         return self
 
     def buffer(self, name, shape=None):
@@ -207,7 +210,10 @@ class _Workspace:
     def gram(self, spec):
         """Plain Gram of ``spec`` in its buffer: the family matrices, kept in
         ``terms``, weighted and summed with `kernel_matrix`'s products in its
-        order, so bit for bit its result."""
+        order, so bit for bit its result. The first Gram on the draw of a
+        spec with a family that reads ``d`` takes it into its buffer."""
+        if self.d is None and any(_FAMILIES[name][2] for name in spec.families):
+            self.d = np.sqrt(self.d2, out=self.buffer("d"))
         self.terms = []  # the last evaluation's matrices go before these come
         self.terms = [kernel_matrix(spec.member(i), self.d2, self.d)
                       for i in range(len(spec.families))]
@@ -220,7 +226,9 @@ class _Workspace:
 
     def stack(self, K_plain, idx):
         """The Grams (S, n, n) of the row sets ``idx`` (S, n) of ``K_plain``, in
-        the buffer of that shape."""
+        the buffer of that shape. The sub-batch stack and the minibatch one
+        of ``norm_ratio`` have one shape only when the draw's one sorted
+        sub-batch is the whole minibatch, so a shared buffer holds one Gram."""
         key = (K_plain.shape[1], *idx.shape)
         sets, flat, buf = self._stacks.get(key, (None, None, None))
         if sets is None:
@@ -242,7 +250,7 @@ class _Workspace:
         gamma, sigma = spec.gamma, spec.sigma
         out = self.buffer("scratch")
         for i, (name, term) in enumerate(zip(spec.families, self.terms)):
-            slope = _FAMILY_SLOPES[name](term, self.d2, self.d, sigma[i], out)
+            slope = _FAMILIES[name][1](term, self.d2, self.d, sigma[i], out)
             grad[i] = gamma[i] * np.vdot(K_bar, slope)
             if k > 1:
                 grad[k + i] = gamma[i] * np.vdot(K_bar, term)
@@ -276,55 +284,52 @@ def _cv_residuals(K_plain, idx, coef, col_means, y_means, Y):
 
 
 def _batch_losses(batch, Y_batch, subsets, n_lv, spec, objective, tape=None):
-    """Average iteration loss over fixed sub-batch index sets, plus the
-    per-subset losses in list order (objectives: see the module docstring).
-    ``batch`` is the minibatch's squared distances or the `_Workspace` of
-    its draw. Index sets of one size are fitted as one stack, with one
-    factor count (see `kpls.fit_grams`). A ``tape`` dict receives what
-    `_loss_gradient` reads back.
+    """Average iteration loss over the sub-batch index sets ``subsets``
+    (S, n_sub), plus the per-subset losses in row order (objectives: see the
+    module docstring). ``batch`` is the minibatch's squared distances or the
+    `_Workspace` of its draw. The sub-batches are fitted as one stack, with
+    one factor count (see `kpls.fit_grams`), and ``norm_ratio`` fits the
+    minibatch as a second. A ``tape`` dict receives what `_loss_gradient`
+    reads back.
     """
     ws = batch if isinstance(batch, _Workspace) else _Workspace().start(batch)
     K_plain = ws.gram(spec)
-    sets = list(subsets)
+    stacks = [subsets]
     if objective == "norm_ratio":
-        sets.append(np.arange(Y_batch.shape[0]))
+        stacks.append(np.arange(Y_batch.shape[0])[None])
     else:
         denom = float(np.sum((Y_batch - Y_batch.mean(axis=0)) ** 2))
         if denom < _NORM_FLOOR:
             raise DegenerateProblemError("minibatch responses are constant")
-    sizes = [idx.size for idx in sets]
-    values = np.empty(len(sets))
-    groups = []
-    for size in sorted(set(sizes)):  # np.unique would import numpy.ma (~1 MB)
-        members = [i for i, s in enumerate(sizes) if s == size]
-        idx = np.stack([sets[i] for i in members])
+    values, fits = [], []
+    for idx in stacks:
         simpls = {} if tape is not None else None
         K = ws.stack(K_plain, idx)
         K.reshape(len(K), -1)[:, :: K.shape[1] + 1] += spec.delta  # each diagonal
         (*_, coef), means, y_means, K_c = fit_grams(K, Y_batch[idx], n_lv, simpls)
         if objective == "norm_ratio":
-            values[members] = _model_norms(coef, K_c)
+            values.append(_model_norms(coef, K_c))
         else:
             R, G = _cv_residuals(K_plain, idx, coef, means, y_means, Y_batch)
-            values[members] = np.sum(R ** 2, axis=(0, 2))
+            values.append(np.sum(R ** 2, axis=(0, 2)))
         if tape is not None:
-            group = dict(members=members, idx=idx, coef=coef, col_means=means,
-                         y_means=y_means, K_c=K_c, simpls=simpls)
+            fit = dict(idx=idx, coef=coef, col_means=means, y_means=y_means,
+                       K_c=K_c, simpls=simpls)
             if objective == "cv":
-                group.update(R=R, G=G)
-            groups.append(group)
+                fit.update(R=R, G=G)
+            fits.append(fit)
     if objective == "norm_ratio":
-        norm_b = values[-1]
+        norm_b = values[1][0]
         if abs(norm_b) < _NORM_FLOOR:
             raise DegenerateProblemError("minibatch norm is zero; loss undefined")
-        rhos = 1.0 - values[:-1] / norm_b
+        rhos = 1.0 - values[0] / norm_b
     else:
-        rhos = values / denom
+        rhos = values[0] / denom
     if not np.all(np.isfinite(rhos)):
         raise DegenerateProblemError("loss is not finite")
     loss = float(np.mean(rhos))
     if tape is not None:
-        tape.update(groups=groups, K_plain=K_plain,
+        tape.update(stacks=fits, K_plain=K_plain,
                     scale=norm_b if objective == "norm_ratio" else denom)
     return loss, rhos.tolist()
 
@@ -338,34 +343,33 @@ def _loss_gradient(ws, Y_batch, subsets, n_lv, spec, objective):
     tape = {}
     loss, _ = _batch_losses(ws, Y_batch, subsets, n_lv, spec, objective, tape)
     K_plain, scale = tape["K_plain"], tape["scale"]
-    n_rows, n_sets = Y_batch.shape[0], len(subsets)
+    n_rows, n_sets = Y_batch.shape[0], subsets.shape[0]
     U, V = [], []  # ∂L/∂K_plain = U Vᵀ, in column blocks
     delta_bar = 0.0
-    for group in tape["groups"]:
-        idx, coef, K_c = group["idx"], group["coef"], group["K_c"]
+    for pos, fit in enumerate(tape["stacks"]):
+        idx, coef, K_c = fit["idx"], fit["coef"], fit["K_c"]
         S, n = idx.shape
         rows = (idx, np.arange(S)[:, None])  # member s's rows of an (n_rows, S, ·)
         if objective == "norm_ratio":
-            # loss = mean over subsets of 1 - values / values[-1]
-            nu = np.where(np.asarray(group["members"]) == n_sets,
-                          (1.0 - loss) / scale, -1.0 / (n_sets * scale))[:, None, None]
+            # loss = mean over subsets of 1 - values / the minibatch's value
+            nu = (1.0 - loss) / scale if pos else -1.0 / (n_sets * scale)
             coef_bar = 2.0 * nu * (K_c @ coef)
             direct = (nu * coef, coef)  # the quadratic form's own term
         else:
             # Each prediction is K_plain[:, idx] C + 1 (y_means - col_meansᵀ C),
             # col_means the mean of K_plain's block plus δ/n: the affine
             # coefficients C = H coef meet K_plain in both.
-            R_bar = group["R"] * (-2.0 / (scale * n_sets))
+            R_bar = fit["R"] * (-2.0 / (scale * n_sets))
             r_sum = R_bar.sum(axis=0)
             KR = (K_plain @ R_bar.reshape(n_rows, -1)).reshape(R_bar.shape)
-            C_bar = KR[rows] - group["col_means"][:, :, None] * r_sum[:, None, :]
+            C_bar = KR[rows] - fit["col_means"][:, :, None] * r_sum[:, None, :]
             coef_bar = C_bar - C_bar.mean(axis=1, keepdims=True)
             R_bar[rows] -= r_sum[:, None, :] / n
             U.append(R_bar.reshape(n_rows, -1))
-            V.append(group["G"].reshape(n_rows, -1))
+            V.append(fit["G"].reshape(n_rows, -1))
             direct = None
-        Y_c = Y_batch[idx] - group["y_means"][:, None, :]
-        A, B = _simpls_adjoint(K_c, Y_c, group["simpls"], coef_bar)
+        Y_c = Y_batch[idx] - fit["y_means"][:, None, :]
+        A, B = _simpls_adjoint(K_c, Y_c, fit["simpls"], coef_bar)
         if direct is not None:
             A, B = (np.concatenate([x, y], axis=2) for x, y in zip((A, B), direct))
         # The centered Gram is H K H: its adjoint H A Bᵀ H goes to the block
@@ -441,8 +445,7 @@ def _sample_indices(
     rng: np.random.Generator, n: int, size: int, labels: np.ndarray | None
 ) -> np.ndarray:
     """``size`` distinct sorted indices below ``n``, per class of ``labels``
-    (one per index) if given. So all sub-batches of a run have one size and
-    form one stack."""
+    (one per index) if given."""
     if labels is None:
         return np.sort(rng.choice(n, size=size, replace=False))
     return _stratified_choice(rng, labels, size)
@@ -450,9 +453,9 @@ def _sample_indices(
 
 def _batch_sampler(X, Y, config: FlowConfig):
     """Check ``config`` against the data; return ``draw(rng)``, which samples
-    one minibatch and ``config.n_subsamples`` sorted index sets into its rows
-    and returns ``(the run's _Workspace started on the minibatch, minibatch
-    Y, index sets)``.
+    one minibatch and ``config.n_subsamples`` sorted index sets of ``n_sub``
+    rows into it and returns ``(the run's _Workspace started on the
+    minibatch, minibatch Y, the index sets as one (S, n_sub) array)``.
     """
     X = np.asarray(X, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float).T).T
@@ -465,10 +468,10 @@ def _batch_sampler(X, Y, config: FlowConfig):
     def draw(rng: np.random.Generator):
         batch_idx = _sample_indices(rng, X.shape[0], n_batch, labels)
         batch_labels = labels[batch_idx] if labels is not None else None
-        subsets = [
+        subsets = np.stack([
             _sample_indices(rng, n_batch, n_sub, batch_labels)
             for _ in range(config.n_subsamples)
-        ]
+        ])
         shape = (batch_idx.size, batch_idx.size)
         d2 = train_sq_dists(X[batch_idx], out=ws.buffer("d2", shape),
                             work=ws.buffer("d", shape))

@@ -131,23 +131,15 @@ def _cauchy_slope(K, d2, d, sigma, out):
     return out
 
 
-FAMILY_NAMES = ("gaussian", "matern12", "matern32", "matern52", "cauchy")
-# name -> (kernel, whether it reads the distance d and not d2 alone)
-_FAMILY_FUNCS = {
-    "gaussian": (_gaussian, False),
-    "matern12": (_matern12, True),
-    "matern32": (_matern32, True),
-    "matern52": (_matern52, True),
-    "cauchy": (_cauchy, False),
+# name -> (kernel, slope, whether it reads the distance d and not d2 alone)
+_FAMILIES = {
+    "gaussian": (_gaussian, _gaussian_slope, False),
+    "matern12": (_matern12, _matern12_slope, True),
+    "matern32": (_matern32, _matern32_slope, True),
+    "matern52": (_matern52, _matern52_slope, True),
+    "cauchy": (_cauchy, _cauchy_slope, False),
 }
-
-_FAMILY_SLOPES = {
-    "gaussian": _gaussian_slope,
-    "matern12": _matern12_slope,
-    "matern32": _matern32_slope,
-    "matern52": _matern52_slope,
-    "cauchy": _cauchy_slope,
-}
+FAMILY_NAMES = tuple(_FAMILIES)
 
 _DEFAULT_DELTA = 1e-3
 
@@ -186,7 +178,7 @@ class KernelSpec:
         if not families:
             raise ValueError("at least one kernel family is required")
         for name in families:
-            if name not in _FAMILY_FUNCS:
+            if name not in _FAMILIES:
                 raise ValueError(
                     f"unknown kernel family {name!r}; choose from {FAMILY_NAMES}"
                 )
@@ -316,8 +308,8 @@ def kernel_matrix(
     Gaussian and Cauchy kernels are functions of ``d2`` alone.
     """
     d2 = np.asarray(d2, dtype=float)
-    funcs = [_FAMILY_FUNCS[name] for name in spec.families]
-    if d is None and any(reads_d for _, reads_d in funcs):
+    funcs = [_FAMILIES[name] for name in spec.families]
+    if d is None and any(reads_d for *_, reads_d in funcs):
         d = np.sqrt(d2)
     sigma = spec.sigma
     gamma = spec.gamma

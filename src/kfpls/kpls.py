@@ -216,6 +216,15 @@ def save_calibrated_model(path, model: KplsModel, ds: Dataset) -> None:
     })
 
 
+def _check_kinds(data: dict, floats, strings) -> None:
+    """Reject the members ``floats`` unless they hold real floats and the
+    members ``strings`` unless they hold strings (``ValueError``)."""
+    for keys, kind, what in ((floats, "f", "real floats"), (strings, "U", "strings")):
+        for key in keys:
+            if data[key].dtype.kind != kind:
+                raise ValueError(f"archive member {key!r} does not hold {what}")
+
+
 def model_from_arrays(data: dict) -> KplsModel:
     """The model in the members of an archive, version 3, 2 or 1; other
     members, such as the ``prep_*`` arrays or the factors and scores only
@@ -223,10 +232,13 @@ def model_from_arrays(data: dict) -> KplsModel:
 
     Raises ``ValueError`` for a scalar, list or matrix member of another
     number of dimensions (``x_train`` is a matrix, ``y_means`` a list),
-    another schema version, a non-finite float member (of any name), a
-    kernel whose families are unknown or repeated or whose parameters do
-    not have one entry per family, fewer than 2 training rows, or
-    prediction arrays whose shapes disagree with ``x_train``.
+    another schema version, a model array or kernel parameter that does not
+    hold real floats or families that are not strings, a non-finite float
+    member (of any name), a kernel parameter whose square (``exp`` of twice
+    the stored log) underflows to 0 or overflows, a kernel whose families
+    are unknown or repeated or whose parameters do not have one entry per
+    family, fewer than 2 training rows, or prediction arrays whose shapes
+    disagree with ``x_train``.
     """
     for key, ndim in (("schema_version", 0), ("families", 1), ("has_log_gamma", 0),
                       ("log_delta", 0), ("pls_n_lv", 0), ("x_train", 2),
@@ -236,9 +248,19 @@ def model_from_arrays(data: dict) -> KplsModel:
     version = int(data["schema_version"])
     if version not in (1, 2, _SCHEMA_VERSION):
         raise ValueError(f"unsupported model schema version {version}")
+    params = ("log_sigma", "log_gamma", "log_delta")
+    _check_kinds(data, ("x_train", "center_col_means", "pls_coef", "y_means", *params),
+                 ("families",))
     for key, value in data.items():
         if value.dtype.kind == "f" and not np.isfinite(value).all():
             raise ValueError(f"archive member {key!r} holds non-finite values")
+    for key in params:
+        # The kernels divide by the square of the length-scale; one bound
+        # serves the weights and the ridge too.
+        with np.errstate(over="ignore", under="ignore"):
+            square = np.exp(2.0 * data[key])
+        if not np.all((square > 0.0) & (square < np.inf)):
+            raise ValueError(f"archive member {key!r} holds a parameter out of range")
     families = KernelSpec.create([str(f) for f in data["families"]]).families
     log_gamma = data["log_gamma"] if bool(data["has_log_gamma"]) else None
     k = len(families)
@@ -280,16 +302,19 @@ def load_calibrated_model(path) -> tuple[KplsModel, dict]:
     Raises ``OSError`` if the file cannot be read and ``ValueError`` when
     the archive is malformed: see `model_from_arrays`, plus missing
     standardization members, a task other than ``regression`` and
-    ``classification``, a classification model with fewer than 2
-    responses, response statistics missing from a regression archive or
-    present in a classification one, standardization arrays and names whose
-    lengths disagree with the model, or a standard deviation that is not
-    positive.
+    ``classification``, standardization statistics that do not hold real
+    floats or a task and names that are not strings, a classification
+    model with fewer than 2 responses, response statistics missing from a
+    regression archive or present in a classification one, standardization
+    arrays and names whose lengths disagree with the model, or a standard
+    deviation that is not positive or whose reciprocal overflows.
     """
     data = read_array_archive(path)
     if "prep_task" not in data:
         raise ValueError("model file lacks preprocessing metadata")
     model = model_from_arrays(data)
+    _check_kinds(data, ("prep_x_means", "prep_x_stds", "prep_y_means", "prep_y_stds"),
+                 ("prep_task", "prep_x_names", "prep_y_names"))
     has_y_stats = bool(data["prep_has_y_stats"])
     meta = {
         "x_means": data["prep_x_means"],
@@ -317,6 +342,8 @@ def load_calibrated_model(path) -> tuple[KplsModel, dict]:
         if data[key].shape != (n,):
             raise ValueError(f"{key} has shape {data[key].shape}, the model needs ({n},)")
     for key in ("prep_x_stds", "prep_y_stds") if has_y_stats else ("prep_x_stds",):
-        if not np.all(data[key] > 0.0):  # finite already (`model_from_arrays`)
-            raise ValueError(f"{key} holds a scale that is not positive")
+        # finite already (`model_from_arrays`); standardizing divides by it
+        if not np.all(data[key] > 1.0 / np.finfo(float).max):
+            raise ValueError(f"{key} holds a scale that is not positive or whose "
+                             "reciprocal overflows")
     return model, meta

@@ -8,8 +8,8 @@ loadings before the next extraction.
 
 This module is the engine only; it defines no model type. One extraction
 loop, `_simpls`, runs over a leading stack axis: `kpls.fit_grams` runs it
-on a stack of centered Grams (one kernel-PLS model, or the kernel-flow
-sub-batches of one size) in one pass, and the linear reference of
+on a stack of centered Grams (one kernel-PLS model, or the sub-batches
+of one kernel-flow draw) in one pass, and the linear reference of
 `pipeline` on a stack of one. The direction is closed-form for one
 response, else from one batched m×m ``eigh``. The factors (W, P, Q) exist
 only as what `_simpls` returns. A stack has one factor count: it stops

@@ -235,7 +235,7 @@ class TestCriterion7OracleEquivalences:
         Y_b = (np.sin(X_b[:, 0]) + X_b[:, 1] ** 2)[:, None]
         idx = np.sort(rng.choice(16, 8, replace=False))
         spec = KernelSpec.create(["gaussian"], sigma=1.0, delta=0.01)
-        got = _batch_losses(train_sq_dists(X_b), Y_b, [idx], 2, spec, "norm_ratio")[0]
+        got = _batch_losses(train_sq_dists(X_b), Y_b, idx[None], 2, spec, "norm_ratio")[0]
         ref = flow_loss_literal(
             ["gaussian"], [1.0], [1.0], 0.01, X_b, Y_b, X_b[idx], Y_b[idx], 2
         )
@@ -258,7 +258,7 @@ class TestCriterion7OracleEquivalences:
             X = rng.normal(size=(18, 2))
             Y = (np.sin(X[:, 0]) + 0.5 * X[:, 1] ** 2)[:, None]
             spec = KernelSpec.create(families, sigma=sigma, delta=delta)
-            subs = [np.sort(rng.choice(18, 9, replace=False)) for _ in range(4)]
+            subs = np.array([np.sort(rng.choice(18, 9, replace=False)) for _ in range(4)])
             d2 = train_sq_dists(X)
             grad = _loss_gradient(_Workspace().start(d2), Y, subs, 2, spec,
                                   "norm_ratio")[1]

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -114,6 +115,19 @@ class TestCaseCommand:
         assert run_cli("case", "3") == 2
         assert "error:usage" in capsys.readouterr().err
 
+    def test_classification_labels_are_integers(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("case", "2", "--seed", "2", "--iterations", "5",
+                       "--out-dir", out) == 0
+        with open(out / "predictions.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        label_cols = [j for j, name in enumerate(header) if name.startswith("label_")]
+        assert [header[j] for j in label_cols] == [
+            "label_true", "label_kf_pls", "label_kpls_default", "label_pls"]
+        cells = {row[j] for row in rows for j in label_cols}
+        assert cells and cells <= {"1", "2", "3", "4"}
+        assert all("." in row[0] for row in rows)  # the one-hot responses stay floats
+
     def test_trace_row_count_bounded_by_iterations(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("case", "1", "--seed", "0", "--iterations", "10",
@@ -180,8 +194,8 @@ class TestOptimizeAndPredict:
                        "--out-dir", pred_dir) == 0
         lines = (pred_dir / "predictions.csv").read_text().strip().splitlines()
         assert lines[0] == "pred_inner,pred_outer,label"
-        labels = [int(float(line.split(",")[-1])) for line in lines[1:]]
-        assert set(labels) <= {1, 2}
+        labels = [line.split(",")[-1] for line in lines[1:]]
+        assert set(labels) <= {"1", "2"}  # integers, not "1.0"
 
     def test_classification_archive_with_response_statistics(self, tmp_path, capsys):
         path = tmp_path / "cls.csv"
@@ -241,6 +255,25 @@ class TestOptimizeAndPredict:
         err = capsys.readouterr().err
         assert err.startswith("error:data:")
         assert "row 3, column 'x1'" in err
+        assert not (pred_dir / "predictions.csv").exists()
+
+    def test_optimize_rejects_duplicate_column_names(self, tmp_path, toy_csv, capsys):
+        text = toy_csv.read_text(encoding="utf-8")
+        toy_csv.write_text(text.replace("f1,f2,", "f1,f1,", 1), encoding="utf-8")
+        out = tmp_path / "opt"
+        assert run_cli("optimize", toy_csv, "--response", "target", "--seed", "1",
+                       "--iterations", "3", "--out-dir", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:data:") and "'f1'" in err[0]
+        assert not out.exists()
+
+    def test_predict_rejects_duplicate_column_names(self, tmp_path, xy_model, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x1,x1,x2\n0.1,0.5,0.2\n0.3,0.7,0.4\n", encoding="utf-8")
+        pred_dir = tmp_path / "pred"
+        assert run_cli("predict", xy_model[1], bad, "--out-dir", pred_dir) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:data:") and "'x1'" in err[0]
         assert not (pred_dir / "predictions.csv").exists()
 
     def test_optimize_rejects_nan_cell(self, tmp_path, toy_csv, capsys):
@@ -367,6 +400,35 @@ def _one_response_classification(arrays):
     arrays["prep_has_y_stats"] = np.array(False)
 
 
+def _subnormal_x_std(arrays):
+    # 1 / 5e-324 overflows, so every standardized cell would be infinite.
+    arrays["prep_x_stds"] = np.full_like(arrays["prep_x_stds"], 5e-324)
+
+
+def _complex_y_means(arrays):
+    arrays["prep_y_means"] = arrays["prep_y_means"].astype(complex)
+
+
+def _complex_coef(arrays):
+    arrays["pls_coef"] = arrays["pls_coef"].astype(complex)
+
+
+def _string_length_scale(arrays):
+    arrays["log_sigma"] = arrays["log_sigma"].astype(str)
+
+
+def _vanishing_length_scale(arrays):
+    arrays["log_sigma"] = arrays["log_sigma"] - 800.0
+
+
+def _overflowing_length_scale(arrays):
+    arrays["log_sigma"] = arrays["log_sigma"] + 800.0
+
+
+def _numeric_feature_names(arrays):
+    arrays["prep_x_names"] = np.arange(arrays["prep_x_names"].size)
+
+
 class TestCorruptArchive:
     @pytest.mark.parametrize("corrupt", [_cut_coef, _nan_coef, _one_feature_name,
                                          _no_schema_version, _unknown_family,
@@ -375,7 +437,12 @@ class TestCorruptArchive:
                                          _vector_ridge, _zero_x_std, _negative_y_std,
                                          _one_d_x_train, _matrix_y_means,
                                          _no_training_rows, _unknown_task,
-                                         _no_y_stats, _one_response_classification])
+                                         _no_y_stats, _one_response_classification,
+                                         _subnormal_x_std, _complex_y_means,
+                                         _complex_coef, _string_length_scale,
+                                         _vanishing_length_scale,
+                                         _overflowing_length_scale,
+                                         _numeric_feature_names])
     def test_predict_rejects_corrupt_archive(self, tmp_path, xy_model, capsys, corrupt):
         train, archive = xy_model
         arrays = read_array_archive(archive)

@@ -74,7 +74,7 @@ def relative_to_richardson(d2, Y, subs, n_lv, spec, objective):
 class TestKfLoss:
     def test_zero_when_subbatch_is_minibatch(self):
         X, Y = make_batch(0)
-        assert norm_ratio(X, Y, [np.arange(16)], 2, gauss()) == 0.0
+        assert norm_ratio(X, Y, np.arange(16)[None], 2, gauss()) == 0.0
 
     def test_always_below_one(self):
         rng = np.random.default_rng(3)
@@ -82,13 +82,13 @@ class TestKfLoss:
             X, Y = make_batch(rng.integers(1 << 31), n=20)
             idx = np.sort(rng.choice(20, 10, replace=False))
             spec = gauss(sigma=float(rng.uniform(0.2, 3.0)), delta=float(rng.uniform(1e-3, 1.0)))
-            assert norm_ratio(X, Y, [idx], 3, spec) < 1.0
+            assert norm_ratio(X, Y, idx[None], 3, spec) < 1.0
 
     def test_constant_responses_degenerate(self):
         X, _ = make_batch(4)
         Y = np.ones((16, 1))
         with pytest.raises(DegenerateProblemError):
-            norm_ratio(X, Y, [np.arange(8)], 2, gauss())
+            norm_ratio(X, Y, np.arange(8)[None], 2, gauss())
 
 
 class TestLossEngineOracle:
@@ -106,7 +106,7 @@ class TestLossEngineOracle:
         families, sigmas, gammas = ["gaussian", "matern32"], [0.8, 1.3], [0.6, 0.4]
         delta = 0.05
         spec = KernelSpec.create(families, sigma=sigmas, gamma=gammas, delta=delta)
-        subs = [np.sort(rng.choice(18, 9, replace=False)) for _ in range(3)]
+        subs = np.array([np.sort(rng.choice(18, 9, replace=False)) for _ in range(3)])
         d2 = train_sq_dists(X)
 
         _, rhos = flows._batch_losses(d2, Y, subs, 2, spec, "cv")
@@ -132,7 +132,7 @@ class TestLossEngineOracle:
         X, Y = ds.X_cal[:18], ds.Y_cal[:18]
         spec = gauss(sigma=12.0, delta=1e-3)
         rng = np.random.default_rng(14)
-        subs = [np.sort(rng.choice(18, 9, replace=False)) for _ in range(3)]
+        subs = np.array([np.sort(rng.choice(18, 9, replace=False)) for _ in range(3)])
 
         _, rhos = flows._batch_losses(train_sq_dists(X), Y, subs, 2, spec, "cv")
         for idx, got in zip(subs, rhos):
@@ -169,7 +169,7 @@ def per_fit_losses(d2, Y, subsets, n_lv, spec, objective, batch_n_lv=None):
 
 
 class TestStackedLossEngine:
-    """`_batch_losses` fits each size group of index sets as one stack."""
+    """`_batch_losses` fits a draw's index sets as one stack."""
 
     BATCH48 = dict(rows=(120, 40), batch=48, n_lv=3, sigmas=(0.1, 1.0, 12.0),
                    delta=0.003, atol=1e-12)
@@ -193,8 +193,8 @@ class TestStackedLossEngine:
         rng = np.random.default_rng(31)
         for sigma in size["sigmas"]:
             batch = np.sort(rng.choice(ds.X_cal.shape[0], n_batch, replace=False))
-            subs = [np.sort(rng.choice(n_batch, n_batch // 2, replace=False))
-                    for _ in range(5)]
+            subs = np.array([np.sort(rng.choice(n_batch, n_batch // 2, replace=False))
+                             for _ in range(5)])
             d2, Y = train_sq_dists(ds.X_cal[batch]), ds.Y_cal[batch]
             spec = gauss(sigma=sigma, delta=size["delta"])
             _, rhos = _batch_losses(d2, Y, subs, n_lv, spec, objective)
@@ -212,7 +212,7 @@ class TestStackedLossEngine:
             Y = (np.sin(X[:, 0]) + X[:, 1] ** 2)[:, None]
         else:
             Y = np.eye(4)[np.r_[[0] * 4, [1] * 4, np.arange(12) % 4]]
-        subs = [np.arange(8), np.arange(8, 16), np.arange(10, 18)]
+        subs = np.array([np.arange(8), np.arange(8, 16), np.arange(10, 18)])
         spec = gauss(sigma=0.9, delta=0.05)
         d2 = train_sq_dists(X)
 
@@ -229,33 +229,6 @@ class TestStackedLossEngine:
         _, rhos = _batch_losses(d2, Y, subs, 3, spec, objective)
         ref = per_fit_losses(d2, Y, subs, 1, spec, objective, batch_n_lv=3)
         np.testing.assert_allclose(rhos, ref, rtol=0, atol=1e-12)
-
-    def test_ragged_index_sets(self):
-        X, Y = make_batch(12, n=20)
-        spec = gauss(sigma=0.8, delta=0.02)
-        subs = [np.arange(8), np.arange(6, 12), np.arange(10, 18), np.arange(2, 12)]
-        d2 = train_sq_dists(X)
-        _, rhos = _batch_losses(d2, Y, subs, 2, spec, "norm_ratio")
-        np.testing.assert_allclose(
-            rhos, per_fit_losses(d2, Y, subs, 2, spec, "norm_ratio"), rtol=0, atol=1e-12
-        )
-
-        # The exact gradient differs from central differences by their
-        # truncation error: 1.6e-8 at a step of 1e-4, 1.4e-10 at 1e-5.
-        step = 1e-5
-        theta = spec.theta()
-        ref = np.empty_like(theta)
-        for i in range(theta.size):
-            f = []
-            for sign in (1.0, -1.0):
-                probe = theta.copy()
-                probe[i] += sign * step
-                f.append(np.mean(per_fit_losses(
-                    d2, Y, subs, 2, spec.replace_theta(probe), "norm_ratio"
-                )))
-            ref[i] = (f[0] - f[1]) / (2.0 * step)
-        grad = _loss_gradient(_Workspace().start(d2), Y, subs, 2, spec, "norm_ratio")[1]
-        np.testing.assert_allclose(grad, ref, rtol=0, atol=1e-8)
 
 
 COMBO = ("gaussian", "matern32", "cauchy")
@@ -284,7 +257,7 @@ class TestWorkspace:
         ds = gen_peaks(n + 10, 0.05, seed)
         X, Y = ds.X_cal[:n], ds.Y_cal[:n]
         rng = np.random.default_rng(seed)
-        subs = [np.sort(rng.choice(n, n // 2, replace=False)) for _ in range(4)]
+        subs = np.array([np.sort(rng.choice(n, n // 2, replace=False)) for _ in range(4)])
         return train_sq_dists(X), Y, subs
 
     def test_gram_at_each_probe_is_kernel_matrix_bitwise(self):
@@ -308,7 +281,7 @@ class TestWorkspace:
         d2, Y, subs = self._batch()
         spec = combo_spec()
         ws = _Workspace().start(d2)
-        for sets in (subs, subs[::-1], [s[::-1].copy() for s in subs]):
+        for sets in (subs, subs[::-1], subs[:, ::-1].copy()):
             assert (_batch_losses(ws, Y, sets, 3, spec, "cv")
                     == _batch_losses(d2, Y, sets, 3, spec, "cv"))
 
@@ -324,19 +297,40 @@ class TestWorkspace:
         ]
 
     def test_sampler_writes_distances_into_one_buffer(self, small_regression):
+        # A draw leaves ``d`` unset; the first Matern Gram of the draw takes
+        # it, and every draw's distances land in the same two buffers.
+        import kfpls.flows as flows
+
         ds = small_regression
         config = FlowConfig(n_subsamples=3, batch_fraction=0.5, n_lv=2)
         draw = _batch_sampler(ds.X_cal, ds.Y_cal, config)
         n_batch = config.validate(ds.X_cal.shape[0])[0]
+        roots = []
+        real_sqrt = np.sqrt
+        spec = KernelSpec.create(["gaussian", "matern32"], sigma=1.0)
         buffers = set()
         for seed in range(3):
             ws, _, _ = draw(np.random.default_rng(seed))
             batch = _sample_indices(np.random.default_rng(seed), ds.X_cal.shape[0],
                                     n_batch, None)
             assert ws.d2.tobytes() == train_sq_dists(ds.X_cal[batch]).tobytes()
+            assert ws.d is None
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(flows.np, "sqrt",
+                           lambda x, **kw: roots.append(x) or real_sqrt(x, **kw))
+                for _ in range(2):
+                    ws.gram(spec)
+            assert len(roots) == seed + 1
             assert ws.d.tobytes() == np.sqrt(ws.d2).tobytes()
-            buffers.add(id(ws.d2))
+            buffers.add((id(ws.d2), id(ws.d)))
         assert len(buffers) == 1
+
+    def test_gaussian_gradient_takes_no_square_root(self):
+        d2, Y, subs = self._batch()
+        ws = _Workspace().start(d2)
+        for objective in ("cv", "norm_ratio"):
+            _loss_gradient(ws, Y, subs, 3, gauss(sigma=0.9), objective)
+            assert ws.d is None
 
     @pytest.mark.parametrize("families, per_iter", [(COMBO, 3), (("gaussian",), 1)])
     def test_family_evaluations_per_vanilla_iteration(self, families, per_iter,
@@ -369,7 +363,7 @@ class TestKfGradient:
         spec = KernelSpec.create(
             ["gaussian", "cauchy"], sigma=[1.0, 1.0], gamma=[1.0, 1e-12], delta=0.01
         )
-        subs = [np.arange(10), np.arange(5, 15)]
+        subs = np.array([np.arange(10), np.arange(5, 15)])
         grad = norm_ratio_gradient(X, Y, subs, spec)
         names = spec.param_names()
         flat = grad[names.index("log_sigma_cauchy")]
@@ -380,7 +374,7 @@ class TestKfGradient:
         X = rng.normal(size=(18, 1))
         Y = np.cos(1.5 * X[:, 0])[:, None]
         spec = gauss(sigma=0.8, delta=0.05)
-        subs = [np.sort(rng.choice(18, 9, replace=False)) for _ in range(4)]
+        subs = np.array([np.sort(rng.choice(18, 9, replace=False)) for _ in range(4)])
         grad = norm_ratio_gradient(X, Y, subs, spec)
 
         d2 = train_sq_dists(X)
@@ -398,23 +392,22 @@ class TestKfGradient:
         real = flows._batch_losses
 
         def recording(batch, Y, subsets, n_lv, spec, objective, tape=None):
-            seen.append([idx.copy() for idx in subsets])
+            seen.append(subsets.copy())
             return real(batch, Y, subsets, n_lv, spec, objective, tape)
 
         monkeypatch.setattr(flows, "_batch_losses", recording)
         X, Y = make_batch(8)
-        subs = [np.arange(8), np.arange(4, 12)]
+        subs = np.array([np.arange(8), np.arange(4, 12)])
         norm_ratio_gradient(X, Y, subs, gauss())
         assert len(seen) == 1
-        for got, expected in zip(seen[0], subs, strict=True):
-            np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(seen[0], subs)
 
     @pytest.mark.parametrize("objective", ["cv", "norm_ratio"])
     def test_loss_is_batch_losses_bitwise(self, objective):
         ds = gen_peaks(60, 0.05, seed=9)
         X, Y = ds.X_cal[:30], ds.Y_cal[:30]
         rng = np.random.default_rng(9)
-        subs = [np.sort(rng.choice(30, 15, replace=False)) for _ in range(4)]
+        subs = np.array([np.sort(rng.choice(30, 15, replace=False)) for _ in range(4)])
         d2 = train_sq_dists(X)
         spec = combo_spec()
         loss, _ = _loss_gradient(_Workspace().start(d2), Y, subs, 3, spec, objective)
@@ -438,7 +431,7 @@ class TestLossGradient:
         spec = KernelSpec.create(families, sigma=rng.uniform(0.6, 1.6, len(families)),
                                  gamma=None if len(families) == 1 else
                                  rng.uniform(0.2, 1.0, len(families)), delta=0.05)
-        subs = [np.sort(rng.choice(30, 15, replace=False)) for _ in range(4)]
+        subs = np.array([np.sort(rng.choice(30, 15, replace=False)) for _ in range(4)])
         assert relative_to_richardson(train_sq_dists(X), Y, subs, 3, spec,
                                       objective) <= 1e-6
 
@@ -456,12 +449,12 @@ class TestLossGradient:
             Y = (np.sin(X[:, 0]) + X[:, 1] ** 2)[:, None]
         else:
             Y = np.eye(4)[np.r_[[0] * 4, [1] * 4, np.arange(12) % 4]]
-        subs = [np.arange(8), np.arange(8, 16), np.arange(10, 18)]
+        subs = np.array([np.arange(8), np.arange(8, 16), np.arange(10, 18)])
         spec = gauss(sigma=0.9, delta=0.05)
         d2 = train_sq_dists(X)
         tape = {}
         _batch_losses(d2, Y, subs, 3, spec, objective, tape)
-        counts = [group["simpls"]["w"].shape[1] for group in tape["groups"]]
+        counts = [fit["simpls"]["w"].shape[1] for fit in tape["stacks"]]
         assert counts == ([1] if objective == "cv" else [1, 3])
         assert relative_to_richardson(d2, Y, subs, 3, spec, objective) <= 1e-6
 
@@ -482,10 +475,11 @@ class TestLossGradient:
             out.fill(math.nan)
             return out
 
-        monkeypatch.setitem(flows._FAMILY_SLOPES, "gaussian", nan_slope)
+        kernel, _, reads_d = flows._FAMILIES["gaussian"]
+        monkeypatch.setitem(flows._FAMILIES, "gaussian", (kernel, nan_slope, reads_d))
         X, Y = make_batch(10)
         with pytest.raises(DegenerateProblemError, match="gradient is not finite"):
-            norm_ratio_gradient(X, Y, [np.arange(8)], gauss())
+            norm_ratio_gradient(X, Y, np.arange(8)[None], gauss())
 
     def test_degenerate_gradient_resampled_then_skipped(self, small_regression,
                                                         monkeypatch):
@@ -730,6 +724,16 @@ class TestStratifiedSampling:
         classes, counts = np.unique(labels, return_counts=True)
         picked = np.bincount(labels[idx], minlength=classes.max() + 1)[classes]
         assert np.all(np.abs(picked - size * counts / n) < 1)
+
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_draw_returns_one_index_array(self, stratified):
+        ds = gen_circles(30, 3, 0.1, seed=4)
+        cfg = FlowConfig(n_subsamples=5, n_lv=2, stratified=stratified)
+        n_batch, n_sub = cfg.validate(ds.X_cal.shape[0])
+        draw = _batch_sampler(ds.X_cal, ds.Y_cal, cfg)
+        _, _, subsets = draw(np.random.default_rng(7))
+        assert isinstance(subsets, np.ndarray) and subsets.shape == (5, n_sub)
+        assert np.all(np.diff(subsets, axis=1) > 0) and subsets.max() < n_batch
 
     def test_stratified_run_keeps_classes_in_subbatches(self):
         ds = gen_circles(30, 3, 0.1, seed=4)

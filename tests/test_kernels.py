@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from kfpls import KernelSpec, center_train, gram_test, gram_train, kernel_eval
 from kfpls.kernels import (
-    _FAMILY_FUNCS,
-    _FAMILY_SLOPES,
+    _FAMILIES,
     FAMILY_NAMES,
     kernel_matrix,
     pairwise_sq_dists,
@@ -172,10 +171,15 @@ class TestDistances:
 class TestKernelMatrix:
     @pytest.mark.parametrize("family", FAMILY_NAMES)
     def test_distance_flag_says_whether_family_reads_d(self, family):
-        # `kernel_matrix` takes the square root only for the families flagged.
-        func, reads_d = _FAMILY_FUNCS[family]
+        # `kernel_matrix` and the flow take the square root only for the
+        # families flagged, so neither the kernel nor the slope of another
+        # may read it.
+        func, slope, reads_d = _FAMILIES[family]
         d2 = train_sq_dists(np.random.default_rng(7).normal(size=(6, 2)))
-        blind = func(d2, np.full_like(d2, np.nan), 1.3)
+        no_d = np.full_like(d2, np.nan)
+        blind = func(d2, no_d, 1.3)
+        assert np.isnan(blind).any() == reads_d
+        blind = slope(func(d2, np.sqrt(d2), 1.3), d2, no_d, 1.3, np.empty_like(d2))
         assert np.isnan(blind).any() == reads_d
 
     @pytest.mark.parametrize("families", [*([f] for f in FAMILY_NAMES),
@@ -200,7 +204,7 @@ class TestLogSigmaSlope:
 
         fd = (K(sigma * np.exp(h)) - K(sigma * np.exp(-h))) / (2.0 * h)
         out = np.empty_like(d2)
-        slope = _FAMILY_SLOPES[family](K(sigma), d2, d, sigma, out)
+        slope = _FAMILIES[family][1](K(sigma), d2, d, sigma, out)
         assert slope is out
         np.testing.assert_allclose(slope, fd, rtol=0, atol=1e-9)
 
