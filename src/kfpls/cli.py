@@ -310,6 +310,7 @@ def _case_report(result, case_id, seed, command) -> dict:
         "converged": result.trace.converged,
         "best_smoothed_loss": result.trace.best_smoothed_loss,
         "runtime_seconds": result.runtime_seconds,
+        "stage_seconds": result.stage_seconds,
         "results": {name: report.to_dict() for name, report in result.reports.items()},
     }
 

@@ -20,15 +20,22 @@ _STD_FLOOR_REL = 1e-12
 
 
 def compute_stats(M: np.ndarray, names=None) -> tuple[np.ndarray, np.ndarray]:
-    """Column means and standard deviations, rejecting constant columns."""
+    """Column means and standard deviations, rejecting (``ValueError``, naming
+    the column) a column whose mean or standard deviation overflows and a
+    constant column."""
     M = np.asarray(M, dtype=float)
-    means = M.mean(axis=0)
-    stds = M.std(axis=0)
-    bad = stds <= _STD_FLOOR_REL * np.maximum(1.0, np.abs(means))
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        label = names[j] if names is not None else f"column {j}"
-        raise ValueError(f"zero-variance column: {label}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = M.mean(axis=0)
+        stds = M.std(axis=0)
+    for bad, problem in (
+        (~(np.isfinite(means) & np.isfinite(stds)),
+         "column whose mean or standard deviation overflows"),
+        (stds <= _STD_FLOOR_REL * np.maximum(1.0, np.abs(means)), "zero-variance column"),
+    ):
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            label = names[j] if names is not None else f"column {j}"
+            raise ValueError(f"{problem}: {label}")
     return means, stds
 
 

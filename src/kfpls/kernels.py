@@ -7,6 +7,15 @@ several families as a weighted sum, plus a ridge term added to square
 training Grams. All positive parameters are stored as logarithms so
 unconstrained gradient steps always map back to a valid kernel.
 
+A square training Gram (`gram_train`, or `gram_from_dists` on a distance
+matrix the caller keeps) is built one row block at a time: each block of
+``pairwise_sq_dists(X, X)`` is symmetrized, its diagonal pinned to zero,
+and put through `kernel_matrix`. A block has a power of two of rows and
+at most `_GRAM_BLOCK_ENTRIES` values, so the symmetrized distances and the
+family temporaries are block-sized and stay in cache. `kfpls.pipeline`
+makes one distance matrix of the calibration rows and builds each of its
+Grams from it.
+
 `center_train` double-centers a training Gram and returns its column
 means. Cross kernels (`gram_test`) stay plain: centering them on those
 means is folded into the coefficients of the fitted model
@@ -142,6 +151,10 @@ _FAMILIES = {
 FAMILY_NAMES = tuple(_FAMILIES)
 
 _DEFAULT_DELTA = 1e-3
+
+# Values in one row block of a square training Gram: 2**15 floats are 256 KiB,
+# so a block's distances and its family temporaries stay in L2 cache.
+_GRAM_BLOCK_ENTRIES = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,21 +364,52 @@ def train_sq_dists(
     return d2
 
 
+def block_rows(budget: int, n: int) -> int:
+    """Rows of ``n`` values in a row block of at most ``budget`` values: the
+    largest power of two that fits, and at least 1. Block edges then fall on
+    the row alignment of the BLAS kernels, so where the library groups rows
+    by powers of two, a row is summed as in one product over all the rows."""
+    return 1 << max(0, (budget // n).bit_length() - 1)
+
+
+def gram_from_dists(spec: KernelSpec, sq_dists: np.ndarray) -> np.ndarray:
+    """Training Gram matrix, ridge on the diagonal, of the rows ``X`` whose
+    ``pairwise_sq_dists(X, X)`` is ``sq_dists`` (n, n), which is only read.
+
+    The Gram is built one row block at a time (see the module docstring):
+    its bits are those of ``kernel_matrix(spec, train_sq_dists(X))`` plus the
+    ridge, it is bitwise symmetric, and its diagonal is exactly (sum of
+    weights) + ridge.
+    """
+    n = sq_dists.shape[0]
+    rows = block_rows(_GRAM_BLOCK_ENTRIES, n)
+    K = np.empty((n, n))
+    block = np.empty((min(rows, n), n))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        d2 = np.add(sq_dists[start:stop], sq_dists[:, start:stop].T,
+                    out=block[: stop - start])
+        d2 *= 0.5
+        np.fill_diagonal(d2[:, start:stop], 0.0)
+        K[start:stop] = kernel_matrix(spec, d2)
+    K[np.diag_indices_from(K)] += spec.delta
+    return K
+
+
 def gram_train(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
     """Training Gram matrix with the ridge added to the diagonal.
 
     The squared-distance matrix is symmetrized and its diagonal pinned to
-    zero before the kernel transform, so the result is bitwise symmetric
-    and its diagonal is exactly (sum of weights) + ridge.
+    zero before the kernel transform, one row block at a time
+    (`gram_from_dists`), so the result is bitwise symmetric and its
+    diagonal is exactly (sum of weights) + ridge.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("X must be 2-D with at least two rows")
     if not np.all(np.isfinite(X)):
         raise ValueError("X must be finite")
-    K = kernel_matrix(spec, train_sq_dists(X))
-    K[np.diag_indices_from(K)] += spec.delta
-    return K
+    return gram_from_dists(spec, pairwise_sq_dists(X, X))
 
 
 def center_train(

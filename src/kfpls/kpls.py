@@ -2,13 +2,15 @@
 
 Fitting maps the training rows through the kernel, double-centers the
 ridge Gram, and runs SIMPLS against column-centered responses. One
-function, `fit_grams`, does that for a stack of ridge Grams: for
-`fit_kpls` and the factor searches (a stack of one) and for the kernel
-flow's sub-batches. A new row's cross kernel must be centered on the
-Gram's column means before it meets the coefficients, and the response
-means added back; `affine_coef` folds both into one affine map on the
-plain cross kernel, which is how every kernel-PLS prediction in the
-package is made. `_affine_predict` applies that map one block of new rows
+function, `fit_grams`, does that for a stack of ridge Grams: the kernel
+flow's sub-batches, and the stack of one of `fit_gram`, the one fit of a
+single Gram that the caller made and whose inputs it checks. `fit_kpls`
+(on `gram_train`), the factor searches and the pipeline's fits (on blocks
+of one calibration Gram) all go through `fit_gram`. A new row's cross
+kernel must be centered on the Gram's column means before it meets the
+coefficients, and the response means added back; `affine_coef` folds
+both into one affine map on the plain cross kernel, which is how every
+kernel-PLS prediction in the package is made. `_affine_predict` applies that map one block of new rows
 at a time, each block's cross kernel holding at most `_BLOCK_ENTRIES`
 values, so the memory of a prediction does not grow with the rows scored.
 A `KplsModel` holds what that map reads and no SIMPLS factor: its
@@ -30,7 +32,7 @@ import numpy as np
 from ._serialize import read_array_archive, write_array_archive
 from .datasets import Dataset, labels
 from .exceptions import DegenerateProblemError
-from .kernels import KernelSpec, center_train, gram_test, gram_train
+from .kernels import KernelSpec, block_rows, center_train, gram_test, gram_train
 from .pls import _simpls
 
 _SCHEMA_VERSION = 3
@@ -133,15 +135,31 @@ def check_fit_inputs(X, Y, n_lv: int) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
+def fit_gram(K: np.ndarray, X, Y, n_lv: int):
+    """The kernel-PLS fit at ``n_lv`` factors of the ridge Gram ``K`` (n, n)
+    that the caller made of the rows ``X`` (n, p), on ``Y``: the one fit of
+    `fit_kpls`, the factor searches and the pipeline. Checks the inputs
+    (`check_fit_inputs`), then centers ``K`` in place. Returns ``((W, P, Q,
+    B), col_means, y_means)``: the SIMPLS factors and coefficients of the
+    fit, the Gram's column means and the response means."""
+    X, Y = check_fit_inputs(X, Y, n_lv)
+    factors, col_means, y_means, _ = fit_grams(K[None], Y[None], n_lv)
+    return tuple(f[0] for f in factors), col_means[0], y_means[0]
+
+
+def model_from_gram(spec: KernelSpec, K: np.ndarray, X, Y, n_lv: int) -> KplsModel:
+    """The model of `fit_gram` on the ridge Gram ``K`` of kernel ``spec`` on
+    the rows ``X``, which it keeps a copy of; ``K`` is centered in place."""
+    (W, _, _, B), col_means, y_means = fit_gram(K, X, Y, n_lv)
+    return KplsModel(spec=spec, x_train=np.array(X, dtype=float), col_means=col_means,
+                     pls=PlsModel(B, n_lv=W.shape[1]), y_means=y_means)
+
+
 def fit_kpls(X: np.ndarray, Y: np.ndarray, n_lv: int, spec: KernelSpec) -> KplsModel:
     """Fit kernel PLS on the centered Gram of kernel ``spec`` with ``n_lv``
     latent variables. See `check_fit_inputs` for the inputs and errors; a
     non-finite X is a ``ValueError`` too (`gram_train`)."""
-    X, Y = check_fit_inputs(X, Y, n_lv)
-    (W, _, _, B), col_means, y_means, _ = fit_grams(gram_train(spec, X)[None],
-                                                   Y[None], n_lv)
-    return KplsModel(spec=spec, x_train=X.copy(), col_means=col_means[0],
-                     pls=PlsModel(B[0], n_lv=W.shape[2]), y_means=y_means[0])
+    return model_from_gram(spec, gram_train(spec, X), X, Y, n_lv)
 
 
 def _affine_predict(spec: KernelSpec, x_train: np.ndarray, C: np.ndarray,
@@ -161,10 +179,7 @@ def _affine_predict(spec: KernelSpec, x_train: np.ndarray, C: np.ndarray,
     if X_new.shape[1] != x_train.shape[1]:
         raise ValueError(f"feature mismatch: X_new has {X_new.shape[1]} columns, "
                          f"the training rows have {x_train.shape[1]}")
-    # The largest power of two of rows within the budget, so block edges fall
-    # on the row alignment of the BLAS kernels: where the library groups rows
-    # by powers of two, a row is summed as in one product over all the rows.
-    rows = 1 << max(0, (_BLOCK_ENTRIES // x_train.shape[0]).bit_length() - 1)
+    rows = block_rows(_BLOCK_ENTRIES, x_train.shape[0])
     q = X_new.shape[0]
     out = np.empty(C.shape[:-2] + (q, C.shape[-1]))
     for start in range(0, q, rows):

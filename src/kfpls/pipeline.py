@@ -11,13 +11,26 @@ recipe once per grid point, from the runs `sweep_points` builds before
 any of them starts; the factor-count axis instead reuses one run's kernel
 (`sweep_n_lv`).
 
+After the flow, `run_pipeline` computes the squared distances of the
+calibration rows once (`kernels.pairwise_sq_dists`) and the learned
+kernel's ridge Gram once from them (`kernels.gram_from_dists`, built in
+cache-sized row blocks). The holdout factor search fits on that Gram's
+block on the fit rows and predicts the held-out rows from its block on
+held-out and fit rows, which lies off the diagonal and so holds no
+ridge; the final fit then takes the whole Gram, centered in place. The
+untuned reference's Gram is built from the same distances. Each of
+these matrices is dropped once its last reader is done, and the run
+records the wall time of each stage (`STAGES`).
+
 Each factor search (`line_search_n_lv`, `plain_pls_lv`, `sweep_n_lv`)
-makes one SIMPLS fit at its largest count (`kpls.fit_grams`, or
+makes one SIMPLS fit at its largest count (`kpls.fit_gram`, or
 `pls._simpls` for the linear one) and takes every smaller count from the
-factors' prefixes (`pls.coef_path`). The two kernel searches predict
-every count at once with `_count_predictions`: `kpls.affine_coef` of the
-whole stack of coefficients, applied by `kpls._affine_predict`. Both line
-searches score the counts with `_score_counts`.
+factors' prefixes (`pls.coef_path`). The two kernel searches map every
+count at once with `_count_maps`, `kpls.affine_coef` of the whole stack of
+coefficients: the line search applies the maps to its held-out block,
+and the sweep to the test rows through `kpls._affine_predict`
+(`_count_predictions`). Both line searches score the counts with
+`_score_counts`.
 """
 
 from __future__ import annotations
@@ -30,14 +43,19 @@ import numpy as np
 from .datasets import Dataset, check_noise, gen_circles, gen_peaks, labels, load_csv
 from .exceptions import DegenerateProblemError
 from .flows import FlowConfig, FlowTrace, run_kernel_flows
-from .kernels import KernelSpec, gram_train
-from .kpls import (KplsModel, _affine_predict, affine_coef, check_fit_inputs, fit_grams,
-                   fit_kpls, predict_kpls)
+from .kernels import KernelSpec, gram_from_dists, gram_train, pairwise_sq_dists
+from .kpls import (KplsModel, _affine_predict, affine_coef, fit_gram, model_from_gram,
+                   predict_kpls)
 from .metrics import EvalReport, accuracy, nrmse, q2, rmse
 from .pls import _simpls, coef_path
 
 # Factor count for the untuned reference model.
 DEFAULT_BASELINE_LV = 3
+
+# The stages of a run whose wall times `run_pipeline` records: the kernel
+# flow; the calibration Gram and the factor search on it; the final fit and
+# its test predictions; the untuned kernel and linear references.
+STAGES = ("flow", "factor_search", "final_fit", "baselines")
 
 CASE_DEFAULTS = {
     1: dict(task="regression", families="gaussian", n_samples=200, noise=0.05,
@@ -63,6 +81,7 @@ class PipelineResult:
     reports: dict
     predictions: dict
     runtime_seconds: float
+    stage_seconds: dict = field(default_factory=dict)
     config: FlowConfig = field(repr=False, default=None)
 
 
@@ -127,18 +146,37 @@ def _score_counts(preds: np.ndarray, Y_val: np.ndarray, task: str) -> tuple:
     return int(np.argmin(loss)) + 1, list(enumerate(scores, start=1))
 
 
+def _count_maps(K: np.ndarray, X_fit, Y_fit, lv_max: int) -> tuple:
+    """`kpls.affine_coef` maps (a, n, m) and (a, 1, m) of the kernel-PLS fits
+    of the ridge Gram ``K`` of the rows ``X_fit`` on ``Y_fit`` at counts 1..a,
+    from one fit at ``lv_max`` (`kpls.fit_gram`, which centers ``K`` in
+    place). ``a`` is ``lv_max`` unless `pls.coef_path` ended early, where a
+    refit at count ``a + 1`` would raise. Errors: as `fit_kpls`.
+    """
+    (W, P, Q, _), col_means, y_means = fit_gram(K, X_fit, Y_fit, lv_max)
+    return affine_coef(coef_path(W, P, Q, lv_max), col_means, y_means)
+
+
 def _count_predictions(spec: KernelSpec, X_fit, Y_fit, lv_max: int,
                        X_new: np.ndarray) -> np.ndarray:
     """Predictions (a, q, m) of the rows ``X_new`` (q, p) by the kernel-PLS
-    fits on ``X_fit`` and ``Y_fit`` at counts 1..a, from one fit at
-    ``lv_max``. ``a`` is ``lv_max`` unless `pls.coef_path` ended early, where
-    a refit at count ``a + 1`` would raise. Errors: as `fit_kpls`.
+    fits on ``X_fit`` and ``Y_fit`` at counts 1..a (`_count_maps` of their
+    Gram), applied in row blocks by `kpls._affine_predict`.
     """
-    X_fit, Y_fit = check_fit_inputs(X_fit, Y_fit, lv_max)
-    (W, P, Q, _), col_means, y_means, _ = fit_grams(gram_train(spec, X_fit)[None],
-                                                   Y_fit[None], lv_max)
-    C, b = affine_coef(coef_path(W[0], P[0], Q[0], lv_max), col_means[0], y_means[0])
+    X_fit = np.asarray(X_fit, dtype=float)
+    C, b = _count_maps(gram_train(spec, X_fit), X_fit, Y_fit, lv_max)
     return _affine_predict(spec, X_fit, C, b, X_new)
+
+
+def _holdout_search(K: np.ndarray, X, Y, task: str, lv_max: int, seed) -> tuple:
+    """`line_search_n_lv` on the ridge Gram ``K`` of the rows ``X``, which is
+    only read: the fit Gram is the block of ``K`` on the fit rows, ridge and
+    all, and the held-out cross kernel its block on held-out and fit rows,
+    which holds no diagonal entry and so no ridge."""
+    fit_idx, val_idx = _holdout_split(X.shape[0], seed)
+    C, b = _count_maps(K[np.ix_(fit_idx, fit_idx)], X[fit_idx], Y[fit_idx], lv_max)
+    preds = K[np.ix_(val_idx, fit_idx)] @ C + b
+    return _score_counts(preds, Y[val_idx], task)
 
 
 def line_search_n_lv(
@@ -151,14 +189,13 @@ def line_search_n_lv(
 ) -> tuple[int, list]:
     """Pick the factor count by fitting on 4/5 and scoring the held-out 1/5.
 
-    One fit at ``lv_max`` gives every count's coefficients. Classification
-    picks the highest held-out accuracy, regression the lowest held-out
-    RMSE; ties go to the smaller count. Returns the chosen count and the
-    (n_lv, score) table.
+    One fit at ``lv_max`` gives every count's coefficients, and one Gram of
+    all the rows gives the fit Gram and the held-out cross kernel as its
+    blocks (`_holdout_search`). Classification picks the highest held-out
+    accuracy, regression the lowest held-out RMSE; ties go to the smaller
+    count. Returns the chosen count and the (n_lv, score) table.
     """
-    fit_idx, val_idx = _holdout_split(X.shape[0], seed)
-    preds = _count_predictions(spec, X[fit_idx], Y[fit_idx], lv_max, X[val_idx])
-    return _score_counts(preds, Y[val_idx], task)
+    return _holdout_search(gram_train(spec, X), X, Y, task, lv_max, seed)
 
 
 def plain_pls_predictions(ds: Dataset, n_lv: int) -> np.ndarray:
@@ -194,23 +231,39 @@ def run_pipeline(
     lv_max: int,
     seed,
 ) -> PipelineResult:
-    """Optimize the kernel, select factors, fit, and evaluate baselines."""
-    t0 = time.perf_counter()
+    """Optimize the kernel, select factors, fit, and evaluate baselines.
+
+    After the flow, one distance matrix of the calibration rows serves every
+    Gram: the learned kernel's Gram gives the factor search its blocks and
+    is then the final fit's Gram; the untuned kernel's Gram is built from
+    the same distances. Each matrix is dropped after its last reader.
+    """
+    marks = [time.perf_counter()]
     check_lv_max(ds, lv_max)
     spec_opt, trace = run_kernel_flows(ds.X_cal, ds.Y_cal, config, spec0)
-    n_lv, lv_table = line_search_n_lv(
-        ds.X_cal, ds.Y_cal, spec_opt, ds.task, lv_max, seed
-    )
-    model = fit_kpls(ds.X_cal, ds.Y_cal, n_lv, spec_opt)
+    marks.append(time.perf_counter())
+
+    sq_dists = pairwise_sq_dists(ds.X_cal, ds.X_cal)
+    K = gram_from_dists(spec_opt, sq_dists)
+    n_lv, lv_table = _holdout_search(K, ds.X_cal, ds.Y_cal, ds.task, lv_max, seed)
+    marks.append(time.perf_counter())
+
+    model = model_from_gram(spec_opt, K, ds.X_cal, ds.Y_cal, n_lv)
+    del K
     pred_kf = predict_kpls(model, ds.X_test)
+    marks.append(time.perf_counter())
 
     default_spec = KernelSpec.create(spec0.families, sigma=1.0, delta=1.0)
     baseline_lv = min(DEFAULT_BASELINE_LV, ds.X_cal.shape[0] - 1)
-    kpls_default = fit_kpls(ds.X_cal, ds.Y_cal, baseline_lv, default_spec)
+    K = gram_from_dists(default_spec, sq_dists)
+    del sq_dists
+    kpls_default = model_from_gram(default_spec, K, ds.X_cal, ds.Y_cal, baseline_lv)
+    del K
     pred_default = predict_kpls(kpls_default, ds.X_test)
 
     pls_lv = plain_pls_lv(ds, lv_max, seed)
     pred_pls = plain_pls_predictions(ds, pls_lv)
+    marks.append(time.perf_counter())
 
     reports = {
         "kf_pls": evaluate_predictions(ds, pred_kf),
@@ -236,7 +289,8 @@ def run_pipeline(
         lv_table=lv_table,
         reports=reports,
         predictions=predictions,
-        runtime_seconds=time.perf_counter() - t0,
+        runtime_seconds=time.perf_counter() - marks[0],
+        stage_seconds=dict(zip(STAGES, np.diff(marks).tolist())),
         config=config,
     )
 

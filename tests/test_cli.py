@@ -93,6 +93,10 @@ class TestCaseCommand:
         assert report["flow_config"] == dataclasses.asdict(case_flow_config(1, 1, n_iter=25))
         assert set(report["flow_config"]) == {f.name for f in dataclasses.fields(FlowConfig)}
         assert report["n_skipped"] >= 0
+        stages = report["stage_seconds"]
+        assert set(stages) == {"flow", "factor_search", "final_fit", "baselines"}
+        assert all(t >= 0.0 for t in stages.values())
+        assert sum(stages.values()) <= report["runtime_seconds"]
 
     def test_unknown_case_is_usage_error(self, capsys):
         assert run_cli("case", "9") == 2
@@ -168,7 +172,8 @@ class TestOptimizeAndPredict:
         assert (outs[0] / "trace.csv").read_bytes() == (outs[1] / "trace.csv").read_bytes()
         reports = [json.loads((o / "report.json").read_text()) for o in outs]
         for r in reports:
-            r.pop("runtime_seconds")  # wall time is the one legitimate difference
+            r.pop("runtime_seconds")  # wall times are the one legitimate difference
+            r.pop("stage_seconds")
         assert reports[0] == reports[1]
 
     def test_missing_response_is_usage_error(self, tmp_path, toy_csv, capsys):
@@ -712,6 +717,27 @@ class TestErrorContract:
         out = tmp_path / "out"
         assert run_cli(*[a.format(csv=toy_csv) for a in argv], "--out-dir", out) == 2
         assert capsys.readouterr().err.startswith("error:usage: --response names no")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scales", [(1e300, 1.0), (1e200, 1e200)],
+                             ids=["one_feature_1e300", "both_features_1e200"])
+    def test_feature_too_large_to_standardize_is_data_error(self, scales, tmp_path,
+                                                            capsys):
+        # The squared deviations overflow: one such feature used to be archived
+        # with a standard deviation of inf (exit 0), and two standardized to
+        # zeros and failed as identical training rows (error:compute).
+        _, data = read_csv(write_toy_csv(tmp_path / "toy.csv"))
+        data = data[:, [0, 1, 3]] * (*scales, 1.0)
+        path = tmp_path / "large.csv"
+        path.write_text("f1,f2,target\n"
+                        + "".join(",".join(map(repr, row)) + "\n" for row in data.tolist()),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("optimize", path, "--response", "target", "--iterations", "2",
+                       "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:data:") and err.count("\n") == 1
+        assert "overflows: f1" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("response", ["3", "f3,target", "0,target"])

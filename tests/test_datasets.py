@@ -179,6 +179,13 @@ class TestStandardize:
         with pytest.raises(ValueError, match="second"):
             compute_stats(M, names=["first", "second"])
 
+    @pytest.mark.parametrize("scale", [1e300, 1e200, np.finfo(float).max])
+    def test_overflowing_column_error_names_column(self, scale):
+        M = np.random.default_rng(11).uniform(-1.0, 1.0, size=(20, 2))
+        M[:, 1] *= scale
+        with pytest.raises(ValueError, match="overflows: second"):
+            compute_stats(M, names=["first", "second"])
+
 
 class TestLoadCsv:
     def _write(self, tmp_path, text):

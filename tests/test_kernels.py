@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfpls import KernelSpec, center_train, gram_test, gram_train, kernel_eval
+from kfpls import KernelSpec, center_train, gram_test, gram_train, kernel_eval, kernels
 from kfpls.kernels import (
     _FAMILIES,
     FAMILY_NAMES,
@@ -265,6 +265,54 @@ class TestGramTrain:
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError, match="two rows"):
             gram_train(single("gaussian"), np.zeros((1, 2)))
+
+
+class TestBlockedGram:
+    """`gram_train` and `gram_from_dists` build the Gram in row blocks."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """The shape of each block `kernel_matrix` sees."""
+        shapes = []
+
+        def counting(spec, d2, d=None):
+            shapes.append(d2.shape)
+            return kernel_matrix(spec, d2, d)
+
+        monkeypatch.setattr(kernels, "kernel_matrix", counting)
+        return shapes
+
+    # 50 rows are one block of 2**15 values; 300 rows are blocks of 64 rows,
+    # the last of 44.
+    @pytest.mark.parametrize("n, rows", [(50, 50), (300, 64)])
+    @pytest.mark.parametrize("families", [*([f] for f in FAMILY_NAMES),
+                                          ["gaussian", "matern32", "cauchy"]],
+                             ids=[*FAMILY_NAMES, "combo"])
+    def test_equals_whole_matrix_bitwise(self, blocks, families, n, rows):
+        rng = np.random.default_rng(n + len(families))
+        spec = KernelSpec.create(families, sigma=rng.uniform(0.5, 2.0, len(families)),
+                                 delta=0.01)
+        X = rng.normal(size=(n, 3))
+        K = gram_train(spec, X)
+        assert blocks == [(min(rows, n - s), n) for s in range(0, n, rows)]
+        assert all(r * n <= kernels._GRAM_BLOCK_ENTRIES for r, _ in blocks)
+        expected = kernel_matrix(spec, train_sq_dists(X))
+        expected[np.diag_indices_from(expected)] += spec.delta
+        assert K.tobytes() == expected.tobytes()
+
+    def test_reads_the_distances_without_changing_them(self):
+        X = np.random.default_rng(4).normal(size=(130, 2))
+        sq_dists = pairwise_sq_dists(X, X)
+        before = sq_dists.copy()
+        spec = single("matern52")
+        K = kernels.gram_from_dists(spec, sq_dists)
+        assert sq_dists.tobytes() == before.tobytes()
+        assert K.tobytes() == gram_train(spec, X).tobytes()
+
+    @pytest.mark.parametrize("n, rows", [(1, 2**15), (800, 32), (1024, 32), (2**15, 1),
+                                         (2**16, 1)])
+    def test_block_rows_is_largest_power_of_two_in_budget(self, n, rows):
+        assert kernels.block_rows(kernels._GRAM_BLOCK_ENTRIES, n) == rows
 
 
 class TestCentering:

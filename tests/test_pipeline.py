@@ -15,9 +15,12 @@ from kfpls import (
 )
 from kfpls.metrics import accuracy, rmse
 from kfpls.pipeline import (
+    _count_predictions,
     _holdout_split,
+    _score_counts,
     case_dataset,
     case_flow_config,
+    case_spec,
     check_lv_max,
     evaluate_predictions,
     line_search_n_lv,
@@ -210,6 +213,62 @@ class TestOneFitFactorSearch:
         spec = KernelSpec.create("gaussian", sigma=0.5, delta=0.01)
         with pytest.raises(ValueError, match="n_lv must be >= 1"):
             sweep_n_lv(ds, spec, [0, 3])
+
+
+def seven_features(seed):
+    """Case-1 data with five standardized noise features added: 7 features."""
+    ds = case_dataset(1, seed)
+    rng = np.random.default_rng(seed)
+    noise = {part: rng.normal(size=(getattr(ds, part).shape[0], 5))
+             for part in ("X_cal", "X_test")}
+    return dataclasses.replace(ds, **{part: np.hstack([getattr(ds, part), extra])
+                                      for part, extra in noise.items()})
+
+
+class TestOneCalibrationGram:
+    """`run_pipeline` takes the factor search's Grams and the final fit's from
+    one calibration Gram; a reference fits each on its own rows."""
+
+    @staticmethod
+    def separate_fits(ds, spec0, spec, lv_max, seed):
+        fit_idx, val_idx = _holdout_split(ds.X_cal.shape[0], seed)
+        preds = _count_predictions(spec, ds.X_cal[fit_idx], ds.Y_cal[fit_idx], lv_max,
+                                   ds.X_cal[val_idx])
+        n_lv, table = _score_counts(preds, ds.Y_cal[val_idx], ds.task)
+        model = fit_kpls(ds.X_cal, ds.Y_cal, n_lv, spec)
+        default = fit_kpls(ds.X_cal, ds.Y_cal, pipeline.DEFAULT_BASELINE_LV,
+                           KernelSpec.create(spec0.families, sigma=1.0, delta=1.0))
+        return n_lv, table, model, {
+            "kf_pls": ds.destandardize_y(predict_kpls(model, ds.X_test)),
+            "kpls_default": ds.destandardize_y(predict_kpls(default, ds.X_test)),
+        }
+
+    # Exact on the paper's two cases; 7 features give the distance products
+    # longer sums, which the GEMM may group otherwise for a block than for
+    # the rows alone (the bits held here all the same).
+    @pytest.mark.parametrize("case, exact", [(1, True), (2, True), ("seven", False)])
+    def test_matches_separate_fits(self, case, exact):
+        seed = 3
+        ds = seven_features(seed) if case == "seven" else case_dataset(case, seed)
+        case_id = 1 if case == "seven" else case
+        spec0 = case_spec(case_id, families=["gaussian", "matern32"])
+        lv_max = pipeline.CASE_DEFAULTS[case_id]["lv_max"]
+        config = case_flow_config(case_id, seed, n_iter=5)
+        result = run_pipeline(ds, spec0, config, lv_max, seed)
+        n_lv, table, model, predictions = self.separate_fits(ds, spec0, result.spec_opt,
+                                                             lv_max, seed)
+        assert result.n_lv == n_lv
+        assert [lv for lv, _ in result.lv_table] == [lv for lv, _ in table]
+        pairs = [(np.array([s for _, s in result.lv_table]), np.array([s for _, s in table])),
+                 (result.model.pls.coef, model.pls.coef),
+                 (result.model.col_means, model.col_means),
+                 (result.model.y_means, model.y_means),
+                 *((result.predictions[k], predictions[k]) for k in predictions)]
+        for got, want in pairs:
+            if exact:
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 class TestRunPipeline:
