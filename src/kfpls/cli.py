@@ -307,6 +307,7 @@ def _case_report(result, case_id, seed, command) -> dict:
         "n_lv": result.n_lv,
         "iterations_run": result.trace.iterations_run,
         "n_skipped": result.trace.n_skipped,
+        "n_resampled": result.trace.n_resampled,
         "converged": result.trace.converged,
         "best_smoothed_loss": result.trace.best_smoothed_loss,
         "runtime_seconds": result.runtime_seconds,

@@ -262,6 +262,33 @@ def gen_circles(
     )
 
 
+def _parse_cells(path, header, rows) -> np.ndarray:
+    """``rows`` parsed cell by cell, each stripped and then cast with
+    ``float``; the first ragged row or missing or non-numeric cell, in file
+    order, raises the ``ValueError`` of `read_csv`."""
+    data = np.empty((len(rows), len(header)))
+    for i, row in enumerate(rows):
+        line_no = i + 2  # header is line 1
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}"
+            )
+        for j, cell in enumerate(row):
+            cell = cell.strip()
+            if cell == "":
+                raise ValueError(
+                    f"{path}: missing value at row {line_no}, column {header[j]!r}"
+                )
+            try:
+                data[i, j] = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: non-numeric value {cell!r} at row {line_no}, "
+                    f"column {header[j]!r}"
+                ) from None
+    return data
+
+
 def read_csv(path) -> tuple[list, np.ndarray]:
     """Parse a numeric CSV with a header row into ``(header, data)``.
 
@@ -284,26 +311,16 @@ def read_csv(path) -> tuple[list, np.ndarray]:
     if not rows:
         raise ValueError(f"{path}: no data rows after the header")
 
-    data = np.empty((len(rows), len(header)))
-    for i, row in enumerate(rows):
-        line_no = i + 2  # header is line 1
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}"
-            )
-        for j, cell in enumerate(row):
-            cell = cell.strip()
-            if cell == "":
-                raise ValueError(
-                    f"{path}: missing value at row {line_no}, column {header[j]!r}"
-                )
-            try:
-                data[i, j] = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: non-numeric value {cell!r} at row {line_no}, "
-                    f"column {header[j]!r}"
-                ) from None
+    try:
+        # One cast of all cells; numpy casts each with ``float``, which
+        # also strips whitespace, though not every character ``str.strip``
+        # does. Any cell it rejects, or a ragged row, sends the parse to the
+        # cell loop, which strips each cell first and names a bad one.
+        data = np.array(rows, dtype=float)
+    except ValueError:
+        data = None
+    if data is None or data.shape != (len(rows), len(header)):
+        data = _parse_cells(path, header, rows)
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         i, j = bad[0]

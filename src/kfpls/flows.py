@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateProblemError, FlowAbortError
-from .kernels import _FAMILIES, KernelSpec, kernel_matrix, train_sq_dists
+from .kernels import _FAMILIES, KernelSpec, kernel_matrix, reads_d, train_sq_dists
 from .kpls import affine_coef, fit_grams
 from .pls import _simpls_adjoint
 
@@ -168,6 +168,7 @@ class FlowTrace:
     best_smoothed_loss: float
     iterations_run: int
     n_skipped: int
+    n_resampled: int  # draws made again after a degenerate first attempt
     converged: bool
     param_names: list = field(default_factory=list)
 
@@ -212,7 +213,7 @@ class _Workspace:
         ``terms``, weighted and summed with `kernel_matrix`'s products in its
         order, so bit for bit its result. The first Gram on the draw of a
         spec with a family that reads ``d`` takes it into its buffer."""
-        if self.d is None and any(_FAMILIES[name][2] for name in spec.families):
+        if self.d is None and reads_d(spec):
             self.d = np.sqrt(self.d2, out=self.buffer("d"))
         self.terms = []  # the last evaluation's matrices go before these come
         self.terms = [kernel_matrix(spec.member(i), self.d2, self.d)
@@ -493,7 +494,8 @@ def run_kernel_flows(
     gradient is degenerate (for example a sub-batch that drew a single
     class, or a covariance whose top eigenvalue is not separated) are
     resampled once and then skipped; a run with more than half of its
-    iterations skipped aborts.
+    iterations skipped aborts. The trace counts both: ``n_resampled``
+    draws made again and ``n_skipped`` iterations skipped.
     """
     draw = _batch_sampler(X, Y, config)
     rng = np.random.default_rng(config.seed)
@@ -504,7 +506,7 @@ def run_kernel_flows(
     best_smoothed = math.inf
     best_theta = theta.copy()
     stall = 0
-    n_skipped = 0
+    n_skipped = n_resampled = 0
     converged = False
     iterations_run = 0
 
@@ -539,6 +541,7 @@ def run_kernel_flows(
                 break
             except DegenerateProblemError as exc:
                 if attempt == 0:
+                    n_resampled += 1
                     logger.debug("iteration %d degenerate (%s); resampling", it, exc)
                 else:
                     logger.warning("iteration %d skipped: %s", it, exc)
@@ -588,6 +591,7 @@ def run_kernel_flows(
         best_smoothed_loss=best_smoothed,
         iterations_run=iterations_run,
         n_skipped=n_skipped,
+        n_resampled=n_resampled,
         converged=converged,
         param_names=spec0.param_names(),
     )

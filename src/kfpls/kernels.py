@@ -7,14 +7,24 @@ several families as a weighted sum, plus a ridge term added to square
 training Grams. All positive parameters are stored as logarithms so
 unconstrained gradient steps always map back to a valid kernel.
 
+`kernel_matrix` and the family functions write their result into an
+``out`` array when the caller gives one, with the operations and bits of
+the allocating path, so blocked callers evaluate a kernel in buffers they
+own: a one-family Gaussian or Cauchy kernel then makes no array at all
+(the Matern families make their temporaries, and a sum of families its
+terms). `pairwise_sq_dists` likewise takes ``out`` and ``work`` buffers,
+and the training rows' squared norms when the caller has them.
+
 A square training Gram (`gram_train`, or `gram_from_dists` on a distance
 matrix the caller keeps) is built one row block at a time: each block of
-``pairwise_sq_dists(X, X)`` is symmetrized, its diagonal pinned to zero,
-and put through `kernel_matrix`. A block has a power of two of rows and
-at most `_GRAM_BLOCK_ENTRIES` values, so the symmetrized distances and the
-family temporaries are block-sized and stay in cache. `kfpls.pipeline`
-makes one distance matrix of the calibration rows and builds each of its
-Grams from it.
+``pairwise_sq_dists(X, X)`` is symmetrized into one buffer, its diagonal
+pinned to zero, and put through `kernel_matrix` straight into its rows of
+the Gram. A block has a power of two of rows and at most
+`_GRAM_BLOCK_ENTRIES` values, so the symmetrized distances and the family
+temporaries are block-sized and stay in cache. `kfpls.pipeline` makes one
+distance matrix of the calibration rows and builds each of its Grams from
+it. Predictions (`kpls._affine_predict`) evaluate their cross kernels the
+same way, in cache-sized slices of each row block.
 
 `center_train` double-centers a training Gram and returns its column
 means. Cross kernels (`gram_test`) stay plain: centering them on those
@@ -33,28 +43,28 @@ _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
 
 
-# Each family builds its matrix in place on as few fresh arrays as it can
-# (full-size temporaries set the peak memory of a flow), with its formula's
-# operations in the formula's order, so the bits are the formula's.
+# Each family builds its matrix in ``out`` when given, else on as few fresh
+# arrays as it can (full-size temporaries set the peak memory of a flow),
+# with its formula's operations in the formula's order, so the bits are the
+# formula's. ``out`` must not overlap ``d2`` or ``d``.
 
 
-def _gaussian(d2, d, sigma):
-    # exp(-d2 / (2 sigma^2))
-    out = np.negative(d2)
-    out /= 2.0 * sigma * sigma
+def _gaussian(d2, d, sigma, out=None):
+    # exp(-d2 / (2 sigma^2)); d2 / -(2 sigma^2) has the bits of -d2 / (2 sigma^2)
+    out = np.divide(d2, -(2.0 * sigma * sigma), out=out)
     return np.exp(out, out=out)
 
 
-def _matern12(d2, d, sigma):
+def _matern12(d2, d, sigma, out=None):
     # exp(-d / sigma)
-    out = np.negative(d)
+    out = np.negative(d, out=out)
     out /= sigma
     return np.exp(out, out=out)
 
 
-def _matern32(d2, d, sigma):
+def _matern32(d2, d, sigma, out=None):
     # (1 + a) exp(-a), a = sqrt(3) d / sigma
-    a = np.multiply(_SQRT3, d)
+    a = np.multiply(_SQRT3, d, out=out)
     a /= sigma
     decay = np.negative(a)
     np.exp(decay, out=decay)
@@ -63,9 +73,9 @@ def _matern32(d2, d, sigma):
     return a
 
 
-def _matern52(d2, d, sigma):
+def _matern52(d2, d, sigma, out=None):
     # (1 + a + 5 d2 / (3 sigma^2)) exp(-a), a = sqrt(5) d / sigma
-    a = np.multiply(_SQRT5, d)
+    a = np.multiply(_SQRT5, d, out=out)
     a /= sigma
     decay = np.negative(a)
     np.exp(decay, out=decay)
@@ -77,9 +87,9 @@ def _matern52(d2, d, sigma):
     return a
 
 
-def _cauchy(d2, d, sigma):
+def _cauchy(d2, d, sigma, out=None):
     # 1 / (1 + d2 / sigma^2)
-    out = np.divide(d2, sigma * sigma)
+    out = np.divide(d2, sigma * sigma, out=out)
     out += 1.0
     return np.divide(1.0, out, out=out)
 
@@ -291,19 +301,21 @@ class KernelSpec:
 
 def pairwise_sq_dists(
     X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
+    work: np.ndarray | None = None, z_sq: np.ndarray | None = None,
 ) -> np.ndarray:
     """Matrix of squared Euclidean distances, clipped at zero.
 
     The quadratic expansion can go slightly negative in floating point;
     the clip keeps the square roots used by the Matern families safe.
     ``out`` receives the result and ``work``, of the same shape, the cross
-    products; each is made when not given.
+    products; each is made when not given. ``z_sq`` is ``sq_norms(Z)``,
+    computed here unless the caller has it.
     """
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    d2 = np.add(np.sum(X * X, axis=1)[:, None], np.sum(Z * Z, axis=1)[None, :],
-                out=out)
+    if z_sq is None:
+        z_sq = sq_norms(Z)
+    d2 = np.add(sq_norms(X)[:, None], z_sq[None, :], out=out)
     cross = np.matmul(X, Z.T, out=work)
     cross *= 2.0
     d2 -= cross
@@ -311,25 +323,41 @@ def pairwise_sq_dists(
     return d2
 
 
+def sq_norms(X: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of ``X``."""
+    return np.sum(X * X, axis=1)
+
+
+def reads_d(spec: KernelSpec) -> bool:
+    """Whether a family of ``spec`` reads the distance ``d`` (the Matern
+    ones); the Gaussian and Cauchy kernels are functions of ``d2`` alone."""
+    return any(_FAMILIES[name][2] for name in spec.families)
+
+
 def kernel_matrix(
-    spec: KernelSpec, d2: np.ndarray, d: np.ndarray | None = None
+    spec: KernelSpec, d2: np.ndarray, d: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Weighted sum of family kernels evaluated on squared distances (no ridge).
 
     ``d`` is ``sqrt(d2)``. Unless the caller has it, it is computed here,
-    and only when a family of the spec reads it (the Matern ones): the
-    Gaussian and Cauchy kernels are functions of ``d2`` alone.
+    and only when a family of the spec reads it (`reads_d`). ``out``, which
+    must not overlap ``d2`` or ``d``, receives the result, with the bits of
+    the result made without it; a one-family Gaussian or Cauchy spec then
+    makes no array. The implicit weight 1 of a one-family spec is not
+    multiplied in.
     """
     d2 = np.asarray(d2, dtype=float)
-    funcs = [_FAMILIES[name] for name in spec.families]
-    if d is None and any(reads_d for *_, reads_d in funcs):
+    funcs = [_FAMILIES[name][0] for name in spec.families]
+    if d is None and reads_d(spec):
         d = np.sqrt(d2)
     sigma = spec.sigma
     gamma = spec.gamma
-    out = funcs[0][0](d2, d, sigma[0])
-    out *= gamma[0]
+    out = funcs[0](d2, d, sigma[0], out)
+    if spec.log_gamma is not None:
+        out *= gamma[0]
     for i in range(1, len(funcs)):
-        term = funcs[i][0](d2, d, sigma[i])
+        term = funcs[i](d2, d, sigma[i])
         term *= gamma[i]
         out += term
     return out
@@ -385,13 +413,15 @@ def gram_from_dists(spec: KernelSpec, sq_dists: np.ndarray) -> np.ndarray:
     rows = block_rows(_GRAM_BLOCK_ENTRIES, n)
     K = np.empty((n, n))
     block = np.empty((min(rows, n), n))
+    root = np.empty_like(block) if reads_d(spec) else None
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         d2 = np.add(sq_dists[start:stop], sq_dists[:, start:stop].T,
                     out=block[: stop - start])
         d2 *= 0.5
         np.fill_diagonal(d2[:, start:stop], 0.0)
-        K[start:stop] = kernel_matrix(spec, d2)
+        d = None if root is None else np.sqrt(d2, out=root[: stop - start])
+        kernel_matrix(spec, d2, d, out=K[start:stop])
     K[np.diag_indices_from(K)] += spec.delta
     return K
 

@@ -93,6 +93,7 @@ class TestCaseCommand:
         assert report["flow_config"] == dataclasses.asdict(case_flow_config(1, 1, n_iter=25))
         assert set(report["flow_config"]) == {f.name for f in dataclasses.fields(FlowConfig)}
         assert report["n_skipped"] >= 0
+        assert report["n_resampled"] >= report["n_skipped"]  # a skip was resampled first
         stages = report["stage_seconds"]
         assert set(stages) == {"flow", "factor_search", "final_fit", "baselines"}
         assert all(t >= 0.0 for t in stages.values())

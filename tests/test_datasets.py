@@ -1,10 +1,12 @@
+import csv
 import math
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -16,6 +18,27 @@ finite_tables = hnp.arrays(
     hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
     elements=st.floats(allow_nan=False, allow_infinity=False),
 )
+
+
+# CSV cells: numbers as the float formats, underscores and Unicode digits
+# write them, the special values, tokens float() rejects and arbitrary text,
+# each padded with whitespace that float() or str.strip() drop (not always
+# both: str.strip() also drops \x1c-\x1f).
+_any_float = st.floats()
+csv_cells = st.tuples(
+    st.text(" \t\n\x0b\x0c\x1c\x1f\x85\xa0\u2003", max_size=2),
+    st.one_of(
+        _any_float.map(repr),
+        _any_float.map(lambda v: "%.17g" % v),
+        _any_float.map(lambda v: "%.6g" % v),
+        st.integers(-10**7, 10**7).map(lambda i: f"{i:_}"),
+        st.sampled_from(["nan", "-inf", "Infinity", "1e500", "-1e-400", "\u0661\u0662",
+                         "\uff11.5", "1__0", "_1", "0x10", "1 2", "1j", "nan(1)", ""]),
+        st.text("0123456789.eE+-_ ", max_size=8),
+        st.text(max_size=5),
+    ),
+    st.text(" \t\r\x1c\x85\u3000", max_size=2),
+).map("".join)
 
 
 def write_table(directory, cells) -> Path:
@@ -287,6 +310,36 @@ class TestReadCsv:
             path = write_table(tmp, cells)
             with pytest.raises(ValueError, match=rf"at row {i + 2}, column 'c{j}'"):
                 read_csv(path)
+
+    @given(st.lists(st.lists(csv_cells, min_size=3, max_size=3), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_generated_cells_parse_as_float_or_name_their_cell(self, rows):
+        # Either every cell reads as float() of the stripped cell, bit for
+        # bit, or the first bad cell (missing or non-numeric first, then
+        # non-finite) is a ValueError naming its row and column.
+        header = ["a", "b", "c"]
+        expected, bad = np.empty((len(rows), 3)), None
+        for i, j in np.ndindex(expected.shape):
+            try:
+                expected[i, j] = float(rows[i][j].strip() or "missing")
+            except ValueError:
+                bad = (i, j)
+                break
+        if bad is None and not np.isfinite(expected).all():
+            bad = tuple(np.argwhere(~np.isfinite(expected))[0])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([header, *rows])
+            with open(path, newline="", encoding="utf-8") as fh:
+                assume(list(csv.reader(fh))[1:] == rows)  # the cells survive CSV quoting
+            if bad is None:
+                assert read_csv(path)[1].tobytes() == expected.tobytes()
+            else:
+                i, j = bad
+                with pytest.raises(ValueError,
+                                   match=re.escape(f"at row {i + 2}, column {header[j]!r}")):
+                    read_csv(path)
 
     def test_cells_and_header_are_stripped(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -501,7 +501,30 @@ class TestLossGradient:
                                     cfg, gauss())
         assert len(calls) == 5  # iteration 0 twice (resampled, then skipped), 1-3 once
         assert trace.n_skipped == 1
+        assert trace.n_resampled == 1
         assert trace.iterations.tolist() == [1, 2, 3]
+
+    def test_resampled_draw_that_recovers_is_counted_not_skipped(self, small_regression,
+                                                                 monkeypatch):
+        import kfpls.flows as flows
+
+        calls = []
+        real = flows._loss_gradient
+
+        def failing_first(*args):
+            calls.append(len(calls))
+            if len(calls) == 1:
+                raise DegenerateProblemError("top eigenvalue is not separated")
+            return real(*args)
+
+        monkeypatch.setattr(flows, "_loss_gradient", failing_first)
+        cfg = FlowConfig(n_iter=4, n_subsamples=3, batch_fraction=0.6, n_lv=2,
+                         seed=11, patience=10**6)
+        _, trace = run_kernel_flows(small_regression.X_cal, small_regression.Y_cal,
+                                    cfg, gauss())
+        assert len(calls) == 5  # iteration 0 twice, 1-3 once
+        assert (trace.n_resampled, trace.n_skipped) == (1, 0)
+        assert trace.iterations.tolist() == [0, 1, 2, 3]
 
 
 class TestUpdateTheta:

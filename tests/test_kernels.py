@@ -191,6 +191,35 @@ class TestKernelMatrix:
         assert kernel_matrix(spec, d2).tobytes() == expected.tobytes()
 
 
+    @pytest.mark.parametrize("families", [*([f] for f in FAMILY_NAMES),
+                                          ["gaussian", "matern32", "cauchy"]],
+                             ids=[*FAMILY_NAMES, "combo"])
+    def test_out_path_gives_the_allocating_paths_bytes(self, families):
+        rng = np.random.default_rng(9)
+        d2 = pairwise_sq_dists(rng.normal(size=(17, 3)), rng.normal(size=(11, 3)))
+        spec = KernelSpec.create(families, sigma=rng.uniform(0.5, 2.0, len(families)))
+        expected = kernel_matrix(spec, d2)
+        for d in (None, np.sqrt(d2)):
+            out = np.full_like(d2, np.nan)
+            assert kernel_matrix(spec, d2, d, out=out) is out
+            assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.3, 1.7])
+    def test_gaussian_has_the_bits_of_its_formula(self, sigma):
+        # -d2 / (2 sigma^2) is divided as d2 / -(2 sigma^2), and the implicit
+        # weight 1 of a single family is not multiplied in: neither moves a bit.
+        d2 = train_sq_dists(np.random.default_rng(10).normal(size=(20, 2)))
+        expected = np.exp(np.negative(d2) / (2.0 * sigma * sigma)) * 1.0
+        assert kernel_matrix(single("gaussian", sigma), d2).tobytes() == expected.tobytes()
+
+    def test_explicit_weight_of_a_single_family_is_applied(self):
+        d2 = train_sq_dists(np.random.default_rng(11).normal(size=(8, 2)))
+        spec = KernelSpec(families=("cauchy",), log_sigma=np.zeros(1),
+                          log_gamma=np.log([0.25]), log_delta=0.0)
+        plain = kernel_matrix(single("cauchy"), d2)
+        assert kernel_matrix(spec, d2).tobytes() == (plain * 0.25).tobytes()
+
+
 class TestLogSigmaSlope:
     @pytest.mark.parametrize("family", FAMILY_NAMES)
     @pytest.mark.parametrize("sigma", [0.3, 1.7])
@@ -275,9 +304,9 @@ class TestBlockedGram:
         """The shape of each block `kernel_matrix` sees."""
         shapes = []
 
-        def counting(spec, d2, d=None):
+        def counting(spec, d2, d=None, out=None):
             shapes.append(d2.shape)
-            return kernel_matrix(spec, d2, d)
+            return kernel_matrix(spec, d2, d, out=out)
 
         monkeypatch.setattr(kernels, "kernel_matrix", counting)
         return shapes

@@ -22,7 +22,8 @@ from kfpls import (
 
 from kfpls import kpls
 from kfpls._serialize import read_array_archive, write_array_archive
-from kfpls.kernels import FAMILY_NAMES, gram_test, kernel_matrix, pairwise_sq_dists
+from kfpls.kernels import (FAMILY_NAMES, block_rows, gram_test, kernel_matrix,
+                           pairwise_sq_dists)
 from kfpls.kpls import _affine_predict, affine_coef, fit_grams, model_from_arrays
 from kfpls.pipeline import _count_predictions
 from kfpls.pls import coef_path
@@ -222,6 +223,7 @@ class TestPredictKpls:
 
 
 BLOCK_ROWS = 8  # a power of two, so `_affine_predict` takes exactly this many
+SLICE_ROWS = 4  # rows of each kernel slice within a block
 
 
 class TestAffinePredict:
@@ -235,16 +237,26 @@ class TestAffinePredict:
 
     @pytest.fixture
     def blocks(self, monkeypatch):
-        """Block budget of `BLOCK_ROWS` rows; the row count of each block."""
+        """Block budget of `BLOCK_ROWS` rows, evaluated in kernel slices of
+        `SLICE_ROWS` rows; the row count of each slice."""
         sizes = []
 
-        def counting(spec, X_test, X_train):
-            sizes.append(X_test.shape[0])
-            return gram_test(spec, X_test, X_train)
+        def counting(spec, d2, d=None, out=None):
+            sizes.append(d2.shape[0])
+            return kernel_matrix(spec, d2, d, out=out)
 
         monkeypatch.setattr(kpls, "_BLOCK_ENTRIES", BLOCK_ROWS * self.N_TRAIN)
-        monkeypatch.setattr(kpls, "gram_test", counting)
+        monkeypatch.setattr(kpls, "_SLICE_ENTRIES", SLICE_ROWS * self.N_TRAIN)
+        monkeypatch.setattr(kpls, "kernel_matrix", counting)
         return sizes
+
+    @staticmethod
+    def slices(q):
+        """Slice rows: `SLICE_ROWS` at a time, restarting at each block."""
+        return [min(SLICE_ROWS, stop - s)
+                for start in range(0, q, BLOCK_ROWS)
+                for stop in [min(start + BLOCK_ROWS, q)]
+                for s in range(start, stop, SLICE_ROWS)]
 
     def affine_map(self, rng, families, m):
         spec = KernelSpec.create(families, sigma=rng.uniform(0.5, 2.0, len(families)),
@@ -266,7 +278,7 @@ class TestAffinePredict:
         X_new = rng.normal(size=(q, 2))
         got = _affine_predict(spec, x_train, C, b, X_new)
         assert got.shape == (q, m)
-        assert blocks == [min(BLOCK_ROWS, q - s) for s in range(0, q, BLOCK_ROWS)]
+        assert blocks == self.slices(q)
         np.testing.assert_allclose(got, self.one_shot(spec, x_train, C, b, X_new),
                                    rtol=1e-12, atol=1e-12)
 
@@ -285,6 +297,57 @@ class TestAffinePredict:
         assert got.shape == (6, q, m)
         np.testing.assert_allclose(got, self.one_shot(spec, X, C, b, X_new),
                                    rtol=1e-12, atol=1e-12)
+
+    @staticmethod
+    def whole_blocks(spec, x_train, C, b, X_new):
+        """Each block of at most 2**18 cross-kernel values made whole and
+        multiplied: the streamed predictor before its kernel was sliced."""
+        rows = block_rows(2**18, x_train.shape[0])
+        out = np.empty(C.shape[:-2] + (X_new.shape[0], C.shape[-1]))
+        for start in range(0, X_new.shape[0], rows):
+            block = slice(start, start + rows)
+            out[..., block, :] = gram_test(spec, X_new[block], x_train) @ C + b
+        return out
+
+    @pytest.mark.parametrize("n", [20, 320, 800, 1000])
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("families", [["gaussian"], ["matern32"],
+                                          ["gaussian", "matern32", "cauchy"]],
+                             ids=["gaussian", "matern32", "combo"])
+    def test_slices_give_the_whole_blocks_bytes(self, families, m, n):
+        # 600 rows are 3 blocks at n = 1000 and 800, 2 at 320 and 1 at 20.
+        rng = np.random.default_rng(n + m)
+        spec = KernelSpec.create(families, sigma=rng.uniform(0.5, 2.0, len(families)))
+        x_train, X_new = rng.normal(size=(n, 2)), rng.normal(size=(600, 2))
+        C, b = affine_coef(rng.normal(size=(n, m)), rng.uniform(size=n),
+                           rng.normal(size=m))
+        got = _affine_predict(spec, x_train, C, b, X_new)
+        assert got.tobytes() == self.whole_blocks(spec, x_train, C, b, X_new).tobytes()
+        # a stack of maps, as the factor searches apply
+        C3, b3 = affine_coef(rng.normal(size=(3, n, m)), rng.uniform(size=(3, n)),
+                             rng.normal(size=(3, m)))
+        got = _affine_predict(spec, x_train, C3, b3, X_new)
+        assert got.tobytes() == self.whole_blocks(spec, x_train, C3, b3, X_new).tobytes()
+
+    # The 256-row block of 5,000 x 800 cross-kernel values is 1.64 MB and a
+    # 64-row slice 0.41 MB: the Gaussian adds the slice's distances, the
+    # Matern-3/2 its square roots and one temporary too (2.2 and 2.9 MB).
+    # Making the block's distances, cross products and kernel afresh for
+    # each block peaked at 3.3 and 6.6 MB.
+    @pytest.mark.parametrize("family, bound", [("gaussian", 2.5e6), ("matern32", 3.3e6)])
+    def test_buffers_are_made_once_per_call(self, family, bound):
+        rng = np.random.default_rng(4)
+        X = rng.uniform(-2.0, 2.0, size=(800, 2))
+        model = fit_kpls(X, np.sin(X).sum(axis=1), 5, KernelSpec.create([family]))
+        X_new = rng.uniform(-2.0, 2.0, size=(5_000, 2))
+        tracemalloc.start()
+        try:
+            pred = predict_kpls(model, X_new)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pred.shape == (5_000, 1)
+        assert peak < bound
 
     @pytest.mark.parametrize("family", ["gaussian", "matern32"])
     def test_memory_does_not_grow_with_rows_scored(self, family):
