@@ -11,6 +11,7 @@ meaningful.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -311,16 +312,19 @@ def read_csv(path) -> tuple[list, np.ndarray]:
     if not rows:
         raise ValueError(f"{path}: no data rows after the header")
 
-    try:
+    data = None
+    if all(len(row) == len(header) for row in rows):
         # One cast of all cells; numpy casts each with ``float``, which
         # also strips whitespace, though not every character ``str.strip``
         # does. Any cell it rejects, or a ragged row, sends the parse to the
         # cell loop, which strips each cell first and names a bad one.
-        data = np.array(rows, dtype=float)
-    except ValueError:
-        data = None
-    if data is None or data.shape != (len(rows), len(header)):
+        try:
+            data = np.array(list(itertools.chain.from_iterable(rows)), dtype=float)
+        except ValueError:
+            pass
+    if data is None:
         data = _parse_cells(path, header, rows)
+    data = data.reshape(len(rows), len(header))
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         i, j = bad[0]

@@ -313,9 +313,15 @@ def pairwise_sq_dists(
     """
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
+    x_sq = sq_norms(X)
     if z_sq is None:
         z_sq = sq_norms(Z)
-    d2 = np.add(sq_norms(X)[:, None], z_sq[None, :], out=out)
+    # x_sq[:, None] + z_sq[None, :] as the product of the columns [x_sq, 1] and
+    # the rows [1, z_sq]: both of an entry's products are exact and their sum
+    # is rounded once, so it has the bits of the sum, in one BLAS pass that is
+    # faster than a broadcast add.
+    d2 = np.matmul(np.stack([x_sq, np.ones_like(x_sq)], axis=1),
+                   np.stack([np.ones_like(z_sq), z_sq]), out=out)
     cross = np.matmul(X, Z.T, out=work)
     cross *= 2.0
     d2 -= cross

@@ -162,6 +162,21 @@ class TestDistances:
         expected = pairwise_sq_dists(X, X)
         assert pairwise_sq_dists(X, X, out=out, work=work).tobytes() == expected.tobytes()
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_bits_of_the_quadratic_expansion(self, seed):
+        # |x|^2 + |z|^2 is summed as a product with ones; it must keep the
+        # bits of the broadcast sum, and the norms passed in those made here.
+        rng = np.random.default_rng(seed)
+        q, n, p = rng.integers(1, 70), rng.integers(1, 70), rng.integers(1, 12)
+        scale = 10.0 ** rng.uniform(-6, 6)
+        X, Z = scale * rng.normal(size=(q, p)), scale * rng.normal(size=(n, p))
+        x_sq, z_sq = np.sum(X * X, axis=1), np.sum(Z * Z, axis=1)
+        literal = np.maximum((x_sq[:, None] + z_sq[None, :]) - 2.0 * (X @ Z.T), 0.0)
+        assert pairwise_sq_dists(X, Z).tobytes() == literal.tobytes()
+        given_norms = pairwise_sq_dists(X, Z, z_sq=kernels.sq_norms(Z))
+        assert given_norms.tobytes() == literal.tobytes()
+
     def test_symmetric_with_zero_diagonal(self):
         d2 = train_sq_dists(np.random.default_rng(5).normal(size=(12, 2)))
         assert d2.tobytes() == d2.T.copy().tobytes()
