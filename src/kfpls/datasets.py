@@ -316,7 +316,7 @@ def read_csv(path) -> tuple[list, np.ndarray]:
     if all(len(row) == len(header) for row in rows):
         # One cast of all cells; numpy casts each with ``float``, which
         # also strips whitespace, though not every character ``str.strip``
-        # does. Any cell it rejects, or a ragged row, sends the parse to the
+        # does. A cell it rejects, or a ragged row, sends the parse to the
         # cell loop, which strips each cell first and names a bad one.
         try:
             data = np.array(list(itertools.chain.from_iterable(rows)), dtype=float)

@@ -15,9 +15,9 @@ that map one block of new rows at a time, each block's cross kernel
 holding at most `_BLOCK_ENTRIES` values, so the memory of a prediction
 does not grow with the rows scored. A block's kernel is evaluated in
 slices of at most `_SLICE_ENTRIES` values, each slice's distances and
-kernel written in place into buffers made once per prediction, so they
-stay in cache; the product with the map is made once per block, whose
-size fixes the bits of each prediction.
+kernel written into buffers made once per prediction, so they stay in
+cache; the product with the map is made once per block, whose size fixes
+the bits of each prediction.
 A `KplsModel` holds what that map reads and no SIMPLS factor: its
 `PlsModel` is the coefficients and the factor count.
 
@@ -185,9 +185,9 @@ def _affine_predict(spec: KernelSpec, x_train: np.ndarray, C: np.ndarray,
     with the whole cross kernel. The block's kernel is evaluated in slices
     of at most ``_SLICE_ENTRIES`` values: a slice's distances go into one
     buffer and its cross products into its rows of the block, which its
-    kernel then overwrites, all in buffers made once per call. Raises ``ValueError`` for an
-    ``X_new`` that is not 2-D or whose feature count is not ``x_train``'s,
-    even when q = 0.
+    kernel then overwrites, all in buffers made once per call. Raises
+    ``ValueError`` for an ``X_new`` that is not 2-D or whose feature count
+    is not ``x_train``'s, even when q = 0.
     """
     X_new = np.asarray(X_new, dtype=float)
     if X_new.ndim != 2:

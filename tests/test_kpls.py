@@ -253,10 +253,11 @@ class TestAffinePredict:
     @staticmethod
     def slices(q):
         """Slice rows: `SLICE_ROWS` at a time, restarting at each block."""
-        return [min(SLICE_ROWS, stop - s)
-                for start in range(0, q, BLOCK_ROWS)
-                for stop in [min(start + BLOCK_ROWS, q)]
-                for s in range(start, stop, SLICE_ROWS)]
+        sizes = []
+        for start in range(0, q, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, q)
+            sizes += [min(SLICE_ROWS, stop - s) for s in range(start, stop, SLICE_ROWS)]
+        return sizes
 
     def affine_map(self, rng, families, m):
         spec = KernelSpec.create(families, sigma=rng.uniform(0.5, 2.0, len(families)),
