@@ -16,8 +16,10 @@ and every grid point of a sweep), data (``io``, ``data``: read or build
 the dataset, then the ``config`` checks that need it, such as
 ``--lv-max``), compute (create the output directory, then ``compute``)
 and write. So a command that stops before compute leaves no output
-directory behind. A file or directory that cannot be read or written, in
-any phase, is an ``io`` error. ``model.kfpls`` is written and read by
+directory behind. ``predict`` scores its rows before it creates the
+directory, because a prediction that is not finite is a ``data`` error.
+A file or directory that cannot be read or written, in any phase, is an
+``io`` error. ``model.kfpls`` is written and read by
 `kpls.save_calibrated_model` and `kpls.load_calibrated_model`.
 """
 
@@ -28,6 +30,7 @@ import contextlib
 import csv
 import itertools
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -37,7 +40,7 @@ import numpy as np
 from . import __version__
 from .datasets import Dataset, check_noise, labels, load_csv, read_csv, standardize
 from .exceptions import DegenerateProblemError, FlowAbortError
-from .flows import _OBJECTIVES, _UPDATE_RULES, FlowConfig, loss_surface
+from .flows import _OBJECTIVES, _UPDATE_RULES, FlowConfig, loss_surface, run_kernel_flows
 from .kernels import KernelSpec
 from .kpls import load_calibrated_model, predict_kpls, save_calibrated_model
 from .metrics import rmse
@@ -384,15 +387,22 @@ def cmd_predict(args, config) -> int:
     if missing:
         raise CliError("data", f"feature columns missing from CSV: {missing}")
     cols = [header.index(name) for name in meta["x_names"]]
-    out = _out_dir(args, config)
-    X_raw = rows[:, cols]
-    X = standardize(X_raw, meta["x_means"], meta["x_stds"])
-    pred = predict_kpls(model, X)
+    # Cells or archive values far from the training scale can overflow into
+    # non-finite predictions; those are reported below, not warned about.
+    with np.errstate(all="ignore"):
+        pred = predict_kpls(model, standardize(rows[:, cols], meta["x_means"],
+                                               meta["x_stds"]))
+        if meta["task"] == "regression":
+            pred = pred * meta["y_stds"] + meta["y_means"]
+    bad = np.flatnonzero(~np.isfinite(pred).all(axis=1))
+    if bad.size:
+        raise CliError("data", f"the prediction of data row {bad[0] + 1} (row "
+                       f"{bad[0] + 2} of the CSV) is not finite")
 
+    out = _out_dir(args, config)
     names = [f"pred_{n}" for n in meta["y_names"]]
-    if meta["task"] == "regression":
-        data = pred * meta["y_stds"] + meta["y_means"]
-    else:
+    data = pred
+    if meta["task"] == "classification":
         names.append("label")
         data = _with_labels(pred, [labels(pred)])
     write_table(out / "predictions.csv", names, data)
@@ -433,8 +443,8 @@ def cmd_sweep(args, config) -> int:
 
     with _phase("compute"):
         if args.axis == "n_lv":
-            result = run_pipeline(ds, spec0, flow, lv_max, seed)
-            rows = sweep_n_lv(ds, result.spec_opt, [int(v) for v in grid])
+            spec_opt, _ = run_kernel_flows(ds.X_cal, ds.Y_cal, flow, spec0)
+            rows = sweep_n_lv(ds, spec_opt, grid)
         else:
             rows = []
             for value, spec, point_flow, noise in points:
@@ -503,7 +513,10 @@ def cmd_loss_surface(args, config) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``kfpls`` parser, built on the first call and shared by every
+    later one: parsing reads it and changes nothing in it."""
     parser = argparse.ArgumentParser(
         prog="kfpls",
         description="Kernel PLS with cross-validation-driven kernel learning.",
@@ -562,8 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args, load_config(args.config) if args.config else {})
     except CliError as exc:

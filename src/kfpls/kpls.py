@@ -5,8 +5,9 @@ ridge Gram, and runs SIMPLS against column-centered responses. One
 function, `fit_grams`, does that for a stack of ridge Grams: the kernel
 flow's sub-batches, and the stack of one of `fit_gram`, the one fit of a
 single Gram that the caller made and whose inputs it checks. `fit_kpls`
-(on `gram_train`), the factor searches and the pipeline's fits (on blocks
-of one calibration Gram) all go through `fit_gram`. A new row's cross
+and the factor-count sweep (on `gram_train`), and the pipeline's factor
+line search and final fit (on blocks of one calibration Gram) all go
+through `fit_gram`. A new row's cross
 kernel must be centered on the Gram's column means before it meets the
 coefficients, and the response means added back; `affine_coef` folds
 both into one affine map on the plain cross kernel, which is how every

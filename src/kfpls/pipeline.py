@@ -8,19 +8,20 @@ reference models are evaluated alongside: plain linear PLS (`pls._simpls`
 on the standardized predictors, with no model type of its own), and
 kernel PLS with untuned unit parameters. A one-axis sweep reruns that
 recipe once per grid point, from the runs `sweep_points` builds before
-any of them starts; the factor-count axis instead reuses one run's kernel
-(`sweep_n_lv`).
+any of them starts. The factor-count axis runs only the flow and then
+`sweep_n_lv` on the learned kernel: it needs no factor search, final fit
+or reference model.
 
 After the flow, `run_pipeline` computes the squared distances of the
 calibration rows once (`kernels.pairwise_sq_dists`) and the learned
 kernel's ridge Gram once from them (`kernels.gram_from_dists`, built in
-cache-sized row blocks). The holdout factor search fits on that Gram's
-block on the fit rows and predicts the held-out rows from its block on
-held-out and fit rows, which lies off the diagonal and so holds no
-ridge; the final fit then takes the whole Gram, centered in place. The
-untuned reference's Gram is built from the same distances. Each of
-these matrices is dropped once its last reader is done, and the run
-records the wall time of each stage (`STAGES`).
+cache-sized row blocks). The holdout factor search (`line_search_n_lv`)
+fits on that Gram's block on the fit rows and predicts the held-out rows
+from its block on held-out and fit rows, which lies off the diagonal and
+so holds no ridge; the final fit then takes the whole Gram, centered in
+place. The untuned reference's Gram is built from the same distances.
+Each of these matrices is dropped once its last reader is done, and the
+run records the wall time of each stage (`STAGES`).
 
 Each factor search (`line_search_n_lv`, `plain_pls_lv`, `sweep_n_lv`)
 makes one SIMPLS fit at its largest count (`kpls.fit_gram`, or
@@ -28,9 +29,8 @@ makes one SIMPLS fit at its largest count (`kpls.fit_gram`, or
 factors' prefixes (`pls.coef_path`). The two kernel searches map every
 count at once with `_count_maps`, `kpls.affine_coef` of the whole stack of
 coefficients: the line search applies the maps to its held-out block,
-and the sweep to the test rows through `kpls._affine_predict`
-(`_count_predictions`). Both line searches score the counts with
-`_score_counts`.
+and the sweep to the test rows through `kpls._affine_predict`. Both line
+searches score the counts with `_score_counts`.
 """
 
 from __future__ import annotations
@@ -157,45 +157,21 @@ def _count_maps(K: np.ndarray, X_fit, Y_fit, lv_max: int) -> tuple:
     return affine_coef(coef_path(W, P, Q, lv_max), col_means, y_means)
 
 
-def _count_predictions(spec: KernelSpec, X_fit, Y_fit, lv_max: int,
-                       X_new: np.ndarray) -> np.ndarray:
-    """Predictions (a, q, m) of the rows ``X_new`` (q, p) by the kernel-PLS
-    fits on ``X_fit`` and ``Y_fit`` at counts 1..a (`_count_maps` of their
-    Gram), applied in row blocks by `kpls._affine_predict`.
+def line_search_n_lv(K: np.ndarray, X, Y, task: str, lv_max: int, seed) -> tuple:
+    """Pick the factor count by fitting on 4/5 and scoring the held-out 1/5.
+
+    ``K`` is the ridge Gram of the rows ``X``, made by the caller and only
+    read: the fit Gram is its block on the fit rows, ridge and all, and the
+    held-out cross kernel its block on held-out and fit rows, which holds
+    no diagonal entry and so no ridge. One fit at ``lv_max`` gives every
+    count's coefficients (`_count_maps`). Classification picks the highest
+    held-out accuracy, regression the lowest held-out RMSE; ties go to the
+    smaller count. Returns the chosen count and the (n_lv, score) table.
     """
-    X_fit = np.asarray(X_fit, dtype=float)
-    C, b = _count_maps(gram_train(spec, X_fit), X_fit, Y_fit, lv_max)
-    return _affine_predict(spec, X_fit, C, b, X_new)
-
-
-def _holdout_search(K: np.ndarray, X, Y, task: str, lv_max: int, seed) -> tuple:
-    """`line_search_n_lv` on the ridge Gram ``K`` of the rows ``X``, which is
-    only read: the fit Gram is the block of ``K`` on the fit rows, ridge and
-    all, and the held-out cross kernel its block on held-out and fit rows,
-    which holds no diagonal entry and so no ridge."""
     fit_idx, val_idx = _holdout_split(X.shape[0], seed)
     C, b = _count_maps(K[np.ix_(fit_idx, fit_idx)], X[fit_idx], Y[fit_idx], lv_max)
     preds = K[np.ix_(val_idx, fit_idx)] @ C + b
     return _score_counts(preds, Y[val_idx], task)
-
-
-def line_search_n_lv(
-    X: np.ndarray,
-    Y: np.ndarray,
-    spec: KernelSpec,
-    task: str,
-    lv_max: int,
-    seed,
-) -> tuple[int, list]:
-    """Pick the factor count by fitting on 4/5 and scoring the held-out 1/5.
-
-    One fit at ``lv_max`` gives every count's coefficients, and one Gram of
-    all the rows gives the fit Gram and the held-out cross kernel as its
-    blocks (`_holdout_search`). Classification picks the highest held-out
-    accuracy, regression the lowest held-out RMSE; ties go to the smaller
-    count. Returns the chosen count and the (n_lv, score) table.
-    """
-    return _holdout_search(gram_train(spec, X), X, Y, task, lv_max, seed)
 
 
 def plain_pls_predictions(ds: Dataset, n_lv: int) -> np.ndarray:
@@ -245,7 +221,7 @@ def run_pipeline(
 
     sq_dists = pairwise_sq_dists(ds.X_cal, ds.X_cal)
     K = gram_from_dists(spec_opt, sq_dists)
-    n_lv, lv_table = _holdout_search(K, ds.X_cal, ds.Y_cal, ds.task, lv_max, seed)
+    n_lv, lv_table = line_search_n_lv(K, ds.X_cal, ds.Y_cal, ds.task, lv_max, seed)
     marks.append(time.perf_counter())
 
     model = model_from_gram(spec_opt, K, ds.X_cal, ds.Y_cal, n_lv)
@@ -341,13 +317,16 @@ def run_case(case_id: int, seed, noise=None, csv_path=None, response=None,
 
 
 def sweep_n_lv(ds: Dataset, spec: KernelSpec, grid) -> list:
-    """Test-partition metrics by factor count, all from one fit at the largest."""
+    """Test-partition metrics by factor count, all from one fit at the largest
+    on the calibration Gram of ``spec`` (`_count_maps`), whose maps predict
+    the test rows in row blocks (`kpls._affine_predict`)."""
     grid = [int(lv) for lv in grid]
     if min(grid) < 1:
         raise ValueError(f"n_lv must be >= 1, got {min(grid)}")
-    preds = _count_predictions(spec, ds.X_cal, ds.Y_cal, max(grid), ds.X_test)
-    if len(preds) < max(grid):
+    C, b = _count_maps(gram_train(spec, ds.X_cal), ds.X_cal, ds.Y_cal, max(grid))
+    if len(C) < max(grid):
         raise DegenerateProblemError("loadings-weights system is too ill-conditioned")
+    preds = _affine_predict(spec, ds.X_cal, C, b, ds.X_test)
     return [(lv, evaluate_predictions(ds, preds[lv - 1])) for lv in grid]
 
 

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kfpls import FlowConfig, KernelSpec, cli, load_calibrated_model, pipeline, predict_kpls
+from kfpls import (FlowConfig, KernelSpec, cli, kernels, load_calibrated_model, pipeline,
+                   predict_kpls)
 from kfpls._serialize import read_array_archive, write_array_archive
 from kfpls.cli import build_parser, main
 from kfpls.datasets import read_csv, standardize
@@ -40,20 +42,32 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
-@pytest.fixture()
-def xy_model(tmp_path, capsys):
-    """Training CSV with features x1, x2 and the archive optimized on it."""
+@pytest.fixture(scope="module")
+def xy_files(tmp_path_factory):
+    """Training CSV with features x1, x2 and the archive optimized on it, made
+    once per module; a test changes a copy of the archive (`xy_model`)."""
+    tmp = tmp_path_factory.mktemp("xy")
     rng = np.random.default_rng(2)
     x = rng.uniform(-1, 1, size=(40, 2))
     y = np.sin(2 * x[:, 0]) + x[:, 1]
-    train = tmp_path / "train.csv"
+    train = tmp / "train.csv"
     train.write_text("x1,x2,y\n" + "".join(f"{a},{b},{c}\n" for (a, b), c in zip(x, y)),
                      encoding="utf-8")
-    out = tmp_path / "opt"
-    assert run_cli("optimize", train, "--response", "y", "--seed", "1",
-                   "--iterations", "5", "--out-dir", out) == 0
-    capsys.readouterr()
+    out = tmp / "opt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli("optimize", train, "--response", "y", "--seed", "1",
+                       "--iterations", "5", "--out-dir", out) == 0
     return train, out / "model.kfpls"
+
+
+@pytest.fixture()
+def xy_model(tmp_path, xy_files):
+    """The `xy_files` training CSV and a copy of its archive."""
+    train, archive = xy_files
+    copy = tmp_path / "opt" / "model.kfpls"
+    copy.parent.mkdir()
+    copy.write_bytes(archive.read_bytes())
+    return train, copy
 
 
 class TestWriteTable:
@@ -484,6 +498,103 @@ class TestCorruptArchive:
         assert not (pred_dir / "predictions.csv").exists()
 
 
+class TestNonFinitePredictions:
+    """Values so large that a prediction overflows are ``error:data``, with
+    one line on stderr (no numpy warning) and no output directory."""
+
+    @staticmethod
+    def rejected_row(code, err, pred_dir) -> int:
+        """The data row an ``error:data`` line names as not finite."""
+        lines = err.splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error:data:")
+        assert not pred_dir.exists()
+        return int(re.search(r"data row (\d+) ", lines[0]).group(1))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cell", ["1e308", "-1e308"])
+    def test_huge_csv_cell(self, cell, tmp_path, xy_model, capsys):
+        features = tmp_path / "features.csv"
+        features.write_text(f"x1,x2\n0.1,0.2\n{cell},0.3\n0.4,0.5\n", encoding="utf-8")
+        pred_dir = tmp_path / "pred"
+        code = run_cli("predict", xy_model[1], features, "--out-dir", pred_dir)
+        assert self.rejected_row(code, capsys.readouterr().err, pred_dir) == 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    @pytest.mark.parametrize("member", ["pls_coef", "x_train", "prep_x_means"])
+    def test_huge_archive_member(self, member, value, tmp_path, xy_model, capsys):
+        train, archive = xy_model
+        arrays = read_array_archive(archive)
+        arrays[member] = np.full_like(arrays[member], value)
+        write_array_archive(archive, arrays)
+        pred_dir = tmp_path / "pred"
+        code = run_cli("predict", archive, train, "--out-dir", pred_dir)
+        self.rejected_row(code, capsys.readouterr().err, pred_dir)
+
+
+ARCHIVE_MEMBERS = (
+    "schema_version", "families", "log_sigma", "log_gamma", "has_log_gamma",
+    "log_delta", "x_train", "center_col_means", "pls_coef", "pls_n_lv", "y_means",
+    "prep_x_means", "prep_x_stds", "prep_has_y_stats", "prep_y_means", "prep_y_stds",
+    "prep_task", "prep_x_names", "prep_y_names",
+)
+
+
+def _member_mutations(value):
+    """Damaged versions of an archive member by its kind, ``None`` dropping it:
+    float members filled with edge values, cast, given a dimension or
+    emptied; integer and flag members cast, made negative or huge, or
+    replaced by a string; string members emptied, replaced by floats or
+    given a dimension."""
+    if value.dtype.kind == "f":
+        return [None, *(np.full_like(value, v) for v in
+                        (np.nan, np.inf, 1e308, -1e308, 0.0, -0.0, 5e-324)),
+                value.astype(int), value.astype(bool), value[None],
+                np.empty((0,) * max(value.ndim, 1))]
+    if value.dtype.kind in "iub":
+        return [None, value.astype(float), np.full(value.shape, -3),
+                np.full(value.shape, 10**12), np.full(value.shape, "x")]
+    assert value.dtype.kind == "U"
+    return [None, value[:0] if value.ndim else np.array(""), np.ones(value.shape),
+            value[None]]
+
+
+class TestArchiveMutations:
+    """Every damaged member of a model archive either predicts finite values
+    or is one ``error:`` line (exit 1 or 2, no output), never ``error:internal``."""
+
+    def test_members_are_the_archive_members(self, xy_files):
+        assert sorted(read_array_archive(xy_files[1])) == sorted(ARCHIVE_MEMBERS)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("member", ARCHIVE_MEMBERS)
+    def test_predict_on_damaged_member(self, member, tmp_path, xy_files, capsys):
+        train, original = xy_files
+        archive = tmp_path / "model.kfpls"
+        failures = []
+        for i, mutated in enumerate(_member_mutations(read_array_archive(original)[member])):
+            arrays = read_array_archive(original)
+            if mutated is None:
+                del arrays[member]
+            else:
+                arrays[member] = mutated
+            write_array_archive(archive, arrays)
+            pred_dir = tmp_path / f"pred{i}"
+            code = run_cli("predict", archive, train, "--out-dir", pred_dir)
+            err = capsys.readouterr().err.splitlines()
+            written = pred_dir / "predictions.csv"
+            if code == 0:
+                ok = not err and np.isfinite(read_csv(written)[1]).all()
+            else:
+                ok = (code in (1, 2) and len(err) == 1 and err[0].startswith("error:")
+                      and not err[0].startswith("error:internal")
+                      and not pred_dir.exists())
+            if not ok:
+                failures.append((i, code, err))
+        assert failures == []
+
+
 class TestUnwritableOutput:
     """An output file that cannot be written is an ``io`` error."""
 
@@ -504,6 +615,16 @@ def _no_flow(*args, **kwargs):
     raise AssertionError("the kernel flow ran")
 
 
+def _forbid_flows(monkeypatch):
+    """Fail any kernel flow: a pipeline's, or the n_lv sweep's own."""
+    for module in (cli, pipeline):
+        monkeypatch.setattr(module, "run_kernel_flows", _no_flow)
+
+
+def _no_pipeline(*args, **kwargs):
+    raise AssertionError("a whole pipeline ran")
+
+
 def _no_dataset(*args, **kwargs):
     raise AssertionError("a dataset was built")
 
@@ -514,7 +635,7 @@ class TestLvMaxBeforeFlow:
 
     @pytest.mark.parametrize("lv_max", ["0", "100"])
     def test_optimize(self, lv_max, tmp_path, toy_csv, capsys, monkeypatch):
-        monkeypatch.setattr(pipeline, "run_kernel_flows", _no_flow)
+        _forbid_flows(monkeypatch)
         out = tmp_path / "out"
         assert run_cli("optimize", toy_csv, "--response", "target",
                        "--lv-max", lv_max, "--out-dir", out) == 2
@@ -523,14 +644,14 @@ class TestLvMaxBeforeFlow:
 
     @pytest.mark.parametrize("lv_max", ["0", "500"])
     def test_case(self, lv_max, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(pipeline, "run_kernel_flows", _no_flow)
+        _forbid_flows(monkeypatch)
         out = tmp_path / "out"
         assert run_cli("case", "1", "--lv-max", lv_max, "--out-dir", out) == 2
         assert capsys.readouterr().err.startswith("error:config: lv_max")
         assert not out.exists()
 
     def test_sweep_n_lv_grid_above_calibration_rows(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(pipeline, "run_kernel_flows", _no_flow)
+        _forbid_flows(monkeypatch)
         out = tmp_path / "out"
         assert run_cli("sweep", "--axis", "n_lv", "--grid", "1,500", "--case", "1",
                        "--out-dir", out) == 2
@@ -541,7 +662,7 @@ class TestLvMaxBeforeFlow:
     def test_sweep_case_lv_max_above_fit_rows(self, axis, grid, tmp_path, capsys,
                                                monkeypatch):
         # Case 3 searches up to 20 factors; 20 rows leave fewer to fit on.
-        monkeypatch.setattr(pipeline, "run_kernel_flows", _no_flow)
+        _forbid_flows(monkeypatch)
         small = write_toy_csv(tmp_path / "small.csv", n=20)
         out = tmp_path / "out"
         assert run_cli("sweep", "--axis", axis, "--grid", grid, "--case", "3",
@@ -559,7 +680,7 @@ class TestConfigErrorsBeforeCompute:
         ["sweep", "--axis", "learning_rate", "--grid", "nan"],
     ], ids=["case", "sweep"])
     def test_nan_flow_setting(self, argv, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(pipeline, "run_kernel_flows", _no_flow)
+        _forbid_flows(monkeypatch)
         out = tmp_path / "out"
         assert run_cli(*argv, "--out-dir", out) == 2
         assert capsys.readouterr().err.startswith("error:config: learning_rate")
@@ -578,7 +699,7 @@ class TestConfigErrorsBeforeCompute:
     def test_bad_noise_level(self, argv, tmp_path, capsys, monkeypatch):
         for module in (cli, pipeline):
             monkeypatch.setattr(module, "case_dataset", _no_dataset)
-        monkeypatch.setattr(pipeline, "run_kernel_flows", _no_flow)
+        _forbid_flows(monkeypatch)
         out = tmp_path / "out"
         assert run_cli(*argv, "--out-dir", out) == 2
         assert capsys.readouterr().err.startswith("error:config: noise")
@@ -595,7 +716,7 @@ class TestConfigErrorsBeforeCompute:
         for module in (cli, pipeline):
             monkeypatch.setattr(module, "case_dataset", _no_dataset)
         monkeypatch.setattr(cli, "load_csv", _no_dataset)
-        monkeypatch.setattr(pipeline, "run_kernel_flows", _no_flow)
+        _forbid_flows(monkeypatch)
         monkeypatch.setattr(cli, "loss_surface", _no_flow)
         config = tmp_path / "run.cfg"
         config.write_text("seed = -1\n", encoding="utf-8")
@@ -630,6 +751,25 @@ class TestSweepCommand:
                        "--seed", "2", "--iterations", "12", "--out-dir", out) == 0
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 2
+
+    def test_n_lv_axis_runs_the_flow_and_one_count_sweep(self, tmp_path, monkeypatch):
+        # The learned calibration Gram is built once, by `sweep_n_lv`; no
+        # factor search, final fit or reference model runs.
+        grams = []
+        gram_from_dists = kernels.gram_from_dists
+
+        def counted(spec, sq_dists):
+            grams.append(spec)
+            return gram_from_dists(spec, sq_dists)
+
+        for module in (kernels, pipeline):
+            monkeypatch.setattr(module, "gram_from_dists", counted)
+        for module in (cli, pipeline):
+            monkeypatch.setattr(module, "run_pipeline", _no_pipeline)
+        assert run_cli("sweep", "--axis", "n_lv", "--grid", "1,3", "--case", "1",
+                       "--seed", "2", "--iterations", "3", "--out-dir", tmp_path) == 0
+        assert len(grams) == 1
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 3
 
     def test_invalid_axis_is_usage_error(self, capsys):
         assert run_cli("sweep", "--axis", "n_lv", "--grid", "") == 2
@@ -714,7 +854,7 @@ class TestErrorContract:
     ], ids=["optimize", "case"])
     def test_empty_response_is_usage_error(self, argv, tmp_path, toy_csv, capsys,
                                            monkeypatch):
-        monkeypatch.setattr(pipeline, "run_kernel_flows", _no_flow)
+        _forbid_flows(monkeypatch)
         out = tmp_path / "out"
         assert run_cli(*[a.format(csv=toy_csv) for a in argv], "--out-dir", out) == 2
         assert capsys.readouterr().err.startswith("error:usage: --response names no")
@@ -789,6 +929,17 @@ class TestFlagSets:
         assert got == self.EXPECTED
         assert [len(got[n]) for n in got] == [24, 23, 2, 25, 15]
 
+    def test_main_builds_the_parser_once(self, tmp_path, capsys, monkeypatch):
+        parser = build_parser()
+        assert build_parser() is parser
+
+        def no_parser(*args, **kwargs):
+            raise AssertionError("a parser was built")
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", no_parser)
+        assert run_cli("predict", tmp_path / "missing.kfpls", tmp_path / "x.csv") == 1
+        assert capsys.readouterr().err.startswith("error:io: cannot load model")
+
     def test_predict_rejects_flags_it_does_not_read(self, xy_model):
         with pytest.raises(SystemExit) as exc:
             run_cli("predict", xy_model[1], xy_model[0], "--iterations", "5")
@@ -820,12 +971,14 @@ class TestSweepInitialKernel:
     def test_kernel_flags_reach_every_axis(self, axis, value, tmp_path, monkeypatch):
         seen = []
 
-        def record(ds, spec0, *args):
+        def record(spec0):
             seen.append(spec0)
             raise _Reached
 
-        monkeypatch.setattr(pipeline, "run_pipeline", record)
-        monkeypatch.setattr(cli, "run_pipeline", record)
+        for module in (cli, pipeline):
+            monkeypatch.setattr(module, "run_pipeline", lambda ds, spec0, *a: record(spec0))
+        # The n_lv axis runs the flow itself, not a pipeline.
+        monkeypatch.setattr(cli, "run_kernel_flows", lambda X, Y, flow, spec0: record(spec0))
         assert run_cli("sweep", "--axis", axis, "--grid", value, "--case", "1",
                        "--kernel", "matern32", "--sigma", "2", "--delta", "0.3",
                        "--out-dir", tmp_path) == 1

@@ -25,7 +25,7 @@ from kfpls._serialize import read_array_archive, write_array_archive
 from kfpls.kernels import (FAMILY_NAMES, block_rows, gram_test, kernel_matrix,
                            pairwise_sq_dists)
 from kfpls.kpls import _affine_predict, affine_coef, fit_grams, model_from_arrays
-from kfpls.pipeline import _count_predictions
+from kfpls.pipeline import _count_maps
 from kfpls.pls import coef_path
 from oracles import center_test_literal, gram_literal, kernel_value, kpls_coef_literal
 
@@ -286,12 +286,12 @@ class TestAffinePredict:
     @pytest.mark.parametrize("q", [0, 1, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7])
     @pytest.mark.parametrize("m", [1, 4])
     def test_factor_search_stack_matches_one_shot_product(self, blocks, m, q):
-        # `_count_predictions` applies the stacked (a, n, m) maps of counts 1..a.
+        # `pipeline.sweep_n_lv` applies the stacked (a, n, m) maps of counts 1..a.
         rng = np.random.default_rng(q + 10 * m)
         spec = KernelSpec.create(["gaussian", "cauchy"], sigma=[0.8, 1.5], delta=0.01)
         X, Y = rng.normal(size=(self.N_TRAIN, 2)), rng.normal(size=(self.N_TRAIN, m))
         X_new = rng.normal(size=(q, 2))
-        got = _count_predictions(spec, X, Y, 6, X_new)
+        got = _affine_predict(spec, X, *_count_maps(gram_train(spec, X), X, Y, 6), X_new)
         (W, P, Q, _), col_means, y_means, _ = fit_grams(gram_train(spec, X)[None],
                                                        Y[None], 6)
         C, b = affine_coef(coef_path(W[0], P[0], Q[0], 6), col_means[0], y_means[0])

@@ -10,12 +10,14 @@ from kfpls import (
     fit_kpls,
     gen_circles,
     gen_peaks,
+    gram_train,
     pipeline,
     predict_kpls,
 )
+from kfpls.kpls import _affine_predict
 from kfpls.metrics import accuracy, rmse
 from kfpls.pipeline import (
-    _count_predictions,
+    _count_maps,
     _holdout_split,
     _score_counts,
     case_dataset,
@@ -120,7 +122,8 @@ class TestLineSearch:
     def test_prefers_smaller_count_on_ties(self):
         ds = gen_circles(40, 2, 0.0, seed=3)
         spec = KernelSpec.create(["gaussian"], sigma=0.5, delta=0.01)
-        lv, table = line_search_n_lv(ds.X_cal, ds.Y_cal, spec, "classification", 6, 0)
+        lv, table = line_search_n_lv(gram_train(spec, ds.X_cal), ds.X_cal, ds.Y_cal,
+                                     "classification", 6, 0)
         scores = dict(table)
         assert scores[lv] == max(scores.values())
         assert all(scores[other] < scores[lv] for other in scores if other < lv)
@@ -128,7 +131,8 @@ class TestLineSearch:
     def test_regression_minimizes_holdout_rmse(self):
         ds = gen_peaks(120, 0.05, seed=4)
         spec = KernelSpec.create(["gaussian"], sigma=0.5, delta=0.01)
-        lv, table = line_search_n_lv(ds.X_cal, ds.Y_cal, spec, "regression", 8, 0)
+        lv, table = line_search_n_lv(gram_train(spec, ds.X_cal), ds.X_cal, ds.Y_cal,
+                                     "regression", 8, 0)
         scores = dict(table)
         assert scores[lv] == min(scores.values())
         assert len(table) == 8
@@ -141,7 +145,8 @@ class TestOneFitFactorSearch:
     def test_line_search_matches_refits(self, case):
         ds, sigma, lv_max = FACTOR_SEARCH_CASES[case]
         spec = KernelSpec.create("gaussian", sigma=sigma, delta=0.01)
-        lv, table = line_search_n_lv(ds.X_cal, ds.Y_cal, spec, ds.task, lv_max, 1)
+        lv, table = line_search_n_lv(gram_train(spec, ds.X_cal), ds.X_cal, ds.Y_cal,
+                                     ds.task, lv_max, 1)
         ref_lv, ref_table = refit_line_search(ds.X_cal, ds.Y_cal, spec, ds.task, lv_max, 1)
         assert lv == ref_lv
         assert [n for n, _ in table] == [n for n, _ in ref_table] == list(range(1, lv_max + 1))
@@ -155,7 +160,8 @@ class TestOneFitFactorSearch:
         fit_idx, _ = _holdout_split(ds.X_cal.shape[0], 1)
         k = fit_kpls(ds.X_cal[fit_idx], ds.Y_cal[fit_idx], lv_max, spec).pls.n_lv
         assert k < lv_max
-        _, table = line_search_n_lv(ds.X_cal, ds.Y_cal, spec, ds.task, lv_max, 1)
+        _, table = line_search_n_lv(gram_train(spec, ds.X_cal), ds.X_cal, ds.Y_cal,
+                                    ds.task, lv_max, 1)
         assert [s for _, s in table[k:]] == [table[k - 1][1]] * (lv_max - k)
 
     def test_path_ended_early_stops_the_search(self, monkeypatch):
@@ -164,7 +170,8 @@ class TestOneFitFactorSearch:
         spec = KernelSpec.create("gaussian", sigma=sigma, delta=0.01)
         monkeypatch.setattr(pipeline, "coef_path",
                             lambda W, P, Q, lv_max: coef_path(W, P, Q, lv_max)[:2])
-        _, table = line_search_n_lv(ds.X_cal, ds.Y_cal, spec, ds.task, 6, 1)
+        _, table = line_search_n_lv(gram_train(spec, ds.X_cal), ds.X_cal, ds.Y_cal,
+                                    ds.task, 6, 1)
         assert [lv for lv, _ in table] == [1, 2]
         assert len(sweep_n_lv(ds, spec, [1, 2])) == 2
         with pytest.raises(DegenerateProblemError, match="ill-conditioned"):
@@ -174,7 +181,8 @@ class TestOneFitFactorSearch:
         ds = gen_peaks(20, 0.05, seed=4)
         spec = KernelSpec.create("gaussian", sigma=0.5, delta=0.01)
         with pytest.raises(ValueError, match="exceeds the number of training rows"):
-            line_search_n_lv(ds.X_cal, ds.Y_cal, spec, ds.task, 14, 1)
+            line_search_n_lv(gram_train(spec, ds.X_cal), ds.X_cal, ds.Y_cal,
+                             ds.task, 14, 1)
 
     @pytest.mark.parametrize("case", ["eight_columns", "rank_deficient", "circles"])
     def test_plain_pls_lv_matches_refits(self, case):
@@ -232,8 +240,9 @@ class TestOneCalibrationGram:
     @staticmethod
     def separate_fits(ds, spec0, spec, lv_max, seed):
         fit_idx, val_idx = _holdout_split(ds.X_cal.shape[0], seed)
-        preds = _count_predictions(spec, ds.X_cal[fit_idx], ds.Y_cal[fit_idx], lv_max,
-                                   ds.X_cal[val_idx])
+        X_fit = ds.X_cal[fit_idx]
+        C, b = _count_maps(gram_train(spec, X_fit), X_fit, ds.Y_cal[fit_idx], lv_max)
+        preds = _affine_predict(spec, X_fit, C, b, ds.X_cal[val_idx])
         n_lv, table = _score_counts(preds, ds.Y_cal[val_idx], ds.task)
         model = fit_kpls(ds.X_cal, ds.Y_cal, n_lv, spec)
         default = fit_kpls(ds.X_cal, ds.Y_cal, pipeline.DEFAULT_BASELINE_LV,
