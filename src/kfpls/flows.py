@@ -42,14 +42,18 @@ depends on the parameters only through the plain Gram ``K`` and the ridge
 ``A Bᵀ``, scattered onto the minibatch rows like the affine coefficients,
 so ``K̄`` is one product of two thin matrices.
 
-The loss evaluations and the gradient on one minibatch draw read one
-`_Workspace`, started when the draw is made. Its buffers, reused from draw
-to draw, hold the squared distances, ``d = sqrt(d2)`` (taken on the draw's
-first Gram of a spec with a Matern family; no other family reads it), the
-plain Gram (then ``K̄``), each stack's gathered Grams (and its gather
-index), which take the ridge and are centered in place, and the scratch
-of the derivative maps; it keeps the family matrices of its last Gram for
-the gradient. A run keeps one workspace, and nothing outlives the run.
+A minibatch draw is one `_Workspace`: the sampler starts it on the
+minibatch's squared distances, its responses and the sub-batch index
+sets, and makes the sets' gather index into the minibatch Gram once. The
+loss evaluations and the gradient on the draw read all of it from there.
+Its buffers, reused from draw to draw, hold the squared distances,
+``d = sqrt(d2)`` (taken on the draw's first Gram of a spec with a Matern
+family; no other family reads it), the plain Gram (then ``K̄``), the
+gather index, the sub-batch Grams and, under ``norm_ratio``, the
+minibatch Gram copied as a stack of one, which take the ridge and are
+centered in place, and the scratch of the derivative maps; it keeps the
+family matrices of its last Gram for the gradient. A run keeps one
+workspace, and nothing outlives the run.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateProblemError, FlowAbortError
-from .kernels import _FAMILIES, KernelSpec, kernel_matrix, reads_d, train_sq_dists
+from .kernels import _FAMILIES, KernelSpec, reads_d, train_sq_dists
 from .kpls import affine_coef, fit_grams
 from .pls import _simpls_adjoint
 
@@ -181,65 +185,61 @@ class FlowTrace:
 
 
 class _Workspace:
-    """What the loss evaluations and the gradient on one minibatch draw
+    """One minibatch draw: its squared distances ``d2``, responses ``Y``,
+    sub-batch index sets ``subsets`` (S, n_sub) and their gather index into
+    the minibatch Gram, plus the buffers its loss evaluations and gradient
     share (see the module docstring). The buffers pass from draw to draw,
     so they are not allocated and paged in again for each one.
     """
 
     def __init__(self):
         self._full = {}  # name -> reused buffer
-        self._stacks = {}  # (n, S, size) -> (index sets, flat index, stack buffer)
-        self.d2 = self.d = None
+        self.d2 = self.d = self.Y = self.subsets = self.flat = None
         self.terms = []  # the family matrices of the last `gram`
 
-    def start(self, d2):
-        """Begin a draw on the minibatch's squared distances ``d2``; its
+    def start(self, d2, Y, subsets):
+        """Begin a draw on the minibatch's squared distances ``d2``, its
+        responses ``Y`` and the sorted index sets ``subsets`` (S, n_sub);
         ``d`` is taken by the first `gram` that reads it."""
         self.terms = []
-        self.d2 = d2
-        self.d = None
+        self.d2, self.d, self.Y, self.subsets = d2, None, Y, subsets
+        S, n_sub = subsets.shape
+        self.flat = np.add(subsets[:, :, None] * len(d2), subsets[:, None, :],
+                           out=self.buffer("flat", (S, n_sub, n_sub), np.intp))
         return self
 
-    def buffer(self, name, shape=None):
+    def buffer(self, name, shape=None, dtype=float):
         """The reused buffer ``name`` of ``shape`` (default: the minibatch's)."""
         shape = self.d2.shape if shape is None else shape
         buf = self._full.get(name)
         if buf is None or buf.shape != shape:
-            buf = self._full[name] = np.empty(shape)
+            buf = self._full[name] = np.empty(shape, dtype)
         return buf
 
     def gram(self, spec):
-        """Plain Gram of ``spec`` in its buffer: the family matrices, kept in
-        ``terms``, weighted and summed with `kernel_matrix`'s products in its
-        order, so bit for bit its result. The first Gram on the draw of a
-        spec with a family that reads ``d`` takes it into its buffer."""
+        """Plain Gram of ``spec`` in its buffer: each family's matrix made by
+        its `kernels._FAMILIES` function, as `kernel_matrix` makes that of a
+        one-family spec, and kept in ``terms``; then weighted and summed with
+        `kernel_matrix`'s products in its order, so bit for bit its result.
+        The first Gram on the draw of a spec with a family that reads ``d``
+        takes it into its buffer."""
         if self.d is None and reads_d(spec):
             self.d = np.sqrt(self.d2, out=self.buffer("d"))
+        sigma, gamma = spec.sigma, spec.gamma
         self.terms = []  # the last evaluation's matrices go before these come
-        self.terms = [kernel_matrix(spec.member(i), self.d2, self.d)
-                      for i in range(len(spec.families))]
-        gamma = spec.gamma
+        self.terms = [_FAMILIES[name][0](self.d2, self.d, sigma[i])
+                      for i, name in enumerate(spec.families)]
         out = np.multiply(gamma[0], self.terms[0], out=self.buffer("gram"))
         scratch = self.buffer("scratch")
         for i in range(1, len(spec.families)):
             out += np.multiply(gamma[i], self.terms[i], out=scratch)
         return out
 
-    def stack(self, K_plain, idx):
-        """The Grams (S, n, n) of the row sets ``idx`` (S, n) of ``K_plain``, in
-        the buffer of that shape. The sub-batch stack and the minibatch one
-        of ``norm_ratio`` have one shape only when the draw's one sorted
-        sub-batch is the whole minibatch, so a shared buffer holds one Gram."""
-        key = (K_plain.shape[1], *idx.shape)
-        sets, flat, buf = self._stacks.get(key, (None, None, None))
-        if sets is None:
-            flat = np.empty((*idx.shape, idx.shape[1]), dtype=np.intp)
-            buf = np.empty(flat.shape)
-        if sets is None or not np.array_equal(sets, idx):
-            np.add(idx[:, :, None] * K_plain.shape[1], idx[:, None, :], out=flat)
-            self._stacks[key] = (idx, flat, buf)
-        # The indices are in range; "clip" lets take write straight into `buf`.
-        return np.take(K_plain, flat, out=buf, mode="clip")
+    def gather(self, K_plain):
+        """The sub-batch Grams (S, n_sub, n_sub) of ``K_plain``, in their buffer."""
+        # The indices are in range; "clip" lets take write straight into the buffer.
+        return np.take(K_plain, self.flat, mode="clip",
+                       out=self.buffer("stack", self.flat.shape))
 
     def theta_gradient(self, spec, K_bar, delta_bar):
         """``∂L/∂θ`` of ``spec`` from the adjoint ``K_bar`` of the plain Gram
@@ -279,39 +279,38 @@ def _cv_residuals(K_plain, idx, coef, col_means, y_means, Y):
     K_mean = K_plain.mean(axis=0)
     C, b = affine_coef(coef, col_means - K_mean[idx], y_means)
     G = np.zeros((n_rows, n_sets, m))
-    np.add.at(G, (idx, np.arange(n_sets)[:, None]), C)
+    G[idx, np.arange(n_sets)[:, None]] = C
     KG = ((K_plain - K_mean) @ G.reshape(n_rows, -1)).reshape(n_rows, n_sets, m)
     return Y[:, None, :] - KG - b[:, 0, :], G
 
 
-def _batch_losses(batch, Y_batch, subsets, n_lv, spec, objective, tape=None):
-    """Average iteration loss over the sub-batch index sets ``subsets``
-    (S, n_sub), plus the per-subset losses in row order (objectives: see the
-    module docstring). ``batch`` is the minibatch's squared distances or the
-    `_Workspace` of its draw. The sub-batches are fitted as one stack, with
-    one factor count (see `kpls.fit_grams`), and ``norm_ratio`` fits the
-    minibatch as a second. A ``tape`` dict receives what `_loss_gradient`
-    reads back.
+def _batch_losses(ws, n_lv, spec, objective, tape=None):
+    """Average iteration loss over the sub-batches of the draw ``ws``, plus
+    the per-subset losses in row order (objectives: see the module
+    docstring). The sub-batches are fitted as one stack, with one factor
+    count (see `kpls.fit_grams`), and ``norm_ratio`` fits the minibatch as a
+    second. A ``tape`` dict receives what `_loss_gradient` reads back.
     """
-    ws = batch if isinstance(batch, _Workspace) else _Workspace().start(batch)
     K_plain = ws.gram(spec)
-    stacks = [subsets]
+    Y = ws.Y
+    stacks = [(ws.subsets, ws.gather(K_plain))]
     if objective == "norm_ratio":
-        stacks.append(np.arange(Y_batch.shape[0])[None])
+        whole = ws.buffer("whole", (1, *K_plain.shape))
+        whole[0] = K_plain
+        stacks.append((np.arange(len(Y))[None], whole))
     else:
-        denom = float(np.sum((Y_batch - Y_batch.mean(axis=0)) ** 2))
+        denom = float(np.sum((Y - Y.mean(axis=0)) ** 2))
         if denom < _NORM_FLOOR:
             raise DegenerateProblemError("minibatch responses are constant")
     values, fits = [], []
-    for idx in stacks:
+    for idx, K in stacks:
         simpls = {} if tape is not None else None
-        K = ws.stack(K_plain, idx)
         K.reshape(len(K), -1)[:, :: K.shape[1] + 1] += spec.delta  # each diagonal
-        (*_, coef), means, y_means, K_c = fit_grams(K, Y_batch[idx], n_lv, simpls)
+        (*_, coef), means, y_means, K_c = fit_grams(K, Y[idx], n_lv, simpls)
         if objective == "norm_ratio":
             values.append(_model_norms(coef, K_c))
         else:
-            R, G = _cv_residuals(K_plain, idx, coef, means, y_means, Y_batch)
+            R, G = _cv_residuals(K_plain, idx, coef, means, y_means, Y)
             values.append(np.sum(R ** 2, axis=(0, 2)))
         if tape is not None:
             fit = dict(idx=idx, coef=coef, col_means=means, y_means=y_means,
@@ -335,16 +334,16 @@ def _batch_losses(batch, Y_batch, subsets, n_lv, spec, objective, tape=None):
     return loss, rhos.tolist()
 
 
-def _loss_gradient(ws, Y_batch, subsets, n_lv, spec, objective):
+def _loss_gradient(ws, n_lv, spec, objective):
     """``(loss, gradient)``: the iteration loss of `_batch_losses` on the draw
     ``ws`` and its exact gradient in ``spec.theta()``, from one reverse pass
     through that evaluation (see the module docstring). Raises
     `DegenerateProblemError` where the loss or the gradient is not finite.
     """
     tape = {}
-    loss, _ = _batch_losses(ws, Y_batch, subsets, n_lv, spec, objective, tape)
+    loss, _ = _batch_losses(ws, n_lv, spec, objective, tape)
     K_plain, scale = tape["K_plain"], tape["scale"]
-    n_rows, n_sets = Y_batch.shape[0], subsets.shape[0]
+    n_rows, n_sets = ws.Y.shape[0], ws.subsets.shape[0]
     U, V = [], []  # ∂L/∂K_plain = U Vᵀ, in column blocks
     delta_bar = 0.0
     for pos, fit in enumerate(tape["stacks"]):
@@ -369,7 +368,7 @@ def _loss_gradient(ws, Y_batch, subsets, n_lv, spec, objective):
             U.append(R_bar.reshape(n_rows, -1))
             V.append(fit["G"].reshape(n_rows, -1))
             direct = None
-        Y_c = Y_batch[idx] - fit["y_means"][:, None, :]
+        Y_c = ws.Y[idx] - fit["y_means"][:, None, :]
         A, B = _simpls_adjoint(K_c, Y_c, fit["simpls"], coef_bar)
         if direct is not None:
             A, B = (np.concatenate([x, y], axis=2) for x, y in zip((A, B), direct))
@@ -455,8 +454,7 @@ def _sample_indices(
 def _batch_sampler(X, Y, config: FlowConfig):
     """Check ``config`` against the data; return ``draw(rng)``, which samples
     one minibatch and ``config.n_subsamples`` sorted index sets of ``n_sub``
-    rows into it and returns ``(the run's _Workspace started on the
-    minibatch, minibatch Y, the index sets as one (S, n_sub) array)``.
+    rows into it and returns the run's `_Workspace` started on that draw.
     """
     X = np.asarray(X, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float).T).T
@@ -476,7 +474,7 @@ def _batch_sampler(X, Y, config: FlowConfig):
         shape = (batch_idx.size, batch_idx.size)
         d2 = train_sq_dists(X[batch_idx], out=ws.buffer("d2", shape),
                             work=ws.buffer("d", shape))
-        return ws.start(d2), Y[batch_idx], subsets
+        return ws.start(d2, Y[batch_idx], subsets)
 
     return draw
 
@@ -514,23 +512,18 @@ def run_kernel_flows(
         iterations_run = it + 1
         result = None
         for attempt in range(2):
-            ws, Y_b, subsets = draw(rng)
+            ws = draw(rng)
             spec_now = spec0.replace_theta(theta)
             try:
                 if config.update_rule == "nesterov":
-                    rho_bar, _ = _batch_losses(
-                        ws, Y_b, subsets, config.n_lv, spec_now, config.objective
-                    )
+                    rho_bar, _ = _batch_losses(ws, config.n_lv, spec_now, config.objective)
                     lookahead = spec0.replace_theta(
                         theta + config.momentum * (theta - prev_theta)
                     )
-                    _, grad = _loss_gradient(
-                        ws, Y_b, subsets, config.n_lv, lookahead, config.objective
-                    )
+                    _, grad = _loss_gradient(ws, config.n_lv, lookahead, config.objective)
                 else:
-                    rho_bar, grad = _loss_gradient(
-                        ws, Y_b, subsets, config.n_lv, spec_now, config.objective
-                    )
+                    rho_bar, grad = _loss_gradient(ws, config.n_lv, spec_now,
+                                                   config.objective)
                 rate = config.learning_rate
                 if config.lr_decay:
                     rate *= 1.0 / math.sqrt(it + 1)
@@ -618,12 +611,10 @@ def loss_surface(
     draw = _batch_sampler(X, Y, config)
     values = np.full((len(specs), n_repeats), math.nan)
     for j, child in enumerate(np.random.SeedSequence(config.seed).spawn(n_repeats)):
-        ws, Y_b, subsets = draw(np.random.default_rng(child))
+        ws = draw(np.random.default_rng(child))
         for s, spec in enumerate(specs):
             try:
-                values[s, j], _ = _batch_losses(
-                    ws, Y_b, subsets, config.n_lv, spec, config.objective
-                )
+                values[s, j], _ = _batch_losses(ws, config.n_lv, spec, config.objective)
             except DegenerateProblemError:
                 pass
 

@@ -282,15 +282,6 @@ class KernelSpec:
             log_delta=float(theta[-1]),
         )
 
-    def member(self, i: int) -> "KernelSpec":
-        """Family ``i`` alone: its length-scale, weight 1 and the same ridge."""
-        return KernelSpec(
-            families=(self.families[i],),
-            log_sigma=self.log_sigma[i : i + 1].copy(),
-            log_gamma=None,
-            log_delta=self.log_delta,
-        )
-
     def param_names(self) -> list[str]:
         names = [f"log_sigma_{f}" for f in self.families]
         if self.log_gamma is not None:

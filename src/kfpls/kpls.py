@@ -262,12 +262,14 @@ def save_calibrated_model(path, model: KplsModel, ds: Dataset) -> None:
     })
 
 
-def _check_kinds(data: dict, floats, strings) -> None:
-    """Reject the members ``floats`` unless they hold real floats and the
-    members ``strings`` unless they hold strings (``ValueError``)."""
-    for keys, kind, what in ((floats, "f", "real floats"), (strings, "U", "strings")):
+def _check_kinds(data: dict, floats=(), strings=(), counts=(), flags=()) -> None:
+    """Reject the members ``floats`` unless they hold real floats, ``strings``
+    unless they hold strings, ``counts`` unless they hold integers and
+    ``flags`` unless they hold booleans (``ValueError``)."""
+    for keys, kinds, what in ((floats, "f", "real floats"), (strings, "U", "strings"),
+                              (counts, "iu", "integers"), (flags, "b", "booleans")):
         for key in keys:
-            if data[key].dtype.kind != kind:
+            if data[key].dtype.kind not in kinds:
                 raise ValueError(f"archive member {key!r} does not hold {what}")
 
 
@@ -279,7 +281,9 @@ def model_from_arrays(data: dict) -> KplsModel:
     Raises ``ValueError`` for a scalar, list or matrix member of another
     number of dimensions (``x_train`` is a matrix, ``y_means`` a list),
     another schema version, a model array or kernel parameter that does not
-    hold real floats or families that are not strings, a non-finite float
+    hold real floats, families that are not strings, a schema version or
+    factor count that is not an integer, a ``has_log_gamma`` that is not a
+    boolean, a factor count outside 1 and the training rows, a non-finite float
     member (of any name), a kernel parameter whose square (``exp`` of twice
     the stored log) underflows to 0 or overflows, a kernel whose families
     are unknown or repeated or whose parameters do not have one entry per
@@ -291,12 +295,12 @@ def model_from_arrays(data: dict) -> KplsModel:
                       ("y_means", 1)):
         if data[key].ndim != ndim:
             raise ValueError(f"archive member {key!r} is not {ndim}-dimensional")
+    params = ("log_sigma", "log_gamma", "log_delta")
+    _check_kinds(data, ("x_train", "center_col_means", "pls_coef", "y_means", *params),
+                 ("families",), ("schema_version", "pls_n_lv"), ("has_log_gamma",))
     version = int(data["schema_version"])
     if version not in (1, 2, _SCHEMA_VERSION):
         raise ValueError(f"unsupported model schema version {version}")
-    params = ("log_sigma", "log_gamma", "log_delta")
-    _check_kinds(data, ("x_train", "center_col_means", "pls_coef", "y_means", *params),
-                 ("families",))
     for key, value in data.items():
         if value.dtype.kind == "f" and not np.isfinite(value).all():
             raise ValueError(f"archive member {key!r} holds non-finite values")
@@ -319,6 +323,9 @@ def model_from_arrays(data: dict) -> KplsModel:
     n_train = data["x_train"].shape[0]
     if n_train < 2:
         raise ValueError(f"x_train has {n_train} rows, a fit needs at least 2")
+    n_lv = int(data["pls_n_lv"])
+    if not 1 <= n_lv <= n_train:
+        raise ValueError(f"pls_n_lv is {n_lv}, outside 1 and the {n_train} training rows")
     coef_shape = (n_train, data["y_means"].shape[0])
     if data["pls_coef"].shape != coef_shape:
         raise ValueError(
@@ -336,7 +343,7 @@ def model_from_arrays(data: dict) -> KplsModel:
         spec=spec,
         x_train=data["x_train"],
         col_means=data["center_col_means"],
-        pls=PlsModel(coef=data["pls_coef"], n_lv=int(data["pls_n_lv"])),
+        pls=PlsModel(coef=data["pls_coef"], n_lv=n_lv),
         y_means=data["y_means"],
     )
 
@@ -349,7 +356,8 @@ def load_calibrated_model(path) -> tuple[KplsModel, dict]:
     the archive is malformed: see `model_from_arrays`, plus missing
     standardization members, a task other than ``regression`` and
     ``classification``, standardization statistics that do not hold real
-    floats or a task and names that are not strings, a classification
+    floats, a task and names that are not strings or a
+    ``prep_has_y_stats`` that is not a boolean, a classification
     model with fewer than 2 responses, response statistics missing from a
     regression archive or present in a classification one, standardization
     arrays and names whose lengths disagree with the model, or a standard
@@ -360,7 +368,8 @@ def load_calibrated_model(path) -> tuple[KplsModel, dict]:
         raise ValueError("model file lacks preprocessing metadata")
     model = model_from_arrays(data)
     _check_kinds(data, ("prep_x_means", "prep_x_stds", "prep_y_means", "prep_y_stds"),
-                 ("prep_task", "prep_x_names", "prep_y_names"))
+                 ("prep_task", "prep_x_names", "prep_y_names"),
+                 flags=("prep_has_y_stats",))
     has_y_stats = bool(data["prep_has_y_stats"])
     meta = {
         "x_means": data["prep_x_means"],

@@ -235,7 +235,8 @@ class TestCriterion7OracleEquivalences:
         Y_b = (np.sin(X_b[:, 0]) + X_b[:, 1] ** 2)[:, None]
         idx = np.sort(rng.choice(16, 8, replace=False))
         spec = KernelSpec.create(["gaussian"], sigma=1.0, delta=0.01)
-        got = _batch_losses(train_sq_dists(X_b), Y_b, idx[None], 2, spec, "norm_ratio")[0]
+        ws = _Workspace().start(train_sq_dists(X_b), Y_b, idx[None])
+        got = _batch_losses(ws, 2, spec, "norm_ratio")[0]
         ref = flow_loss_literal(
             ["gaussian"], [1.0], [1.0], 0.01, X_b, Y_b, X_b[idx], Y_b[idx], 2
         )
@@ -260,13 +261,12 @@ class TestCriterion7OracleEquivalences:
             spec = KernelSpec.create(families, sigma=sigma, delta=delta)
             subs = np.array([np.sort(rng.choice(18, 9, replace=False)) for _ in range(4)])
             d2 = train_sq_dists(X)
-            grad = _loss_gradient(_Workspace().start(d2), Y, subs, 2, spec,
+            grad = _loss_gradient(_Workspace().start(d2, Y, subs), 2, spec,
                                   "norm_ratio")[1]
 
             def f(vec, d2=d2, Y=Y, subs=subs, spec=spec):
-                return _batch_losses(
-                    d2, Y, subs, 2, spec.replace_theta(vec), "norm_ratio"
-                )[0]
+                ws = _Workspace().start(d2, Y, subs)
+                return _batch_losses(ws, 2, spec.replace_theta(vec), "norm_ratio")[0]
 
             oracle = richardson_gradient(f, spec.theta())
             rel = np.abs(grad - oracle) / np.maximum(np.abs(oracle), 1e-12)

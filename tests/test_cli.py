@@ -407,6 +407,10 @@ def _no_training_rows(arrays):
         arrays[key] = arrays[key][:0]
 
 
+def _more_factors_than_rows(arrays):
+    arrays["pls_n_lv"] = np.array(arrays["x_train"].shape[0] + 1)
+
+
 def _unknown_task(arrays):
     arrays["prep_task"] = np.array("bogus")
 
@@ -456,7 +460,8 @@ class TestCorruptArchive:
                                          _two_families_no_weights, _duplicate_family,
                                          _vector_ridge, _zero_x_std, _negative_y_std,
                                          _one_d_x_train, _matrix_y_means,
-                                         _no_training_rows, _unknown_task,
+                                         _no_training_rows, _more_factors_than_rows,
+                                         _unknown_task,
                                          _no_y_stats, _one_response_classification,
                                          _subnormal_x_std, _complex_y_means,
                                          _complex_coef, _string_length_scale,
@@ -560,9 +565,15 @@ def _member_mutations(value):
             value[None]]
 
 
+# Count and flag members: each of their mutations is of the wrong kind or
+# out of range, so every one must be ``error:data``.
+STRICT_MEMBERS = ("schema_version", "has_log_gamma", "pls_n_lv", "prep_has_y_stats")
+
+
 class TestArchiveMutations:
     """Every damaged member of a model archive either predicts finite values
-    or is one ``error:`` line (exit 1 or 2, no output), never ``error:internal``."""
+    or is one ``error:`` line (exit 1 or 2, no output), never ``error:internal``;
+    a damaged count or flag member is always ``error:data``."""
 
     def test_members_are_the_archive_members(self, xy_files):
         assert sorted(read_array_archive(xy_files[1])) == sorted(ARCHIVE_MEMBERS)
@@ -584,7 +595,10 @@ class TestArchiveMutations:
             code = run_cli("predict", archive, train, "--out-dir", pred_dir)
             err = capsys.readouterr().err.splitlines()
             written = pred_dir / "predictions.csv"
-            if code == 0:
+            if member in STRICT_MEMBERS:
+                ok = (code == 1 and len(err) == 1 and err[0].startswith("error:data")
+                      and not pred_dir.exists())
+            elif code == 0:
                 ok = not err and np.isfinite(read_csv(written)[1]).all()
             else:
                 ok = (code in (1, 2) and len(err) == 1 and err[0].startswith("error:")

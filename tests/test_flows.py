@@ -48,22 +48,24 @@ def make_batch(seed, n=16, p=2):
 
 def norm_ratio(X, Y, subs, n_lv, spec):
     """The flow engine's norm-ratio loss on the minibatch ``X``, ``Y``."""
-    return _batch_losses(train_sq_dists(X), Y, subs, n_lv, spec, "norm_ratio")[0]
+    ws = _Workspace().start(train_sq_dists(X), Y, subs)
+    return _batch_losses(ws, n_lv, spec, "norm_ratio")[0]
 
 
 def norm_ratio_gradient(X, Y, subs, spec):
     """The flow's gradient of the norm-ratio loss at ``spec``, two factors."""
-    ws = _Workspace().start(train_sq_dists(X))
-    return _loss_gradient(ws, Y, subs, 2, spec, "norm_ratio")[1]
+    ws = _Workspace().start(train_sq_dists(X), Y, subs)
+    return _loss_gradient(ws, 2, spec, "norm_ratio")[1]
 
 
 def relative_to_richardson(d2, Y, subs, n_lv, spec, objective):
     """Worst per-coordinate deviation of the flow's gradient from the
     Richardson oracle on the loss, relative to the oracle (as criterion 7c)."""
-    grad = _loss_gradient(_Workspace().start(d2), Y, subs, n_lv, spec, objective)[1]
+    grad = _loss_gradient(_Workspace().start(d2, Y, subs), n_lv, spec, objective)[1]
 
     def f(vec):
-        return _batch_losses(d2, Y, subs, n_lv, spec.replace_theta(vec), objective)[0]
+        ws = _Workspace().start(d2, Y, subs)
+        return _batch_losses(ws, n_lv, spec.replace_theta(vec), objective)[0]
 
     # A step of 1e-4, not the default 1e-3: the oracle's own truncation error
     # reaches 2.3e-4 relative on the Gaussian norm-ratio problem below.
@@ -107,14 +109,14 @@ class TestLossEngineOracle:
         delta = 0.05
         spec = KernelSpec.create(families, sigma=sigmas, gamma=gammas, delta=delta)
         subs = np.array([np.sort(rng.choice(18, 9, replace=False)) for _ in range(3)])
-        d2 = train_sq_dists(X)
+        ws = _Workspace().start(train_sq_dists(X), Y, subs)
 
-        _, rhos = flows._batch_losses(d2, Y, subs, 2, spec, "cv")
+        _, rhos = flows._batch_losses(ws, 2, spec, "cv")
         for idx, got in zip(subs, rhos):
             ref = cv_loss_literal(families, sigmas, gammas, delta, X, Y, idx, 2)
             assert got == pytest.approx(ref, abs=1e-10)
 
-        _, rhos = flows._batch_losses(d2, Y, subs, 2, spec, "norm_ratio")
+        _, rhos = flows._batch_losses(ws, 2, spec, "norm_ratio")
         for idx, got in zip(subs, rhos):
             ref = flow_loss_literal(
                 families, sigmas, gammas, delta, X, Y, X[idx], Y[idx], 2
@@ -134,7 +136,8 @@ class TestLossEngineOracle:
         rng = np.random.default_rng(14)
         subs = np.array([np.sort(rng.choice(18, 9, replace=False)) for _ in range(3)])
 
-        _, rhos = flows._batch_losses(train_sq_dists(X), Y, subs, 2, spec, "cv")
+        ws = _Workspace().start(train_sq_dists(X), Y, subs)
+        _, rhos = flows._batch_losses(ws, 2, spec, "cv")
         for idx, got in zip(subs, rhos):
             ref = cv_loss_literal(["gaussian"], [12.0], [1.0], 1e-3, X, Y, idx, 2)
             assert got == pytest.approx(ref, abs=1e-10)
@@ -197,7 +200,8 @@ class TestStackedLossEngine:
                              for _ in range(5)])
             d2, Y = train_sq_dists(ds.X_cal[batch]), ds.Y_cal[batch]
             spec = gauss(sigma=sigma, delta=size["delta"])
-            _, rhos = _batch_losses(d2, Y, subs, n_lv, spec, objective)
+            _, rhos = _batch_losses(_Workspace().start(d2, Y, subs), n_lv, spec,
+                                    objective)
             ref = per_fit_losses(d2, Y, subs, n_lv, spec, objective)
             np.testing.assert_allclose(rhos, ref, rtol=0, atol=size["atol"])
 
@@ -226,17 +230,17 @@ class TestStackedLossEngine:
 
         # The first set stops its stack at one factor; the minibatch fit of
         # `norm_ratio` is a stack of its own and keeps 3.
-        _, rhos = _batch_losses(d2, Y, subs, 3, spec, objective)
+        _, rhos = _batch_losses(_Workspace().start(d2, Y, subs), 3, spec, objective)
         ref = per_fit_losses(d2, Y, subs, 1, spec, objective, batch_n_lv=3)
         np.testing.assert_allclose(rhos, ref, rtol=0, atol=1e-12)
 
 
 COMBO = ("gaussian", "matern32", "cauchy")
+COMBO_SIGMA = (0.8, 1.3, 0.6)
 
 
 def combo_spec():
-    return KernelSpec.create(COMBO, sigma=[0.8, 1.3, 0.6], gamma=[0.5, 0.3, 0.2],
-                             delta=0.05)
+    return KernelSpec.create(COMBO, sigma=COMBO_SIGMA, gamma=[0.5, 0.3, 0.2], delta=0.05)
 
 
 def probes(spec, step=1e-4):
@@ -261,9 +265,9 @@ class TestWorkspace:
         return train_sq_dists(X), Y, subs
 
     def test_gram_at_each_probe_is_kernel_matrix_bitwise(self):
-        d2, _, _ = self._batch()
+        d2, Y, subs = self._batch()
         spec = combo_spec()
-        ws = _Workspace().start(d2)
+        ws = _Workspace().start(d2, Y, subs)
         for _, probe in [("centre", spec), *probes(spec)]:
             assert ws.gram(probe).tobytes() == kernel_matrix(probe, d2).tobytes()
 
@@ -271,29 +275,22 @@ class TestWorkspace:
     def test_shared_workspace_losses_bytewise(self, objective):
         d2, Y, subs = self._batch()
         spec = combo_spec()
-        ws = _Workspace().start(d2)
+        ws = _Workspace().start(d2, Y, subs)
         for name, probe in [("centre", spec), *probes(spec)]:
-            shared = _batch_losses(ws, Y, subs, 3, probe, objective)
-            fresh = _batch_losses(d2, Y, subs, 3, probe, objective)
+            shared = _batch_losses(ws, 3, probe, objective)
+            fresh = _batch_losses(_Workspace().start(d2, Y, subs), 3, probe, objective)
             assert shared == fresh, name
-
-    def test_other_index_sets_on_one_workspace(self):
-        d2, Y, subs = self._batch()
-        spec = combo_spec()
-        ws = _Workspace().start(d2)
-        for sets in (subs, subs[::-1], subs[:, ::-1].copy()):
-            assert (_batch_losses(ws, Y, sets, 3, spec, "cv")
-                    == _batch_losses(d2, Y, sets, 3, spec, "cv"))
 
     def test_keeps_the_terms_of_the_last_gram(self):
         # The gradient reads each family's matrix at the evaluated point.
         d2, Y, subs = self._batch()
         spec = combo_spec()
-        ws = _Workspace().start(d2)
+        ws = _Workspace().start(d2, Y, subs)
         for _, probe in [*probes(spec), ("centre", spec)]:
             ws.gram(probe)
         assert [t.tobytes() for t in ws.terms] == [
-            kernel_matrix(spec.member(i), d2).tobytes() for i in range(len(COMBO))
+            kernel_matrix(KernelSpec.create([name], sigma=sigma, delta=0.05), d2).tobytes()
+            for name, sigma in zip(COMBO, COMBO_SIGMA)
         ]
 
     def test_sampler_writes_distances_into_one_buffer(self, small_regression):
@@ -310,7 +307,7 @@ class TestWorkspace:
         spec = KernelSpec.create(["gaussian", "matern32"], sigma=1.0)
         buffers = set()
         for seed in range(3):
-            ws, _, _ = draw(np.random.default_rng(seed))
+            ws = draw(np.random.default_rng(seed))
             batch = _sample_indices(np.random.default_rng(seed), ds.X_cal.shape[0],
                                     n_batch, None)
             assert ws.d2.tobytes() == train_sq_dists(ds.X_cal[batch]).tobytes()
@@ -327,9 +324,9 @@ class TestWorkspace:
 
     def test_gaussian_gradient_takes_no_square_root(self):
         d2, Y, subs = self._batch()
-        ws = _Workspace().start(d2)
+        ws = _Workspace().start(d2, Y, subs)
         for objective in ("cv", "norm_ratio"):
-            _loss_gradient(ws, Y, subs, 3, gauss(sigma=0.9), objective)
+            _loss_gradient(ws, 3, gauss(sigma=0.9), objective)
             assert ws.d is None
 
     @pytest.mark.parametrize("families, per_iter", [(COMBO, 3), (("gaussian",), 1)])
@@ -341,18 +338,21 @@ class TestWorkspace:
 
         counted = []
 
-        def counting(spec, d2, d=None):
-            counted.append(len(spec.families))
-            return kernel_matrix(spec, d2, d)
+        def counting(kernel):
+            def count(*args):
+                counted.append(kernel)
+                return kernel(*args)
+            return count
 
-        monkeypatch.setattr(flows, "kernel_matrix", counting)
+        for name, (kernel, slope, reads) in list(flows._FAMILIES.items()):
+            monkeypatch.setitem(flows._FAMILIES, name, (counting(kernel), slope, reads))
         ds = gen_peaks(120, 0.05, 4)
         config = FlowConfig(n_iter=3, n_subsamples=4, n_lv=3, update_rule="vanilla",
                             patience=10**6, seed=4)
         spec0 = KernelSpec.create(families, sigma=1.0, delta=1.0)
         _, trace = run_kernel_flows(ds.X_cal, ds.Y_cal, config, spec0)
         assert trace.iterations_run == 3 and trace.n_skipped == 0
-        assert sum(counted) == 3 * per_iter
+        assert len(counted) == 3 * per_iter
 
 
 class TestKfGradient:
@@ -380,7 +380,8 @@ class TestKfGradient:
         d2 = train_sq_dists(X)
 
         def f(vec):
-            return _batch_losses(d2, Y, subs, 2, spec.replace_theta(vec), "norm_ratio")[0]
+            ws = _Workspace().start(d2, Y, subs)
+            return _batch_losses(ws, 2, spec.replace_theta(vec), "norm_ratio")[0]
 
         oracle = richardson_gradient(f, spec.theta())
         np.testing.assert_allclose(grad, oracle, rtol=1e-4)
@@ -391,9 +392,9 @@ class TestKfGradient:
         seen = []
         real = flows._batch_losses
 
-        def recording(batch, Y, subsets, n_lv, spec, objective, tape=None):
-            seen.append(subsets.copy())
-            return real(batch, Y, subsets, n_lv, spec, objective, tape)
+        def recording(ws, n_lv, spec, objective, tape=None):
+            seen.append(ws.subsets.copy())
+            return real(ws, n_lv, spec, objective, tape)
 
         monkeypatch.setattr(flows, "_batch_losses", recording)
         X, Y = make_batch(8)
@@ -410,8 +411,8 @@ class TestKfGradient:
         subs = np.array([np.sort(rng.choice(30, 15, replace=False)) for _ in range(4)])
         d2 = train_sq_dists(X)
         spec = combo_spec()
-        loss, _ = _loss_gradient(_Workspace().start(d2), Y, subs, 3, spec, objective)
-        assert loss == _batch_losses(d2, Y, subs, 3, spec, objective)[0]
+        loss, _ = _loss_gradient(_Workspace().start(d2, Y, subs), 3, spec, objective)
+        assert loss == _batch_losses(_Workspace().start(d2, Y, subs), 3, spec, objective)[0]
 
 
 class TestLossGradient:
@@ -453,7 +454,7 @@ class TestLossGradient:
         spec = gauss(sigma=0.9, delta=0.05)
         d2 = train_sq_dists(X)
         tape = {}
-        _batch_losses(d2, Y, subs, 3, spec, objective, tape)
+        _batch_losses(_Workspace().start(d2, Y, subs), 3, spec, objective, tape)
         counts = [fit["simpls"]["w"].shape[1] for fit in tape["stacks"]]
         assert counts == ([1] if objective == "cv" else [1, 3])
         assert relative_to_richardson(d2, Y, subs, 3, spec, objective) <= 1e-6
@@ -592,7 +593,7 @@ def gradient_points(ds, monkeypatch, rule):
 
     points = []
 
-    def constant_gradient(ws, Y_b, subsets, n_lv, spec, objective):
+    def constant_gradient(ws, n_lv, spec, objective):
         points.append(spec.theta())
         return 0.5, np.full(spec.n_params, 0.1)
 
@@ -754,7 +755,7 @@ class TestStratifiedSampling:
         cfg = FlowConfig(n_subsamples=5, n_lv=2, stratified=stratified)
         n_batch, n_sub = cfg.validate(ds.X_cal.shape[0])
         draw = _batch_sampler(ds.X_cal, ds.Y_cal, cfg)
-        _, _, subsets = draw(np.random.default_rng(7))
+        subsets = draw(np.random.default_rng(7)).subsets
         assert isinstance(subsets, np.ndarray) and subsets.shape == (5, n_sub)
         assert np.all(np.diff(subsets, axis=1) > 0) and subsets.max() < n_batch
 

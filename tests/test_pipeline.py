@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -304,6 +305,22 @@ class TestRunPipeline:
         for lv_max in (0, 33):
             with pytest.raises(ValueError, match="lv_max must be between 1 and 32"):
                 run_pipeline(ds, spec0, config, lv_max, seed=5)
+
+    # Inputs shaped like the `peaks_combo` benchmark: 800 calibration rows,
+    # three families, 400-row minibatches. The peak was 16.3 MB here, with
+    # one distance matrix of the calibration rows kept through the flow 21.8 MB.
+    def test_memory_peak_of_a_run(self):
+        ds = gen_peaks(1000, 0.05, seed=7)
+        spec0 = KernelSpec.create(["gaussian", "matern32", "cauchy"], sigma=1.0, delta=1.0)
+        config = case_flow_config(1, seed=7, n_iter=3, patience=10**6)
+        tracemalloc.start()
+        try:
+            result = run_pipeline(ds, spec0, config, 12, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.trace.iterations_run == 3
+        assert peak < 19e6
 
     def test_plain_pls_keeps_one_hot_intercept(self):
         ds = gen_circles(30, 4, 0.1, seed=6)
