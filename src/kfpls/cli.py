@@ -32,6 +32,7 @@ import itertools
 import dataclasses
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -298,6 +299,23 @@ def _write_predictions(path, ds: Dataset, predictions: dict) -> None:
     write_table(path, names, data)
 
 
+def _numeric_env() -> dict:
+    """What a run's bits depend on beyond the code: the numpy version, its
+    BLAS name and version (null where numpy cannot say), and the BLAS
+    thread settings seen in the environment (null where unset)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 takes no mode
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+    }
+
+
 def _case_report(result, case_id, seed, command) -> dict:
     return {
         "artifact_version": __version__,
@@ -311,6 +329,9 @@ def _case_report(result, case_id, seed, command) -> dict:
         "iterations_run": result.trace.iterations_run,
         "n_skipped": result.trace.n_skipped,
         "n_resampled": result.trace.n_resampled,
+        "n_loss_evals": result.trace.n_loss_evals,
+        "n_fits": result.trace.n_fits,
+        "numeric_env": _numeric_env(),
         "converged": result.trace.converged,
         "best_smoothed_loss": result.trace.best_smoothed_loss,
         "runtime_seconds": result.runtime_seconds,

@@ -39,21 +39,32 @@ depends on the parameters only through the plain Gram ``K`` and the ridge
 ``∂L/∂log γ_i = γ_i ⟨K̄, K_i⟩``, ``∂L/∂log σ_i = γ_i ⟨K̄, ∂K_i/∂log σ_i⟩``
 (an elementwise map of ``K_i`` and the distances, per family) and
 ``∂L/∂log δ = δ δ̄``. Each fit's adjoint is kept in low-rank form
-``A Bᵀ``, scattered onto the minibatch rows like the affine coefficients,
-so ``K̄`` is one product of two thin matrices.
+``A Bᵀ``, on its members' rows of the minibatch like the affine
+coefficients. `_factor_pair` writes every such block once, in a fixed
+order, into the columns of one zeroed ``U`` and one zeroed ``V``, so
+``K̄ = U Vᵀ`` is one product of two thin matrices.
+
+A flow iteration is hundreds of numpy calls on small arrays, so their
+per-call cost is a large share of it. Sums, norms and means here and in
+`pls` and `kpls` are therefore `np.add.reduce` calls (a norm is its
+square root, a mean its quotient by the count): the very reductions
+numpy's wrappers make, so the bits are theirs.
 
 A minibatch draw is one `_Workspace`: the sampler starts it on the
 minibatch's squared distances, its responses and the sub-batch index
-sets, and makes the sets' gather index into the minibatch Gram once. The
-loss evaluations and the gradient on the draw read all of it from there.
-Its buffers, reused from draw to draw, hold the squared distances,
-``d = sqrt(d2)`` (taken on the draw's first Gram of a spec with a Matern
-family; no other family reads it), the plain Gram (then ``K̄``), the
-gather index, the sub-batch Grams and, under ``norm_ratio``, the
-minibatch Gram copied as a stack of one, which take the ridge and are
-centered in place, and the scratch of the derivative maps; it keeps the
-family matrices of its last Gram for the gradient. A run keeps one
-workspace, and nothing outlives the run.
+sets. The loss evaluations and the gradient on the draw read all of it
+from there. `_Workspace.gather` takes each sub-batch's Gram from the
+minibatch Gram with two ``take`` calls, its rows into one buffer and then
+their columns into its member of the stack, so no index as large as the
+stack is built. The workspace's buffers, reused from draw to draw, hold
+the squared distances, ``d = sqrt(d2)`` (taken on the draw's first Gram
+of a spec with a Matern family; no other family reads it), the plain
+Gram (then ``K̄``), the gathered rows of one sub-batch, the sub-batch
+Grams and, under ``norm_ratio``, the minibatch Gram copied as a stack of
+one, which take the ridge and are centered in place, and the scratch of
+the derivative maps; it keeps the family matrices of its last Gram for
+the gradient and counts the run's loss evaluations and fits. A run keeps
+one workspace, and nothing outlives the run.
 """
 
 from __future__ import annotations
@@ -173,6 +184,8 @@ class FlowTrace:
     iterations_run: int
     n_skipped: int
     n_resampled: int  # draws made again after a degenerate first attempt
+    n_loss_evals: int  # `_batch_losses` evaluations, degenerate ones included
+    n_fits: int  # stack members fitted by those evaluations
     converged: bool
     param_names: list = field(default_factory=list)
 
@@ -185,17 +198,19 @@ class FlowTrace:
 
 
 class _Workspace:
-    """One minibatch draw: its squared distances ``d2``, responses ``Y``,
-    sub-batch index sets ``subsets`` (S, n_sub) and their gather index into
-    the minibatch Gram, plus the buffers its loss evaluations and gradient
-    share (see the module docstring). The buffers pass from draw to draw,
-    so they are not allocated and paged in again for each one.
+    """One minibatch draw: its squared distances ``d2``, responses ``Y`` and
+    sub-batch index sets ``subsets`` (S, n_sub), plus the buffers its loss
+    evaluations and gradient share (see the module docstring). The buffers
+    pass from draw to draw, so they are not allocated and paged in again
+    for each one; so do the counts ``n_loss_evals`` and ``n_fits`` that
+    `_batch_losses` keeps of the run's work.
     """
 
     def __init__(self):
         self._full = {}  # name -> reused buffer
-        self.d2 = self.d = self.Y = self.subsets = self.flat = None
+        self.d2 = self.d = self.Y = self.subsets = None
         self.terms = []  # the family matrices of the last `gram`
+        self.n_loss_evals = self.n_fits = 0  # counted by `_batch_losses`
 
     def start(self, d2, Y, subsets):
         """Begin a draw on the minibatch's squared distances ``d2``, its
@@ -203,17 +218,14 @@ class _Workspace:
         ``d`` is taken by the first `gram` that reads it."""
         self.terms = []
         self.d2, self.d, self.Y, self.subsets = d2, None, Y, subsets
-        S, n_sub = subsets.shape
-        self.flat = np.add(subsets[:, :, None] * len(d2), subsets[:, None, :],
-                           out=self.buffer("flat", (S, n_sub, n_sub), np.intp))
         return self
 
-    def buffer(self, name, shape=None, dtype=float):
+    def buffer(self, name, shape=None):
         """The reused buffer ``name`` of ``shape`` (default: the minibatch's)."""
         shape = self.d2.shape if shape is None else shape
         buf = self._full.get(name)
         if buf is None or buf.shape != shape:
-            buf = self._full[name] = np.empty(shape, dtype)
+            buf = self._full[name] = np.empty(shape)
         return buf
 
     def gram(self, spec):
@@ -236,10 +248,17 @@ class _Workspace:
         return out
 
     def gather(self, K_plain):
-        """The sub-batch Grams (S, n_sub, n_sub) of ``K_plain``, in their buffer."""
-        # The indices are in range; "clip" lets take write straight into the buffer.
-        return np.take(K_plain, self.flat, mode="clip",
-                       out=self.buffer("stack", self.flat.shape))
+        """The sub-batch Grams (S, n_sub, n_sub) of ``K_plain``, in their
+        buffer: each member's rows into one reused buffer, then their columns
+        into its Gram."""
+        S, n_sub = self.subsets.shape
+        stack = self.buffer("stack", (S, n_sub, n_sub))
+        rows = self.buffer("rows", (n_sub, len(K_plain)))
+        # The indices are in range; "clip" lets take write straight into the buffers.
+        for idx, K in zip(self.subsets, stack):
+            K_plain.take(idx, axis=0, out=rows, mode="clip")
+            rows.take(idx, axis=1, out=K, mode="clip")
+        return stack
 
     def theta_gradient(self, spec, K_bar, delta_bar):
         """``∂L/∂θ`` of ``spec`` from the adjoint ``K_bar`` of the plain Gram
@@ -261,8 +280,8 @@ class _Workspace:
 
 def _model_norms(coef, K_centered) -> np.ndarray:
     """Squared model norms: coefficient quadratic forms in each fit's centered Gram."""
-    values = np.sum(coef * (K_centered @ coef), axis=(1, 2))
-    if not np.all(np.isfinite(values)):
+    values = np.add.reduce(coef * (K_centered @ coef), axis=(1, 2))
+    if not np.isfinite(values).all():
         raise DegenerateProblemError("model norm is not finite")
     return values
 
@@ -276,7 +295,8 @@ def _cv_residuals(K_plain, idx, coef, col_means, y_means, Y):
     n_sets = idx.shape[0]
     # A constant shift of each Gram column cancels exactly; the column means
     # spare the product cancellation when the kernel is flat and B is large.
-    K_mean = K_plain.mean(axis=0)
+    K_mean = np.add.reduce(K_plain, axis=0)
+    K_mean /= n_rows
     C, b = affine_coef(coef, col_means - K_mean[idx], y_means)
     G = np.zeros((n_rows, n_sets, m))
     G[idx, np.arange(n_sets)[:, None]] = C
@@ -291,6 +311,7 @@ def _batch_losses(ws, n_lv, spec, objective, tape=None):
     count (see `kpls.fit_grams`), and ``norm_ratio`` fits the minibatch as a
     second. A ``tape`` dict receives what `_loss_gradient` reads back.
     """
+    ws.n_loss_evals += 1
     K_plain = ws.gram(spec)
     Y = ws.Y
     stacks = [(ws.subsets, ws.gather(K_plain))]
@@ -299,19 +320,21 @@ def _batch_losses(ws, n_lv, spec, objective, tape=None):
         whole[0] = K_plain
         stacks.append((np.arange(len(Y))[None], whole))
     else:
-        denom = float(np.sum((Y - Y.mean(axis=0)) ** 2))
+        denom = float(np.add.reduce((Y - np.add.reduce(Y, axis=0) / len(Y)) ** 2,
+                                    axis=None))
         if denom < _NORM_FLOOR:
             raise DegenerateProblemError("minibatch responses are constant")
     values, fits = [], []
     for idx, K in stacks:
         simpls = {} if tape is not None else None
+        ws.n_fits += len(K)
         K.reshape(len(K), -1)[:, :: K.shape[1] + 1] += spec.delta  # each diagonal
         (*_, coef), means, y_means, K_c = fit_grams(K, Y[idx], n_lv, simpls)
         if objective == "norm_ratio":
             values.append(_model_norms(coef, K_c))
         else:
             R, G = _cv_residuals(K_plain, idx, coef, means, y_means, Y)
-            values.append(np.sum(R ** 2, axis=(0, 2)))
+            values.append(np.add.reduce(R ** 2, axis=(0, 2)))
         if tape is not None:
             fit = dict(idx=idx, coef=coef, col_means=means, y_means=y_means,
                        K_c=K_c, simpls=simpls)
@@ -325,31 +348,54 @@ def _batch_losses(ws, n_lv, spec, objective, tape=None):
         rhos = 1.0 - values[0] / norm_b
     else:
         rhos = values[0] / denom
-    if not np.all(np.isfinite(rhos)):
+    if not np.isfinite(rhos).all():
         raise DegenerateProblemError("loss is not finite")
-    loss = float(np.mean(rhos))
+    loss = float(np.add.reduce(rhos) / len(rhos))
     if tape is not None:
         tape.update(stacks=fits, K_plain=K_plain,
                     scale=norm_b if objective == "norm_ratio" else denom)
     return loss, rhos.tolist()
 
 
+def _factor_pair(blocks, n_rows):
+    """``(U, V)`` (n_rows, width) of ``∂L/∂K_plain = U Vᵀ`` from the reverse
+    pass's low-rank blocks, in their order. A block ``(idx, A, B)`` is either
+    a pair of (n_rows, S, r) factors (``idx`` None) or a fit stack's
+    (S, n, r) pair on its (S, n) rows ``idx``, zero on every other row. Each
+    block is written once, through an (n_rows, S, r) view of its columns.
+    """
+    shapes = [A.shape[1:] if idx is None else (A.shape[0], A.shape[2])
+              for idx, A, _ in blocks]  # (S, r) of each block
+    U, V = (np.zeros((n_rows, sum(S * r for S, r in shapes))) for _ in range(2))
+    lo = 0
+    for (idx, *factors), (S, r) in zip(blocks, shapes):
+        for factor, out in zip(factors, (U, V)):
+            view = out[:, lo : lo + S * r].reshape(n_rows, S, r)
+            if idx is None:
+                view[...] = factor
+            else:
+                view[idx, np.arange(S)[:, None]] = factor
+        lo += S * r
+    return U, V
+
+
 def _loss_gradient(ws, n_lv, spec, objective):
     """``(loss, gradient)``: the iteration loss of `_batch_losses` on the draw
     ``ws`` and its exact gradient in ``spec.theta()``, from one reverse pass
-    through that evaluation (see the module docstring). Raises
-    `DegenerateProblemError` where the loss or the gradient is not finite.
+    through that evaluation (see the module docstring). ``K̄`` is one product
+    of the `_factor_pair` of the pass's blocks, written into the plain
+    Gram's buffer. Raises `DegenerateProblemError` where the loss or the
+    gradient is not finite.
     """
     tape = {}
     loss, _ = _batch_losses(ws, n_lv, spec, objective, tape)
     K_plain, scale = tape["K_plain"], tape["scale"]
     n_rows, n_sets = ws.Y.shape[0], ws.subsets.shape[0]
-    U, V = [], []  # ∂L/∂K_plain = U Vᵀ, in column blocks
+    blocks = []  # ∂L/∂K_plain = U Vᵀ, see `_factor_pair`
     delta_bar = 0.0
     for pos, fit in enumerate(tape["stacks"]):
         idx, coef, K_c = fit["idx"], fit["coef"], fit["K_c"]
         S, n = idx.shape
-        rows = (idx, np.arange(S)[:, None])  # member s's rows of an (n_rows, S, ·)
         if objective == "norm_ratio":
             # loss = mean over subsets of 1 - values / the minibatch's value
             nu = (1.0 - loss) / scale if pos else -1.0 / (n_sets * scale)
@@ -359,14 +405,16 @@ def _loss_gradient(ws, n_lv, spec, objective):
             # Each prediction is K_plain[:, idx] C + 1 (y_means - col_meansᵀ C),
             # col_means the mean of K_plain's block plus δ/n: the affine
             # coefficients C = H coef meet K_plain in both.
+            rows = (idx, np.arange(S)[:, None])  # member s's rows of an (n_rows, S, ·)
             R_bar = fit["R"] * (-2.0 / (scale * n_sets))
-            r_sum = R_bar.sum(axis=0)
+            r_sum = np.add.reduce(R_bar, axis=0)
             KR = (K_plain @ R_bar.reshape(n_rows, -1)).reshape(R_bar.shape)
             C_bar = KR[rows] - fit["col_means"][:, :, None] * r_sum[:, None, :]
-            coef_bar = C_bar - C_bar.mean(axis=1, keepdims=True)
+            c_mean = np.add.reduce(C_bar, axis=1, keepdims=True)
+            c_mean /= n
+            coef_bar = C_bar - c_mean
             R_bar[rows] -= r_sum[:, None, :] / n
-            U.append(R_bar.reshape(n_rows, -1))
-            V.append(fit["G"].reshape(n_rows, -1))
+            blocks.append((None, R_bar, fit["G"]))
             direct = None
         Y_c = ws.Y[idx] - fit["y_means"][:, None, :]
         A, B = _simpls_adjoint(K_c, Y_c, fit["simpls"], coef_bar)
@@ -374,18 +422,17 @@ def _loss_gradient(ws, n_lv, spec, objective):
             A, B = (np.concatenate([x, y], axis=2) for x, y in zip((A, B), direct))
         # The centered Gram is H K H: its adjoint H A Bᵀ H goes to the block
         # of K_plain on the member's rows, and its trace to the ridge.
-        A -= A.mean(axis=1, keepdims=True)
-        B -= B.mean(axis=1, keepdims=True)
-        delta_bar += float(np.sum(A * B))
-        for factor, blocks in ((A, U), (B, V)):
-            scattered = np.zeros((n_rows, S, factor.shape[2]))
-            scattered[rows] = factor
-            blocks.append(scattered.reshape(n_rows, -1))
+        for F in (A, B):
+            F_mean = np.add.reduce(F, axis=1, keepdims=True)
+            F_mean /= n
+            F -= F_mean
+        delta_bar += float(np.add.reduce(A * B, axis=None))
+        blocks.append((idx, A, B))
+    U, V = _factor_pair(blocks, n_rows)
     # Nothing reads the plain Gram any more, so K̄ takes its buffer.
-    K_bar = np.matmul(np.concatenate(U, axis=1), np.concatenate(V, axis=1).T,
-                      out=K_plain)
+    K_bar = np.matmul(U, V.T, out=K_plain)
     grad = ws.theta_gradient(spec, K_bar, delta_bar)
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise DegenerateProblemError("gradient is not finite")
     return loss, grad
 
@@ -493,7 +540,10 @@ def run_kernel_flows(
     class, or a covariance whose top eigenvalue is not separated) are
     resampled once and then skipped; a run with more than half of its
     iterations skipped aborts. The trace counts both: ``n_resampled``
-    draws made again and ``n_skipped`` iterations skipped.
+    draws made again and ``n_skipped`` iterations skipped. It also counts
+    the run's work, those draws' included: ``n_loss_evals`` evaluations of
+    `_batch_losses` (two per Nesterov iteration) and ``n_fits`` stack
+    members fitted by them (under ``norm_ratio``, the minibatch fit too).
     """
     draw = _batch_sampler(X, Y, config)
     rng = np.random.default_rng(config.seed)
@@ -585,6 +635,8 @@ def run_kernel_flows(
         iterations_run=iterations_run,
         n_skipped=n_skipped,
         n_resampled=n_resampled,
+        n_loss_evals=ws.n_loss_evals,
+        n_fits=ws.n_fits,
         converged=converged,
         param_names=spec0.param_names(),
     )

@@ -452,9 +452,13 @@ def center_train(
     K = np.asarray(K, dtype=float)
     if K.ndim < 2 or K.shape[-1] != K.shape[-2]:
         raise ValueError("K must be square")
-    col_means = K.mean(axis=-2)
-    row_means = K.mean(axis=-1)
-    grand = K.mean(axis=(-2, -1))
+    n = K.shape[-1]
+    col_means = np.add.reduce(K, axis=-2)
+    col_means /= n
+    row_means = np.add.reduce(K, axis=-1)
+    row_means /= n
+    grand = np.add.reduce(K, axis=(-2, -1))
+    grand /= n * n
     centered = np.subtract(K, col_means[..., None, :], out=out)  # then in place
     centered -= row_means[..., :, None]
     centered += grand[..., None, None]

@@ -94,7 +94,9 @@ def affine_coef(coef: np.ndarray, col_means: np.ndarray, y_means: np.ndarray):
     ``C = H coef`` is ``coef`` less its column means and ``b`` (..., 1, m) is
     ``y_means - col_meansᵀ C``. A stack of coefficients gives a stack of maps.
     """
-    C = coef - coef.mean(axis=-2, keepdims=True)
+    mean = np.add.reduce(coef, axis=-2, keepdims=True)
+    mean /= coef.shape[-2]
+    C = coef - mean
     b = y_means[..., None, :] - col_means[..., None, :] @ C
     return C, b
 
@@ -113,7 +115,8 @@ def fit_grams(K: np.ndarray, Y: np.ndarray, n_lv: int, tape: dict | None = None)
     ``tape``: see `pls._simpls`.
     """
     K_centered, col_means = center_train(K, out=K)
-    y_means = Y.mean(axis=1)
+    y_means = np.add.reduce(Y, axis=1)
+    y_means /= Y.shape[1]
     factors = _simpls(K_centered, Y - y_means[:, None, :], n_lv, tape)
     return factors, col_means, y_means, K_centered
 

@@ -50,16 +50,19 @@ def _directions(C: np.ndarray):
     eigenvalues and eigenvectors of ``C Cᵀ`` (else None).
     """
     w = C[:, 0, :]
-    v = np.ones((len(C), 1))
-    eig = None
+    v = eig = None
     if C.shape[1] > 1:
-        eig = np.linalg.eigh(C @ np.swapaxes(C, 1, 2))
+        eig = np.linalg.eigh(C @ C.swapaxes(1, 2))
         v = eig[1][:, :, -1]
         w = np.einsum("smp,sm->sp", C, v)
-    norm = np.linalg.norm(w, axis=1, keepdims=True)
+    norm = np.sqrt(np.add.reduce(w * w, axis=1, keepdims=True))
     w = w / norm
-    top = np.take_along_axis(w, np.argmax(np.abs(w), axis=1)[:, None], axis=1)
-    return np.where(top < 0, -w, w), np.where(top < 0, -v, v), norm[:, 0], eig
+    # ±1.0 by the sign of each largest-magnitude entry (the first of ties);
+    # multiplying by it is exact. For one response, v is the sign itself.
+    top = w[np.arange(len(w)), np.abs(w).argmax(1)]
+    sign = np.where(top < 0, -1.0, 1.0)[:, None]
+    w *= sign
+    return w, sign if v is None else v * sign, norm[:, 0], eig
 
 
 def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int, tape: dict | None = None):
@@ -77,8 +80,9 @@ def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int, tape: dict | None = None):
     S, n, p = X.shape
     m = Y.shape[2]
     a_max = min(n_lv, n, p)
-    C = np.swapaxes(Y, 1, 2) @ X  # (S, m, p) cross-covariances
-    c_norm0 = np.linalg.norm(C, axis=(1, 2))
+    Xt, Yt = X.swapaxes(1, 2), Y.swapaxes(1, 2)
+    C = Yt @ X  # (S, m, p) cross-covariances
+    floor = _COV_EXHAUSTED_REL * np.sqrt(np.add.reduce(C * C, axis=(1, 2)))
     W, P, Q = (np.empty((S, d, a_max)) for d in (p, p, m))
     if tape is not None:
         shapes = dict(C=(m, p), v=(m,), norm=(), t=(n,), tt=(), w=(p,), p=(p,),
@@ -89,15 +93,15 @@ def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int, tape: dict | None = None):
 
     k = 0
     while k < a_max:
-        if not np.all(np.linalg.norm(C, axis=(1, 2)) > _COV_EXHAUSTED_REL * c_norm0):
+        if not (np.sqrt(np.add.reduce(C * C, axis=(1, 2))) > floor).all():
             break
         w, v, norm, eig = _directions(C)
         t = (X @ w[:, :, None])[:, :, 0]
-        tt = np.sum(t * t, axis=1)
-        if not np.all(tt >= _SCORE_NORM_FLOOR * n):
+        tt = np.add.reduce(t * t, axis=1)
+        if not (tt >= _SCORE_NORM_FLOOR * n).all():
             break
-        q = (np.swapaxes(Y, 1, 2) @ t[:, :, None])[:, :, 0] / tt[:, None]
-        pv = (np.swapaxes(X, 1, 2) @ t[:, :, None])[:, :, 0] / tt[:, None]
+        q = (Yt @ t[:, :, None])[:, :, 0] / tt[:, None]
+        pv = (Xt @ t[:, :, None])[:, :, 0] / tt[:, None]
         W[:, :, k], Q[:, :, k], P[:, :, k] = w, q, pv
         if tape is not None:
             step = dict(C=C, v=v, norm=norm, t=t, tt=tt, w=w, p=pv, q=q)
@@ -111,9 +115,9 @@ def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int, tape: dict | None = None):
             # covariance rows so the next direction is extracted from what is
             # left, C - C P (PᵀP)⁻¹ Pᵀ, with the solve on the small side.
             Pk = P[:, :, :k]
-            Pkt = np.swapaxes(Pk, 1, 2)
-            A = np.linalg.solve(Pkt @ Pk, np.swapaxes(C @ Pk, 1, 2))
-            C = C - np.swapaxes(A, 1, 2) @ Pkt
+            Pkt = Pk.swapaxes(1, 2)
+            A = np.linalg.solve(Pkt @ Pk, (C @ Pk).swapaxes(1, 2))
+            C = C - A.swapaxes(1, 2) @ Pkt
 
     if k == 0:
         raise DegenerateProblemError("rank exhausted before extracting any factor")
@@ -142,31 +146,33 @@ def _simpls_adjoint(X: np.ndarray, Y: np.ndarray, tape: dict, B_bar: np.ndarray)
     """
     m = Y.shape[2]
     w, q, pv, t, tt = (tape[key] for key in ("w", "q", "p", "t", "tt"))
-    w_bar = q @ np.swapaxes(B_bar, 1, 2)  # row k: B̄ q_k
+    w_bar = q @ B_bar.swapaxes(1, 2)  # row k: B̄ q_k
     q_bar = w @ B_bar  # row k: B̄ᵀ w_k
     p_bar = np.zeros_like(pv)
     t_bar = np.empty_like(t)
     C_bar = np.zeros_like(tape["C"][:, 0])  # adjoint of the next covariance
     a = w.shape[1]
+    Xt = X.swapaxes(1, 2)
     for k in reversed(range(a)):
         C_k = tape["C"][:, k]
         if k + 1 < a:
             Pk = pv[:, : k + 1]  # loadings as rows
-            Z = np.linalg.solve(Pk @ np.swapaxes(Pk, 1, 2), Pk)  # (PᵀP)⁻¹Pᵀ
-            CbZ = C_bar @ np.swapaxes(Z, 1, 2)
-            M = -(np.swapaxes(CbZ, 1, 2) @ C_k
-                  + np.swapaxes(C_k @ np.swapaxes(Z, 1, 2), 1, 2) @ C_bar)
-            p_bar[:, : k + 1] += M - (M @ np.swapaxes(Pk, 1, 2)) @ Z
+            Pkt = Pk.swapaxes(1, 2)
+            Z = np.linalg.solve(Pk @ Pkt, Pk)  # (PᵀP)⁻¹Pᵀ
+            Zt = Z.swapaxes(1, 2)
+            CbZ = C_bar @ Zt
+            M = -(CbZ.swapaxes(1, 2) @ C_k + (C_k @ Zt).swapaxes(1, 2) @ C_bar)
+            p_bar[:, : k + 1] += M - (M @ Pkt) @ Z
             C_bar = C_bar - CbZ @ Pk
         ttk = tt[:, k, None]
-        tt_bar = -(np.sum(p_bar[:, k] * pv[:, k], axis=1, keepdims=True)
-                   + np.sum(q_bar[:, k] * q[:, k], axis=1, keepdims=True)) / ttk
+        tt_bar = -(np.add.reduce(p_bar[:, k] * pv[:, k], axis=1, keepdims=True)
+                   + np.add.reduce(q_bar[:, k] * q[:, k], axis=1, keepdims=True)) / ttk
         tb = ((X @ p_bar[:, k, :, None])[:, :, 0]
               + (Y @ q_bar[:, k, :, None])[:, :, 0]) / ttk + 2.0 * tt_bar * t[:, k]
         t_bar[:, k] = tb
-        wb = w_bar[:, k] + (np.swapaxes(X, 1, 2) @ tb[:, :, None])[:, :, 0]
+        wb = w_bar[:, k] + (Xt @ tb[:, :, None])[:, :, 0]
         wk, vk, norm = w[:, k], tape["v"][:, k], tape["norm"][:, k, None]
-        u_bar = (wb - wk * np.sum(wk * wb, axis=1, keepdims=True)) / norm
+        u_bar = (wb - wk * np.add.reduce(wk * wb, axis=1, keepdims=True)) / norm
         C_bar = C_bar + vk[:, :, None] * u_bar[:, None, :]
         if m > 1:
             # w = Cᵀv/‖Cᵀv‖, v the top eigenvector of C Cᵀ: v̄ = C ū, and
@@ -175,7 +181,7 @@ def _simpls_adjoint(X: np.ndarray, Y: np.ndarray, tape: dict, B_bar: np.ndarray)
             # a = Σ_j e_j (e_jᵀ v̄) / (λ_top - λ_j).
             lam, E = tape["eig_values"][:, k], tape["eig_vectors"][:, k, :, :-1]
             gap = lam[:, -1:] - lam[:, :-1]
-            if np.any(gap <= _EIGEN_GAP_REL * np.abs(lam[:, -1:])):
+            if (gap <= _EIGEN_GAP_REL * np.abs(lam[:, -1:])).any():
                 raise DegenerateProblemError(
                     "top eigenvalue of the covariance is not separated"
                 )
@@ -183,9 +189,9 @@ def _simpls_adjoint(X: np.ndarray, Y: np.ndarray, tape: dict, B_bar: np.ndarray)
             a_vec = np.einsum("smj,sj->sm", E, np.einsum("smj,sm->sj", E, v_bar) / gap)
             C_bar = (C_bar + a_vec[:, :, None] * (norm * wk)[:, None, :]
                      + vk[:, :, None] * np.einsum("smp,sm->sp", C_k, a_vec)[:, None, :])
-    A = np.concatenate([np.swapaxes(t, 1, 2), np.swapaxes(t_bar, 1, 2), Y], axis=2)
-    G = np.concatenate([np.swapaxes(p_bar / tt[:, :, None], 1, 2),
-                        np.swapaxes(w, 1, 2), np.swapaxes(C_bar, 1, 2)], axis=2)
+    A = np.concatenate([t.swapaxes(1, 2), t_bar.swapaxes(1, 2), Y], axis=2)
+    G = np.concatenate([(p_bar / tt[:, :, None]).swapaxes(1, 2), w.swapaxes(1, 2),
+                        C_bar.swapaxes(1, 2)], axis=2)
     return A, G
 
 

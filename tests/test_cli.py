@@ -161,6 +161,34 @@ class TestCaseCommand:
             assert np.isfinite(float(line.split(",")[1]))
 
 
+class TestRunReport:
+    """`case` and `optimize` reports count the flow's work and record the
+    numeric environment their bits depend on."""
+
+    @pytest.mark.parametrize("command", ["case", "optimize"])
+    def test_counts_and_numeric_env(self, command, tmp_path, toy_csv, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        source = ["case", "1"] if command == "case" else [
+            "optimize", toy_csv, "--response", "target"]
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(*source, "--seed", "1", "--iterations", "6",
+                           "--out-dir", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        evals = report["iterations_run"] + report["n_resampled"]
+        # Vanilla cv: one evaluation per draw, each fitting every sub-batch.
+        assert report["n_loss_evals"] == evals
+        assert report["n_fits"] == evals * report["flow_config"]["n_subsamples"]
+        env = report["numeric_env"]
+        assert set(env) == {"numpy", "blas_name", "blas_version",
+                            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+        assert env["numpy"] == np.__version__
+        assert all(env[k] is None or isinstance(env[k], str)
+                   for k in ("blas_name", "blas_version"))
+        assert (env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"]) == (None, "3")
+
+
 class TestOptimizeAndPredict:
     def test_round_trip(self, tmp_path, toy_csv):
         out = tmp_path / "opt"

@@ -18,6 +18,7 @@ from kfpls import (
 from kfpls.flows import (
     _batch_losses,
     _batch_sampler,
+    _factor_pair,
     _loss_gradient,
     _sample_indices,
     _stratified_choice,
@@ -280,6 +281,37 @@ class TestWorkspace:
             shared = _batch_losses(ws, 3, probe, objective)
             fresh = _batch_losses(_Workspace().start(d2, Y, subs), 3, probe, objective)
             assert shared == fresh, name
+
+    def test_gather_is_the_sub_batch_blocks(self):
+        d2, Y, subs = self._batch()
+        ws = _Workspace().start(d2, Y, subs)
+        K = ws.gram(combo_spec())
+        want = K[subs[:, :, None], subs[:, None, :]]
+        assert ws.gather(K).tobytes() == want.tobytes()
+
+    def test_factor_pair_is_the_concatenated_blocks_bitwise(self):
+        # U and V written once each against the form they replaced: one
+        # zeroed (n_rows, S, r) array per scattered factor, then one
+        # concatenate per side. K̄ = U Vᵀ must keep its bits.
+        rng = np.random.default_rng(21)
+        n_rows, S, n, m = 40, 5, 20, 3
+        idx = np.array([np.sort(rng.choice(n_rows, n, replace=False)) for _ in range(S)])
+        blocks = [(None, *rng.normal(size=(2, n_rows, S, m))),
+                  (idx, *rng.normal(size=(2, S, n, 2 * 3 + m))),
+                  (np.arange(n_rows)[None], *rng.normal(size=(2, 1, n_rows, 7)))]
+        U_old, V_old = [], []
+        for rows, A, B in blocks:
+            for factor, side in ((A, U_old), (B, V_old)):
+                if rows is None:
+                    side.append(factor.reshape(n_rows, -1))
+                    continue
+                scattered = np.zeros((n_rows, len(rows), factor.shape[2]))
+                scattered[rows, np.arange(len(rows))[:, None]] = factor
+                side.append(scattered.reshape(n_rows, -1))
+        U_old, V_old = np.concatenate(U_old, axis=1), np.concatenate(V_old, axis=1)
+        U, V = _factor_pair(blocks, n_rows)
+        assert (U @ V.T).tobytes() == (U_old @ V_old.T).tobytes()
+        assert U.tobytes() == U_old.tobytes() and V.tobytes() == V_old.tobytes()
 
     def test_keeps_the_terms_of_the_last_gram(self):
         # The gradient reads each family's matrix at the evaluated point.
@@ -709,6 +741,43 @@ class TestRunKernelFlows:
             ds.X_cal, ds.Y_cal, self._config(lr_decay=True), gauss()
         )
         assert np.isfinite(spec.theta()).all()
+
+
+class TestFlowWorkCounts:
+    """`FlowTrace.n_loss_evals` counts `_batch_losses` evaluations and
+    `FlowTrace.n_fits` the stack members they fit."""
+
+    def _run(self, ds, **kw):
+        cfg = FlowConfig(**{**dict(n_iter=5, n_subsamples=8, n_lv=2, seed=11,
+                                   patience=10**6), **kw})
+        return run_kernel_flows(ds.X_cal, ds.Y_cal, cfg, gauss())[1]
+
+    @pytest.mark.parametrize("rule, objective, evals, fits", [
+        ("vanilla", "cv", 1, 8),
+        ("nesterov", "cv", 2, 16),
+        ("vanilla", "norm_ratio", 1, 9),  # the minibatch fit too
+    ])
+    def test_per_iteration(self, small_regression, rule, objective, evals, fits):
+        trace = self._run(small_regression, update_rule=rule, objective=objective)
+        assert (trace.n_resampled, trace.n_skipped) == (0, 0)
+        assert (trace.n_loss_evals, trace.n_fits) == (5 * evals, 5 * fits)
+
+    def test_resampled_draw_is_counted(self, small_regression, monkeypatch):
+        import kfpls.flows as flows
+
+        calls = []
+        real = flows.fit_grams
+
+        def failing_first(*args):
+            calls.append(len(calls))
+            if len(calls) == 1:
+                raise DegenerateProblemError("rank exhausted")
+            return real(*args)
+
+        monkeypatch.setattr(flows, "fit_grams", failing_first)
+        trace = self._run(small_regression)
+        assert (trace.n_resampled, trace.n_skipped) == (1, 0)
+        assert (trace.n_loss_evals, trace.n_fits) == (6, 48)
 
 
 class TestStratifiedSampling:

@@ -405,6 +405,20 @@ class TestCentering:
         with pytest.raises(ValueError, match="square"):
             center_train(np.zeros((3, 4)))
 
+    @pytest.mark.parametrize("shape", [(37, 37), (5, 41, 41)], ids=["gram", "stack"])
+    def test_numpy_means_bitwise(self, shape):
+        # center_train against the form it replaced, ``K.mean`` on each axis.
+        K = np.random.default_rng(9).normal(size=shape) * 1e3 + 7.0
+        want_means = K.mean(axis=-2)
+        want = K - want_means[..., None, :]
+        want -= K.mean(axis=-1)[..., :, None]
+        want += np.asarray(K.mean(axis=(-2, -1)))[..., None, None]
+        centered, means = center_train(K)
+        assert centered.tobytes() == want.tobytes()
+        assert means.tobytes() == want_means.tobytes()
+        in_place, _ = center_train(K, out=K)
+        assert in_place is K and K.tobytes() == want.tobytes()
+
 
 class TestGramTest:
     def test_single_training_point_row_recovered(self):

@@ -54,6 +54,43 @@ class TestFirstPc:
         assert np.array_equal(w1, w2)
 
 
+def directions_numpy(C):
+    """`_directions` in the numpy form it replaced: ``np.linalg.norm``, then
+    the sign of the largest-magnitude entry through ``argmax``,
+    ``take_along_axis`` and two ``np.where``."""
+    w = C[:, 0, :]
+    v = np.ones((len(C), 1))
+    eig = None
+    if C.shape[1] > 1:
+        eig = np.linalg.eigh(C @ np.swapaxes(C, 1, 2))
+        v = eig[1][:, :, -1]
+        w = np.einsum("smp,sm->sp", C, v)
+    norm = np.linalg.norm(w, axis=1, keepdims=True)
+    w = w / norm
+    top = np.take_along_axis(w, np.argmax(np.abs(w), axis=1)[:, None], axis=1)
+    return np.where(top < 0, -w, w), np.where(top < 0, -v, v), norm[:, 0], eig
+
+
+class TestDirectionsBits:
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_numpy_form_bitwise(self, m):
+        # Each covariance and its negative: the two directions have opposite
+        # raw signs, so half the members take the sign flip.
+        C = np.random.default_rng(40 + m).normal(size=(12, m, 90))
+        C = np.concatenate([C, -C])
+        if m == 1:
+            # Ties in |w|: the first of two largest-magnitude entries decides.
+            C[0, 0, :2], C[1, 0, :2], C[2, 0, -2:] = (9.0, -9.0), (-9.0, 9.0), (-9.0, 9.0)
+        got, want = _directions(C), directions_numpy(C)
+        for g, w in zip(got[:3], want[:3]):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        if m > 1:
+            for g, w in zip(got[3], want[3]):
+                assert g.tobytes() == w.tobytes()
+        else:
+            assert got[3] is None
+
+
 class TestFitPls:
     def test_identity_single_column(self):
         rng = np.random.default_rng(0)
