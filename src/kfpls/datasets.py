@@ -297,18 +297,20 @@ def read_csv(path) -> tuple[list, np.ndarray]:
     UTF-8 byte-order mark before the header is dropped. Empty files, a
     column name given twice, ragged rows and missing, non-numeric or
     non-finite cells raise ``ValueError`` naming the file row (the header
-    is row 1) and column.
+    is row 1) and column, and a cell over the ``csv`` field limit its line.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
+            rows = list(reader)
         except StopIteration:
             raise ValueError(f"{path}: file is empty") from None
-        for j, name in enumerate(header):
-            if name in header[:j]:
-                raise ValueError(f"{path}: duplicate column name {name!r} in the header")
-        rows = list(reader)
+        except csv.Error as exc:  # a cell longer than the reader's field limit
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise ValueError(f"{path}: duplicate column name {name!r} in the header")
     if not rows:
         raise ValueError(f"{path}: no data rows after the header")
 

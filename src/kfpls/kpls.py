@@ -24,7 +24,8 @@ A `KplsModel` holds what that map reads and no SIMPLS factor: its
 
 A model archive holds the model and the standardization of the dataset it
 was fitted on: `save_calibrated_model` writes it and
-`load_calibrated_model` reads it back, checking every member. Archives
+`load_calibrated_model` reads it back, checking each member against its
+dtype kinds and shape in one table, `_MEMBERS`, then the values. Archives
 are written at schema version 3; versions 2 (plus the factors) and 1
 (plus the factors and the scores) are still read.
 """
@@ -265,15 +266,51 @@ def save_calibrated_model(path, model: KplsModel, ds: Dataset) -> None:
     })
 
 
-def _check_kinds(data: dict, floats=(), strings=(), counts=(), flags=()) -> None:
-    """Reject the members ``floats`` unless they hold real floats, ``strings``
-    unless they hold strings, ``counts`` unless they hold integers and
-    ``flags`` unless they hold booleans (``ValueError``)."""
-    for keys, kinds, what in ((floats, "f", "real floats"), (strings, "U", "strings"),
-                              (counts, "iu", "integers"), (flags, "b", "booleans")):
-        for key in keys:
-            if data[key].dtype.kind not in kinds:
-                raise ValueError(f"archive member {key!r} does not hold {what}")
+# Each archive member's dtype kinds and shape in the model's sizes (n training
+# rows, p features, m responses, k kernel families; () is a scalar), which the
+# first member checked with a size fixes. A third entry is the flag without
+# which the shape is not checked: weights and response statistics are optional.
+_MEMBERS = {
+    "schema_version": ("iu", ()),
+    "has_log_gamma": ("b", ()),
+    "log_delta": ("f", ()),
+    "pls_n_lv": ("iu", ()),
+    "families": ("U", ("k",)),
+    "log_sigma": ("f", ("k",)),
+    "log_gamma": ("f", ("k",), "has_log_gamma"),
+    "x_train": ("f", ("n", "p")),
+    "center_col_means": ("f", ("n",)),
+    "y_means": ("f", ("m",)),
+    "pls_coef": ("f", ("n", "m")),
+    "prep_has_y_stats": ("b", ()),
+    "prep_task": ("U", ()),
+    "prep_x_names": ("U", ("p",)),
+    "prep_x_means": ("f", ("p",)),
+    "prep_x_stds": ("f", ("p",)),
+    "prep_y_names": ("U", ("m",)),
+    "prep_y_means": ("f", ("m",), "prep_has_y_stats"),
+    "prep_y_stds": ("f", ("m",), "prep_has_y_stats"),
+}
+_KINDS = {"f": "real floats", "U": "strings", "iu": "integers", "b": "booleans"}
+
+
+def _check_members(data: dict, sizes: dict, prep: bool) -> None:
+    """Reject (``ValueError``) a member of ``data`` that is missing or whose
+    dtype kind or shape is not its `_MEMBERS` entry's: the ``prep_*``
+    members if ``prep``, else the model's. Shapes are read in ``sizes``,
+    which gains each size a member fixes."""
+    for key, (kinds, shape, *flag) in _MEMBERS.items():
+        if key.startswith("prep_") != prep:
+            continue
+        value = data[key]
+        if value.dtype.kind not in kinds:
+            raise ValueError(f"archive member {key!r} does not hold {_KINDS[kinds]}")
+        if flag and not data[flag[0]]:
+            continue
+        if value.ndim != len(shape) or any(sizes.setdefault(size, d) != d
+                                           for size, d in zip(shape, value.shape)):
+            raise ValueError(f"archive member {key!r} has shape {value.shape}, the model "
+                             f"needs {tuple(sizes.get(size, size) for size in shape)}")
 
 
 def model_from_arrays(data: dict) -> KplsModel:
@@ -281,33 +318,22 @@ def model_from_arrays(data: dict) -> KplsModel:
     members, such as the ``prep_*`` arrays or the factors and scores only
     versions 2 and 1 wrote, are left for the caller.
 
-    Raises ``ValueError`` for a scalar, list or matrix member of another
-    number of dimensions (``x_train`` is a matrix, ``y_means`` a list),
-    another schema version, a model array or kernel parameter that does not
-    hold real floats, families that are not strings, a schema version or
-    factor count that is not an integer, a ``has_log_gamma`` that is not a
-    boolean, a factor count outside 1 and the training rows, a non-finite float
-    member (of any name), a kernel parameter whose square (``exp`` of twice
-    the stored log) underflows to 0 or overflows, a kernel whose families
-    are unknown or repeated or whose parameters do not have one entry per
-    family, fewer than 2 training rows, or prediction arrays whose shapes
-    disagree with ``x_train``.
+    Raises ``ValueError`` for a model member that is missing or of another
+    kind or shape than `_MEMBERS` gives, another schema version, a
+    non-finite float member (of any name), a kernel parameter whose square
+    (``exp`` of twice the stored log) underflows to 0 or overflows, kernel
+    families that are unknown or repeated, or several of them without
+    weights, fewer than 2 training rows, or a factor count outside 1 and the
+    training rows.
     """
-    for key, ndim in (("schema_version", 0), ("families", 1), ("has_log_gamma", 0),
-                      ("log_delta", 0), ("pls_n_lv", 0), ("x_train", 2),
-                      ("y_means", 1)):
-        if data[key].ndim != ndim:
-            raise ValueError(f"archive member {key!r} is not {ndim}-dimensional")
-    params = ("log_sigma", "log_gamma", "log_delta")
-    _check_kinds(data, ("x_train", "center_col_means", "pls_coef", "y_means", *params),
-                 ("families",), ("schema_version", "pls_n_lv"), ("has_log_gamma",))
+    _check_members(data, {}, prep=False)
     version = int(data["schema_version"])
     if version not in (1, 2, _SCHEMA_VERSION):
         raise ValueError(f"unsupported model schema version {version}")
     for key, value in data.items():
         if value.dtype.kind == "f" and not np.isfinite(value).all():
             raise ValueError(f"archive member {key!r} holds non-finite values")
-    for key in params:
+    for key in ("log_sigma", "log_gamma", "log_delta"):
         # The kernels divide by the square of the length-scale; one bound
         # serves the weights and the ridge too.
         with np.errstate(over="ignore", under="ignore"):
@@ -316,39 +342,18 @@ def model_from_arrays(data: dict) -> KplsModel:
             raise ValueError(f"archive member {key!r} holds a parameter out of range")
     families = KernelSpec.create([str(f) for f in data["families"]]).families
     log_gamma = data["log_gamma"] if bool(data["has_log_gamma"]) else None
-    k = len(families)
-    shapes = {"log_sigma": data["log_sigma"].shape}
-    if k > 1 or log_gamma is not None:
-        shapes["log_gamma"] = np.shape(log_gamma)
-    for key, shape in shapes.items():
-        if shape != (k,):
-            raise ValueError(f"{key} has shape {shape}, the kernel has {k} families")
+    if log_gamma is None and len(families) > 1:
+        raise ValueError(f"the kernel has {len(families)} families and no weights")
     n_train = data["x_train"].shape[0]
     if n_train < 2:
         raise ValueError(f"x_train has {n_train} rows, a fit needs at least 2")
     n_lv = int(data["pls_n_lv"])
     if not 1 <= n_lv <= n_train:
         raise ValueError(f"pls_n_lv is {n_lv}, outside 1 and the {n_train} training rows")
-    coef_shape = (n_train, data["y_means"].shape[0])
-    if data["pls_coef"].shape != coef_shape:
-        raise ValueError(
-            f"pls_coef has shape {data['pls_coef'].shape}, expected {coef_shape}"
-        )
-    if data["center_col_means"].shape != (n_train,):
-        raise ValueError(f"center_col_means does not have {n_train} entries")
-    spec = KernelSpec(
-        families=families,
-        log_sigma=data["log_sigma"],
-        log_gamma=log_gamma,
-        log_delta=float(data["log_delta"]),
-    )
-    return KplsModel(
-        spec=spec,
-        x_train=data["x_train"],
-        col_means=data["center_col_means"],
-        pls=PlsModel(coef=data["pls_coef"], n_lv=n_lv),
-        y_means=data["y_means"],
-    )
+    spec = KernelSpec(families=families, log_sigma=data["log_sigma"], log_gamma=log_gamma,
+                      log_delta=float(data["log_delta"]))
+    return KplsModel(spec=spec, x_train=data["x_train"], col_means=data["center_col_means"],
+                     pls=PlsModel(data["pls_coef"], n_lv=n_lv), y_means=data["y_means"])
 
 
 def load_calibrated_model(path) -> tuple[KplsModel, dict]:
@@ -356,23 +361,18 @@ def load_calibrated_model(path) -> tuple[KplsModel, dict]:
     `save_calibrated_model` wrote.
 
     Raises ``OSError`` if the file cannot be read and ``ValueError`` when
-    the archive is malformed: see `model_from_arrays`, plus missing
-    standardization members, a task other than ``regression`` and
-    ``classification``, standardization statistics that do not hold real
-    floats, a task and names that are not strings or a
-    ``prep_has_y_stats`` that is not a boolean, a classification
-    model with fewer than 2 responses, response statistics missing from a
-    regression archive or present in a classification one, standardization
-    arrays and names whose lengths disagree with the model, or a standard
-    deviation that is not positive or whose reciprocal overflows.
+    the archive is malformed: see `model_from_arrays`, plus ``prep_*``
+    members that are missing or of another kind or shape than `_MEMBERS`
+    gives, a task other than ``regression`` and ``classification``, a
+    classification model with fewer than 2 responses, response statistics
+    missing from a regression archive or present in a classification one,
+    or a standard deviation that is not positive or whose reciprocal
+    overflows.
     """
     data = read_array_archive(path)
-    if "prep_task" not in data:
-        raise ValueError("model file lacks preprocessing metadata")
     model = model_from_arrays(data)
-    _check_kinds(data, ("prep_x_means", "prep_x_stds", "prep_y_means", "prep_y_stds"),
-                 ("prep_task", "prep_x_names", "prep_y_names"),
-                 flags=("prep_has_y_stats",))
+    n_y = model.y_means.shape[0]
+    _check_members(data, {"p": model.x_train.shape[1], "m": n_y}, prep=True)
     has_y_stats = bool(data["prep_has_y_stats"])
     meta = {
         "x_means": data["prep_x_means"],
@@ -385,20 +385,12 @@ def load_calibrated_model(path) -> tuple[KplsModel, dict]:
     }
     if meta["task"] not in ("regression", "classification"):
         raise ValueError(f"unknown task {meta['task']!r}")
-    n_x, n_y = model.x_train.shape[1], model.y_means.shape[0]
     if meta["task"] == "classification" and n_y < 2:
         raise ValueError(f"a classification model has {n_y} response, it needs "
                          "one per class and at least 2")
     if has_y_stats != (meta["task"] == "regression"):
         raise ValueError(f"a {meta['task']} archive "
                          f"{'carries' if has_y_stats else 'lacks'} response statistics")
-    expected = {"prep_x_names": n_x, "prep_x_means": n_x, "prep_x_stds": n_x,
-                "prep_y_names": n_y}
-    if has_y_stats:
-        expected.update(prep_y_means=n_y, prep_y_stds=n_y)
-    for key, n in expected.items():
-        if data[key].shape != (n,):
-            raise ValueError(f"{key} has shape {data[key].shape}, the model needs ({n},)")
     for key in ("prep_x_stds", "prep_y_stds") if has_y_stats else ("prep_x_stds",):
         # finite already (`model_from_arrays`); standardizing divides by it
         if not np.all(data[key] > 1.0 / np.finfo(float).max):

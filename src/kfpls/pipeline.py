@@ -114,18 +114,22 @@ def evaluate_predictions(ds: Dataset, pred_std: np.ndarray) -> EvalReport:
     )
 
 
+def _holdout_size(n: int) -> int:
+    """Rows of ``n`` calibration rows held out for factor selection: a fifth."""
+    return max(1, n // 5)
+
+
 def _holdout_split(n: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Fifth of the calibration rows held out for factor selection."""
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    n_val = max(1, n // 5)
+    """Fit and held-out rows of a seeded `_holdout_size` split of ``n`` rows."""
+    perm = np.random.default_rng(seed).permutation(n)
+    n_val = _holdout_size(n)
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
 def check_lv_max(ds: Dataset, lv_max: int) -> None:
     """Reject (``ValueError``) a factor-search bound outside 1 and the number
     of calibration rows the line search fits on."""
-    n_fit = _holdout_split(ds.X_cal.shape[0], 0)[0].size
+    n_fit = ds.X_cal.shape[0] - _holdout_size(ds.X_cal.shape[0])
     if not 1 <= lv_max <= n_fit:
         raise ValueError(f"lv_max must be between 1 and {n_fit}, the rows the "
                          f"factor line search fits on; got {lv_max}")

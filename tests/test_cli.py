@@ -577,9 +577,9 @@ ARCHIVE_MEMBERS = (
 def _member_mutations(value):
     """Damaged versions of an archive member by its kind, ``None`` dropping it:
     float members filled with edge values, cast, given a dimension or
-    emptied; integer and flag members cast, made negative or huge, or
-    replaced by a string; string members emptied, replaced by floats or
-    given a dimension."""
+    emptied; integer and flag members cast, made negative or huge,
+    replaced by a string or given a dimension; string members emptied,
+    replaced by floats or given a dimension."""
     if value.dtype.kind == "f":
         return [None, *(np.full_like(value, v) for v in
                         (np.nan, np.inf, 1e308, -1e308, 0.0, -0.0, 5e-324)),
@@ -587,14 +587,14 @@ def _member_mutations(value):
                 np.empty((0,) * max(value.ndim, 1))]
     if value.dtype.kind in "iub":
         return [None, value.astype(float), np.full(value.shape, -3),
-                np.full(value.shape, 10**12), np.full(value.shape, "x")]
+                np.full(value.shape, 10**12), np.full(value.shape, "x"), value[None]]
     assert value.dtype.kind == "U"
     return [None, value[:0] if value.ndim else np.array(""), np.ones(value.shape),
             value[None]]
 
 
 # Count and flag members: each of their mutations is of the wrong kind or
-# out of range, so every one must be ``error:data``.
+# shape or out of range, so every one must be ``error:data``.
 STRICT_MEMBERS = ("schema_version", "has_log_gamma", "pls_n_lv", "prep_has_y_stats")
 
 
@@ -635,6 +635,83 @@ class TestArchiveMutations:
             if not ok:
                 failures.append((i, code, err))
         assert failures == []
+
+
+# A third of the generated files have no fault (None).
+_FAULTS = (None, None, None, "missing", "renamed", "duplicate", "ragged", "cell",
+           "no rows")
+
+
+@st.composite
+def feature_csvs(draw):
+    """Text of a feature CSV for the `xy_files` archive (features x1, x2):
+    a header and 1 to 4 rows of numbers, with at most one fault of
+    `_FAULTS`, cells padded with whitespace or not, CRLF line ends or not,
+    and a BOM or not."""
+    header = draw(st.sampled_from([["x1", "x2"], ["x2", "x1"], ["x1", "x2", "y"]]))
+    rows = draw(st.lists(st.lists(st.floats(-3.0, 3.0).map(repr), min_size=len(header),
+                                  max_size=len(header)), min_size=1, max_size=4))
+    fault = draw(st.sampled_from(_FAULTS))
+    if fault == "missing":
+        header, rows = header[1:], [row[1:] for row in rows]
+    elif fault == "renamed":
+        header[0] = header[0].upper()
+    elif fault == "duplicate":
+        header[-1] = header[0]
+    elif fault == "ragged":
+        row = draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            row.append("0.5")
+        else:
+            row.pop()
+    elif fault == "cell":
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(
+            ["", "x", "nan", "inf", "-inf", "1e308", "-1e308", "1e-320"]))
+    elif fault == "no rows":
+        rows = []
+    pad = draw(st.sampled_from(["", " ", "\t "]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(",".join(pad + cell + pad for cell in row) + end
+                   for row in [header, *rows])
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+class TestPredictOnGeneratedCsv:
+    """`kfpls predict` on any feature file either writes finite predictions,
+    one per data row, or prints one ``error:`` line, exits 1 or 2 and writes
+    no output directory; it never gives ``error:internal``."""
+
+    @staticmethod
+    def predict(archive, text, tmp):
+        features = tmp / "features.csv"
+        features.write_text(text, encoding="utf-8", newline="")
+        pred_dir = tmp / "pred"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli("predict", archive, features, "--out-dir", pred_dir)
+        return code, err.getvalue().splitlines(), pred_dir
+
+    @given(feature_csvs())
+    @settings(max_examples=80, deadline=None)
+    def test_exit_0_with_finite_predictions_or_one_error_line(self, xy_files, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err, pred_dir = self.predict(xy_files[1], text, Path(tmp))
+            if code == 0:
+                header, pred = read_csv(pred_dir / "predictions.csv")
+                assert not err and header == ["pred_y"]
+                assert pred.shape[0] == text.count("\n") - 1 and np.isfinite(pred).all()
+            else:
+                assert code in (1, 2) and len(err) == 1, err
+                assert err[0].startswith("error:") and not err[0].startswith("error:internal")
+                assert not pred_dir.exists()
+
+    def test_cell_over_the_csv_field_limit(self, xy_files, tmp_path):
+        code, err, pred_dir = self.predict(xy_files[1], "x1,x2\n0.1," + "1" * 200_000 + "\n",
+                                           tmp_path)
+        assert code == 1 and len(err) == 1, err
+        assert err[0].startswith("error:data:") and "field limit" in err[0]
+        assert not pred_dir.exists()
 
 
 class TestUnwritableOutput:

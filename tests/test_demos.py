@@ -1,5 +1,6 @@
 """Every script in ``demos/`` and the README's library quick start run to
-completion against the current API.
+completion against the current API, and the README's model archive table
+is the archive's members.
 
 Each demo runs in-process through ``runpy`` with stdout captured, from a
 temporary working directory, with temporary files kept under it too.
@@ -7,11 +8,16 @@ temporary working directory, with temporary files kept under it too.
 
 import contextlib
 import io
+import re
 import runpy
 import tempfile
 from pathlib import Path
 
 import pytest
+
+from kfpls import KernelSpec, fit_kpls, gen_peaks, save_calibrated_model
+from kfpls._serialize import read_array_archive
+from kfpls.kpls import _MEMBERS
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -41,3 +47,17 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(code, "README.md (library quick start)", "exec"), {})
     assert (tmp_path / "model.kfpls").exists()
+
+
+def test_readme_archive_table_is_the_archive_members(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Model archive", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (\w+) \| \(([\w, ]*)\)", section, flags=re.M)
+    ds = gen_peaks(12, 0.05, seed=1)
+    path = tmp_path / "model.kfpls"
+    save_calibrated_model(path, fit_kpls(ds.X_cal, ds.Y_cal, 2, KernelSpec.create("gaussian")),
+                          ds)
+    assert sorted(name for name, _, _ in rows) == sorted(read_array_archive(path))
+    kinds = {"integer": "iu", "boolean": "b", "float": "f", "string": "U"}
+    for name, kind, shape in rows:
+        assert _MEMBERS[name][:2] == (kinds[kind], tuple(re.findall(r"\w", shape))), name

@@ -1,6 +1,7 @@
 import dataclasses
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -305,6 +306,16 @@ class TestRunPipeline:
         for lv_max in (0, 33):
             with pytest.raises(ValueError, match="lv_max must be between 1 and 32"):
                 run_pipeline(ds, spec0, config, lv_max, seed=5)
+
+    @pytest.mark.parametrize("n", [2, 9, 10, 41, 800])
+    def test_lv_max_bound_is_the_fit_rows_without_a_draw(self, n, monkeypatch):
+        n_fit = _holdout_split(n, 3)[0].size
+        monkeypatch.setattr(np.random, "default_rng", None)
+        ds = SimpleNamespace(X_cal=np.zeros((n, 1)))
+        check_lv_max(ds, n_fit)
+        for lv_max in (0, n_fit + 1):
+            with pytest.raises(ValueError, match=f"between 1 and {n_fit}, the rows"):
+                check_lv_max(ds, lv_max)
 
     # Inputs shaped like the `peaks_combo` benchmark: 800 calibration rows,
     # three families, 400-row minibatches. The peak was 16.3 MB here, with
