@@ -241,14 +241,18 @@ def write_table(path, header, rows) -> None:
     """CSV with full-precision floats; identical inputs give identical bytes.
 
     ``rows`` is a 2-D array, converted to Python numbers in one `tolist`
-    (whose floats the writer formats as `_fmt` does), or a list of rows
-    whose cells, numpy scalars among them, go through `_fmt`.
+    and formatted by `repr` (``%r``), as `_fmt` formats a float, in one
+    format of its repeated line; or a list of rows whose cells, numpy
+    scalars among them, go through `_fmt`. The repr of a number holds no
+    comma or quote, so an array's cells need none of the `csv` writer's
+    quoting checks.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         if isinstance(rows, np.ndarray):
-            writer.writerows(rows.tolist())
+            line = ",".join(["%r"] * rows.shape[1]) + "\n"
+            fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
         else:
             writer.writerows([_fmt(v) for v in row] for row in rows)
 

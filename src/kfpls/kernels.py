@@ -7,13 +7,20 @@ several families as a weighted sum, plus a ridge term added to square
 training Grams. All positive parameters are stored as logarithms so
 unconstrained gradient steps always map back to a valid kernel.
 
+Each family applies its length-scale as one multiply by a scalar computed
+once (for the Gaussian, ``d2 * (-0.5 / sigma^2)``), and so does each
+family's derivative by its log length-scale.
+
 `kernel_matrix` and the family functions write their result into an
 ``out`` array when the caller gives one, with the operations and bits of
 the allocating path, so blocked callers evaluate a kernel in buffers they
 own: a one-family Gaussian or Cauchy kernel then makes no array at all
 (the Matern families make their temporaries, and a sum of families its
-terms). `pairwise_sq_dists` likewise takes ``out`` and ``work`` buffers,
-and the training rows' squared norms when the caller has them.
+terms). `pairwise_sq_dists` is one matrix product, of the rows
+``[|x|^2, 1, x]`` (`dist_rows`) and the columns ``[1; |z|^2; -2 zᵀ]``
+(`dist_cols`), then a clip at zero, and also takes an ``out`` buffer;
+a caller that evaluates many row slices against the same columns builds
+the two operands once and makes one product per slice.
 
 A square training Gram (`gram_train`, or `gram_from_dists` on a distance
 matrix the caller keeps) is built one row block at a time: each block of
@@ -44,28 +51,27 @@ _SQRT5 = math.sqrt(5.0)
 
 
 # Each family builds its matrix in ``out`` when given, else on as few fresh
-# arrays as it can (full-size temporaries set the peak memory of a flow),
-# with its formula's operations in the formula's order, so the bits are the
-# formula's. ``out`` must not overlap ``d2`` or ``d``.
+# arrays as it can (full-size temporaries set the peak memory of a flow).
+# A length-scale is applied as one multiply by a scalar computed once (a
+# reciprocal scale, folded with the family's constants), not as a divide.
+# ``out`` must not overlap ``d2`` or ``d``.
 
 
 def _gaussian(d2, d, sigma, out=None):
-    # exp(-d2 / (2 sigma^2)); d2 / -(2 sigma^2) has the bits of -d2 / (2 sigma^2)
-    out = np.divide(d2, -(2.0 * sigma * sigma), out=out)
+    # exp(-d2 / (2 sigma^2)) as exp(d2 * (-0.5 / sigma^2))
+    out = np.multiply(d2, -0.5 / (sigma * sigma), out=out)
     return np.exp(out, out=out)
 
 
 def _matern12(d2, d, sigma, out=None):
-    # exp(-d / sigma)
-    out = np.negative(d, out=out)
-    out /= sigma
+    # exp(-d / sigma) as exp(d * (-1 / sigma))
+    out = np.multiply(d, -1.0 / sigma, out=out)
     return np.exp(out, out=out)
 
 
 def _matern32(d2, d, sigma, out=None):
-    # (1 + a) exp(-a), a = sqrt(3) d / sigma
-    a = np.multiply(_SQRT3, d, out=out)
-    a /= sigma
+    # (1 + a) exp(-a), a = d * (sqrt(3) / sigma)
+    a = np.multiply(d, _SQRT3 / sigma, out=out)
     decay = np.negative(a)
     np.exp(decay, out=decay)
     a += 1.0
@@ -74,49 +80,46 @@ def _matern32(d2, d, sigma, out=None):
 
 
 def _matern52(d2, d, sigma, out=None):
-    # (1 + a + 5 d2 / (3 sigma^2)) exp(-a), a = sqrt(5) d / sigma
-    a = np.multiply(_SQRT5, d, out=out)
-    a /= sigma
+    # (1 + a + d2 * (5 / (3 sigma^2))) exp(-a), a = d * (sqrt(5) / sigma)
+    a = np.multiply(d, _SQRT5 / sigma, out=out)
     decay = np.negative(a)
     np.exp(decay, out=decay)
     a += 1.0
-    quad = np.multiply(5.0, d2)
-    quad /= 3.0 * sigma * sigma
-    a += quad
+    a += np.multiply(d2, 5.0 / (3.0 * sigma * sigma))
     a *= decay
     return a
 
 
 def _cauchy(d2, d, sigma, out=None):
-    # 1 / (1 + d2 / sigma^2)
-    out = np.divide(d2, sigma * sigma, out=out)
+    # 1 / (1 + d2 * (1 / sigma^2))
+    out = np.multiply(d2, 1.0 / (sigma * sigma), out=out)
     out += 1.0
     return np.divide(1.0, out, out=out)
 
 
 # Each family's derivative by its log length-scale, from its matrix ``K`` at
 # that length-scale and the distances, written into ``out`` (the Matern
-# ones make one array of its size).
+# ones make one array of its size). The length-scale is one multiply, as in
+# the families.
 
 
 def _gaussian_slope(K, d2, d, sigma, out):
     # K d2 / sigma^2
     np.multiply(K, d2, out=out)
-    out /= sigma * sigma
+    out *= 1.0 / (sigma * sigma)
     return out
 
 
 def _matern12_slope(K, d2, d, sigma, out):
     # K d / sigma
     np.multiply(K, d, out=out)
-    out /= sigma
+    out *= 1.0 / sigma
     return out
 
 
 def _matern32_slope(K, d2, d, sigma, out):
-    # a^2 exp(-a) = K a^2 / (1 + a), a = sqrt(3) d / sigma
-    a = np.multiply(_SQRT3, d)
-    a /= sigma
+    # a^2 exp(-a) = K a^2 / (1 + a), a = d * (sqrt(3) / sigma)
+    a = np.multiply(d, _SQRT3 / sigma)
     np.multiply(a, a, out=out)
     a += 1.0
     out /= a
@@ -125,17 +128,16 @@ def _matern32_slope(K, d2, d, sigma, out):
 
 
 def _matern52_slope(K, d2, d, sigma, out):
-    # q (1 + a) exp(-a) = K q (1 + a) / (1 + a + q), a = sqrt(5) d / sigma,
+    # q (1 + a) exp(-a) = K q (1 + a) / (1 + a + q), a = d * (sqrt(5) / sigma),
     # q = a^2 / 3
-    a = np.multiply(_SQRT5, d)
-    a /= sigma
+    scale = _SQRT5 / sigma
+    a = np.multiply(d, scale)
     q = np.multiply(a, a, out=out)
     q /= 3.0
     a += 1.0
     a += q
     q /= a  # q / (1 + a + q)
-    np.multiply(_SQRT5, d, out=a)
-    a /= sigma
+    np.multiply(d, scale, out=a)
     a += 1.0
     q *= a
     q *= K
@@ -214,6 +216,10 @@ class KernelSpec:
         ).copy()
         if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
             raise ValueError("length-scales must be positive and finite")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(1.0 / (sigma * sigma))):
+                # each family multiplies the distances by it
+                raise ValueError("length-scales must have a finite reciprocal square")
 
         if k == 1:
             log_gamma = None
@@ -291,33 +297,39 @@ class KernelSpec:
 
 
 def pairwise_sq_dists(
-    X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None,
-    work: np.ndarray | None = None, z_sq: np.ndarray | None = None,
+    X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Matrix of squared Euclidean distances, clipped at zero.
+    """Matrix of squared Euclidean distances, clipped at zero: one product of
+    the rows ``dist_rows(X)`` and the columns ``dist_cols(Z)``, written into
+    ``out`` when given.
 
     The quadratic expansion can go slightly negative in floating point;
     the clip keeps the square roots used by the Matern families safe.
-    ``out`` receives the result and ``work``, of the same shape, the cross
-    products; each is made when not given. ``z_sq`` is ``sq_norms(Z)``,
-    computed here unless the caller has it.
     """
+    d2 = np.matmul(dist_rows(X), dist_cols(Z), out=out)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def dist_rows(X: np.ndarray) -> np.ndarray:
+    """The rows ``[|x|^2, 1, x]`` (q, p + 2) of the distance product."""
     X = np.asarray(X, dtype=float)
+    rows = np.empty((X.shape[0], X.shape[1] + 2))
+    rows[:, 0] = sq_norms(X)
+    rows[:, 1] = 1.0
+    rows[:, 2:] = X
+    return rows
+
+
+def dist_cols(Z: np.ndarray) -> np.ndarray:
+    """The columns ``[1; |z|^2; -2 zᵀ]`` (p + 2, n) of the distance product:
+    with `dist_rows` an entry is ``|x|^2 + |z|^2 - 2 x·z``, summed in one
+    BLAS pass. The products with 1 and the factor -2 are exact."""
     Z = np.asarray(Z, dtype=float)
-    x_sq = sq_norms(X)
-    if z_sq is None:
-        z_sq = sq_norms(Z)
-    # x_sq[:, None] + z_sq[None, :] as the product of the columns [x_sq, 1] and
-    # the rows [1, z_sq]: both of an entry's products are exact and their sum
-    # is rounded once, so it has the bits of the sum, in one BLAS pass that is
-    # faster than a broadcast add.
-    d2 = np.matmul(np.stack([x_sq, np.ones_like(x_sq)], axis=1),
-                   np.stack([np.ones_like(z_sq), z_sq]), out=out)
-    cross = np.matmul(X, Z.T, out=work)
-    cross *= 2.0
-    d2 -= cross
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    cols = np.empty((Z.shape[1] + 2, Z.shape[0]))
+    cols[0] = 1.0
+    cols[1] = sq_norms(Z)
+    np.multiply(Z.T, -2.0, out=cols[2:])
+    return cols
 
 
 def sq_norms(X: np.ndarray) -> np.ndarray:
@@ -378,11 +390,11 @@ def train_sq_dists(
 ) -> np.ndarray:
     """Symmetrized squared-distance matrix with an exactly zero diagonal.
 
-    ``out`` receives the result and ``work``, of the same shape, is
-    overwritten; each is made when not given, so with both no matrix of
-    the result's size is allocated.
+    ``out`` receives the result and ``work``, of the same shape, holds
+    ``pairwise_sq_dists(X, X)``; each is made when not given, so with both
+    no matrix of the result's size is allocated.
     """
-    half = pairwise_sq_dists(X, X, out=work, work=out)
+    half = pairwise_sq_dists(X, X, out=work)
     d2 = np.add(half, half.T, out=out)
     d2 *= 0.5
     np.fill_diagonal(d2, 0.0)

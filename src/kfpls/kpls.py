@@ -17,8 +17,10 @@ holding at most `_BLOCK_ENTRIES` values, so the memory of a prediction
 does not grow with the rows scored. A block's kernel is evaluated in
 slices of at most `_SLICE_ENTRIES` values, each slice's distances and
 kernel written into buffers made once per prediction, so they stay in
-cache; the product with the map is made once per block, whose size fixes
-the bits of each prediction.
+cache. A slice's distances are one BLAS product of its rows of the
+`kernels.pairwise_sq_dists` operands, built once per prediction for the
+training rows and once per block for the new rows. The product with the
+map is made once per block, whose size fixes the bits of each prediction.
 A `KplsModel` holds what that map reads and no SIMPLS factor: its
 `PlsModel` is the coefficients and the factor count.
 
@@ -39,8 +41,8 @@ import numpy as np
 from ._serialize import read_array_archive, write_array_archive
 from .datasets import Dataset, labels
 from .exceptions import DegenerateProblemError
-from .kernels import (KernelSpec, block_rows, center_train, gram_train, kernel_matrix,
-                      pairwise_sq_dists, reads_d, sq_norms)
+from .kernels import (KernelSpec, block_rows, center_train, dist_cols, dist_rows,
+                      gram_train, kernel_matrix, reads_d)
 from .pls import _simpls
 
 _SCHEMA_VERSION = 3
@@ -188,11 +190,14 @@ def _affine_predict(spec: KernelSpec, x_train: np.ndarray, C: np.ndarray,
     A block holds at most ``_BLOCK_ENTRIES`` cross-kernel values, so memory
     does not grow with q, and each output row is the same dot products as
     with the whole cross kernel. The block's kernel is evaluated in slices
-    of at most ``_SLICE_ENTRIES`` values: a slice's distances go into one
-    buffer and its cross products into its rows of the block, which its
-    kernel then overwrites, all in buffers made once per call. Raises
-    ``ValueError`` for an ``X_new`` that is not 2-D or whose feature count
-    is not ``x_train``'s, even when q = 0.
+    of at most ``_SLICE_ENTRIES`` values. The operands of
+    `pairwise_sq_dists` are built once per call for ``x_train``
+    (`dist_cols`) and once per block for its rows (`dist_rows`); a slice's
+    distances are one product of its rows of them into one buffer, clipped
+    at zero, and its kernel is written into its rows of the block, in
+    buffers made once per call. Raises ``ValueError`` for an ``X_new``
+    that is not 2-D or whose feature count is not ``x_train``'s, even when
+    q = 0.
     """
     X_new = np.asarray(X_new, dtype=float)
     if X_new.ndim != 2:
@@ -208,15 +213,16 @@ def _affine_predict(spec: KernelSpec, x_train: np.ndarray, C: np.ndarray,
     K = np.empty((min(rows, q), n))
     sq = np.empty((min(step, q), n))
     root = np.empty_like(sq) if reads_d(spec) else None
-    z_sq = sq_norms(x_train)
+    right = dist_cols(x_train)
     for start in range(0, q, rows):
         stop = min(start + rows, q)
-        for lo in range(start, stop, step):
-            hi = min(lo + step, stop)
-            part = K[lo - start : hi - start]
-            d2 = pairwise_sq_dists(X_new[lo:hi], x_train, sq[: hi - lo], part, z_sq)
+        left = dist_rows(X_new[start:stop])
+        for lo in range(0, stop - start, step):
+            hi = min(lo + step, stop - start)
+            d2 = np.matmul(left[lo:hi], right, out=sq[: hi - lo])
+            np.maximum(d2, 0.0, out=d2)
             d = None if root is None else np.sqrt(d2, out=root[: hi - lo])
-            kernel_matrix(spec, d2, d, out=part)
+            kernel_matrix(spec, d2, d, out=K[lo:hi])
         pred = out[..., start:stop, :]
         np.matmul(K[: stop - start], C, out=pred)
         pred += b
@@ -321,7 +327,7 @@ def model_from_arrays(data: dict) -> KplsModel:
     Raises ``ValueError`` for a model member that is missing or of another
     kind or shape than `_MEMBERS` gives, another schema version, a
     non-finite float member (of any name), a kernel parameter whose square
-    (``exp`` of twice the stored log) underflows to 0 or overflows, kernel
+    (``exp`` of twice the stored log) or its reciprocal overflows, kernel
     families that are unknown or repeated, or several of them without
     weights, fewer than 2 training rows, or a factor count outside 1 and the
     training rows.
@@ -334,11 +340,12 @@ def model_from_arrays(data: dict) -> KplsModel:
         if value.dtype.kind == "f" and not np.isfinite(value).all():
             raise ValueError(f"archive member {key!r} holds non-finite values")
     for key in ("log_sigma", "log_gamma", "log_delta"):
-        # The kernels divide by the square of the length-scale; one bound
-        # serves the weights and the ridge too.
-        with np.errstate(over="ignore", under="ignore"):
-            square = np.exp(2.0 * data[key])
-        if not np.all((square > 0.0) & (square < np.inf)):
+        # The kernels multiply by the reciprocal of the squared length-scale,
+        # so the square and its reciprocal must be finite (the larger of the
+        # two is exp |2 log|); one bound serves the weights and the ridge too.
+        with np.errstate(over="ignore"):
+            larger = np.exp(np.abs(2.0 * data[key]))
+        if not np.all(larger < np.inf):
             raise ValueError(f"archive member {key!r} holds a parameter out of range")
     families = KernelSpec.create([str(f) for f in data["families"]]).families
     log_gamma = data["log_gamma"] if bool(data["has_log_gamma"]) else None

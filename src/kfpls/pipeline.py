@@ -12,16 +12,18 @@ any of them starts. The factor-count axis runs only the flow and then
 `sweep_n_lv` on the learned kernel: it needs no factor search, final fit
 or reference model.
 
-After the flow, `run_pipeline` computes the squared distances of the
-calibration rows once (`kernels.pairwise_sq_dists`) and the learned
-kernel's ridge Gram once from them (`kernels.gram_from_dists`, built in
-cache-sized row blocks). The holdout factor search (`line_search_n_lv`)
-fits on that Gram's block on the fit rows and predicts the held-out rows
-from its block on held-out and fit rows, which lies off the diagonal and
-so holds no ridge; the final fit then takes the whole Gram, centered in
-place. The untuned reference's Gram is built from the same distances.
-Each of these matrices is dropped once its last reader is done, and the
-run records the wall time of each stage (`STAGES`).
+After the flow, `run_pipeline` builds the learned kernel's ridge Gram of
+the calibration rows once: one distance product
+(`kernels.pairwise_sq_dists`), then the Gram in cache-sized row blocks
+(`kernels.gram_from_dists`), after which the distances are dropped. The
+holdout factor search (`line_search_n_lv`) fits on that Gram's block on
+the fit rows and predicts the held-out rows from its block on held-out
+and fit rows, which lies off the diagonal and so holds no ridge; the
+final fit then takes the whole Gram, centered in place. The untuned
+reference's Gram is built the same way once the learned one is dropped,
+so at most one Gram and one block of it are held through the factor
+search and the fits. The run records the wall time of each stage
+(`STAGES`).
 
 Each factor search (`line_search_n_lv`, `plain_pls_lv`, `sweep_n_lv`)
 makes one SIMPLS fit at its largest count (`kpls.fit_gram`, or
@@ -213,18 +215,18 @@ def run_pipeline(
 ) -> PipelineResult:
     """Optimize the kernel, select factors, fit, and evaluate baselines.
 
-    After the flow, one distance matrix of the calibration rows serves every
-    Gram: the learned kernel's Gram gives the factor search its blocks and
-    is then the final fit's Gram; the untuned kernel's Gram is built from
-    the same distances. Each matrix is dropped after its last reader.
+    After the flow, the learned kernel's Gram of the calibration rows gives
+    the factor search its blocks and is then the final fit's Gram; the
+    untuned kernel's Gram is built after it is dropped. Each Gram is built
+    from its own distance product, dropped once the Gram is made, so no
+    distance matrix is held through the factor search.
     """
     marks = [time.perf_counter()]
     check_lv_max(ds, lv_max)
     spec_opt, trace = run_kernel_flows(ds.X_cal, ds.Y_cal, config, spec0)
     marks.append(time.perf_counter())
 
-    sq_dists = pairwise_sq_dists(ds.X_cal, ds.X_cal)
-    K = gram_from_dists(spec_opt, sq_dists)
+    K = gram_from_dists(spec_opt, pairwise_sq_dists(ds.X_cal, ds.X_cal))
     n_lv, lv_table = line_search_n_lv(K, ds.X_cal, ds.Y_cal, ds.task, lv_max, seed)
     marks.append(time.perf_counter())
 
@@ -235,8 +237,7 @@ def run_pipeline(
 
     default_spec = KernelSpec.create(spec0.families, sigma=1.0, delta=1.0)
     baseline_lv = min(DEFAULT_BASELINE_LV, ds.X_cal.shape[0] - 1)
-    K = gram_from_dists(default_spec, sq_dists)
-    del sq_dists
+    K = gram_from_dists(default_spec, pairwise_sq_dists(ds.X_cal, ds.X_cal))
     kpls_default = model_from_gram(default_spec, K, ds.X_cal, ds.Y_cal, baseline_lv)
     del K
     pred_default = predict_kpls(kpls_default, ds.X_test)

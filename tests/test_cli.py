@@ -60,6 +60,43 @@ def xy_files(tmp_path_factory):
     return train, out / "model.kfpls"
 
 
+@pytest.fixture(scope="module")
+def two_family_files(tmp_path_factory, xy_files):
+    """The `xy_files` training CSV and an archive of a weighted two-family
+    kernel optimized on it."""
+    train = xy_files[0]
+    out = tmp_path_factory.mktemp("two_family") / "opt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli("optimize", train, "--response", "y", "--kernel", "gaussian,cauchy",
+                       "--seed", "1", "--iterations", "5", "--out-dir", out) == 0
+    return train, out / "model.kfpls"
+
+
+@pytest.fixture(scope="module")
+def classification_files(tmp_path_factory):
+    """A two-ring training CSV with one-hot responses and the classification
+    archive optimized on it; its features are x1 and x2 too."""
+    tmp = tmp_path_factory.mktemp("rings")
+    rng = np.random.default_rng(5)
+    radius = np.repeat([1.0, 2.0], 30) + 0.05 * rng.normal(size=60)
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=60)
+    train = tmp / "rings.csv"
+    train.write_text("x1,x2,inner,outer\n" + "".join(
+        f"{r * np.cos(a)},{r * np.sin(a)},{int(r < 1.5)},{int(r >= 1.5)}\n"
+        for r, a in zip(radius, angle)), encoding="utf-8")
+    out = tmp / "opt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli("optimize", train, "--response", "inner,outer",
+                       "--task", "classification", "--seed", "1",
+                       "--iterations", "5", "--out-dir", out) == 0
+    return train, out / "model.kfpls"
+
+
+# The archives besides `xy_files`'s one-family regression model that the
+# archive damage tests run on.
+OTHER_ARCHIVES = ("two_family", "classification")
+
+
 @pytest.fixture()
 def xy_model(tmp_path, xy_files):
     """The `xy_files` training CSV and a copy of its archive."""
@@ -83,7 +120,11 @@ class TestWriteTable:
         np.array([[1, -2, 3], [40, 0, 7]]),
         [(np.int64(3), np.float64(-0.0), np.float64(5e-324)),
          (4, np.float64(1.0 / 3.0), 1e300)],
-    ], ids=["float_array", "int_array", "list_of_scalars"])
+        np.array([[-0.0], [5e-324], [0.1], [-1e300], [np.inf], [np.nan]]),
+        # 5,000 predictions of every magnitude, as `kfpls predict` writes them
+        np.random.default_rng(3).normal(size=(5000, 1))
+        * 10.0 ** np.random.default_rng(4).integers(-20, 20, size=(5000, 1)),
+    ], ids=["float_array", "int_array", "list_of_scalars", "one_column", "rows_5000"])
     def test_bytes_match_per_cell_formatting(self, tmp_path, rows):
         path = tmp_path / "table.csv"
         cli.write_table(path, ["a", "b", "c"], rows)
@@ -477,34 +518,59 @@ def _overflowing_length_scale(arrays):
     arrays["log_sigma"] = arrays["log_sigma"] + 800.0
 
 
+def _subnormal_square_length_scale(arrays):
+    # sigma^2 = exp(-720) is subnormal: its reciprocal, which the kernels
+    # multiply by, overflows.
+    arrays["log_sigma"] = np.full_like(arrays["log_sigma"], -360.0)
+
+
 def _numeric_feature_names(arrays):
     arrays["prep_x_names"] = np.arange(arrays["prep_x_names"].size)
 
 
+CORRUPTIONS = [_cut_coef, _nan_coef, _one_feature_name, _no_schema_version,
+               _unknown_family, _no_length_scale, _no_weight, _two_families_no_weights,
+               _duplicate_family, _vector_ridge, _zero_x_std, _negative_y_std,
+               _one_d_x_train, _matrix_y_means, _no_training_rows,
+               _more_factors_than_rows, _unknown_task, _no_y_stats,
+               _one_response_classification, _subnormal_x_std, _complex_y_means,
+               _complex_coef, _string_length_scale, _vanishing_length_scale,
+               _overflowing_length_scale, _subnormal_square_length_scale,
+               _numeric_feature_names]
+
+# Corruptions of a one-family regression archive that leave another kind of
+# archive valid: a classification archive has no response statistics to
+# damage and is a classification one already, and a two-family archive
+# keeps the weights that `_two_families_no_weights` leaves out.
+VALID_AFTER = {
+    "classification": (_negative_y_std, _no_y_stats, _one_response_classification),
+    "two_family": (_two_families_no_weights,),
+}
+
+
+def _predict_rejects(corrupt, train, archive, pred_dir, capsys):
+    arrays = read_array_archive(archive)
+    corrupt(arrays)
+    write_array_archive(archive, arrays)
+    assert run_cli("predict", archive, train, "--out-dir", pred_dir) == 1
+    assert capsys.readouterr().err.startswith("error:data: cannot load model")
+    assert not (pred_dir / "predictions.csv").exists()
+
+
 class TestCorruptArchive:
-    @pytest.mark.parametrize("corrupt", [_cut_coef, _nan_coef, _one_feature_name,
-                                         _no_schema_version, _unknown_family,
-                                         _no_length_scale, _no_weight,
-                                         _two_families_no_weights, _duplicate_family,
-                                         _vector_ridge, _zero_x_std, _negative_y_std,
-                                         _one_d_x_train, _matrix_y_means,
-                                         _no_training_rows, _more_factors_than_rows,
-                                         _unknown_task,
-                                         _no_y_stats, _one_response_classification,
-                                         _subnormal_x_std, _complex_y_means,
-                                         _complex_coef, _string_length_scale,
-                                         _vanishing_length_scale,
-                                         _overflowing_length_scale,
-                                         _numeric_feature_names])
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS)
     def test_predict_rejects_corrupt_archive(self, tmp_path, xy_model, capsys, corrupt):
-        train, archive = xy_model
-        arrays = read_array_archive(archive)
-        corrupt(arrays)
-        write_array_archive(archive, arrays)
-        pred_dir = tmp_path / "pred"
-        assert run_cli("predict", archive, train, "--out-dir", pred_dir) == 1
-        assert capsys.readouterr().err.startswith("error:data: cannot load model")
-        assert not (pred_dir / "predictions.csv").exists()
+        _predict_rejects(corrupt, *xy_model, tmp_path / "pred", capsys)
+
+    @pytest.mark.parametrize("kind, corrupt", [
+        pytest.param(kind, c, id=f"{kind}-{c.__name__}")
+        for kind in OTHER_ARCHIVES for c in CORRUPTIONS if c not in VALID_AFTER[kind]])
+    def test_predict_rejects_corrupt_archive_of_another_kind(self, kind, corrupt, tmp_path,
+                                                             request, capsys):
+        train, original = request.getfixturevalue(f"{kind}_files")
+        archive = tmp_path / "model.kfpls"
+        archive.write_bytes(original.read_bytes())
+        _predict_rejects(corrupt, train, archive, tmp_path / "pred", capsys)
 
     @pytest.mark.parametrize("damage", [
         lambda data: data[: len(data) // 2],
@@ -606,13 +672,22 @@ class TestArchiveMutations:
     def test_members_are_the_archive_members(self, xy_files):
         assert sorted(read_array_archive(xy_files[1])) == sorted(ARCHIVE_MEMBERS)
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("member", ARCHIVE_MEMBERS)
-    def test_predict_on_damaged_member(self, member, tmp_path, xy_files, capsys):
-        train, original = xy_files
+    @staticmethod
+    def failures(member, train, original, tmp_path, capsys):
+        """The mutations of ``member`` (by index) whose verdict breaks the rule
+        above. A member that the archive's model never reads (its optional
+        shape's flag is off) must predict the undamaged archive's bytes when
+        it exits 0."""
         archive = tmp_path / "model.kfpls"
+        arrays = read_array_archive(original)
+        unread = member in ("log_gamma", "prep_y_means", "prep_y_stds") and not arrays[
+            "has_log_gamma" if member == "log_gamma" else "prep_has_y_stats"]
+        if unread:
+            assert run_cli("predict", original, train, "--out-dir", tmp_path / "base") == 0
+            capsys.readouterr()
+            base = (tmp_path / "base" / "predictions.csv").read_bytes()
         failures = []
-        for i, mutated in enumerate(_member_mutations(read_array_archive(original)[member])):
+        for i, mutated in enumerate(_member_mutations(arrays[member])):
             arrays = read_array_archive(original)
             if mutated is None:
                 del arrays[member]
@@ -628,13 +703,27 @@ class TestArchiveMutations:
                       and not pred_dir.exists())
             elif code == 0:
                 ok = not err and np.isfinite(read_csv(written)[1]).all()
+                ok = ok and (not unread or written.read_bytes() == base)
             else:
                 ok = (code in (1, 2) and len(err) == 1 and err[0].startswith("error:")
                       and not err[0].startswith("error:internal")
                       and not pred_dir.exists())
             if not ok:
                 failures.append((i, code, err))
-        assert failures == []
+        return failures
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("member", ARCHIVE_MEMBERS)
+    def test_predict_on_damaged_member(self, member, tmp_path, xy_files, capsys):
+        assert self.failures(member, *xy_files, tmp_path, capsys) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("member", ARCHIVE_MEMBERS)
+    @pytest.mark.parametrize("kind", OTHER_ARCHIVES)
+    def test_predict_on_damaged_member_of_another_kind(self, kind, member, tmp_path,
+                                                       request, capsys):
+        files = request.getfixturevalue(f"{kind}_files")
+        assert self.failures(member, *files, tmp_path, capsys) == []
 
 
 # A third of the generated files have no fault (None).

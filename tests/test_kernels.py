@@ -1,3 +1,10 @@
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +25,15 @@ from oracles import center_test_literal, gram_literal, kernel_value
 
 def single(family, sigma=1.0, delta=1e-3):
     return KernelSpec.create([family], sigma=sigma, delta=delta)
+
+
+def spectra(n, p=600, seed=0):
+    """``n`` spectral-shaped rows of ``p`` channels: three Gaussian bands whose
+    heights are latent concentrations in [0, 1], plus noise of 0.01."""
+    rng = np.random.default_rng(seed)
+    channels = np.linspace(0.0, 1.0, p)
+    bands = np.exp(-0.5 * ((channels - np.array([[0.2], [0.5], [0.8]])) / 0.05) ** 2)
+    return rng.uniform(size=(n, 3)) @ bands + 0.01 * rng.normal(size=(n, p))
 
 
 class TestKernelSpec:
@@ -68,6 +84,12 @@ class TestKernelSpec:
             KernelSpec.create(["gaussian"], sigma=0.0)
         with pytest.raises(ValueError):
             KernelSpec.create(["gaussian"], delta=-1.0)
+
+    @pytest.mark.parametrize("sigma", [1e-155, 1e-160])
+    def test_length_scale_with_overflowing_reciprocal_square_rejected(self, sigma):
+        # exp(d2 * (-0.5 / sigma^2)) would be 0 * inf = nan at zero distance
+        with pytest.raises(ValueError, match="reciprocal square"):
+            KernelSpec.create(["gaussian"], sigma=sigma)
 
 
 class TestKernelEval:
@@ -160,27 +182,139 @@ class TestDistances:
         assert got is out
         assert got.tobytes() == train_sq_dists(X).tobytes()
         expected = pairwise_sq_dists(X, X)
-        assert pairwise_sq_dists(X, X, out=out, work=work).tobytes() == expected.tobytes()
+        assert pairwise_sq_dists(X, X, out=out).tobytes() == expected.tobytes()
 
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_bits_of_the_quadratic_expansion(self, seed):
-        # |x|^2 + |z|^2 is summed as a product with ones; it must keep the
-        # bits of the broadcast sum, and the norms passed in those made here.
+    @staticmethod
+    def expansion(seed):
         rng = np.random.default_rng(seed)
         q, n, p = rng.integers(1, 70), rng.integers(1, 70), rng.integers(1, 12)
         scale = 10.0 ** rng.uniform(-6, 6)
         X, Z = scale * rng.normal(size=(q, p)), scale * rng.normal(size=(n, p))
-        x_sq, z_sq = np.sum(X * X, axis=1), np.sum(Z * Z, axis=1)
-        literal = np.maximum((x_sq[:, None] + z_sq[None, :]) - 2.0 * (X @ Z.T), 0.0)
+        return X, Z, np.sum(X * X, axis=1), np.sum(Z * Z, axis=1)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_bits_of_the_quadratic_expansion(self, seed):
+        # |x|^2 + |z|^2 - 2 x.z is one product of the rows [|x|^2, 1, x] and
+        # the columns [1; |z|^2; -2 z'], clipped at zero. Both operands are
+        # in C order: a one-row product's bits follow the layout.
+        X, Z, x_sq, z_sq = self.expansion(seed)
+        q, n = len(X), len(Z)
+        rows = np.hstack([x_sq[:, None], np.ones((q, 1)), X])
+        cols = np.ascontiguousarray(np.vstack([np.ones((1, n)), z_sq[None, :], -2.0 * Z.T]))
+        literal = np.maximum(rows @ cols, 0.0)
         assert pairwise_sq_dists(X, Z).tobytes() == literal.tobytes()
-        given_norms = pairwise_sq_dists(X, Z, z_sq=kernels.sq_norms(Z))
-        assert given_norms.tobytes() == literal.tobytes()
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_within_rounding_of_the_broadcast_expansion(self, seed):
+        # Both sum the same norms and the p products x_k z_k: the product with
+        # p + 2 terms is within 2 gamma_(p+2) (|x|^2 + |z|^2) of the exact value
+        # (2 |x.z| <= |x|^2 + |z|^2), the broadcast form within
+        # (gamma_p + 3u) (|x|^2 + |z|^2), and the clip widens neither. So they
+        # differ by at most (3p + 8) u, (3p + 8) / 2 ulps of |x|^2 + |z|^2.
+        X, Z, x_sq, z_sq = self.expansion(seed)
+        old = np.maximum((x_sq[:, None] + z_sq[None, :]) - 2.0 * (X @ Z.T), 0.0)
+        ulp = np.finfo(float).eps * (x_sq[:, None] + z_sq[None, :])
+        bound = (3 * X.shape[1] + 8) / 2
+        assert np.all(np.abs(pairwise_sq_dists(X, Z) - old) <= bound * ulp)
 
     def test_symmetric_with_zero_diagonal(self):
         d2 = train_sq_dists(np.random.default_rng(5).normal(size=(12, 2)))
         assert d2.tobytes() == d2.T.copy().tobytes()
         assert np.all(np.diag(d2) == 0.0)
+
+
+class TestWideInputs:
+    """Spectral-shaped rows, p = 600: the distance product's inner size is
+    p + 2, where every workload has p = 2."""
+
+    def test_distances_within_rounding_of_an_exact_sum(self):
+        # Each rounded (x_k - z_k)^2 is within 3u of its value and fsum rounds
+        # once, so the reference is within 4u d2 <= 8u (|x|^2 + |z|^2) of the
+        # distance; the computed norms are within gamma_p and the product's
+        # p + 2 terms within 2 gamma_(p+2) of |x|^2 + |z|^2 (see
+        # TestDistances). So the bound is (3p + 12) / 2 ulps of |x|^2 + |z|^2.
+        X, Z = spectra(40, seed=1), spectra(30, seed=2)
+        Z[:3] = X[:3]  # some distances are exactly 0
+        exact = np.array([[math.fsum((x - z) ** 2) for z in Z] for x in X])
+        ulp = np.finfo(float).eps * (kernels.sq_norms(X)[:, None] + kernels.sq_norms(Z))
+        bound = (3 * X.shape[1] + 12) / 2
+        assert np.all(np.abs(pairwise_sq_dists(X, Z) - exact) <= bound * ulp)
+
+    @pytest.mark.parametrize("families", [["gaussian"], ["matern32", "cauchy"]])
+    def test_gram_is_symmetric_with_its_diagonal_exact(self, families):
+        X = spectra(300, seed=3)
+        d2 = train_sq_dists(X)
+        assert d2.tobytes() == d2.T.copy().tobytes()
+        assert np.all(np.diag(d2) == 0.0)
+        # sigma about the root of the median squared distance, so the kernel
+        # is not numerically flat
+        spec = KernelSpec.create(families, sigma=math.sqrt(np.median(d2)), delta=0.01)
+        K = gram_train(spec, X)
+        assert K.tobytes() == K.T.copy().tobytes()
+        assert np.all(np.diag(K) == spec.gamma.sum() + spec.delta)
+        assert np.ptp(K[np.triu_indices(300, 1)]) > 0.5
+
+
+# Run in a fresh interpreter per BLAS thread count: the distances, the
+# symmetrized training distances and the predictions of a model of the
+# arrays in argv[1], and the BLAS's own cross product, as sha256 digests.
+_DIGESTS = """
+import hashlib, json, sys
+import numpy as np
+from kfpls import KernelSpec
+from kfpls.kernels import pairwise_sq_dists, train_sq_dists
+from kfpls.kpls import KplsModel, PlsModel, predict_kpls
+data = np.load(sys.argv[1])
+digests = {}
+for case in ("p2", "p600"):
+    X, Z = data[case + "_X"], data[case + "_Z"]
+    spec = KernelSpec.create(["gaussian", "matern32"], sigma=data[case + "_sigma"])
+    model = KplsModel(spec, Z, data[case + "_col_means"],
+                      PlsModel(data[case + "_coef"], 2), data[case + "_y_means"])
+    for name, value in (("pairwise", pairwise_sq_dists(X, Z)),
+                        ("train", train_sq_dists(Z)),
+                        ("predict", predict_kpls(model, X)),
+                        ("cross", X @ Z.T)):
+        digests[case + "_" + name] = hashlib.sha256(value.tobytes()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+class TestBlasThreadCount:
+    def test_distances_and_predictions_have_the_same_bytes_at_1_and_2_threads(
+            self, tmp_path):
+        rng = np.random.default_rng(12)
+        arrays = {}
+        for case, X, Z, sigma in (
+                ("p2", rng.uniform(-2, 2, (5000, 2)), rng.uniform(-2, 2, (800, 2)), 0.7),
+                ("p600", spectra(300, seed=4), spectra(300, seed=5), 30.0)):
+            n = len(Z)
+            arrays.update({f"{case}_X": X, f"{case}_Z": Z, f"{case}_sigma": sigma,
+                           f"{case}_col_means": rng.uniform(size=n),
+                           f"{case}_coef": rng.normal(size=(n, 2)),
+                           f"{case}_y_means": rng.normal(size=2)})
+        np.savez(tmp_path / "inputs.npz", **arrays)
+        src = str(Path(kernels.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            run = subprocess.run([sys.executable, "-c", _DIGESTS, str(tmp_path / "inputs.npz")],
+                                 env=env, capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            digests.append(json.loads(run.stdout))
+        one, two = digests
+        assert len(one) == 8
+        changed = {key for key in one if one[key] != two[key]}
+        # At p = 2 (inner size 4) nothing may change. At p = 600 the BLAS's
+        # own product X @ Z.T may sum in another order at 2 threads (with
+        # OpenBLAS 0.3.31 every inner size from 12 up that was tried did);
+        # the kernels' outputs may change only where it does.
+        assert not any(key.startswith("p2_") for key in changed)
+        if "p600_cross" not in changed:
+            assert not changed
 
 
 class TestKernelMatrix:
@@ -221,10 +355,10 @@ class TestKernelMatrix:
 
     @pytest.mark.parametrize("sigma", [0.3, 1.7])
     def test_gaussian_has_the_bits_of_its_formula(self, sigma):
-        # -d2 / (2 sigma^2) is divided as d2 / -(2 sigma^2), and the implicit
-        # weight 1 of a single family is not multiplied in: neither moves a bit.
+        # The length-scale is one multiply, d2 * (-0.5 / sigma^2), and the
+        # implicit weight 1 of a single family is not multiplied in.
         d2 = train_sq_dists(np.random.default_rng(10).normal(size=(20, 2)))
-        expected = np.exp(np.negative(d2) / (2.0 * sigma * sigma)) * 1.0
+        expected = np.exp(d2 * (-0.5 / (sigma * sigma))) * 1.0
         assert kernel_matrix(single("gaussian", sigma), d2).tobytes() == expected.tobytes()
 
     def test_explicit_weight_of_a_single_family_is_applied(self):
