@@ -31,12 +31,12 @@ the full fit. PLS truncation breaks that identity, letting the norm
 ratio go negative and reward degenerate kernels, so it is not the
 default.
 
-The gradient is exact: `_loss_gradient` runs `_batch_losses` once with a
-tape and then one reverse pass back through the residuals (or the norms),
-the SIMPLS loop (`pls._simpls_adjoint`), the centering and the gather. The loss
-depends on the parameters only through the plain Gram ``K`` and the ridge
-``δ``, so the pass yields ``K̄ = ∂L/∂K`` and ``δ̄``, and then
-``∂L/∂log γ_i = γ_i ⟨K̄, K_i⟩``, ``∂L/∂log σ_i = γ_i ⟨K̄, ∂K_i/∂log σ_i⟩``
+The gradient is exact: `_loss_gradient` runs `_batch_losses` once, then one
+reverse pass back through the residuals (or the norms), the SIMPLS loop
+(`pls._simpls_adjoint`, on each fit's step records), the centering and the
+gather. The loss depends on the parameters only through the plain Gram
+``K`` and the ridge ``δ``, so the pass yields ``K̄ = ∂L/∂K`` and ``δ̄``, and
+then ``∂L/∂log γ_i = γ_i ⟨K̄, K_i⟩``, ``∂L/∂log σ_i = γ_i ⟨K̄, ∂K_i/∂log σ_i⟩``
 (an elementwise map of ``K_i`` and the distances, per family) and
 ``∂L/∂log δ = δ δ̄``. Each fit's adjoint is kept in low-rank form
 ``A Bᵀ``, on its members' rows of the minibatch like the affine
@@ -81,6 +81,8 @@ from .kpls import affine_coef, fit_grams
 from .pls import _simpls_adjoint
 
 logger = logging.getLogger(__name__)
+# Skips are counted in the trace, and printed only where logging is configured.
+logger.addHandler(logging.NullHandler())
 
 _NORM_FLOOR = 1e-30
 _UPDATE_RULES = ("vanilla", "polyak", "nesterov")
@@ -304,12 +306,14 @@ def _cv_residuals(K_plain, idx, coef, col_means, y_means, Y):
     return Y[:, None, :] - KG - b[:, 0, :], G
 
 
-def _batch_losses(ws, n_lv, spec, objective, tape=None):
-    """Average iteration loss over the sub-batches of the draw ``ws``, plus
-    the per-subset losses in row order (objectives: see the module
-    docstring). The sub-batches are fitted as one stack, with one factor
-    count (see `kpls.fit_grams`), and ``norm_ratio`` fits the minibatch as a
-    second. A ``tape`` dict receives what `_loss_gradient` reads back.
+def _batch_losses(ws, n_lv, spec, objective):
+    """``(loss, rhos, fits, scale)``: the average iteration loss over the
+    sub-batches of the draw ``ws`` and the per-subset losses in row order
+    (objectives: see the module docstring), then, for `_loss_gradient`, each
+    fitted stack's ``(idx, factors, col_means, y_means, K_c, R, G)``
+    (`kpls.fit_grams`; `_cv_residuals` under ``cv``, else None) and the
+    loss's scale. The sub-batches are one stack, with one factor count, and
+    ``norm_ratio`` fits the minibatch as a second.
     """
     ws.n_loss_evals += 1
     K_plain = ws.gram(spec)
@@ -326,21 +330,16 @@ def _batch_losses(ws, n_lv, spec, objective, tape=None):
             raise DegenerateProblemError("minibatch responses are constant")
     values, fits = [], []
     for idx, K in stacks:
-        simpls = {} if tape is not None else None
         ws.n_fits += len(K)
         K.reshape(len(K), -1)[:, :: K.shape[1] + 1] += spec.delta  # each diagonal
-        (*_, coef), means, y_means, K_c = fit_grams(K, Y[idx], n_lv, simpls)
+        factors, means, y_means, K_c = fit_grams(K, Y[idx], n_lv)
+        R = G = None
         if objective == "norm_ratio":
-            values.append(_model_norms(coef, K_c))
+            values.append(_model_norms(factors[3], K_c))
         else:
-            R, G = _cv_residuals(K_plain, idx, coef, means, y_means, Y)
+            R, G = _cv_residuals(K_plain, idx, factors[3], means, y_means, Y)
             values.append(np.add.reduce(R ** 2, axis=(0, 2)))
-        if tape is not None:
-            fit = dict(idx=idx, coef=coef, col_means=means, y_means=y_means,
-                       K_c=K_c, simpls=simpls)
-            if objective == "cv":
-                fit.update(R=R, G=G)
-            fits.append(fit)
+        fits.append((idx, factors, means, y_means, K_c, R, G))
     if objective == "norm_ratio":
         norm_b = values[1][0]
         if abs(norm_b) < _NORM_FLOOR:
@@ -351,10 +350,7 @@ def _batch_losses(ws, n_lv, spec, objective, tape=None):
     if not np.isfinite(rhos).all():
         raise DegenerateProblemError("loss is not finite")
     loss = float(np.add.reduce(rhos) / len(rhos))
-    if tape is not None:
-        tape.update(stacks=fits, K_plain=K_plain,
-                    scale=norm_b if objective == "norm_ratio" else denom)
-    return loss, rhos.tolist()
+    return loss, rhos.tolist(), fits, norm_b if objective == "norm_ratio" else denom
 
 
 def _factor_pair(blocks, n_rows):
@@ -387,14 +383,13 @@ def _loss_gradient(ws, n_lv, spec, objective):
     Gram's buffer. Raises `DegenerateProblemError` where the loss or the
     gradient is not finite.
     """
-    tape = {}
-    loss, _ = _batch_losses(ws, n_lv, spec, objective, tape)
-    K_plain, scale = tape["K_plain"], tape["scale"]
+    loss, _, fits, scale = _batch_losses(ws, n_lv, spec, objective)
+    K_plain = ws.buffer("gram")  # the plain Gram that evaluation built
     n_rows, n_sets = ws.Y.shape[0], ws.subsets.shape[0]
     blocks = []  # ∂L/∂K_plain = U Vᵀ, see `_factor_pair`
     delta_bar = 0.0
-    for pos, fit in enumerate(tape["stacks"]):
-        idx, coef, K_c = fit["idx"], fit["coef"], fit["K_c"]
+    for pos, (idx, factors, col_means, y_means, K_c, R, G) in enumerate(fits):
+        coef = factors[3]
         S, n = idx.shape
         if objective == "norm_ratio":
             # loss = mean over subsets of 1 - values / the minibatch's value
@@ -406,18 +401,18 @@ def _loss_gradient(ws, n_lv, spec, objective):
             # col_means the mean of K_plain's block plus δ/n: the affine
             # coefficients C = H coef meet K_plain in both.
             rows = (idx, np.arange(S)[:, None])  # member s's rows of an (n_rows, S, ·)
-            R_bar = fit["R"] * (-2.0 / (scale * n_sets))
+            R_bar = R * (-2.0 / (scale * n_sets))
             r_sum = np.add.reduce(R_bar, axis=0)
             KR = (K_plain @ R_bar.reshape(n_rows, -1)).reshape(R_bar.shape)
-            C_bar = KR[rows] - fit["col_means"][:, :, None] * r_sum[:, None, :]
+            C_bar = KR[rows] - col_means[:, :, None] * r_sum[:, None, :]
             c_mean = np.add.reduce(C_bar, axis=1, keepdims=True)
             c_mean /= n
             coef_bar = C_bar - c_mean
             R_bar[rows] -= r_sum[:, None, :] / n
-            blocks.append((None, R_bar, fit["G"]))
+            blocks.append((None, R_bar, G))
             direct = None
-        Y_c = ws.Y[idx] - fit["y_means"][:, None, :]
-        A, B = _simpls_adjoint(K_c, Y_c, fit["simpls"], coef_bar)
+        Y_c = ws.Y[idx] - y_means[:, None, :]
+        A, B = _simpls_adjoint(K_c, Y_c, factors, coef_bar)
         if direct is not None:
             A, B = (np.concatenate([x, y], axis=2) for x, y in zip((A, B), direct))
         # The centered Gram is H K H: its adjoint H A Bᵀ H goes to the block
@@ -566,7 +561,7 @@ def run_kernel_flows(
             spec_now = spec0.replace_theta(theta)
             try:
                 if config.update_rule == "nesterov":
-                    rho_bar, _ = _batch_losses(ws, config.n_lv, spec_now, config.objective)
+                    rho_bar = _batch_losses(ws, config.n_lv, spec_now, config.objective)[0]
                     lookahead = spec0.replace_theta(
                         theta + config.momentum * (theta - prev_theta)
                     )
@@ -666,7 +661,7 @@ def loss_surface(
         ws = draw(np.random.default_rng(child))
         for s, spec in enumerate(specs):
             try:
-                values[s, j], _ = _batch_losses(ws, config.n_lv, spec, config.objective)
+                values[s, j] = _batch_losses(ws, config.n_lv, spec, config.objective)[0]
             except DegenerateProblemError:
                 pass
 

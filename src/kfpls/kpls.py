@@ -20,7 +20,9 @@ kernel written into buffers made once per prediction, so they stay in
 cache. A slice's distances are one BLAS product of its rows of the
 `kernels.pairwise_sq_dists` operands, built once per prediction for the
 training rows and once per block for the new rows. The product with the
-map is made once per block, whose size fixes the bits of each prediction.
+map is made once per block on whole tiles of rows, so its bits for a row
+do not vary with the row count (with many features, the distances of a
+partial slice still can).
 A `KplsModel` holds what that map reads and no SIMPLS factor: its
 `PlsModel` is the coefficients and the factor count.
 
@@ -53,6 +55,9 @@ _SCHEMA_VERSION = 3
 # A smaller product can sum a row's dot products in another order (128-row
 # products moved bits with 1,000 training rows and 4 responses).
 _BLOCK_ENTRIES = 2**18
+# A block's product with the map is made on whole tiles of rows: no row falls in
+# the BLAS's remainder code, which can sum its dot products in another order.
+_TILE_ROWS = 16
 # Values in one kernel slice of a block: 2**16 floats are 512 KiB, so a slice's
 # distances and kernel stay in a 2 MB L2 cache between passes. On 5,000 x 800
 # Gaussian predictions, 2**16 was faster than 2**15 and 2**17.
@@ -104,23 +109,23 @@ def affine_coef(coef: np.ndarray, col_means: np.ndarray, y_means: np.ndarray):
     return C, b
 
 
-def fit_grams(K: np.ndarray, Y: np.ndarray, n_lv: int, tape: dict | None = None):
+def fit_grams(K: np.ndarray, Y: np.ndarray, n_lv: int):
     """Kernel-PLS fits of a stack of ridge Grams ``K`` (S, n, n) on ``Y``
     (S, n, m), in one pass of `pls._simpls`.
 
-    ``K`` is double-centered in place. Returns ``((W, P, Q, B), col_means,
-    y_means, K)``: the SIMPLS factors and coefficients of the stack, the
-    Grams' column means (S, n), the response means (S, m), and the centered
-    stack, which the flow's norm-ratio loss and reverse pass read. The
-    stack has one factor count: at most ``n_lv``, fewer for all of it if
-    one member runs out of rank first. Inputs are not checked (see
+    ``K`` is double-centered in place. Returns ``((W, P, Q, B, steps),
+    col_means, y_means, K)``: the SIMPLS factors, coefficients and step
+    records of the stack (`pls._simpls`), the Grams' column means (S, n),
+    the response means (S, m), and the centered stack; the flow's
+    norm-ratio loss reads the last, its reverse pass that and the records.
+    The stack has one factor count: at most ``n_lv``, fewer for all of it
+    if one member runs out of rank first. Inputs are not checked (see
     `check_fit_inputs`), and ``n_lv`` is clamped to ``n`` silently.
-    ``tape``: see `pls._simpls`.
     """
     K_centered, col_means = center_train(K, out=K)
     y_means = np.add.reduce(Y, axis=1)
     y_means /= Y.shape[1]
-    factors = _simpls(K_centered, Y - y_means[:, None, :], n_lv, tape)
+    factors = _simpls(K_centered, Y - y_means[:, None, :], n_lv)
     return factors, col_means, y_means, K_centered
 
 
@@ -163,7 +168,7 @@ def fit_gram(K: np.ndarray, X, Y, n_lv: int):
     fit, the Gram's column means and the response means."""
     X, Y = check_fit_inputs(X, Y, n_lv)
     factors, col_means, y_means, _ = fit_grams(K[None], Y[None], n_lv)
-    return tuple(f[0] for f in factors), col_means[0], y_means[0]
+    return tuple(f[0] for f in factors[:4]), col_means[0], y_means[0]
 
 
 def model_from_gram(spec: KernelSpec, K: np.ndarray, X, Y, n_lv: int) -> KplsModel:
@@ -188,16 +193,18 @@ def _affine_predict(spec: KernelSpec, x_train: np.ndarray, C: np.ndarray,
     ``C`` (..., n, m) and ``b`` (..., 1, m) are an `affine_coef` map, or a
     stack of them; the result is (..., q, m) for the q rows of ``X_new``.
     A block holds at most ``_BLOCK_ENTRIES`` cross-kernel values, so memory
-    does not grow with q, and each output row is the same dot products as
-    with the whole cross kernel. The block's kernel is evaluated in slices
-    of at most ``_SLICE_ENTRIES`` values. The operands of
-    `pairwise_sq_dists` are built once per call for ``x_train``
-    (`dist_cols`) and once per block for its rows (`dist_rows`); a slice's
-    distances are one product of its rows of them into one buffer, clipped
-    at zero, and its kernel is written into its rows of the block, in
-    buffers made once per call. Raises ``ValueError`` for an ``X_new``
-    that is not 2-D or whose feature count is not ``x_train``'s, even when
-    q = 0.
+    does not grow with q. A partial last block is multiplied padded to whole
+    ``_TILE_ROWS``-row tiles, whose extra outputs are dropped, so an output
+    row is the same dot products with the map whatever q is (as long as a
+    block holds a tile: beyond 2**14 training rows, it is padded to the
+    block). The block's kernel is evaluated in slices of at most
+    ``_SLICE_ENTRIES`` values. The operands of `pairwise_sq_dists` are built
+    once per call for ``x_train`` (`dist_cols`) and once per block for its
+    rows (`dist_rows`); a slice's distances are one product of its rows of
+    them into one buffer, clipped at zero, and its kernel is written into
+    its rows of the block, in buffers made once per call. Raises
+    ``ValueError`` for an ``X_new`` that is not 2-D or whose feature count
+    is not ``x_train``'s, even when q = 0.
     """
     X_new = np.asarray(X_new, dtype=float)
     if X_new.ndim != 2:
@@ -210,7 +217,8 @@ def _affine_predict(spec: KernelSpec, x_train: np.ndarray, C: np.ndarray,
     step = block_rows(_SLICE_ENTRIES, n)
     q = X_new.shape[0]
     out = np.empty(C.shape[:-2] + (q, C.shape[-1]))
-    K = np.empty((min(rows, q), n))
+    padded = -(-q // _TILE_ROWS) * _TILE_ROWS  # q rounded up to whole tiles
+    K = np.zeros((min(rows, padded), n))  # zeros: a padding row is finite
     sq = np.empty((min(step, q), n))
     root = np.empty_like(sq) if reads_d(spec) else None
     right = dist_cols(x_train)
@@ -223,9 +231,8 @@ def _affine_predict(spec: KernelSpec, x_train: np.ndarray, C: np.ndarray,
             np.maximum(d2, 0.0, out=d2)
             d = None if root is None else np.sqrt(d2, out=root[: hi - lo])
             kernel_matrix(spec, d2, d, out=K[lo:hi])
-        pred = out[..., start:stop, :]
-        np.matmul(K[: stop - start], C, out=pred)
-        pred += b
+        pred = np.matmul(K[: padded - start], C)
+        out[..., start:stop, :] = pred[..., : stop - start, :] + b
     return out
 
 

@@ -175,8 +175,10 @@ def line_search_n_lv(K: np.ndarray, X, Y, task: str, lv_max: int, seed) -> tuple
     smaller count. Returns the chosen count and the (n_lv, score) table.
     """
     fit_idx, val_idx = _holdout_split(X.shape[0], seed)
-    C, b = _count_maps(K[np.ix_(fit_idx, fit_idx)], X[fit_idx], Y[fit_idx], lv_max)
-    preds = K[np.ix_(val_idx, fit_idx)] @ C + b
+    # Each block is gathered one axis at a time, which is cheaper than np.ix_.
+    K_fit = K.take(fit_idx, axis=0).take(fit_idx, axis=1)
+    C, b = _count_maps(K_fit, X[fit_idx], Y[fit_idx], lv_max)
+    preds = K.take(val_idx, axis=0).take(fit_idx, axis=1) @ C + b
     return _score_counts(preds, Y[val_idx], task)
 
 
@@ -198,8 +200,8 @@ def plain_pls_lv(ds: Dataset, lv_max: int, seed) -> int:
     y_means = ds.Y_cal[fit_idx].mean(axis=0)
     lv_max = min(ds.X_cal.shape[1], lv_max)
     try:
-        W, P, Q, _ = _simpls(ds.X_cal[fit_idx][None],
-                             (ds.Y_cal[fit_idx] - y_means)[None], lv_max)
+        W, P, Q, *_ = _simpls(ds.X_cal[fit_idx][None],
+                              (ds.Y_cal[fit_idx] - y_means)[None], lv_max)
     except DegenerateProblemError:
         return 1
     preds = ds.X_cal[val_idx] @ coef_path(W[0], P[0], Q[0], lv_max) + y_means

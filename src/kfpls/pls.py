@@ -12,13 +12,16 @@ on a stack of centered Grams (one kernel-PLS model, or the sub-batches
 of one kernel-flow draw) in one pass, and the linear reference of
 `pipeline` on a stack of one. The direction is closed-form for one
 response, else from one batched m×m ``eigh``. The factors (W, P, Q) exist
-only as what `_simpls` returns. A stack has one factor count: it stops
-at the first factor where any member runs out of rank. SIMPLS extracts
-one factor at a time, so the first ``a`` factors of a fit are the
-``a``-factor fit, and each member of a stack that stopped at ``a`` is its
-separate fit at ``a``. `_coef` is the one coefficient formula: `_simpls`
-applies it to the whole stack, and `coef_path` to every factor count up
-to a search bound from the factors of one fit.
+only as what `_simpls` returns, with a step record per factor, the inverse
+of its deflation's loadings system included: every fit returns what the
+reverse pass (`_simpls_adjoint`) reads, which solves nothing again. A
+stack has one factor count: it stops at the first factor where any member
+runs out of rank. SIMPLS extracts one factor at a time, so the first
+``a`` factors of a fit are the ``a``-factor fit, and each member of a
+stack that stopped at ``a`` is its separate fit at ``a``. `_coef` is the
+one coefficient formula: `_simpls` applies it to the whole stack, and
+`coef_path` to every factor count up to a search bound from the factors
+of one fit.
 """
 
 from __future__ import annotations
@@ -65,17 +68,19 @@ def _directions(C: np.ndarray):
     return w, sign if v is None else v * sign, norm[:, 0], eig
 
 
-def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int, tape: dict | None = None):
+def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int):
     """SIMPLS of each ``X[s]`` (n, p) on ``Y[s]`` (n, m), all members at once,
     with one factor count for the whole stack.
 
     The stack stops at the first factor where any member's covariance is
     exhausted or its score norm underflows, so every member is the separate
     fit of it at that count; `DegenerateProblemError` if that is the first
-    factor. Returns ``(W, P, Q, B)``: the factors (one column per latent
-    variable) and the coefficients (S, p, m). A ``tape`` dict receives, for
-    `_simpls_adjoint`, each factor's covariance, direction data, scores and
-    factors, factor k of member s at entry [s, k] of each array.
+    factor. Returns ``(W, P, Q, B, steps)``: the factors (one column per
+    latent variable), the coefficients (S, p, m) and, for `_simpls_adjoint`,
+    a record ``(C, v, norm, eig, t, tt, inv)`` per factor: its covariance,
+    direction data (`_directions`), scores and their squared norms, and the
+    inverse of the ``PₖᵀPₖ`` that deflated the covariance after it (None
+    after the last factor the bound allows).
     """
     S, n, p = X.shape
     m = Y.shape[2]
@@ -84,15 +89,8 @@ def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int, tape: dict | None = None):
     C = Yt @ X  # (S, m, p) cross-covariances
     floor = _COV_EXHAUSTED_REL * np.sqrt(np.add.reduce(C * C, axis=(1, 2)))
     W, P, Q = (np.empty((S, d, a_max)) for d in (p, p, m))
-    if tape is not None:
-        shapes = dict(C=(m, p), v=(m,), norm=(), t=(n,), tt=(), w=(p,), p=(p,),
-                      q=(m,))
-        if m > 1:
-            shapes.update(eig_values=(m,), eig_vectors=(m, m))
-        tape.update({key: np.empty((S, a_max, *shape)) for key, shape in shapes.items()})
-
-    k = 0
-    while k < a_max:
+    steps = []
+    while (k := len(steps)) < a_max:
         if not (np.sqrt(np.add.reduce(C * C, axis=(1, 2))) > floor).all():
             break
         w, v, norm, eig = _directions(C)
@@ -103,34 +101,26 @@ def _simpls(X: np.ndarray, Y: np.ndarray, n_lv: int, tape: dict | None = None):
         q = (Yt @ t[:, :, None])[:, :, 0] / tt[:, None]
         pv = (Xt @ t[:, :, None])[:, :, 0] / tt[:, None]
         W[:, :, k], Q[:, :, k], P[:, :, k] = w, q, pv
-        if tape is not None:
-            step = dict(C=C, v=v, norm=norm, t=t, tt=tt, w=w, p=pv, q=q)
-            if eig is not None:
-                step.update(eig_values=eig[0], eig_vectors=eig[1])
-            for key, value in step.items():
-                tape[key][:, k] = value
-        k += 1
-        if k < a_max:
+        Pk = P[:, :, : k + 1]
+        Pkt = Pk.swapaxes(1, 2)
+        inv = np.linalg.inv(Pkt @ Pk) if k + 1 < a_max else None
+        steps.append((C, v, norm, eig, t, tt, inv))
+        if inv is not None:
             # Deflate: remove the span of the accumulated X-loadings from the
             # covariance rows so the next direction is extracted from what is
-            # left, C - C P (PᵀP)⁻¹ Pᵀ, with the solve on the small side.
-            Pk = P[:, :, :k]
-            Pkt = Pk.swapaxes(1, 2)
-            A = np.linalg.solve(Pkt @ Pk, (C @ Pk).swapaxes(1, 2))
-            C = C - A.swapaxes(1, 2) @ Pkt
+            # left, C - C P (PᵀP)⁻¹ Pᵀ.
+            C = C - (C @ Pk) @ inv @ Pkt
 
     if k == 0:
         raise DegenerateProblemError("rank exhausted before extracting any factor")
-    if tape is not None:
-        tape.update({key: value[:, :k] for key, value in tape.items()})
     W, P, Q = (v[:, :, :k] for v in (W, P, Q))
-    return W, P, Q, _coef(W, P, Q)
+    return W, P, Q, _coef(W, P, Q), steps
 
 
-def _simpls_adjoint(X: np.ndarray, Y: np.ndarray, tape: dict, B_bar: np.ndarray):
-    """Reverse pass of `_simpls` through the ``tape`` it recorded: the
-    derivative of ``⟨B_bar, B⟩`` by each ``X[s]``, where ``B`` are the
-    coefficients and ``B_bar`` (S, p, m) their adjoints.
+def _simpls_adjoint(X: np.ndarray, Y: np.ndarray, factors, B_bar: np.ndarray):
+    """Reverse pass of `_simpls` through the ``factors`` it returned, step
+    records included: the derivative of ``⟨B_bar, B⟩`` by each ``X[s]``,
+    where ``B`` are the coefficients and ``B_bar`` (S, p, m) their adjoints.
 
     Returns it in low-rank form ``(A, G)``, ``X̄[s] = A[s] G[s]ᵀ`` with
     ``A`` (S, n, r) and ``G`` (S, p, r), ``r = 2·a + m`` for the stack's
@@ -139,39 +129,41 @@ def _simpls_adjoint(X: np.ndarray, Y: np.ndarray, tape: dict, B_bar: np.ndarray)
     exact arithmetic the scores are orthogonal, so ``PᵀW = I`` and the
     coefficients are ``Σ_k w_k q_kᵀ``; the deflation is
     ``C_{k+1} = C_k (I - Π_k)`` with ``Π_k`` the projector onto the first
-    k + 1 loadings, and for m > 1 the direction's eigenvector is
-    differentiated by the symmetric eigenvector adjoint (Magnus 1985).
-    Raises `DegenerateProblemError` where that eigenvector's top gap is
-    below ``_EIGEN_GAP_REL`` of its eigenvalue.
+    k + 1 loadings, whose system's inverse the step record holds, and for
+    m > 1 the direction's eigenvector is differentiated by the symmetric
+    eigenvector adjoint (Magnus 1985). Raises `DegenerateProblemError`
+    where that eigenvector's top gap is below ``_EIGEN_GAP_REL`` of its
+    eigenvalue.
     """
+    W, P, Q, _, steps = factors
     m = Y.shape[2]
-    w, q, pv, t, tt = (tape[key] for key in ("w", "q", "p", "t", "tt"))
+    w, pv, q = (F.swapaxes(1, 2) for F in (W, P, Q))  # factor k in row k
     w_bar = q @ B_bar.swapaxes(1, 2)  # row k: B̄ q_k
     q_bar = w @ B_bar  # row k: B̄ᵀ w_k
     p_bar = np.zeros_like(pv)
-    t_bar = np.empty_like(t)
-    C_bar = np.zeros_like(tape["C"][:, 0])  # adjoint of the next covariance
-    a = w.shape[1]
+    t_bars = []
+    C_bar = np.zeros_like(steps[0][0])  # adjoint of the next covariance
+    a = len(steps)
     Xt = X.swapaxes(1, 2)
     for k in reversed(range(a)):
-        C_k = tape["C"][:, k]
+        C_k, vk, norm, eig, t, tt, inv = steps[k]
         if k + 1 < a:
             Pk = pv[:, : k + 1]  # loadings as rows
             Pkt = Pk.swapaxes(1, 2)
-            Z = np.linalg.solve(Pk @ Pkt, Pk)  # (PᵀP)⁻¹Pᵀ
+            Z = inv @ Pk  # (PᵀP)⁻¹Pᵀ
             Zt = Z.swapaxes(1, 2)
             CbZ = C_bar @ Zt
             M = -(CbZ.swapaxes(1, 2) @ C_k + (C_k @ Zt).swapaxes(1, 2) @ C_bar)
             p_bar[:, : k + 1] += M - (M @ Pkt) @ Z
             C_bar = C_bar - CbZ @ Pk
-        ttk = tt[:, k, None]
+        ttk = tt[:, None]
         tt_bar = -(np.add.reduce(p_bar[:, k] * pv[:, k], axis=1, keepdims=True)
                    + np.add.reduce(q_bar[:, k] * q[:, k], axis=1, keepdims=True)) / ttk
         tb = ((X @ p_bar[:, k, :, None])[:, :, 0]
-              + (Y @ q_bar[:, k, :, None])[:, :, 0]) / ttk + 2.0 * tt_bar * t[:, k]
-        t_bar[:, k] = tb
+              + (Y @ q_bar[:, k, :, None])[:, :, 0]) / ttk + 2.0 * tt_bar * t
+        t_bars.append(tb)
         wb = w_bar[:, k] + (Xt @ tb[:, :, None])[:, :, 0]
-        wk, vk, norm = w[:, k], tape["v"][:, k], tape["norm"][:, k, None]
+        wk, norm = w[:, k], norm[:, None]
         u_bar = (wb - wk * np.add.reduce(wk * wb, axis=1, keepdims=True)) / norm
         C_bar = C_bar + vk[:, :, None] * u_bar[:, None, :]
         if m > 1:
@@ -179,7 +171,7 @@ def _simpls_adjoint(X: np.ndarray, Y: np.ndarray, tape: dict, B_bar: np.ndarray)
             # dv = Σ_j e_j e_jᵀ d(C Cᵀ) v / (λ_top - λ_j) over the other
             # eigenvectors e_j, so C̄ += (M̄ + M̄ᵀ) C for M̄ = a vᵀ, with
             # a = Σ_j e_j (e_jᵀ v̄) / (λ_top - λ_j).
-            lam, E = tape["eig_values"][:, k], tape["eig_vectors"][:, k, :, :-1]
+            lam, E = eig[0], eig[1][:, :, :-1]
             gap = lam[:, -1:] - lam[:, :-1]
             if (gap <= _EIGEN_GAP_REL * np.abs(lam[:, -1:])).any():
                 raise DegenerateProblemError(
@@ -189,8 +181,9 @@ def _simpls_adjoint(X: np.ndarray, Y: np.ndarray, tape: dict, B_bar: np.ndarray)
             a_vec = np.einsum("smj,sj->sm", E, np.einsum("smj,sm->sj", E, v_bar) / gap)
             C_bar = (C_bar + a_vec[:, :, None] * (norm * wk)[:, None, :]
                      + vk[:, :, None] * np.einsum("smp,sm->sp", C_k, a_vec)[:, None, :])
-    A = np.concatenate([t.swapaxes(1, 2), t_bar.swapaxes(1, 2), Y], axis=2)
-    G = np.concatenate([(p_bar / tt[:, :, None]).swapaxes(1, 2), w.swapaxes(1, 2),
+    T, tt = (np.stack([step[i] for step in steps], axis=-1) for i in (4, 5))
+    A = np.concatenate([T, np.stack(t_bars[::-1], axis=2), Y], axis=2)
+    G = np.concatenate([(p_bar / tt[:, :, None]).swapaxes(1, 2), W,
                         C_bar.swapaxes(1, 2)], axis=2)
     return A, G
 

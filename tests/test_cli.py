@@ -3,7 +3,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -801,6 +804,128 @@ class TestPredictOnGeneratedCsv:
         assert code == 1 and len(err) == 1, err
         assert err[0].startswith("error:data:") and "field limit" in err[0]
         assert not pred_dir.exists()
+
+
+# A third of the generated training files have no fault (None).
+_TRAINING_FAULTS = (None, None, None, None, "cell", "ragged", "no rows", "flat x",
+                    "flat y", "missing response", "duplicate")
+
+
+@st.composite
+def training_csvs(draw):
+    """Text of a training CSV and the `kfpls optimize` options for it:
+    features x1, x2 and a response ``y``, or one-hot columns c1 to c3 under
+    ``--task classification``, 3 to 30 rows, with at most one fault of
+    `_TRAINING_FAULTS`, and a kernel, seed, factor bound and flow factor
+    count drawn too."""
+    task = draw(st.sampled_from(["regression", "classification"]))
+    n = draw(st.integers(3, 30))
+    X = draw(st.lists(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+                      min_size=n, max_size=n))
+    if task == "regression":
+        responses = ["y"]
+        Y = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        Y = [[y] for y in Y]
+    else:
+        responses = ["c1", "c2", "c3"]
+        classes = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        Y = [[float(c == k) for k in range(3)] for c in classes]
+    header = ["x1", "x2", *responses]
+    fault = draw(st.sampled_from(_TRAINING_FAULTS))
+    if fault == "flat x":
+        X = [X[0]] * n
+    elif fault == "flat y":
+        Y = [Y[0]] * n
+    rows = [[repr(float(v)) for v in x + y] for x, y in zip(X, Y)]
+    if fault == "cell":
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(
+            ["", "x", "nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "0.5"]))
+    elif fault == "ragged":
+        draw(st.sampled_from(rows)).pop()
+    elif fault == "no rows":
+        rows = []
+    elif fault == "missing response":
+        header[-1] = header[-1].upper()
+    elif fault == "duplicate":
+        header[0] = header[1]
+    text = "".join(",".join(row) + "\n" for row in [header, *rows])
+    options = ["--task", task, "--response", ",".join(responses),
+               "--seed", str(draw(st.integers(0, 3))),
+               "--kernel", draw(st.sampled_from(["gaussian", "matern32", "gaussian,cauchy"])),
+               "--n-lv", str(draw(st.integers(1, 3)))]
+    lv_max = draw(st.sampled_from([None, "1", "3"]))
+    return text, options + (["--lv-max", lv_max] if lv_max else [])
+
+
+class TestOptimizeOnGeneratedCsv:
+    """`kfpls optimize` on any training file either writes a finite trace and
+    an archive that loads, or prints one ``error:`` line, exits 1 or 2 and
+    writes no archive; it never gives ``error:internal``."""
+
+    @given(training_csvs())
+    @settings(max_examples=40, deadline=None)
+    def test_exit_0_with_a_finite_trace_or_one_error_line(self, drawn):
+        text, options = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            train, out = Path(tmp) / "train.csv", Path(tmp) / "opt"
+            train.write_text(text, encoding="utf-8", newline="")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run_cli("optimize", train, *options, "--iterations", "2",
+                               "--out-dir", out)
+            err = err.getvalue().splitlines()
+            if code == 0:
+                assert not err
+                header, trace = read_csv(out / "trace.csv")
+                assert header[0] == "iteration" and len(trace) and np.isfinite(trace).all()
+                load_calibrated_model(out / "model.kfpls")
+            else:
+                assert code in (1, 2) and len(err) == 1, err
+                assert err[0].startswith("error:") and not err[0].startswith("error:internal")
+                assert not (out / "model.kfpls").exists()
+
+
+class TestFlowLogLines:
+    """A flow's skipped iterations are counted in the report, not printed:
+    without a logging configuration, stderr holds an error line or nothing.
+    Run in a subprocess, where no test harness handles the log records."""
+
+    @staticmethod
+    def optimize(tmp_path, minority, iterations):
+        # 20 rows of two classes, `minority` of the first: many sub-batches
+        # hold one class and run out of rank, so iterations are skipped.
+        rng = np.random.default_rng(0)
+        X = rng.uniform(-1, 1, size=(20, 2))
+        first = np.arange(20) < minority
+        train = tmp_path / "train.csv"
+        train.write_text("x1,x2,c1,c2\n" + "".join(
+            f"{float(a)!r},{float(b)!r},{float(c)},{float(not c)}\n"
+            for (a, b), c in zip(X, first)), encoding="utf-8")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from kfpls.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "optimize", str(train), "--task",
+             "classification", "--response", "c1,c2", "--n-lv", "1", "--lv-max", "3",
+             "--iterations", str(iterations), "--seed", "0", "--out-dir",
+             str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        report = tmp_path / "out" / "report.json"
+        return run, json.loads(report.read_text()) if report.exists() else None
+
+    def test_a_run_with_skipped_iterations_prints_nothing(self, tmp_path):
+        run, report = self.optimize(tmp_path, 5, 4)
+        assert run.returncode == 0 and run.stderr == ""
+        assert report["n_skipped"] == 2
+
+    def test_a_run_that_aborts_prints_one_error_line(self, tmp_path):
+        run, _ = self.optimize(tmp_path, 4, 4)
+        assert run.returncode == 1
+        assert run.stderr.splitlines() == [
+            "error:compute: 3 of 4 iterations were degenerate; the kernel family "
+            "or batch settings do not suit this data"]
 
 
 class TestUnwritableOutput:

@@ -112,12 +112,12 @@ class TestLossEngineOracle:
         subs = np.array([np.sort(rng.choice(18, 9, replace=False)) for _ in range(3)])
         ws = _Workspace().start(train_sq_dists(X), Y, subs)
 
-        _, rhos = flows._batch_losses(ws, 2, spec, "cv")
+        _, rhos, *_ = flows._batch_losses(ws, 2, spec, "cv")
         for idx, got in zip(subs, rhos):
             ref = cv_loss_literal(families, sigmas, gammas, delta, X, Y, idx, 2)
             assert got == pytest.approx(ref, abs=1e-10)
 
-        _, rhos = flows._batch_losses(ws, 2, spec, "norm_ratio")
+        _, rhos, *_ = flows._batch_losses(ws, 2, spec, "norm_ratio")
         for idx, got in zip(subs, rhos):
             ref = flow_loss_literal(
                 families, sigmas, gammas, delta, X, Y, X[idx], Y[idx], 2
@@ -138,7 +138,7 @@ class TestLossEngineOracle:
         subs = np.array([np.sort(rng.choice(18, 9, replace=False)) for _ in range(3)])
 
         ws = _Workspace().start(train_sq_dists(X), Y, subs)
-        _, rhos = flows._batch_losses(ws, 2, spec, "cv")
+        _, rhos, *_ = flows._batch_losses(ws, 2, spec, "cv")
         for idx, got in zip(subs, rhos):
             ref = cv_loss_literal(["gaussian"], [12.0], [1.0], 1e-3, X, Y, idx, 2)
             assert got == pytest.approx(ref, abs=1e-10)
@@ -201,8 +201,8 @@ class TestStackedLossEngine:
                              for _ in range(5)])
             d2, Y = train_sq_dists(ds.X_cal[batch]), ds.Y_cal[batch]
             spec = gauss(sigma=sigma, delta=size["delta"])
-            _, rhos = _batch_losses(_Workspace().start(d2, Y, subs), n_lv, spec,
-                                    objective)
+            _, rhos, *_ = _batch_losses(_Workspace().start(d2, Y, subs), n_lv, spec,
+                                        objective)
             ref = per_fit_losses(d2, Y, subs, n_lv, spec, objective)
             np.testing.assert_allclose(rhos, ref, rtol=0, atol=size["atol"])
 
@@ -231,7 +231,7 @@ class TestStackedLossEngine:
 
         # The first set stops its stack at one factor; the minibatch fit of
         # `norm_ratio` is a stack of its own and keeps 3.
-        _, rhos = _batch_losses(_Workspace().start(d2, Y, subs), 3, spec, objective)
+        _, rhos, *_ = _batch_losses(_Workspace().start(d2, Y, subs), 3, spec, objective)
         ref = per_fit_losses(d2, Y, subs, 1, spec, objective, batch_n_lv=3)
         np.testing.assert_allclose(rhos, ref, rtol=0, atol=1e-12)
 
@@ -278,8 +278,8 @@ class TestWorkspace:
         spec = combo_spec()
         ws = _Workspace().start(d2, Y, subs)
         for name, probe in [("centre", spec), *probes(spec)]:
-            shared = _batch_losses(ws, 3, probe, objective)
-            fresh = _batch_losses(_Workspace().start(d2, Y, subs), 3, probe, objective)
+            shared = _batch_losses(ws, 3, probe, objective)[:2]
+            fresh = _batch_losses(_Workspace().start(d2, Y, subs), 3, probe, objective)[:2]
             assert shared == fresh, name
 
     def test_gather_is_the_sub_batch_blocks(self):
@@ -424,9 +424,9 @@ class TestKfGradient:
         seen = []
         real = flows._batch_losses
 
-        def recording(ws, n_lv, spec, objective, tape=None):
+        def recording(ws, n_lv, spec, objective):
             seen.append(ws.subsets.copy())
-            return real(ws, n_lv, spec, objective, tape)
+            return real(ws, n_lv, spec, objective)
 
         monkeypatch.setattr(flows, "_batch_losses", recording)
         X, Y = make_batch(8)
@@ -485,9 +485,8 @@ class TestLossGradient:
         subs = np.array([np.arange(8), np.arange(8, 16), np.arange(10, 18)])
         spec = gauss(sigma=0.9, delta=0.05)
         d2 = train_sq_dists(X)
-        tape = {}
-        _batch_losses(_Workspace().start(d2, Y, subs), 3, spec, objective, tape)
-        counts = [fit["simpls"]["w"].shape[1] for fit in tape["stacks"]]
+        fits = _batch_losses(_Workspace().start(d2, Y, subs), 3, spec, objective)[2]
+        counts = [len(factors[4]) for _, factors, *_ in fits]
         assert counts == ([1] if objective == "cv" else [1, 3])
         assert relative_to_richardson(d2, Y, subs, 3, spec, objective) <= 1e-6
 
@@ -496,10 +495,9 @@ class TestLossGradient:
         X = np.eye(6)[None]
         Y = np.zeros((1, 6, 2))
         Y[0, 0, 0] = Y[0, 1, 1] = 1.0
-        tape = {}
-        B = _simpls(X, Y, 2, tape)[3]
+        factors = _simpls(X, Y, 2)
         with pytest.raises(DegenerateProblemError, match="eigenvalue"):
-            _simpls_adjoint(X, Y, tape, np.ones_like(B))
+            _simpls_adjoint(X, Y, factors, np.ones_like(factors[3]))
 
     def test_non_finite_gradient_is_degenerate(self, monkeypatch):
         import kfpls.flows as flows

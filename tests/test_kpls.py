@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -125,6 +126,28 @@ class TestFitKpls:
             fit_kpls(X, Y, n_lv, gauss())
 
 
+class TestFactorSearchBoundsAgainstLiteral:
+    """`fit_kpls` at the cases' factor-search bounds (12, 20, 30) against the
+    literal oracle, which deflates with the explicit inverse of PᵀP, on
+    48-row peaks and circles samples and the cases' initial kernel."""
+
+    # Max-relative differences measured here: 3.9e-15 (peaks) and 8.1e-15
+    # (circles) at 12 factors, 8.7e-9 and 2.9e-12 at 20, 3.3e-9 and 3.3e-8 at
+    # 30 (peaks stops at 20 factors), the oracle's own rounding in its Jacobi
+    # directions and inverses dominating at the larger counts.
+    BOUNDS = {12: 1e-12, 20: 1e-7, 30: 1e-7}
+
+    @pytest.mark.parametrize("n_lv", sorted(BOUNDS))
+    @pytest.mark.parametrize("sample", ["peaks", "circles"])
+    def test_coefficients_match_the_oracle(self, sample, n_lv):
+        ds = gen_peaks(60, 0.05, 0) if sample == "peaks" else gen_circles(15, 4, 0.1, 0)
+        X, Y = ds.X_cal[:48], ds.Y_cal[:48]
+        model = fit_kpls(X, Y, n_lv, gauss(sigma=1.0, delta=1.0))
+        B_ref, _, _ = kpls_coef_literal(["gaussian"], [1.0], [1.0], 1.0, X, Y, n_lv)
+        worst = np.abs(model.pls.coef - B_ref).max() / np.abs(B_ref).max()
+        assert worst < self.BOUNDS[n_lv]
+
+
 class TestFitGrams:
     def test_members_match_separate_fits(self):
         # A stack of ridge Grams, as the kernel flow fits its sub-batches,
@@ -134,7 +157,7 @@ class TestFitGrams:
         X = rng.normal(size=(3, 15, 2))
         Y = rng.normal(size=(3, 15, 2))
         K = np.stack([gram_train(spec, x) for x in X])
-        (W, P, Q, B), col_means, y_means, K_c = fit_grams(K, Y, 4)
+        (W, P, Q, B, _), col_means, y_means, K_c = fit_grams(K, Y, 4)
         assert K_c is K
         for s in range(3):
             model = fit_kpls(X[s], Y[s], 4, spec)
@@ -292,8 +315,8 @@ class TestAffinePredict:
         X, Y = rng.normal(size=(self.N_TRAIN, 2)), rng.normal(size=(self.N_TRAIN, m))
         X_new = rng.normal(size=(q, 2))
         got = _affine_predict(spec, X, *_count_maps(gram_train(spec, X), X, Y, 6), X_new)
-        (W, P, Q, _), col_means, y_means, _ = fit_grams(gram_train(spec, X)[None],
-                                                       Y[None], 6)
+        (W, P, Q, *_), col_means, y_means, _ = fit_grams(gram_train(spec, X)[None],
+                                                        Y[None], 6)
         C, b = affine_coef(coef_path(W[0], P[0], Q[0], 6), col_means[0], y_means[0])
         assert got.shape == (6, q, m)
         np.testing.assert_allclose(got, self.one_shot(spec, X, C, b, X_new),
@@ -302,12 +325,16 @@ class TestAffinePredict:
     @staticmethod
     def whole_blocks(spec, x_train, C, b, X_new):
         """Each block of at most 2**18 cross-kernel values made whole and
-        multiplied: the streamed predictor before its kernel was sliced."""
+        multiplied, a partial block padded with zero rows to whole 16-row
+        tiles: the streamed predictor before its kernel was sliced."""
         rows = block_rows(2**18, x_train.shape[0])
         out = np.empty(C.shape[:-2] + (X_new.shape[0], C.shape[-1]))
         for start in range(0, X_new.shape[0], rows):
-            block = slice(start, start + rows)
-            out[..., block, :] = gram_test(spec, X_new[block], x_train) @ C + b
+            K = gram_test(spec, X_new[start : start + rows], x_train)
+            r = len(K)
+            tiles = np.zeros((min(rows, -(-r // 16) * 16), K.shape[1]))
+            tiles[:r] = K
+            out[..., start : start + r, :] = (tiles @ C)[..., :r, :] + b
         return out
 
     @pytest.mark.parametrize("n", [20, 320, 800, 1000])
@@ -329,6 +356,24 @@ class TestAffinePredict:
                              rng.normal(size=(3, m)))
         got = _affine_predict(spec, x_train, C3, b3, X_new)
         assert got.tobytes() == self.whole_blocks(spec, x_train, C3, b3, X_new).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("families", [["gaussian"], ["gaussian", "matern32"]],
+                             ids=["gaussian", "combo"])
+    def test_row_bytes_do_not_depend_on_the_row_count(self, families, m):
+        # 5,000 rows against 800 training rows are 19 whole 256-row blocks and
+        # a partial one; scored alone or among 65, 66 or 300 rows, a row is in
+        # a partial block, multiplied as whole 16-row tiles like the rest.
+        rng = np.random.default_rng(40 + m)
+        X = rng.uniform(-2.0, 2.0, size=(800, 2))
+        Y = np.column_stack([np.sin(X).sum(axis=1), np.cos(X).prod(axis=1)])[:, :m]
+        spec = KernelSpec.create(families, sigma=[0.7] * len(families), delta=0.01)
+        model = fit_kpls(X, Y, 5, spec)
+        X_new = rng.uniform(-2.0, 2.0, size=(5_000, 2))
+        every = predict_kpls(model, X_new)
+        for start, size in itertools.product((0, 37), (1, 65, 66, 300)):
+            rows = slice(start, start + size)
+            assert predict_kpls(model, X_new[rows]).tobytes() == every[rows].tobytes()
 
     # The 256-row block of 5,000 x 800 cross-kernel values is 1.64 MB and a
     # 64-row slice 0.41 MB: the Gaussian adds the slice's distances, the

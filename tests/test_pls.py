@@ -15,7 +15,7 @@ def first_pc(C):
 
 def factors(X, Y, n_lv):
     """The factors ``(W, P, Q)`` of the SIMPLS fit of ``X`` on ``Y``."""
-    W, P, Q, _ = _simpls(X[None], Y[None], n_lv)
+    W, P, Q, *_ = _simpls(X[None], Y[None], n_lv)
     return W[0], P[0], Q[0]
 
 
@@ -181,7 +181,7 @@ class TestFitPlsStack:
         Y = rng.normal(size=(3, 12, 1))
         counts = [factors(X[s], Y[s], 4)[0].shape[1] for s in range(3)]
         assert counts[0] == 4 and counts[1] <= 2
-        W, _, _, B = _simpls(X, Y, 4)
+        W, _, _, B, _ = _simpls(X, Y, 4)
         assert W.shape[2] == counts[1]
         for s in range(3):
             np.testing.assert_allclose(B[s], coef(X[s], Y[s], counts[1]),
